@@ -63,9 +63,9 @@ let eval_round t =
   ignore !all_high;
   if next_c <> t.c_state then begin
     (* Firing: latch the LUT output and the new phase. *)
-    let v = Array.make 4 false in
-    Array.iteri (fun k r -> v.(k) <- Ledr.value r) t.ins;
-    let value = Lut4.eval t.func v in
+    let m = ref 0 in
+    Array.iteri (fun k r -> if Ledr.value r then m := !m lor (1 lsl k)) t.ins;
+    let value = Lut4.eval_bits t.func !m in
     t.c_state <- next_c;
     t.latch_v <- value;
     (* output phase = gate phase (Figure 1): t rail = v XOR phase. *)

@@ -42,7 +42,7 @@ type t = {
   rails : Ledr.rails array; (* output wire pair per gate *)
   gate_phase : Ledr.phase array;
   reg_state : bool array;
-  source_pos : (int, int) Hashtbl.t;
+  source_pos : int array; (* vector index of each source, by gate id *)
   mutable wave_phase : Ledr.phase; (* phase carried by the NEXT wave's tokens *)
   mutable wave_no : int; (* waves applied so far; the hooks' wave index *)
 }
@@ -65,8 +65,8 @@ let create ?(hooks = no_hooks) ?delays pl =
   Array.iteri
     (fun i g -> match g.Pl.kind with Pl.Register init -> reg_state.(i) <- init | _ -> ())
     (Pl.gates pl);
-  let source_pos = Hashtbl.create 16 in
-  Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
+  let source_pos = Array.make n (-1) in
+  Array.iteri (fun k id -> source_pos.(id) <- k) (Pl.source_ids pl);
   {
     pl;
     hooks;
@@ -195,7 +195,7 @@ let apply t vector =
     (fun i g ->
       match g.Pl.kind with
       | Pl.Source _ ->
-          latch t i vector.(Hashtbl.find t.source_pos i);
+          latch t i vector.(t.source_pos.(i));
           t.gate_phase.(i) <- wave
       | Pl.Const_source v ->
           latch t i v;
@@ -221,9 +221,9 @@ let apply t vector =
     Array.for_all (fun f -> Ledr.phase t.rails.(f) = wave) gates.(i).Pl.fanin
   in
   let eval_gate func fanin =
-    let v = Array.make 4 false in
-    Array.iteri (fun k f -> v.(k) <- Ledr.value t.rails.(f)) fanin;
-    Lut4.eval func v
+    let m = ref 0 in
+    Array.iteri (fun k f -> if Ledr.value t.rails.(f) then m := !m lor (1 lsl k)) fanin;
+    Lut4.eval_bits func !m
   in
   let round = ref 0 in
   let progress = ref true in

@@ -44,9 +44,19 @@ type wave = {
 }
 
 type t
-(** Mutable simulator instance (holds register state). *)
+(** Mutable simulator instance (holds register state).
+
+    Creation compiles the netlist into flat arrays indexed by gate id: a
+    kind code, one int argument (source position, register reset value,
+    master's trigger or sink fanin), the LUT4 function, CSR fanins, and the
+    register ids with their D fanins.  {!apply} then walks {!Ee_phased.Pl.topo}
+    once, packing each gate's LUT index while folding its fanin arrival; per
+    wave it allocates only the outputs array and the {!wave} record. *)
 
 val create : ?config:config -> Ee_phased.Pl.t -> t
+(** Raises [Invalid_argument "Sim.create: ..."] on a gate or trigger with
+    more than 4 fanins, a sink or register without exactly one fanin, or an
+    EE master whose trigger id does not name a trigger gate. *)
 
 val create_with_delays : ?config:config -> delays:float array -> Ee_phased.Pl.t -> t
 (** Like {!create} but with an explicit firing latency per PL gate (see

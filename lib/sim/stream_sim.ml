@@ -18,6 +18,12 @@ exception Unsafe of string
 
 type token = { time : float; value : bool }
 
+(* Packed LUT index of a gate's input tokens. *)
+let minterm tokens =
+  let m = ref 0 in
+  Array.iteri (fun k tok -> if tok.value then m := !m lor (1 lsl k)) tokens;
+  !m
+
 type arc = {
   src : int;
   dst : int;
@@ -90,14 +96,14 @@ let run ?(config = default_config) ?delays pl ~vectors =
      each tracking its own wave cursor (sources are acknowledged
      independently, so their cursors can be out of step transiently). *)
   let vector_arr = Array.of_list vectors in
-  let source_pos = Hashtbl.create 16 in
-  Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
+  let source_pos = Array.make n (-1) in
+  Array.iteri (fun k id -> source_pos.(id) <- k) (Pl.source_ids pl);
   let source_wave = Array.make n 0 in
   let sink_ids = Pl.sink_ids pl in
   let total_waves = List.length vectors in
   let sink_records = Array.map (fun _ -> Queue.create ()) sink_ids in
-  let sink_index = Hashtbl.create 8 in
-  Array.iteri (fun k id -> Hashtbl.replace sink_index id k) sink_ids;
+  let sink_index = Array.make n (-1) in
+  Array.iteri (fun k id -> sink_index.(id) <- k) sink_ids;
   let early_fires = ref 0 in
   (* Worklist processing. *)
   let queue = Queue.create () in
@@ -154,7 +160,7 @@ let run ?(config = default_config) ?delays pl ~vectors =
           let w = source_wave.(i) in
           if w < Array.length vector_arr then begin
             source_wave.(i) <- w + 1;
-            let value = vector_arr.(w).(Hashtbl.find source_pos i) in
+            let value = vector_arr.(w).(source_pos.(i)) in
             emit_output t_all value;
             emit_feedback t_all
           end
@@ -167,17 +173,13 @@ let run ?(config = default_config) ?delays pl ~vectors =
           emit_feedback (t_all +. delay i)
       | Pl.Sink _ ->
           let d = fanin_tokens.(0) in
-          Queue.push d (sink_records.(Hashtbl.find sink_index i));
+          Queue.push d (sink_records.(sink_index.(i)));
           emit_feedback d.time
       | Pl.Trigger { func; _ } ->
-          let v = Array.make 4 false in
-          Array.iteri (fun k tok -> v.(k) <- tok.value) fanin_tokens;
-          emit_output (t_all +. delay i) (Lut4.eval func v);
+          emit_output (t_all +. delay i) (Lut4.eval_bits func (minterm fanin_tokens));
           emit_feedback (t_all +. delay i)
       | Pl.Gate func ->
-          let v = Array.make 4 false in
-          Array.iteri (fun k tok -> v.(k) <- tok.value) fanin_tokens;
-          let value = Lut4.eval func v in
+          let value = Lut4.eval_bits func (minterm fanin_tokens) in
           let t_complete =
             t_all +. delay i
             +. (if trigger_token = None then 0. else config.ee_overhead)

@@ -163,6 +163,241 @@ let test_wrong_vector_length () =
   Alcotest.check_raises "length check" (Invalid_argument "Sim.apply: wrong vector length")
     (fun () -> ignore (Sim.apply sim [| true |]))
 
+(* Malformed netlists are refused when the simulator is built, not deep
+   inside a wave.  [Pl.gates] hands out the netlist's own array, so each
+   case patches one gate of a freshly built netlist. *)
+let rejected name pl =
+  match Sim.create pl with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ ": " ^ msg) true (String.starts_with ~prefix:"Sim.create" msg)
+
+(* In [quickstart_pl], gates 0-2 are the inputs, 3-4 the buffers and 5 the
+   carry, the only EE master. *)
+let trigger_of pl_ee = match Pl.ee pl_ee 5 with Some e -> e.Pl.trigger | None -> assert false
+
+let test_rejects_wide_gate () =
+  let pl, _ = quickstart_pl () in
+  let gates = Pl.gates pl in
+  gates.(5) <- { (gates.(5)) with Pl.fanin = [| 0; 1; 2; 3; 4 |] };
+  rejected "gate with 5 fanins" pl
+
+let test_rejects_wide_trigger () =
+  let _, pl_ee = quickstart_pl () in
+  let gates = Pl.gates pl_ee in
+  let tr = trigger_of pl_ee in
+  gates.(tr) <- { (gates.(tr)) with Pl.fanin = [| 0; 1; 2; 0; 1 |] };
+  rejected "trigger with 5 fanins" pl_ee
+
+let test_rejects_two_fanin_sink () =
+  let pl, _ = quickstart_pl () in
+  let gates = Pl.gates pl in
+  let s = (Pl.sink_ids pl).(0) in
+  gates.(s) <- { (gates.(s)) with Pl.fanin = [| 0; 1 |] };
+  rejected "sink with 2 fanins" pl
+
+let test_rejects_floating_register () =
+  let pl, _ = quickstart_pl () in
+  (Pl.gates pl).(3) <- { Pl.kind = Pl.Register false; fanin = [||] };
+  rejected "register without fanin" pl
+
+let test_rejects_bad_trigger () =
+  let _, pl_ee = quickstart_pl () in
+  (Pl.gates pl_ee).(trigger_of pl_ee) <- { Pl.kind = Pl.Gate (Lut4.var 0); fanin = [| 0 |] };
+  rejected "EE trigger that is not a trigger gate" pl_ee
+
+(* Reference evaluator transcribed from the record-walking kernel that the
+   compiled one replaced: per-gate [Pl.gate] records, a source-position
+   table and [Stdlib.max]/[min] folds.  The differential test holds [Sim]
+   bit-equal to it. *)
+module Reference = struct
+  type t = {
+    pl : Pl.t;
+    delays : float array;
+    state : bool array;
+    source_pos : (int, int) Hashtbl.t;
+    values : bool array;
+    times : float array;
+  }
+
+  let ee_overhead = Sim.default_config.Sim.ee_overhead
+
+  let reset t =
+    Array.iteri
+      (fun i g ->
+        match g.Pl.kind with Pl.Register init -> t.state.(i) <- init | _ -> t.state.(i) <- false)
+      (Pl.gates t.pl)
+
+  let create ~delays pl =
+    let n = Array.length (Pl.gates pl) in
+    let source_pos = Hashtbl.create 16 in
+    Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
+    let t =
+      {
+        pl;
+        delays;
+        state = Array.make n false;
+        source_pos;
+        values = Array.make n false;
+        times = Array.make n 0.;
+      }
+    in
+    reset t;
+    t
+
+  let eval_gate values func fanin =
+    let v = Array.make 4 false in
+    Array.iteri (fun k f -> v.(k) <- values.(f)) fanin;
+    Lut4.eval func v
+
+  let apply t vector =
+    let gates = Pl.gates t.pl in
+    let values = t.values and times = t.times in
+    let settle = ref 0. in
+    let early = ref 0 in
+    let fanin_arrival fanin = Array.fold_left (fun acc f -> max acc times.(f)) 0. fanin in
+    Array.iter
+      (fun i ->
+        let g = gates.(i) in
+        match g.Pl.kind with
+        | Pl.Source _ ->
+            values.(i) <- vector.(Hashtbl.find t.source_pos i);
+            times.(i) <- 0.
+        | Pl.Const_source v ->
+            values.(i) <- v;
+            times.(i) <- 0.
+        | Pl.Register _ ->
+            values.(i) <- t.state.(i);
+            times.(i) <- 0.
+        | Pl.Trigger { func; _ } ->
+            values.(i) <- eval_gate values func g.Pl.fanin;
+            times.(i) <- fanin_arrival g.Pl.fanin +. t.delays.(i);
+            settle := max !settle times.(i)
+        | Pl.Gate func -> (
+            values.(i) <- eval_gate values func g.Pl.fanin;
+            let normal = fanin_arrival g.Pl.fanin +. t.delays.(i) in
+            match Pl.ee t.pl i with
+            | None ->
+                times.(i) <- normal;
+                settle := max !settle normal
+            | Some e ->
+                let trig_time = times.(e.Pl.trigger) in
+                let guarded = max normal (trig_time +. t.delays.(i)) +. ee_overhead in
+                let fire_time =
+                  if values.(e.Pl.trigger) then begin
+                    let early_time = trig_time +. ee_overhead in
+                    if early_time < guarded then incr early;
+                    min guarded early_time
+                  end
+                  else guarded
+                in
+                times.(i) <- fire_time;
+                settle := max !settle (max fire_time (fanin_arrival g.Pl.fanin)))
+        | Pl.Sink _ ->
+            values.(i) <- values.(g.Pl.fanin.(0));
+            times.(i) <- times.(g.Pl.fanin.(0));
+            settle := max !settle times.(i))
+      (Pl.topo t.pl);
+    Array.iteri
+      (fun i g ->
+        match g.Pl.kind with
+        | Pl.Register _ -> settle := max !settle (times.(g.Pl.fanin.(0)) +. t.delays.(i))
+        | _ -> ())
+      gates;
+    let sink_ids = Pl.sink_ids t.pl in
+    let outputs = Array.map (fun s -> values.(s)) sink_ids in
+    let output_time = Array.fold_left (fun acc s -> max acc times.(s)) 0. sink_ids in
+    Array.iteri
+      (fun i g ->
+        match g.Pl.kind with Pl.Register _ -> t.state.(i) <- values.(g.Pl.fanin.(0)) | _ -> ())
+      gates;
+    { Sim.outputs; output_time; settle_time = !settle; early_fires = !early }
+end
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let wave_equal (a : Sim.wave) (b : Sim.wave) =
+  a.Sim.outputs = b.Sim.outputs
+  && bits_equal
+       [| a.Sim.output_time; a.Sim.settle_time |]
+       [| b.Sim.output_time; b.Sim.settle_time |]
+  && a.Sim.early_fires = b.Sim.early_fires
+
+(* Eq. 1 EE netlists of b01-b13 and of every family at widths 4 and 8. *)
+let ee_netlists () =
+  let module Itc99 = Ee_bench_circuits.Itc99 in
+  let module Families = Ee_bench_circuits.Families in
+  let ee name design =
+    (name, fst (Ee_core.Synth.run (Pl.of_netlist (Ee_rtl.Techmap.run_rtl design))))
+  in
+  List.filter_map
+    (fun (b : Itc99.benchmark) ->
+      if b.Itc99.id <= "b13" then Some (ee b.Itc99.id (b.Itc99.build ())) else None)
+    Itc99.all
+  @ List.concat_map
+      (fun (f : Families.family) ->
+        List.map
+          (fun w -> ee (Printf.sprintf "%s%d" f.Families.name w) (f.Families.build w))
+          [ 4; 8 ])
+      Families.all
+
+let test_matches_reference () =
+  let module D = Ee_sim.Delay_model in
+  let netlists = ee_netlists () in
+  Alcotest.(check int) "circuits" (13 + (2 * List.length Ee_bench_circuits.Families.all))
+    (List.length netlists);
+  List.iter
+    (fun (name, pl) ->
+      let width = Array.length (Pl.source_ids pl) in
+      let rng = Ee_util.Prng.create 64 in
+      let vectors = Array.init 64 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+      List.iter
+        (fun (model, delays) ->
+          let sim = Sim.create_with_delays ~delays pl in
+          let reference = Reference.create ~delays pl in
+          let replay pass =
+            Array.iteri
+              (fun k v ->
+                let w = Sim.apply sim v and w' = Reference.apply reference v in
+                let values, times = Sim.probe sim in
+                if
+                  not
+                    (wave_equal w w'
+                    && values = reference.Reference.values
+                    && bits_equal times reference.Reference.times)
+                then Alcotest.failf "%s, %s delays, %s, wave %d differs" name model pass k)
+              vectors
+          in
+          replay "first pass";
+          Sim.reset sim;
+          Reference.reset reference;
+          replay "after reset")
+        [
+          ("uniform", D.uniform pl ~gate_delay:1.0);
+          ("jittered", D.jittered pl ~gate_delay:1.0 ~spread:0.5 ~seed:7);
+          ("adversarial", D.adversarial_ee pl ~gate_delay:1.0 ~slowdown:3.0);
+        ])
+    netlists
+
+(* A wave allocates its outputs array and its record, never per-gate
+   scratch: the bound does not grow with the gate count. *)
+let test_apply_allocation () =
+  let nl = Ee_rtl.Techmap.run_rtl (Ee_bench_circuits.Itc99.b12 ()) in
+  let pl_ee, _ = Ee_core.Synth.run (Pl.of_netlist nl) in
+  let sim = Sim.create pl_ee in
+  let rng = Ee_util.Prng.create 12 in
+  let width = Array.length (Pl.source_ids pl_ee) in
+  let vectors = Array.init 100 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+  let before = Gc.minor_words () in
+  Array.iter (fun v -> ignore (Sim.apply sim v)) vectors;
+  let words = Gc.minor_words () -. before in
+  let bound = 100 * (Array.length (Pl.sink_ids pl_ee) + 16) in
+  if words >= float_of_int bound then
+    Alcotest.failf "100 waves allocated %.0f words (bound %d, %d gates)" words bound
+      (Array.length (Pl.gates pl_ee))
+
 let suite =
   ( "sim",
     [
@@ -173,6 +408,13 @@ let suite =
       Alcotest.test_case "register state carries" `Quick test_register_state_carries;
       Alcotest.test_case "run stats" `Quick test_run_stats;
       Alcotest.test_case "wrong vector length" `Quick test_wrong_vector_length;
+      Alcotest.test_case "rejects gate with 5 fanins" `Quick test_rejects_wide_gate;
+      Alcotest.test_case "rejects trigger with 5 fanins" `Quick test_rejects_wide_trigger;
+      Alcotest.test_case "rejects sink with 2 fanins" `Quick test_rejects_two_fanin_sink;
+      Alcotest.test_case "rejects register without fanin" `Quick test_rejects_floating_register;
+      Alcotest.test_case "rejects bad EE trigger" `Quick test_rejects_bad_trigger;
+      Alcotest.test_case "matches reference kernel" `Quick test_matches_reference;
+      Alcotest.test_case "apply allocation bound" `Quick test_apply_allocation;
       prop_pl_matches_golden;
       prop_ee_matches_golden;
       prop_ee_never_slower_per_gate;
