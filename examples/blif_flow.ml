@@ -52,7 +52,7 @@ let blif_text =
 
 let () =
   print_endline "== BLIF -> early evaluation -> PL VHDL ==\n";
-  let nl = Ee_export.Blif.of_blif blif_text in
+  let nl = Ee_frontend.Blif_in.of_string blif_text in
   Printf.printf "parsed netlist: %s\n" (Ee_netlist.Netlist.stats_string nl);
 
   let pl = Ee_phased.Pl.of_netlist nl in
@@ -75,7 +75,7 @@ let () =
 
   (* Round-trip sanity: export to BLIF and back; the paper's artifact, PL
      VHDL, goes to a file. *)
-  let nl' = Ee_export.Blif.of_blif (Ee_export.Blif.to_blif ~model:"regadd4" nl) in
+  let nl' = Ee_frontend.Blif_in.of_string (Ee_export.Blif.to_blif ~model:"regadd4" nl) in
   Printf.printf "BLIF round-trip: %s\n" (Ee_netlist.Netlist.stats_string nl');
   let vhdl = Ee_export.Vhdl.of_pl ~entity:"regadd4_pl" pl_ee in
   let file = Filename.temp_file "regadd4_pl" ".vhd" in

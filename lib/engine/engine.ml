@@ -116,30 +116,25 @@ type result = {
 
 let stage_names = Pipeline.stage_names @ [ "sim" ]
 
+let plan ?memo spec pl =
+  match spec.selection with
+  | Eq1 -> Ee_core.Synth.run ~options:(synth_options spec) ?memo pl
+  | Mcr -> Ee_core.Mcr_select.run ~options:(mcr_options spec) ?memo pl
+  | Search ->
+      let pl', r = Ee_search.Search_select.run ~options:(search_options spec) ?memo pl in
+      (pl', r.Ee_search.Search_select.synth)
+
 let run ?(spec = default_spec) ?trace ?memo (b : Itc99.benchmark) =
   let instrument =
     match trace with
     | None -> Pipeline.no_instrument
     | Some t -> { Pipeline.wrap = (fun stage f -> Trace.with_span t ~bench:b.Itc99.id stage f) }
   in
-  let options = synth_options spec in
-  let config = sim_config spec in
-  let plan =
-    match spec.selection with
-    | Eq1 -> None
-    | Mcr -> Some (fun pl -> Ee_core.Mcr_select.run ~options:(mcr_options spec) ?memo pl)
-    | Search ->
-        Some
-          (fun pl ->
-            let pl', r =
-              Ee_search.Search_select.run ~options:(search_options spec) ?memo pl
-            in
-            (pl', r.Ee_search.Search_select.synth))
-  in
-  let artifact = Pipeline.build_staged ~options ?memo ?plan ~instrument b in
+  let artifact = Pipeline.build_staged ~plan:(plan ?memo spec) ~instrument b in
   let row =
     instrument.Pipeline.wrap "sim" (fun () ->
-        Tables.row_of_artifact ~vectors:spec.vectors ~seed:spec.seed ~config artifact)
+        Tables.row_of_artifact ~vectors:spec.vectors ~seed:spec.seed ~config:(sim_config spec)
+          artifact)
   in
   { artifact; row }
 

@@ -101,6 +101,16 @@ val benchmarks : Ee_bench_circuits.Itc99.benchmark list
 val find_benchmark : string -> (Ee_bench_circuits.Itc99.benchmark, string) Stdlib.result
 (** Lookup by id with a helpful error message. *)
 
+val plan :
+  ?memo:Ee_core.Trigger.Memo.t ->
+  spec ->
+  Ee_phased.Pl.t ->
+  Ee_phased.Pl.t * Ee_core.Synth.report
+(** The "ee-plan" stage of [spec.selection]: attach EE pairs to a PL
+    netlist with {!Ee_core.Synth.run}, {!Ee_core.Mcr_select.run} or
+    {!Ee_search.Search_select.run}, each given its slice of [spec].
+    [?memo] is as in {!run}. *)
+
 type result = {
   artifact : Ee_report.Pipeline.artifact;
   row : Ee_report.Tables.row;  (** The benchmark's Table 3 row. *)

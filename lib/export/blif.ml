@@ -2,10 +2,6 @@ module Netlist = Ee_netlist.Netlist
 module Lut4 = Ee_logic.Lut4
 module Tt = Ee_logic.Truthtab
 
-exception Parse_error of int * string
-
-let fail line fmt = Printf.ksprintf (fun s -> raise (Parse_error (line, s))) fmt
-
 (* -------------------------------------------------------------------- *)
 (* Signal-name escaping                                                 *)
 (* -------------------------------------------------------------------- *)
@@ -133,184 +129,3 @@ let to_blif ?(model = "netlist") nl =
     (Netlist.outputs nl);
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-(* -------------------------------------------------------------------- *)
-(* Import                                                               *)
-(* -------------------------------------------------------------------- *)
-
-type raw_names = { inputs : string list; cubes : (string * char) list; def_line : int }
-
-type raw_latch = { d_sig : string; init : bool }
-
-let tokenize text =
-  (* Strip comments, join '\'-continued lines, keep line numbers. *)
-  let lines = String.split_on_char '\n' text in
-  let cleaned =
-    List.mapi
-      (fun idx l ->
-        let l = match String.index_opt l '#' with Some i -> String.sub l 0 i | None -> l in
-        (idx + 1, String.trim l))
-      lines
-  in
-  let rec join = function
-    | (n, l) :: rest when String.length l > 0 && l.[String.length l - 1] = '\\' -> (
-        match join rest with
-        | (_, l2) :: rest2 -> (n, String.sub l 0 (String.length l - 1) ^ " " ^ l2) :: rest2
-        | [] -> [ (n, String.sub l 0 (String.length l - 1)) ])
-    | x :: rest -> x :: join rest
-    | [] -> []
-  in
-  List.filter (fun (_, l) -> l <> "") (join cleaned)
-
-let words s = List.filter (fun w -> w <> "") (String.split_on_char ' ' s)
-
-let of_blif text =
-  let lines = tokenize text in
-  let inputs = ref [] and outputs = ref [] in
-  let names_defs : (string, raw_names) Hashtbl.t = Hashtbl.create 64 in
-  let latch_defs : (string, raw_latch) Hashtbl.t = Hashtbl.create 16 in
-  let latch_order = ref [] in
-  let pending_names = ref None in
-  let flush_pending () =
-    match !pending_names with
-    | Some (out, def) ->
-        if Hashtbl.mem names_defs out || Hashtbl.mem latch_defs out then
-          fail def.def_line "signal %s driven twice" out;
-        Hashtbl.replace names_defs out { def with cubes = List.rev def.cubes };
-        pending_names := None
-    | None -> ()
-  in
-  let seen_end = ref false in
-  List.iter
-    (fun (n, line) ->
-      if not !seen_end then
-        match words line with
-        | ".model" :: _ -> flush_pending ()
-        | ".inputs" :: ws ->
-            flush_pending ();
-            inputs := !inputs @ List.map unescape_name ws
-        | ".outputs" :: ws ->
-            flush_pending ();
-            outputs := !outputs @ List.map unescape_name ws
-        | ".names" :: ws -> (
-            flush_pending ();
-            match List.rev (List.map unescape_name ws) with
-            | out :: rev_ins ->
-                pending_names :=
-                  Some (out, { inputs = List.rev rev_ins; cubes = []; def_line = n })
-            | [] -> fail n ".names needs at least an output")
-        | ".latch" :: d :: q :: rest ->
-            flush_pending ();
-            let d = unescape_name d and q = unescape_name q in
-            let init =
-              match List.rev rest with
-              | last :: _ when last = "1" -> true
-              | _ -> false
-            in
-            if Hashtbl.mem latch_defs q || Hashtbl.mem names_defs q then
-              fail n "signal %s driven twice" q;
-            Hashtbl.replace latch_defs q { d_sig = d; init };
-            latch_order := q :: !latch_order
-        | ".end" :: _ ->
-            flush_pending ();
-            seen_end := true
-        | w :: _ when String.length w > 0 && w.[0] = '.' -> fail n "unsupported construct %s" w
-        | _ -> (
-            match !pending_names with
-            | Some (out, def) -> (
-                match words line with
-                | [ plane; ov ] when String.length ov = 1 ->
-                    pending_names := Some (out, { def with cubes = (plane, ov.[0]) :: def.cubes })
-                | [ ov ] when ov = "0" || ov = "1" ->
-                    pending_names := Some (out, { def with cubes = ("", ov.[0]) :: def.cubes })
-                | _ -> fail n "malformed cube line %S" line)
-            | None -> fail n "unexpected line %S" line))
-    lines;
-  flush_pending ();
-  (* Build the netlist. *)
-  let b = Netlist.builder () in
-  let node_of : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun name -> Hashtbl.replace node_of name (Netlist.add_input b name)) !inputs;
-  (* Registers in .latch declaration order, so that positional register
-     correspondence (Equiv) survives a BLIF round trip. *)
-  List.iter
-    (fun q ->
-      let def = Hashtbl.find latch_defs q in
-      Hashtbl.replace node_of q (Netlist.add_dff b ~init:def.init))
-    (List.rev !latch_order);
-  let building = Hashtbl.create 16 in
-  let rec resolve name =
-    match Hashtbl.find_opt node_of name with
-    | Some id -> id
-    | None -> (
-        if Hashtbl.mem building name then
-          fail 0 "combinational cycle through %s" name;
-        Hashtbl.replace building name ();
-        match Hashtbl.find_opt names_defs name with
-        | None -> fail 0 "undriven signal %s" name
-        | Some def ->
-            let k = List.length def.inputs in
-            if k > 4 then fail def.def_line "%s has %d inputs; this is a LUT4 flow" name k;
-            let tt =
-              if k = 0 then
-                (* Constant: a single "1" line means 1, no lines means 0. *)
-                List.exists (fun (_, v) -> v = '1') def.cubes
-                |> fun v -> Tt.const 0 v
-              else begin
-                let polarity =
-                  match def.cubes with
-                  | [] -> '1' (* empty cover: constant 0 *)
-                  | (_, v) :: rest ->
-                      List.iter
-                        (fun (_, v') ->
-                          if v' <> v then fail def.def_line "mixed cover polarities for %s" name)
-                        rest;
-                      v
-                in
-                let matches plane m =
-                  if String.length plane <> k then
-                    fail def.def_line "cube width mismatch for %s" name;
-                  let ok = ref true in
-                  String.iteri
-                    (fun j ch ->
-                      let bit = (m lsr j) land 1 in
-                      match ch with
-                      | '-' -> ()
-                      | '1' -> if bit <> 1 then ok := false
-                      | '0' -> if bit <> 0 then ok := false
-                      | _ -> fail def.def_line "bad cube character %c" ch)
-                    plane;
-                  !ok
-                in
-                Tt.of_fun k (fun m ->
-                    let hit = List.exists (fun (p, _) -> matches p m) def.cubes in
-                    if polarity = '1' then hit else not hit)
-              end
-            in
-            let id =
-              if k = 0 then Netlist.add_const b (Tt.eval tt 0)
-              else
-                let fanin = Array.of_list (List.map resolve def.inputs) in
-                Netlist.add_lut b (Lut4.of_truthtab tt) fanin
-            in
-            Hashtbl.remove building name;
-            Hashtbl.replace node_of name id;
-            id)
-  in
-  List.iter (fun name -> ignore (resolve name)) !outputs;
-  List.iter
-    (fun q ->
-      let def = Hashtbl.find latch_defs q in
-      Netlist.connect_dff b (Hashtbl.find node_of q) ~d:(resolve def.d_sig))
-    (List.rev !latch_order);
-  List.iter (fun name -> Netlist.set_output b name (resolve name)) !outputs;
-  Netlist.finalize b
-
-let parse text =
-  match of_blif text with
-  | nl -> Ok nl
-  | exception Parse_error (line, msg) ->
-      Error
-        (if line = 0 then Printf.sprintf "BLIF: %s" msg
-         else Printf.sprintf "BLIF line %d: %s" line msg)
-  | exception Invalid_argument msg -> Error (Printf.sprintf "BLIF: %s" msg)

@@ -1,13 +1,10 @@
-(** BLIF (Berkeley Logic Interchange Format) import and export for LUT4
-    netlists.
+(** BLIF (Berkeley Logic Interchange Format) writer for LUT4 netlists, and
+    the signal-name escaping shared by every BLIF and AIGER reader and
+    writer in the repo.
 
-    The subset handled is the one LUT-mapped netlists need: [.model],
-    [.inputs], [.outputs], [.names] with an ON-set or OFF-set cover of at
-    most four inputs, [.latch] with an initial value, and [.end].
-    Unsupported constructs raise {!Parse_error} with a line number. *)
-
-exception Parse_error of int * string
-(** (line number, message). *)
+    The writer emits one [.model] with [.inputs], [.outputs], [.names]
+    covers of at most four inputs, [.latch] with an initial value, and
+    [.end].  Reading BLIF is [Ee_frontend.Blif_in]'s job. *)
 
 val escape_name : string -> string
 (** Deterministic percent-encoding of signal names that would not survive
@@ -27,16 +24,3 @@ val to_blif : ?model:string -> Ee_netlist.Netlist.t -> string
 (** LUT functions are written as irredundant prime covers of their ON-set
     (or their OFF-set when that cover is smaller, per BLIF convention).
     Latches use [re] (rising edge) with explicit reset values. *)
-
-val of_blif : string -> Ee_netlist.Netlist.t
-(** Parses a single [.model].  Signal names are preserved for primary
-    inputs and outputs; internal names become anonymous nodes.  LUTs with
-    more than four inputs are rejected (this is a LUT4 flow). *)
-
-val parse : string -> (Ee_netlist.Netlist.t, string) result
-(** {!of_blif} with every failure captured as a message instead of an
-    exception — the entry point [ee_synthd] uses to accept external
-    netlists, where a malformed upload must become a [bad_request]
-    response rather than unwind the server.  Catches {!Parse_error} (with
-    its line number) and the netlist validator's [Invalid_argument]
-    (dangling latches, combinational cycles, over-wide LUTs). *)

@@ -316,6 +316,10 @@ let build top names latches =
   let node_of : (string, int) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun name ->
+      (match (Hashtbl.find_opt names_defs name, Hashtbl.find_opt latch_defs name) with
+      | Some d, _ -> fail d.nline "signal %s driven twice" name
+      | None, Some l -> fail l.lline "signal %s driven twice" name
+      | None, None -> ());
       if not (Hashtbl.mem node_of name) then
         Hashtbl.replace node_of name (Netlist.add_input b name))
     top.m_inputs;

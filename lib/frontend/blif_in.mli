@@ -1,7 +1,7 @@
-(** Full BLIF reader for arbitrary imported netlists.
-
-    Where {!Ee_export.Blif.of_blif} is the strict single-model LUT4
-    round-trip reader, this frontend accepts the BLIF that real tools dump:
+(** The repo's only BLIF reader: it reads back what
+    {!Ee_export.Blif.to_blif} writes, and the BLIF that real tools dump.
+    The daemon's [synth {blif}] and [import] requests both parse with it.
+    It accepts:
 
     - multiple [.model] blocks with [.subckt] instantiation, flattened
       recursively into one netlist (internal signals of an instance are
@@ -22,7 +22,9 @@
     - percent-escaped signal names ({!Ee_export.Blif.unescape_name}).
 
     Constructs that change semantics and cannot be honoured ([.gate],
-    [.mlatch], [.search]) are rejected with a line number. *)
+    [.mlatch], [.search]) are rejected with a line number, as is a signal
+    with two drivers (two [.names]/[.latch] outputs, or a primary input
+    that is also one of them). *)
 
 exception Parse_error of int * string
 

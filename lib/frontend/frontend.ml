@@ -24,10 +24,7 @@ let detect text =
 let parse ?format ?top text =
   let format = match format with Some f -> f | None -> detect text in
   match format with
-  | Blif -> (
-      match Blif_in.parse ?top text with
-      | Ok nl -> Ok nl
-      | Error msg -> Error msg)
+  | Blif -> Blif_in.parse ?top text
   | Aiger_ascii | Aiger_binary -> (
       (* The AIGER reader dispatches on the magic itself; an explicit format
          request just validates the magic matches. *)

@@ -69,34 +69,33 @@ type table3 = {
   avg_delay_decrease : float;
 }
 
-let row_of_artifact ?(vectors = 100) ?(seed = 2002) ?config (a : Pipeline.artifact) =
-  let base = Ee_sim.Sim.run_random ?config a.Pipeline.pl ~vectors ~seed in
-  let ee = Ee_sim.Sim.run_random ?config a.Pipeline.pl_ee ~vectors ~seed in
+let row ?(vectors = 100) ?(seed = 2002) ?(config = Ee_sim.Sim.default_config) ~id ~description
+    (report : Ee_core.Synth.report) pl pl_ee =
+  let base = Ee_sim.Sim.run_random ~config pl ~vectors ~seed in
+  let ee = Ee_sim.Sim.run_random ~config pl_ee ~vectors ~seed in
   let delay_no_ee = base.Ee_sim.Sim.avg_settle_time in
   let delay_ee = ee.Ee_sim.Sim.avg_settle_time in
   let critical_cycle =
-    let gate_delay, ee_overhead =
-      match config with
-      | Some c -> (c.Ee_sim.Sim.gate_delay, c.Ee_sim.Sim.ee_overhead)
-      | None ->
-          ( Ee_sim.Sim.default_config.Ee_sim.Sim.gate_delay,
-            Ee_sim.Sim.default_config.Ee_sim.Sim.ee_overhead )
-    in
-    (Ee_perf.Throughput.analyze ~gate_delay ~ee_overhead a.Pipeline.pl_ee)
+    (Ee_perf.Throughput.analyze ~gate_delay:config.Ee_sim.Sim.gate_delay
+       ~ee_overhead:config.Ee_sim.Sim.ee_overhead pl_ee)
       .Ee_perf.Throughput.critical_string
   in
   {
-    id = a.Pipeline.id;
-    description = a.Pipeline.description;
-    pl_gates = a.Pipeline.synth_report.Ee_core.Synth.pl_gates;
-    ee_gates = a.Pipeline.synth_report.Ee_core.Synth.ee_gates;
+    id;
+    description;
+    pl_gates = report.Ee_core.Synth.pl_gates;
+    ee_gates = report.Ee_core.Synth.ee_gates;
     delay_no_ee;
     delay_ee;
     delay_diff = delay_no_ee -. delay_ee;
-    area_increase = a.Pipeline.synth_report.Ee_core.Synth.area_increase_percent;
+    area_increase = report.Ee_core.Synth.area_increase_percent;
     delay_decrease = Ee_util.Stats.percent_change ~before:delay_no_ee ~after:delay_ee;
     critical_cycle;
   }
+
+let row_of_artifact ?vectors ?seed ?config (a : Pipeline.artifact) =
+  row ?vectors ?seed ?config ~id:a.Pipeline.id ~description:a.Pipeline.description
+    a.Pipeline.synth_report a.Pipeline.pl a.Pipeline.pl_ee
 
 let run_table3 ?vectors ?seed ?config ?options () =
   let artifacts = Pipeline.build_all ?options () in

@@ -56,5 +56,23 @@ val table3_to_table : ?cycles:bool -> table3 -> Ee_util.Table.t
 (** [cycles] (default false) appends the per-row critical-cycle column
     (used by [ee_synth suite --csv]). *)
 
+val row :
+  ?vectors:int ->
+  ?seed:int ->
+  ?config:Ee_sim.Sim.config ->
+  id:string ->
+  description:string ->
+  Ee_core.Synth.report ->
+  Ee_phased.Pl.t ->
+  Ee_phased.Pl.t ->
+  row
+(** [row ~id ~description report pl pl_ee] measures one Table 3 row: both
+    netlists are simulated on the same [vectors] random vectors from
+    [seed] (defaults 100 and 2002) under [config] (default
+    {!Ee_sim.Sim.default_config}), and the critical cycle of [pl_ee] is
+    found with the same delays.  Gate counts and area come from [report],
+    the selection policy's account of how [pl_ee] was made from [pl]. *)
+
 val row_of_artifact :
   ?vectors:int -> ?seed:int -> ?config:Ee_sim.Sim.config -> Pipeline.artifact -> row
+(** {!row} of a benchmark's pipeline artifact. *)

@@ -27,7 +27,10 @@
     [gate_delay], [ee_overhead], [selection] = ["eq1"]|["mcr"]); omitted
     knobs default to {!Ee_engine.Engine.default_spec}.  [synth] takes its
     netlist either from ["bench"] (an ITC99 id) or from ["blif"] (inline
-    BLIF text, parsed with {!Ee_export.Blif.parse}).
+    BLIF text, parsed by {!Ee_frontend.Frontend.parse} with the format
+    fixed to BLIF — the reader [import] uses — and measured without a
+    remap, so it answers as [import] with ["remap":false] does in its
+    ["synth"] section).
 
     [import] runs the arbitrary-netlist frontend: ["text"] holds the file
     contents (full-dialect BLIF or ASCII/binary AIGER), optionally

@@ -173,60 +173,26 @@ let search_json ~spec nl =
           ] );
     ]
 
+let with_search ~spec ~search nl = function
+  | Json.Obj fields when search -> Json.Obj (fields @ [ ("search", search_json ~spec nl) ])
+  | j -> j
+
 let synth_bench_json ?trace ~spec ~search b =
   let r = Engine.run ~spec ?trace b in
-  let row = row_json r.Engine.row r.Engine.artifact.Pipeline.synth_report spec in
-  if not search then row
-  else
-    match row with
-    | Json.Obj fields ->
-        Json.Obj
-          (fields @ [ ("search", search_json ~spec r.Engine.artifact.Pipeline.netlist) ])
-    | j -> j
+  let a = r.Engine.artifact in
+  with_search ~spec ~search a.Pipeline.netlist (row_json r.Engine.row a.Pipeline.synth_report spec)
 
-(* The inline-BLIF path: same measurements as a benchmark run, starting
-   from the submitted netlist instead of an RTL build. *)
+(* The user-netlist path of [synth {blif}] and [import]: the plan and row
+   of a benchmark run, starting from the parsed netlist. *)
 let synth_netlist_json ?(search = false) ~spec nl =
   let pl = Ee_phased.Pl.of_netlist nl in
-  let pl_ee, report =
-    match spec.Engine.selection with
-    | Engine.Eq1 -> Ee_core.Synth.run ~options:(Engine.synth_options spec) pl
-    | Engine.Mcr -> Ee_core.Mcr_select.run ~options:(Engine.mcr_options spec) pl
-    | Engine.Search ->
-        let pl', r = Ee_search.Search_select.run ~options:(Engine.search_options spec) pl in
-        (pl', r.Ee_search.Search_select.synth)
-  in
-  let config = Engine.sim_config spec in
-  let vectors = spec.Engine.vectors and seed = spec.Engine.seed in
-  let base = Ee_sim.Sim.run_random ~config pl ~vectors ~seed in
-  let ee = Ee_sim.Sim.run_random ~config pl_ee ~vectors ~seed in
-  let delay_no_ee = base.Ee_sim.Sim.avg_settle_time in
-  let delay_ee = ee.Ee_sim.Sim.avg_settle_time in
-  let critical_cycle =
-    (Ee_perf.Throughput.analyze ~gate_delay:spec.Engine.gate_delay
-       ~ee_overhead:spec.Engine.ee_overhead pl_ee)
-      .Ee_perf.Throughput.critical_string
-  in
+  let pl_ee, report = Engine.plan spec pl in
   let row =
-    {
-      Tables.id = "netlist";
-      description = "inline BLIF netlist";
-      pl_gates = report.Ee_core.Synth.pl_gates;
-      ee_gates = report.Ee_core.Synth.ee_gates;
-      delay_no_ee;
-      delay_ee;
-      delay_diff = delay_no_ee -. delay_ee;
-      area_increase = report.Ee_core.Synth.area_increase_percent;
-      delay_decrease = Stats.percent_change ~before:delay_no_ee ~after:delay_ee;
-      critical_cycle;
-    }
+    Tables.row ~vectors:spec.Engine.vectors ~seed:spec.Engine.seed
+      ~config:(Engine.sim_config spec) ~id:"netlist" ~description:"inline BLIF netlist" report
+      pl pl_ee
   in
-  let base = row_json row report spec in
-  if not search then base
-  else
-    match base with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("search", search_json ~spec nl) ])
-    | j -> j
+  with_search ~spec ~search nl (row_json row report spec)
 
 let perf_json ~spec ~waves b =
   let options = Engine.synth_options spec in
@@ -338,7 +304,7 @@ let compute ~trace ~cache (req : Protocol.request) =
               in
               with_cache cache key (fun () -> synth_bench_json ?trace ~spec ~search b))
       | `Blif text -> (
-          match Blif.parse text with
+          match Ee_frontend.Frontend.parse ~format:Ee_frontend.Frontend.Blif text with
           | Error e -> raise (Reject ("bad_request", e))
           | Ok nl ->
               with_trace trace ~bench:"netlist" "synth" (fun () ->

@@ -21,7 +21,7 @@ let test_blif_roundtrip_formally_equivalent () =
   List.iter
     (fun id ->
       let nl = Ee_rtl.Techmap.run_rtl (design_of id) in
-      let nl' = Ee_export.Blif.of_blif (Ee_export.Blif.to_blif nl) in
+      let nl' = Ee_frontend.Blif_in.of_string (Ee_export.Blif.to_blif nl) in
       Alcotest.(check bool) (id ^ " roundtrip") true (Equiv.is_equivalent nl nl'))
     [ "b01"; "b02"; "b06"; "b09" ]
 

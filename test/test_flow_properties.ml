@@ -72,7 +72,7 @@ let prop_blif_roundtrip =
   qtest "random RTL: BLIF round-trip preserves semantics" ~count:25 (fun seed ->
       let d = Rtl_gen.generate seed in
       let nl = Techmap.run_rtl d in
-      let nl' = Ee_export.Blif.of_blif (Ee_export.Blif.to_blif nl) in
+      let nl' = Ee_frontend.Blif_in.of_string (Ee_export.Blif.to_blif nl) in
       (* Drive both netlists with the same per-name values. *)
       let rng = Ee_util.Prng.create (seed + 4) in
       let sta = ref (Netlist.initial_state nl) and stb = ref (Netlist.initial_state nl') in

@@ -142,6 +142,27 @@ let test_subckt_flatten () =
       (List.assoc "y" (eval nl vals))
   done
 
+let test_blif_driven_input () =
+  (* A primary input that a .names or .latch also drives has two drivers;
+     reading it as either one would compute a different circuit. *)
+  List.iter
+    (fun (what, text, line) ->
+      match Frontend.parse ~format:Frontend.Blif text with
+      | Ok _ -> Alcotest.failf "%s: expected Error" what
+      | Error msg ->
+          Alcotest.(check bool) (what ^ ": driven twice") true
+            (Astring_contains.contains msg "driven twice");
+          Alcotest.(check bool) (what ^ ": driver's line") true
+            (Astring_contains.contains msg (Printf.sprintf "line %d" line)))
+    [
+      ( ".names drives an input",
+        ".inputs a b\n.outputs y\n.names b a\n0 1\n.names a y\n1 1\n",
+        3 );
+      ( ".latch drives an input",
+        ".inputs a\n.outputs y\n.latch a a 1\n.names a y\n1 1\n",
+        3 );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* AIGER golden files                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -366,6 +387,7 @@ let suite =
       Alcotest.test_case "blif continuations and const covers" `Quick test_blif_continuation_and_const;
       Alcotest.test_case "wide names decomposition" `Quick test_wide_names_semantics;
       Alcotest.test_case "subckt flattening" `Quick test_subckt_flatten;
+      Alcotest.test_case "blif rejects a driven input" `Quick test_blif_driven_input;
       Alcotest.test_case "aiger golden ascii" `Quick test_aiger_golden_ascii;
       Alcotest.test_case "aiger golden binary" `Quick test_aiger_golden_binary;
       Alcotest.test_case "aiger rejects malformed input" `Quick test_aiger_rejects;

@@ -256,6 +256,47 @@ let test_e2e_inline_blif () =
       let bad = send sock "{\"cmd\":\"synth\",\"blif\":\"garbage\"}" in
       check_error bad "bad_request")
 
+let test_e2e_synth_blif_matches_import () =
+  (* The two user-netlist requests share the reader and the measurement:
+     synth {blif} answers exactly import's synth section without a remap. *)
+  let wide =
+    ".model ext\n.inputs a b c d e\n.outputs y\n.names a b c d e y\n11--- 1\n--111 1\n.end\n"
+  in
+  let b03 =
+    let b = Ee_bench_circuits.Itc99.find "b03" in
+    Ee_export.Blif.to_blif ~model:"b03"
+      (Ee_rtl.Techmap.run_rtl (b.Ee_bench_circuits.Itc99.build ()))
+  in
+  let request fields = Json.to_string (Json.Obj (("vectors", Json.Int 4) :: fields)) in
+  let synth text = request [ ("cmd", Json.String "synth"); ("blif", Json.String text) ] in
+  with_server (fun sock ->
+      List.iter
+        (fun (what, text) ->
+          let s = send sock (synth text) in
+          let i =
+            send sock
+              (request
+                 [
+                   ("cmd", Json.String "import");
+                   ("text", Json.String text);
+                   ("format", Json.String "blif");
+                   ("remap", Json.Bool false);
+                 ])
+          in
+          check_status s "ok";
+          check_status i "ok";
+          Alcotest.(check bool) (what ^ ": synth result = import synth section") true
+            (match (Json.member "result" s, get i [ "result"; "synth" ]) with
+            | Some a, Some b -> a = b
+            | _ -> false))
+        [ ("wide names", wide); ("b03", b03) ];
+      let gate = send sock (synth ".model g\n.inputs a\n.outputs y\n.gate inv A=a Y=y\n.end\n") in
+      check_error gate "bad_request";
+      Alcotest.(check bool) ".gate error names the line" true
+        (match Option.bind (Json.member "message" gate) Json.to_string_opt with
+        | Some m -> Astring_contains.contains m "line"
+        | None -> false))
+
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
       check_error (send sock "{\"cmd\":\"synth\",\"bench\":\"b99\"}") "not_found";
@@ -907,6 +948,8 @@ let suite =
       Alcotest.test_case "protocol rejects bad requests" `Quick test_protocol_rejects;
       Alcotest.test_case "e2e: synth + content-addressed cache" `Quick test_e2e_synth_and_cache;
       Alcotest.test_case "e2e: inline BLIF source" `Quick test_e2e_inline_blif;
+      Alcotest.test_case "e2e: synth {blif} = import synth section" `Quick
+        test_e2e_synth_blif_matches_import;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
       Alcotest.test_case "e2e: overload rejects, never queues unboundedly" `Quick
