@@ -59,6 +59,10 @@ let analyze options pl =
   Throughput.analyze ~gate_delay:options.gate_delay
     ~ee_overhead:options.ee_overhead pl
 
+let lambda ?warm options pl =
+  Throughput.lambda ~gate_delay:options.gate_delay
+    ~ee_overhead:options.ee_overhead ?warm pl
+
 let plan ?(options = default_options) ?memo pl =
   let gates = Pl.gates pl in
   let budget_left inserted =
@@ -70,8 +74,8 @@ let plan ?(options = default_options) ?memo pl =
     if not (budget_left inserted) then inserted
     else begin
       let a = analyze options pl_cur in
-      let lambda = a.Throughput.lambda in
-      if lambda <= 0. then inserted
+      let period = a.Throughput.lambda in
+      if period <= 0. then inserted
       else begin
         (* Only masters that constrain the period can improve it: original
            combinational gates, still trigger-less, with (near-)zero slack
@@ -82,11 +86,11 @@ let plan ?(options = default_options) ?memo pl =
             match g.Pl.kind with
             | Pl.Gate func
               when Pl.ee pl_cur i = None
-                   && a.Throughput.gate_slack.(i) <= 1e-7 *. lambda ->
+                   && a.Throughput.gate_slack.(i) <= 1e-7 *. period ->
                 eligible := (i, func, g.Pl.fanin) :: !eligible
             | _ -> ())
           gates;
-        let target = lambda *. (1. -. (options.min_gain_percent /. 100.)) in
+        let target = period *. (1. -. (options.min_gain_percent /. 100.)) in
         let best = ref None in
         List.iter
           (fun (master, func, fanin) ->
@@ -96,7 +100,7 @@ let plan ?(options = default_options) ?memo pl =
                   Pl.with_ee pl_cur
                     [ (master, request_of choice.Synth.chosen choice.Synth.cost) ]
                 in
-                let lambda' = (analyze options trial).Throughput.lambda in
+                let lambda' = lambda ~warm:a options trial in
                 let beats =
                   match !best with
                   | Some (_, l) -> lambda' < l -. 1e-12

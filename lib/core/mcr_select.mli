@@ -32,6 +32,16 @@ val request_of : Trigger.candidate -> float -> Ee_phased.Pl.ee_info_request
     [Pl.with_ee] attachment request.  Exported for selection policies that
     extend this one (e.g. [Ee_search.Search_select]). *)
 
+val analyze : options -> Ee_phased.Pl.t -> Ee_perf.Throughput.analysis
+(** {!Ee_perf.Throughput.analyze} under the options' timing model. *)
+
+val lambda :
+  ?warm:Ee_perf.Throughput.analysis -> options -> Ee_phased.Pl.t -> float
+(** The period alone under the options' timing model
+    ({!Ee_perf.Throughput.lambda}): the trial oracle of {!plan} and of
+    [Ee_search.Search_select].  [warm] is the analysis of the netlist the
+    trial extends; it only speeds the solve up. *)
+
 val plan :
   ?options:options -> ?memo:Trigger.Memo.t -> Ee_phased.Pl.t -> Synth.gate_choice list
 (** Greedy selection as described above; master ids ascending.  The [cost]

@@ -1,113 +1,177 @@
 exception Not_live of string
 
-type result = { lambda : float; cycle : int list; cycle_arcs : int list }
+type result = {
+  lambda : float;
+  cycle : int list;
+  cycle_arcs : int list;
+  policy : int array;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let weight_scale (g : Timed_graph.t) =
-  Array.fold_left (fun acc a -> Float.max acc (Float.abs a.Timed_graph.weight)) 1. g.arcs
+  Array.fold_left (fun acc w -> Float.max acc (Float.abs w)) 1. g.arc_weight
+
+(* Counting sort of the arcs by [key] (their tail or head): row offsets
+   ([n + 1] entries) and, row by row, the arc indices in descending
+   order. *)
+let rows n (key : int array) =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun v -> off.(v) <- off.(v) + 1) key;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  (* [off.(v)] is now the end of row [v]; placing the arcs in ascending
+     index at decreasing positions leaves it at the row's start. *)
+  let ids = Array.make (Array.length key) 0 in
+  Array.iteri
+    (fun k v ->
+      off.(v) <- off.(v) - 1;
+      ids.(off.(v)) <- k)
+    key;
+  (off, ids)
+
+(* Compressed sparse rows: node [v]'s out-arcs occupy positions [off.(v)]
+   to [off.(v+1) - 1] of [dst], [weight], [tokens] and [id] (the arc's
+   index in the graph), in descending arc index. *)
+type csr = {
+  off : int array;
+  dst : int array;
+  weight : float array;
+  tokens : int array;
+  id : int array;
+}
+
+let csr_of (g : Timed_graph.t) =
+  let off, id = rows g.nodes g.arc_src in
+  {
+    off;
+    id;
+    dst = Array.map (Array.get g.arc_dst) id;
+    weight = Array.map (Array.get g.arc_weight) id;
+    tokens = Array.map (Array.get g.arc_tokens) id;
+  }
 
 (* Every directed cycle must carry a token for a steady state to exist:
    Kahn's algorithm on the token-free sub-graph; leftovers form a cycle. *)
-let check_token_free_cycles (g : Timed_graph.t) =
-  let n = g.nodes in
-  let zout = Array.make n [] in
+let check_token_free_cycles n c =
   let indeg = Array.make n 0 in
-  Array.iter
-    (fun a ->
-      if a.Timed_graph.tokens = 0 then begin
-        zout.(a.src) <- a.dst :: zout.(a.src);
-        indeg.(a.dst) <- indeg.(a.dst) + 1
-      end)
-    g.arcs;
-  let q = Queue.create () in
+  Array.iteri (fun k d -> if c.tokens.(k) = 0 then indeg.(d) <- indeg.(d) + 1) c.dst;
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.push v q
+    if indeg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
   done;
-  let seen = ref 0 in
-  while not (Queue.is_empty q) do
-    incr seen;
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for k = c.off.(u) to c.off.(u + 1) - 1 do
+      if c.tokens.(k) = 0 then begin
+        let v = c.dst.(k) in
         indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.push v q)
-      zout.(u)
+        if indeg.(v) = 0 then begin
+          queue.(!tail) <- v;
+          incr tail
+        end
+      end
+    done
   done;
-  if !seen < n then
+  if !tail < n then
     raise
       (Not_live
          (Printf.sprintf
             "token-free cycle through %d node(s): no steady state exists"
-            (n - !seen)))
+            (n - !tail)))
 
 (* ------------------------------------------------------------------ *)
 (* Howard's policy iteration (multichain max-cycle-ratio variant)      *)
 (* ------------------------------------------------------------------ *)
 
-let solve ?(eps = 1e-12) (g : Timed_graph.t) =
-  check_token_free_cycles g;
+(* Converged policy iteration: the CSR, the live nodes, each live node's
+   cycle ratio and its policy arc (a CSR position).  [None] when no node
+   lies on or leads to a cycle. *)
+let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
   let n = g.nodes in
-  let arcs = g.arcs in
-  let out = Array.make n [] in
-  let inn = Array.make n [] in
-  Array.iteri
-    (fun ai a ->
-      out.(a.Timed_graph.src) <- ai :: out.(a.src);
-      inn.(a.dst) <- ai :: inn.(a.dst))
-    arcs;
+  let c = csr_of g in
+  check_token_free_cycles n c;
+  let { off; dst; weight; tokens; _ } = c in
   (* Keep only nodes that can lie on a cycle: repeatedly discard nodes with
      no live outgoing arc (a node whose every path leaves the graph never
      constrains the steady state). *)
   let alive = Array.make n true in
-  let out_deg = Array.map List.length out in
-  let kill = Queue.create () in
+  let out_deg = Array.init n (fun v -> off.(v + 1) - off.(v)) in
+  let kill = Array.make n 0 in
+  let tail = ref 0 in
+  let doom v =
+    kill.(!tail) <- v;
+    incr tail
+  in
   for v = 0 to n - 1 do
-    if out_deg.(v) = 0 then Queue.push v kill
+    if out_deg.(v) = 0 then doom v
   done;
-  while not (Queue.is_empty kill) do
-    let v = Queue.pop kill in
-    if alive.(v) then begin
+  (* In a netlist's event graph every consumer acknowledges its producers,
+     so only isolated gates lack an out-arc; the predecessor rows are built
+     only when some node needs discarding. *)
+  if !tail > 0 then begin
+    let in_off, in_ids = rows n g.arc_dst in
+    let head = ref 0 in
+    while !head < !tail do
+      let v = kill.(!head) in
+      incr head;
       alive.(v) <- false;
-      List.iter
-        (fun ai ->
-          let u = arcs.(ai).Timed_graph.src in
-          if alive.(u) then begin
-            out_deg.(u) <- out_deg.(u) - 1;
-            if out_deg.(u) = 0 then Queue.push u kill
-          end)
-        inn.(v)
-    end
-  done;
-  if not (Array.exists (fun b -> b) alive) then None
+      for k = in_off.(v) to in_off.(v + 1) - 1 do
+        let u = g.arc_src.(in_ids.(k)) in
+        if alive.(u) then begin
+          out_deg.(u) <- out_deg.(u) - 1;
+          if out_deg.(u) = 0 then doom u
+        end
+      done
+    done
+  end;
+  if !tail = n then None
   else begin
     let scale = weight_scale g in
     let eps = eps *. scale in
-    let live_arc ai = alive.(arcs.(ai).Timed_graph.src) && alive.(arcs.(ai).dst) in
+    (* Initial policy: the hinted successor when a live arc reaches it,
+       otherwise the node's first live arc. *)
     let policy = Array.make n (-1) in
     for v = 0 to n - 1 do
-      if alive.(v) then policy.(v) <- List.find live_arc out.(v)
+      if alive.(v) then begin
+        let want =
+          match hint with Some h when v < Array.length h -> h.(v) | _ -> -1
+        in
+        let first = ref (-1) and hinted = ref (-1) in
+        for k = off.(v + 1) - 1 downto off.(v) do
+          if alive.(dst.(k)) then begin
+            first := k;
+            if dst.(k) = want then hinted := k
+          end
+        done;
+        policy.(v) <- (if !hinted >= 0 then !hinted else !first)
+      end
     done;
     let lam = Array.make n neg_infinity in
     let pot = Array.make n 0. in
     (* 0 = unvisited, 1 = on the current sigma-walk, 2 = evaluated *)
     let state = Array.make n 0 in
-    let sigma v = arcs.(policy.(v)).Timed_graph.dst in
-    let reduced v lambda =
-      let a = arcs.(policy.(v)) in
-      a.Timed_graph.weight -. (lambda *. float_of_int a.tokens)
-    in
+    let path = Array.make n 0 in
+    let sigma v = dst.(policy.(v)) in
     let evaluate () =
       Array.fill state 0 n 0;
       for start = 0 to n - 1 do
         if alive.(start) && state.(start) = 0 then begin
-          let path = ref [] in
+          let len = ref 0 in
           let cur = ref start in
           while state.(!cur) = 0 do
             state.(!cur) <- 1;
-            path := !cur :: !path;
+            path.(!len) <- !cur;
+            incr len;
             cur := sigma !cur
           done;
           if state.(!cur) = 1 then begin
@@ -122,28 +186,29 @@ let solve ?(eps = 1e-12) (g : Timed_graph.t) =
             let v = ref root in
             let continue = ref true in
             while !continue do
-              let a = arcs.(policy.(!v)) in
-              wsum := !wsum +. a.Timed_graph.weight;
-              tsum := !tsum + a.tokens;
-              v := a.dst;
+              let k = policy.(!v) in
+              wsum := !wsum +. weight.(k);
+              tsum := !tsum + tokens.(k);
+              v := dst.(k);
               if !v = root then continue := false
             done;
             if !tsum = 0 then
               raise (Not_live "policy cycle without tokens");
-            let lambda = !wsum /. float_of_int !tsum in
-            lam.(root) <- lambda;
+            lam.(root) <- !wsum /. float_of_int !tsum;
             state.(root) <- 2
           end;
-          (* The path runs deepest-first, so each node's successor is
-             already evaluated when we reach it. *)
-          List.iter
-            (fun u ->
-              if state.(u) <> 2 then begin
-                lam.(u) <- lam.(sigma u);
-                pot.(u) <- reduced u lam.(u) +. pot.(sigma u);
-                state.(u) <- 2
-              end)
-            !path
+          (* Deepest first, so each node's successor is already evaluated
+             when we reach it. *)
+          for i = !len - 1 downto 0 do
+            let u = path.(i) in
+            if state.(u) <> 2 then begin
+              let k = policy.(u) in
+              lam.(u) <- lam.(dst.(k));
+              pot.(u) <-
+                weight.(k) -. (lam.(u) *. float_of_int tokens.(k)) +. pot.(dst.(k));
+              state.(u) <- 2
+            end
+          done
         end
       done
     in
@@ -153,12 +218,10 @@ let solve ?(eps = 1e-12) (g : Timed_graph.t) =
       for u = 0 to n - 1 do
         if alive.(u) then begin
           let best = ref policy.(u) in
-          List.iter
-            (fun ai ->
-              if live_arc ai && lam.(arcs.(ai).Timed_graph.dst) > lam.(arcs.(!best).dst) +. eps
-              then best := ai)
-            out.(u);
-          if lam.(arcs.(!best).Timed_graph.dst) > lam.(u) +. eps then begin
+          for k = off.(u) to off.(u + 1) - 1 do
+            if alive.(dst.(k)) && lam.(dst.(k)) > lam.(dst.(!best)) +. eps then best := k
+          done;
+          if lam.(dst.(!best)) > lam.(u) +. eps then begin
             policy.(u) <- !best;
             improved := true
           end
@@ -168,22 +231,22 @@ let solve ?(eps = 1e-12) (g : Timed_graph.t) =
         (* Phase 2: same ratio, better potential. *)
         for u = 0 to n - 1 do
           if alive.(u) then begin
-            let value ai =
-              let a = arcs.(ai) in
-              a.Timed_graph.weight -. (lam.(u) *. float_of_int a.tokens) +. pot.(a.dst)
+            let k0 = policy.(u) in
+            let best = ref k0
+            and best_v =
+              ref (weight.(k0) -. (lam.(u) *. float_of_int tokens.(k0)) +. pot.(dst.(k0)))
             in
-            let best = ref policy.(u) and best_v = ref (value policy.(u)) in
-            List.iter
-              (fun ai ->
-                if live_arc ai && Float.abs (lam.(arcs.(ai).Timed_graph.dst) -. lam.(u)) <= eps
-                then
-                  let v = value ai in
-                  if v > !best_v +. eps then begin
-                    best := ai;
-                    best_v := v
-                  end)
-              out.(u);
-            if !best <> policy.(u) then begin
+            for k = off.(u) to off.(u + 1) - 1 do
+              let d = dst.(k) in
+              if alive.(d) && Float.abs (lam.(d) -. lam.(u)) <= eps then begin
+                let v = weight.(k) -. (lam.(u) *. float_of_int tokens.(k)) +. pot.(d) in
+                if v > !best_v +. eps then begin
+                  best := k;
+                  best_v := v
+                end
+              end
+            done;
+            if !best <> k0 then begin
               policy.(u) <- !best;
               improved := true
             end
@@ -199,35 +262,48 @@ let solve ?(eps = 1e-12) (g : Timed_graph.t) =
         failwith "Mcr.solve: policy iteration failed to converge";
       evaluate ()
     done;
-    (* Extract a critical cycle: walk sigma from a ratio-maximizing node
-       until it closes. *)
+    (* The first node of maximal ratio. *)
     let best = ref (-1) in
     for v = 0 to n - 1 do
       if alive.(v) && (!best < 0 || lam.(v) > lam.(!best)) then best := v
     done;
-    let mark = Array.make n false in
-    let v = ref !best in
-    while not mark.(!v) do
-      mark.(!v) <- true;
-      v := sigma !v
-    done;
-    let root = !v in
-    let cycle = ref [] and cycle_arcs = ref [] in
-    let u = ref root in
-    let continue = ref true in
-    while !continue do
-      cycle := !u :: !cycle;
-      cycle_arcs := policy.(!u) :: !cycle_arcs;
-      u := sigma !u;
-      if !u = root then continue := false
-    done;
-    Some
-      {
-        lambda = lam.(!best);
-        cycle = List.rev !cycle;
-        cycle_arcs = List.rev !cycle_arcs;
-      }
+    Some (c, alive, lam, policy, !best)
   end
+
+let lambda ?eps ?hint g =
+  Option.map (fun (_, _, lam, _, best) -> lam.(best)) (howard ?eps ?hint g)
+
+let solve ?eps ?hint g =
+  match howard ?eps ?hint g with
+  | None -> None
+  | Some (c, alive, lam, policy, best) ->
+      (* Extract a critical cycle: walk sigma from the ratio-maximizing
+         node until it closes. *)
+      let n = g.Timed_graph.nodes in
+      let sigma v = c.dst.(policy.(v)) in
+      let mark = Array.make n false in
+      let v = ref best in
+      while not mark.(!v) do
+        mark.(!v) <- true;
+        v := sigma !v
+      done;
+      let root = !v in
+      let cycle = ref [] and cycle_arcs = ref [] in
+      let u = ref root in
+      let continue = ref true in
+      while !continue do
+        cycle := !u :: !cycle;
+        cycle_arcs := c.id.(policy.(!u)) :: !cycle_arcs;
+        u := sigma !u;
+        if !u = root then continue := false
+      done;
+      Some
+        {
+          lambda = lam.(best);
+          cycle = List.rev !cycle;
+          cycle_arcs = List.rev !cycle_arcs;
+          policy = Array.init n (fun v -> if alive.(v) then sigma v else -1);
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Karp's algorithm on the token-level unfolding (independent check)   *)
@@ -291,32 +367,30 @@ let scc_ids nodes (out : (int * float) list array) =
   (ids, !comps)
 
 let karp (g : Timed_graph.t) =
-  check_token_free_cycles g;
+  check_token_free_cycles g.nodes (csr_of g);
   (* Expand multi-token arcs into unit-token chains through fresh nodes so
      that one level of the unfolding consumes exactly one token. *)
   let extra =
-    Array.fold_left
-      (fun acc a -> acc + max 0 (a.Timed_graph.tokens - 1))
-      0 g.arcs
+    Array.fold_left (fun acc k -> acc + max 0 (k - 1)) 0 g.arc_tokens
   in
   let nodes = g.nodes + extra in
   let fresh = ref g.nodes in
   let expanded = ref [] in
-  Array.iter
-    (fun a ->
-      let open Timed_graph in
-      if a.tokens <= 1 then expanded := (a.src, a.dst, a.weight, a.tokens) :: !expanded
-      else begin
-        let prev = ref a.src and w = ref a.weight in
-        for _ = 1 to a.tokens - 1 do
-          expanded := (!prev, !fresh, !w, 1) :: !expanded;
-          prev := !fresh;
-          w := 0.;
-          incr fresh
-        done;
-        expanded := (!prev, a.dst, 0., 1) :: !expanded
-      end)
-    g.arcs;
+  for k = 0 to Timed_graph.arc_count g - 1 do
+    let src = g.arc_src.(k) and dst = g.arc_dst.(k) in
+    let weight = g.arc_weight.(k) and tokens = g.arc_tokens.(k) in
+    if tokens <= 1 then expanded := (src, dst, weight, tokens) :: !expanded
+    else begin
+      let prev = ref src and w = ref weight in
+      for _ = 1 to tokens - 1 do
+        expanded := (!prev, !fresh, !w, 1) :: !expanded;
+        prev := !fresh;
+        w := 0.;
+        incr fresh
+      done;
+      expanded := (!prev, dst, 0., 1) :: !expanded
+    end
+  done;
   let arcs = !expanded in
   let out = Array.make nodes [] in
   List.iter (fun (s, d, w, _) -> out.(s) <- (d, w) :: out.(s)) arcs;
@@ -436,10 +510,7 @@ let karp (g : Timed_graph.t) =
 let potentials (g : Timed_graph.t) ~lambda =
   let n = g.nodes in
   let d = Array.make n 0. in
-  let out = Array.make n [] in
-  Array.iter
-    (fun a -> out.(a.Timed_graph.src) <- a :: out.(a.Timed_graph.src))
-    g.arcs;
+  let { off; dst; weight; tokens; _ } = csr_of g in
   let eps = 1e-9 *. weight_scale g in
   let in_queue = Array.make n true in
   let bumps = Array.make n 0 in
@@ -450,28 +521,25 @@ let potentials (g : Timed_graph.t) ~lambda =
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     in_queue.(u) <- false;
-    List.iter
-      (fun a ->
-        let open Timed_graph in
-        let nv = d.(u) +. a.weight -. (lambda *. float_of_int a.tokens) in
-        if nv > d.(a.dst) +. eps then begin
-          d.(a.dst) <- nv;
-          bumps.(a.dst) <- bumps.(a.dst) + 1;
-          if bumps.(a.dst) > n + 2 then
-            invalid_arg "Mcr.potentials: positive cycle (lambda below the MCR)";
-          if not in_queue.(a.dst) then begin
-            in_queue.(a.dst) <- true;
-            Queue.push a.dst q
-          end
-        end)
-      out.(u)
+    for k = off.(u) to off.(u + 1) - 1 do
+      let v = dst.(k) in
+      let nv = d.(u) +. weight.(k) -. (lambda *. float_of_int tokens.(k)) in
+      if nv > d.(v) +. eps then begin
+        d.(v) <- nv;
+        bumps.(v) <- bumps.(v) + 1;
+        if bumps.(v) > n + 2 then
+          invalid_arg "Mcr.potentials: positive cycle (lambda below the MCR)";
+        if not in_queue.(v) then begin
+          in_queue.(v) <- true;
+          Queue.push v q
+        end
+      end
+    done
   done;
   d
 
 let arc_slacks (g : Timed_graph.t) ~lambda =
   let d = potentials g ~lambda in
-  Array.map
-    (fun a ->
-      let open Timed_graph in
-      d.(a.dst) -. d.(a.src) -. a.weight +. (lambda *. float_of_int a.tokens))
-    g.arcs
+  Array.init (Timed_graph.arc_count g) (fun k ->
+      d.(g.arc_dst.(k)) -. d.(g.arc_src.(k)) -. g.arc_weight.(k)
+      +. (lambda *. float_of_int g.arc_tokens.(k)))

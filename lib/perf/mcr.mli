@@ -19,14 +19,46 @@ exception Not_live of string
 type result = {
   lambda : float;  (** The maximum cycle ratio — steady-state period. *)
   cycle : int list;  (** Nodes of a critical cycle, in arc order. *)
-  cycle_arcs : int list;  (** Indices into [g.arcs] of the cycle's arcs. *)
+  cycle_arcs : int list;  (** Arc indices of the cycle's arcs. *)
+  policy : int array;
+      (** The converged policy as a successor per node: the head of the
+          node's policy arc, or [-1] for a node that reaches no cycle.  Fit
+          to pass back as a [hint]. *)
 }
 
-val solve : ?eps:float -> Timed_graph.t -> result option
-(** Howard's policy iteration.  [None] when the graph has no directed cycle
-    at all (then every schedule is a one-shot and the period is 0).  [eps]
-    (default 1e-12, scaled by the largest weight) separates ratio and
-    potential improvements from float noise. *)
+(** {2 Howard's policy iteration}
+
+    [solve] and [lambda] work on a compressed-sparse-row view of the graph
+    built once per call: an offset array of [nodes + 1] entries, and flat
+    arrays of head node, weight, token count and arc index, where node
+    [v]'s out-arcs occupy positions [off.(v)] to [off.(v+1) - 1].  Within a
+    node the arcs are stored, and every policy step visits them, in
+    {e descending} arc index; together with the ascending node sweep this
+    fixes the iteration's trajectory, so a cold solve is deterministic.
+
+    {b Warm start.}  [hint] proposes an initial successor per node (index
+    [v] names the node [v]'s policy arc should lead to).  A node takes the
+    first live out-arc to its hinted successor; it falls back to its first
+    live out-arc when the entry is missing, negative, out of range, names a
+    dead node or names no successor of [v].  The hint is there to change
+    the number of policy iterations, not the answer: every starting policy
+    converges to the maximum cycle ratio, and the test suite checks that
+    warm and cold solves return bit-identical λ on random graphs and on
+    every trial graph of the ITC99 MCR plans.  (Where several cycles
+    attain the maximum, the critical cycle reported may differ.)  Near a
+    previous solution — the policy of a netlist the graph extends by one
+    EE pair — a hint saves most of the iterations. *)
+
+val solve : ?eps:float -> ?hint:int array -> Timed_graph.t -> result option
+(** Howard's policy iteration, then a critical cycle and the policy.
+    [None] when the graph has no directed cycle at all (then every schedule
+    is a one-shot and the period is 0).  [eps] (default 1e-12, scaled by
+    the largest weight) separates ratio and potential improvements from
+    float noise. *)
+
+val lambda : ?eps:float -> ?hint:int array -> Timed_graph.t -> float option
+(** [solve]'s [lambda] alone, without extracting a cycle or building the
+    policy array: the cheap oracle for trial re-analysis. *)
 
 val karp : Timed_graph.t -> float option
 (** Independent cross-check: per strongly-connected component, unfold the

@@ -7,7 +7,10 @@ type analysis = {
   critical_string : string;
   gate_slack : float array;
   events : int;
+  policy : policy;
 }
+
+and policy = { event_gate : int array; event_early : bool array; succ : int array }
 
 let gate_name pl i =
   match (Pl.gate pl i).Pl.kind with
@@ -22,6 +25,9 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
   let m = Timed_graph.of_pl ?gate_delay ?ee_overhead ?delays ?mode pl in
   let g = m.Timed_graph.graph in
   let n_gates = Array.length (Pl.gates pl) in
+  let policy succ =
+    { event_gate = m.Timed_graph.event_gate; event_early = m.Timed_graph.event_early; succ }
+  in
   match Mcr.solve g with
   | None ->
       {
@@ -31,8 +37,9 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
         critical_string = "-";
         gate_slack = Array.make n_gates infinity;
         events = g.Timed_graph.nodes;
+        policy = policy [||];
       }
-  | Some { Mcr.lambda; cycle; _ } ->
+  | Some { Mcr.lambda; cycle; policy = succ; _ } ->
       (* Event cycle -> gate cycle: collapse the output/completion events
          of a split master into one entry. *)
       let critical_gates =
@@ -72,10 +79,10 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
       let slacks = Mcr.arc_slacks g ~lambda in
       let gate_slack = Array.make n_gates infinity in
       Array.iteri
-        (fun ai (a : Timed_graph.arc) ->
-          let gate = m.Timed_graph.event_gate.(a.dst) in
+        (fun ai dst ->
+          let gate = m.Timed_graph.event_gate.(dst) in
           if slacks.(ai) < gate_slack.(gate) then gate_slack.(gate) <- slacks.(ai))
-        g.Timed_graph.arcs;
+        g.Timed_graph.arc_dst;
       {
         lambda;
         throughput = (if lambda > 0. then 1. /. lambda else 0.);
@@ -83,7 +90,31 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
         critical_string;
         gate_slack;
         events = g.Timed_graph.nodes;
+        policy = policy succ;
       }
+
+let hint a (m : Timed_graph.mapping) =
+  let p = a.policy in
+  let n_gates = Array.length m.Timed_graph.output_event in
+  let event e =
+    let g = p.event_gate.(e) in
+    if g >= n_gates then -1
+    else if p.event_early.(e) then m.Timed_graph.output_event.(g)
+    else m.Timed_graph.complete_event.(g)
+  in
+  let hint = Array.make m.Timed_graph.graph.Timed_graph.nodes (-1) in
+  Array.iteri
+    (fun e s ->
+      if s >= 0 then
+        let e' = event e in
+        if e' >= 0 then hint.(e') <- event s)
+    p.succ;
+  hint
+
+let lambda ?gate_delay ?ee_overhead ?warm pl =
+  let m = Timed_graph.of_pl ?gate_delay ?ee_overhead pl in
+  let hint = Option.map (fun a -> hint a m) warm in
+  Option.value ~default:0. (Mcr.lambda ?hint m.Timed_graph.graph)
 
 let bottlenecks a k =
   let critical i = List.mem i a.critical_gates in

@@ -21,7 +21,12 @@ type analysis = {
       (** Per PL gate: a lower bound on how much its latency may grow
           without degrading [lambda] ([infinity] for unconstrained gates). *)
   events : int;  (** Event-graph size (diagnostics). *)
+  policy : policy;
+      (** The converged Howard policy, keyed by event identity: the gate,
+          and whether the event is its early output or its completion. *)
 }
+
+and policy
 
 val analyze :
   ?gate_delay:float ->
@@ -33,6 +38,21 @@ val analyze :
 (** Parameters as in {!Timed_graph.of_pl}.  Raises [Mcr.Not_live] on a
     netlist whose marked graph is not live (never the case for
     [Pl.of_netlist] outputs). *)
+
+val lambda :
+  ?gate_delay:float -> ?ee_overhead:float -> ?warm:analysis -> Ee_phased.Pl.t -> float
+(** [(analyze pl).lambda] alone, without the critical cycle, the slack
+    pass or the per-gate arrays: the cheap oracle for trial re-analysis.
+    [warm] starts Howard's iteration from that analysis's policy, carried
+    over by {!hint}; it changes only the iteration count, never the result
+    (see {!Mcr.solve}). *)
+
+val hint : analysis -> Timed_graph.mapping -> int array
+(** The analysis's policy re-keyed onto the events of [m], a netlist that
+    keeps the analysed one's gate ids (such as the analysed netlist with
+    one more EE pair): each event takes the successor its gate's matching
+    event had.  Events with no counterpart — a new trigger gate, a newly
+    split master's early event — get [-1]. *)
 
 val gate_name : Ee_phased.Pl.t -> int -> string
 (** Short stable gate label used in [critical_string]: ["in:a"], ["g12"],

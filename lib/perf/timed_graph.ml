@@ -3,7 +3,13 @@ module Pl = Ee_phased.Pl
 
 type arc = { src : int; dst : int; weight : float; tokens : int }
 
-type t = { nodes : int; arcs : arc array }
+type t = {
+  nodes : int;
+  arc_src : int array;
+  arc_dst : int array;
+  arc_weight : float array;
+  arc_tokens : int array;
+}
 
 let make ~nodes ~arcs =
   let arcs = Array.of_list arcs in
@@ -15,7 +21,15 @@ let make ~nodes ~arcs =
       if not (Float.is_finite a.weight) then
         invalid_arg "Timed_graph.make: non-finite weight")
     arcs;
-  { nodes; arcs }
+  {
+    nodes;
+    arc_src = Array.map (fun a -> a.src) arcs;
+    arc_dst = Array.map (fun a -> a.dst) arcs;
+    arc_weight = Array.map (fun a -> a.weight) arcs;
+    arc_tokens = Array.map (fun a -> a.tokens) arcs;
+  }
+
+let arc_count g = Array.length g.arc_src
 
 let of_marked_graph mg ~node_delay =
   let arcs =
@@ -58,71 +72,99 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
   in
   (* A master splits into an output event and a completion event whenever
      its trigger can actually fire; under Guarded it stays a single event
-     whose delay absorbs the C-element overhead. *)
-  let split i =
-    match (mode, Pl.ee pl i) with
-    | (Eager | Expected _), Some _ -> true
-    | _ -> false
-  in
-  (* The gate's firing latency as seen by its completion event. *)
-  let full_delay i =
-    match Pl.ee pl i with
-    | Some _ -> base i +. ee_overhead
-    | None -> base i
-  in
+     whose delay absorbs the C-element overhead.  Per gate: [full], the
+     latency seen by its completion event; for a split master, [early],
+     the weight of an early input (trigger or subset) into its output
+     event, and [late], that of a late input under Expected, where [p] is
+     the probability that the trigger fires. *)
+  let full = Array.make n 0. and early = Array.make n 0. and late = Array.make n 0. in
   let output_event = Array.make n 0 in
   let complete_event = Array.make n 0 in
   let next = ref 0 in
   for i = 0 to n - 1 do
+    let ee = Pl.ee pl i in
+    full.(i) <- (if ee = None then base i else base i +. ee_overhead);
     complete_event.(i) <- !next;
     incr next;
-    if split i then begin
-      output_event.(i) <- !next;
-      incr next
-    end
-    else output_event.(i) <- complete_event.(i)
+    let p =
+      match (mode, ee) with
+      | _, None | Guarded, _ -> None
+      | Expected p, Some _ -> Some (Float.min 1. (Float.max 0. (p i)))
+      | Eager, Some _ -> Some 1.
+    in
+    match p with
+    | Some p ->
+        early.(i) <- ee_overhead +. ((1. -. p) *. base i);
+        late.(i) <- (1. -. p) *. (base i +. ee_overhead);
+        output_event.(i) <- !next;
+        incr next
+    | None -> output_event.(i) <- complete_event.(i)
   done;
+  let split i = output_event.(i) <> complete_event.(i) in
   let events = !next in
   let event_gate = Array.make events 0 in
   let event_early = Array.make events false in
   for i = 0 to n - 1 do
     event_gate.(complete_event.(i)) <- i;
     event_gate.(output_event.(i)) <- i;
-    event_early.(output_event.(i)) <- output_event.(i) <> complete_event.(i)
+    event_early.(output_event.(i)) <- split i
   done;
-  let arcs = ref [] in
-  let add src dst weight tokens = arcs := { src; dst; weight; tokens } :: !arcs in
-  (* Probability that master [i]'s trigger fires, for Expected weights. *)
-  let prob i =
-    match mode with
-    | Expected p -> Float.min 1. (Float.max 0. (p i))
-    | Eager -> 1.
-    | Guarded -> 0.
+  (* A (producer, consumer) pair gives at most one data arc, two into a
+     split consumer, and one acknowledge, two into a split producer; the
+     producers of a gate are its fanins plus its trigger.  The bound is
+     usually exact, and then the arc arrays need no trimming. *)
+  let arity i = if split i then 2 else 1 in
+  let bound = ref 0 in
+  for i = 0 to n - 1 do
+    let fanin = gates.(i).Pl.fanin in
+    for pos = 0 to Array.length fanin - 1 do
+      bound := !bound + arity i + arity fanin.(pos)
+    done;
+    match Pl.ee pl i with
+    | Some e -> bound := !bound + arity i + arity e.Pl.trigger
+    | None -> ()
+  done;
+  let bound = !bound in
+  let arc_src = Array.make bound 0 and arc_dst = Array.make bound 0 in
+  let arc_weight = Array.make bound 0. and arc_tokens = Array.make bound 0 in
+  let count = ref 0 in
+  let add src dst weight tokens =
+    let k = !count in
+    arc_src.(k) <- src;
+    arc_dst.(k) <- dst;
+    arc_weight.(k) <- weight;
+    arc_tokens.(k) <- tokens;
+    count := k + 1
   in
   for i = 0 to n - 1 do
     let g = gates.(i) in
-    (* Distinct producers, with the positions each one feeds (the trigger,
-       when present, is one more producer at pseudo-position -1) — mirrors
-       the per-pair arc sharing of [Stream_sim] and [Pl.to_marked_graph]. *)
-    let seen = Hashtbl.create 4 in
-    let order = ref [] in
-    let note src pos =
-      (match Hashtbl.find_opt seen src with
-      | None -> order := src :: !order
-      | Some _ -> ());
-      Hashtbl.replace seen src (pos :: Option.value ~default:[] (Hashtbl.find_opt seen src))
-    in
-    Array.iteri (fun pos src -> note src pos) g.Pl.fanin;
-    (match Pl.ee pl i with
-    | Some e -> note e.Pl.trigger (-1)
-    | None -> ());
-    let producers = List.rev !order in
-    let subset_positions =
-      match Pl.ee pl i with Some e -> e.Pl.support | None -> 0
-    in
-    List.iter
-      (fun src ->
-        let positions = Hashtbl.find seen src in
+    let fanin = g.Pl.fanin in
+    let k = Array.length fanin in
+    let ee = Pl.ee pl i in
+    let subset_positions = match ee with Some e -> e.Pl.support | None -> 0 in
+    (* Distinct producers in order of first appearance — the fanins, then
+       the trigger as one more producer — mirroring the per-pair arc
+       sharing of [Stream_sim] and [Pl.to_marked_graph].  A producer feeds
+       the early C-element when it is the trigger or sits at a subset
+       position. *)
+    for pos = 0 to k do
+      let src =
+        if pos < k then fanin.(pos)
+        else match ee with Some e -> e.Pl.trigger | None -> -1
+      in
+      let first = ref (src >= 0) in
+      for q = 0 to min pos k - 1 do
+        if fanin.(q) = src then first := false
+      done;
+      if !first then begin
+        let early_relevant = ref (pos = k) in
+        for q = pos to k - 1 do
+          if fanin.(q) = src && subset_positions land (1 lsl q) <> 0 then
+            early_relevant := true
+        done;
+        (match ee with
+        | Some e when pos < k && e.Pl.trigger = src -> early_relevant := true
+        | _ -> ());
         let data_tokens =
           match gates.(src).Pl.kind with
           | Pl.Register _ | Pl.Const_source _ -> 1
@@ -130,34 +172,21 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
         in
         (* Data direction: producer's output event -> consumer firing. *)
         let src_ev = output_event.(src) in
+        (* Completion waits for every input with the full latency. *)
+        add src_ev complete_event.(i) full.(i) data_tokens;
+        (* The early C-element waits for the subset inputs and the trigger
+           token; under Eager the late inputs impose nothing, under
+           Expected they impose their full constraint scaled by the
+           probability the trigger stays silent. *)
         if split i then begin
-          (* Completion waits for every input with the full latency. *)
-          add src_ev complete_event.(i) (full_delay i) data_tokens;
-          (* The early C-element waits for the subset inputs and the
-             trigger token; under Eager the late inputs impose nothing,
-             under Expected they impose their full constraint scaled by
-             the probability the trigger stays silent. *)
-          let early_relevant =
-            List.exists
-              (fun p -> p = -1 || subset_positions land (1 lsl p) <> 0)
-              positions
-          in
-          let p = prob i in
-          if early_relevant then
-            add src_ev output_event.(i)
-              (ee_overhead +. ((1. -. p) *. base i))
-              data_tokens
+          if !early_relevant then add src_ev output_event.(i) early.(i) data_tokens
           else begin
             match mode with
             | Eager -> ()
-            | Expected _ ->
-                add src_ev output_event.(i)
-                  ((1. -. p) *. (base i +. ee_overhead))
-                  data_tokens
+            | Expected _ -> add src_ev output_event.(i) late.(i) data_tokens
             | Guarded -> assert false
           end
-        end
-        else add src_ev complete_event.(i) (full_delay i) data_tokens;
+        end;
         (* Feedback direction: this gate acknowledges the producer once per
            wave (no feedback on a register's self-loop).  The acknowledge
            leaves at the completion event and constrains the producer's
@@ -165,19 +194,22 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
         if src <> i then begin
           let fb_tokens = 1 - data_tokens in
           let ack_ev = complete_event.(i) in
-          if split src then begin
-            add ack_ev complete_event.(src) (full_delay src) fb_tokens;
-            let p = prob src in
-            add ack_ev output_event.(src)
-              (ee_overhead +. ((1. -. p) *. base src))
-              fb_tokens
-          end
-          else add ack_ev complete_event.(src) (full_delay src) fb_tokens
-        end)
-      producers
+          add ack_ev complete_event.(src) full.(src) fb_tokens;
+          if split src then add ack_ev output_event.(src) early.(src) fb_tokens
+        end
+      end
+    done
   done;
+  let trim a = if !count = bound then a else Array.sub a 0 !count in
   {
-    graph = make ~nodes:events ~arcs:(List.rev !arcs);
+    graph =
+      {
+        nodes = events;
+        arc_src = trim arc_src;
+        arc_dst = trim arc_dst;
+        arc_weight = trim arc_weight;
+        arc_tokens = trim arc_tokens;
+      };
     event_gate;
     event_early;
     output_event;

@@ -20,11 +20,22 @@
 
 type arc = { src : int; dst : int; weight : float; tokens : int }
 
-type t = { nodes : int; arcs : arc array }
+(** The arcs are stored as a structure of arrays: arc [k] runs from
+    [arc_src.(k)] to [arc_dst.(k)] with weight [arc_weight.(k)] and
+    [arc_tokens.(k)] tokens.  The four arrays have one length. *)
+type t = private {
+  nodes : int;
+  arc_src : int array;
+  arc_dst : int array;
+  arc_weight : float array;
+  arc_tokens : int array;
+}
 
 val make : nodes:int -> arcs:arc list -> t
-(** Raises [Invalid_argument] on out-of-range endpoints, negative token
-    counts or non-finite weights. *)
+(** Arcs keep their list order.  Raises [Invalid_argument] on
+    out-of-range endpoints, negative token counts or non-finite weights. *)
+
+val arc_count : t -> int
 
 val of_marked_graph :
   Ee_markedgraph.Marked_graph.t -> node_delay:(int -> float) -> t

@@ -34,10 +34,6 @@ type report = {
   fell_back : bool;
 }
 
-let analyze (base : Mcr_select.options) pl =
-  Throughput.analyze ~gate_delay:base.Mcr_select.gate_delay
-    ~ee_overhead:base.Mcr_select.ee_overhead pl
-
 let rec take k = function
   | [] -> []
   | _ when k <= 0 -> []
@@ -108,7 +104,7 @@ let request_for gates signals shared (master, (cand : Trigger.candidate)) =
 
 let run ?(options = default_options) ?memo pl =
   let base = options.base in
-  let lambda_no_ee = (analyze base pl).Throughput.lambda in
+  let lambda_no_ee = Mcr_select.lambda base pl in
   (* Phase A — the per-gate MCR plan is both the starting point and the
      floor the λ gate is measured against. *)
   let choices = Mcr_select.plan ~options:base ?memo pl in
@@ -118,7 +114,7 @@ let run ?(options = default_options) ?memo pl =
       choices
   in
   let pl_mcr = Pl.with_ee pl base_requests in
-  let a_mcr = analyze base pl_mcr in
+  let a_mcr = Mcr_select.analyze base pl_mcr in
   let lambda_mcr = a_mcr.Throughput.lambda in
   (* Phase B — shared multi-master triggers.  Group masters by the signal
      set a candidate subset reads; for each promising group, synthesize
@@ -219,7 +215,7 @@ let run ?(options = default_options) ?memo pl =
               |> List.sort (fun (a, _) (b, _) -> compare a b)
             in
             let pl' = Pl.with_ee_shared pl requests' in
-            let lambda' = (analyze base pl').Throughput.lambda in
+            let lambda' = Mcr_select.lambda ~warm:a_mcr base pl' in
             if lambda' <= !current_lambda *. (1. +. 1e-12) then begin
               current_requests := requests';
               current_pl := pl';

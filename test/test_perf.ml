@@ -88,7 +88,7 @@ let test_slack_and_potentials () =
    token unless it goes strictly uphill, so every token-free path ascends
    and no token-free cycle can close.  A Hamiltonian backbone keeps the
    graph strongly connected (hence every node on a cycle). *)
-let random_live_graph rng =
+let random_live_arcs rng =
   let open Ee_util in
   let n = 3 + Prng.int rng 22 in
   let levels = Array.init n (fun _ -> Prng.int rng 6) in
@@ -109,7 +109,11 @@ let random_live_graph rng =
     let u = Prng.int rng n and v = Prng.int rng n in
     add u v
   done;
-  Tg.make ~nodes:n ~arcs:!arcs
+  (n, !arcs)
+
+let random_live_graph rng =
+  let nodes, arcs = random_live_arcs rng in
+  Tg.make ~nodes ~arcs
 
 let test_karp_equals_howard_random () =
   let rng = Ee_util.Prng.create 7701 in
@@ -294,6 +298,345 @@ let test_mcr_selection () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "not live/safe: %s" e
 
+(* ---------------------------------------------------------------- *)
+(* Warm-started, λ-only trial re-analysis                            *)
+(* ---------------------------------------------------------------- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A seeded random policy: each node's successor is the head of one of its
+   out-arcs, drawn uniformly. *)
+let random_policy rng (g : Tg.t) =
+  let heads = Array.make g.Tg.nodes [] in
+  Array.iteri (fun k s -> heads.(s) <- g.Tg.arc_dst.(k) :: heads.(s)) g.Tg.arc_src;
+  Array.map
+    (function [] -> -1 | l -> List.nth l (Ee_util.Prng.int rng (List.length l)))
+    heads
+
+(* From every hint, [solve] must reproduce the cold solve's λ bit for bit;
+   with [karp], the cold λ must also match Karp. *)
+let check_hints ~karp what g hints =
+  let cold = Mcr.solve g in
+  (match (cold, karp) with
+  | Some c, true -> (
+      match Mcr.karp g with
+      | Some k when Float.abs (k -. c.Mcr.lambda) <= 1e-9 *. Float.max 1. (Float.abs k) -> ()
+      | k ->
+          Alcotest.failf "%s: Howard %h vs Karp %s" what c.Mcr.lambda
+            (match k with Some k -> Printf.sprintf "%h" k | None -> "none"))
+  | _ -> ());
+  List.iter
+    (fun (tag, hint) ->
+      match (cold, Mcr.solve ~hint g) with
+      | None, None -> ()
+      | Some c, Some w when bits_equal c.Mcr.lambda w.Mcr.lambda -> ()
+      | _ -> Alcotest.failf "%s: the %s hint changes lambda" what tag)
+    hints
+
+let test_warm_start_random () =
+  let rng = Ee_util.Prng.create 7701 and policies = Ee_util.Prng.create 4242 in
+  for i = 1 to 200 do
+    let nodes, arcs = random_live_arcs rng in
+    let g = Tg.make ~nodes ~arcs in
+    (* The base graph lacks one arc; its policy keeps node ids. *)
+    let base = Tg.make ~nodes ~arcs:(List.tl arcs) in
+    let mapped = match Mcr.solve base with Some r -> r.Mcr.policy | None -> [||] in
+    check_hints ~karp:true (Printf.sprintf "graph %d" i) g
+      [ ("base policy", mapped); ("random policy", random_policy policies g) ];
+    (* The λ-only entry point runs the same iteration. *)
+    let solved = Option.map (fun r -> r.Mcr.lambda) (Mcr.solve g) in
+    List.iter
+      (fun l ->
+        if Option.map Int64.bits_of_float l <> Option.map Int64.bits_of_float solved then
+          Alcotest.failf "graph %d: Mcr.lambda differs from Mcr.solve" i)
+      [ Mcr.lambda g; Mcr.lambda ~hint:mapped g ]
+  done
+
+let test_hint_ignores_bad_nodes () =
+  (* Node 3 has no out-arc, so it is dead; node 2 leads only to it. *)
+  let g =
+    Tg.make ~nodes:4
+      ~arcs:[ arc 0 1 2.0 1; arc 1 0 1.0 0; arc 1 2 5.0 1; arc 2 3 1.0 0; arc 0 0 2.5 1 ]
+  in
+  let cold = Option.get (Mcr.solve g) in
+  List.iter
+    (fun (tag, hint) ->
+      match Mcr.solve ~hint g with
+      | Some w ->
+          Alcotest.(check bool) (tag ^ ": same lambda") true (bits_equal cold.Mcr.lambda w.Mcr.lambda);
+          Alcotest.(check (list int)) (tag ^ ": same cycle") cold.Mcr.cycle w.Mcr.cycle
+      | None -> Alcotest.failf "%s: no cycle" tag
+      | exception e -> Alcotest.failf "%s: %s" tag (Printexc.to_string e))
+    [
+      ("dead successor", [| 3; 3; 3; 3 |]);
+      ("out of range", [| 17; -5; max_int; min_int |]);
+      ("not a successor", [| 1; 2; 0; 0 |]);
+      ("short", [| 0 |]);
+      ("long", [| 1; 0; 0; 0; 9; 9 |]);
+      ("empty", [||]);
+    ];
+  Alcotest.(check int) "dead node has no policy" (-1) cold.Mcr.policy.(3);
+  Alcotest.(check int) "dead-end node has no policy" (-1) cold.Mcr.policy.(2)
+
+(* The greedy MCR planner as it was before trials became λ-only and
+   warm-started: every trial is a cold, full [Throughput.analyze].  The
+   differential test holds [Mcr_select.plan] to it; [on_trial] sees each
+   round's base analysis with each trial netlist. *)
+module Reference_plan = struct
+  module Ms = Ee_core.Mcr_select
+  module Synth = Ee_core.Synth
+  module Trigger = Ee_core.Trigger
+  module Cost = Ee_core.Cost
+
+  let analyze (o : Ms.options) pl =
+    Throughput.analyze ~gate_delay:o.Ms.gate_delay ~ee_overhead:o.Ms.ee_overhead pl
+
+  let viable_choices (o : Ms.options) pl master func fanin =
+    let arrivals = Array.map (fun f -> Pl.arrival pl f) fanin in
+    let support = Ee_logic.Lut4.support func in
+    let m_max = Ee_util.Bits.fold_bits support (fun acc p -> max acc arrivals.(p)) 0 in
+    if m_max = 0 then []
+    else
+      Trigger.candidates func
+      |> List.filter_map (fun cand ->
+             let t_max =
+               Ee_util.Bits.fold_bits cand.Trigger.subset (fun acc p -> max acc arrivals.(p)) 0
+             in
+             if Cost.speedup_possible ~m_max ~t_max && cand.Trigger.coverage >= o.Ms.min_coverage
+             then
+               let cost =
+                 Cost.cost Cost.Arrival_weighted ~coverage:cand.Trigger.coverage ~m_max ~t_max
+               in
+               Some { Synth.master; chosen = cand; m_max; t_max; cost }
+             else None)
+
+  (* Masters ascending, and each round's chosen pair with the λ it was
+     trialled at, in insertion order. *)
+  let plan ?(on_trial = fun _ _ -> ()) (o : Ms.options) pl =
+    let gates = Pl.gates pl in
+    let rounds = ref [] in
+    let rec round pl_cur inserted =
+      let a = analyze o pl_cur in
+      let lambda = a.Throughput.lambda in
+      if lambda <= 0. then inserted
+      else begin
+        let eligible = ref [] in
+        Array.iteri
+          (fun i g ->
+            match g.Pl.kind with
+            | Pl.Gate func
+              when Pl.ee pl_cur i = None && a.Throughput.gate_slack.(i) <= 1e-7 *. lambda ->
+                eligible := (i, func, g.Pl.fanin) :: !eligible
+            | _ -> ())
+          gates;
+        let target = lambda *. (1. -. (o.Ms.min_gain_percent /. 100.)) in
+        let best = ref None in
+        List.iter
+          (fun (master, func, fanin) ->
+            List.iter
+              (fun choice ->
+                let trial =
+                  Pl.with_ee pl_cur
+                    [ (master, Ms.request_of choice.Synth.chosen choice.Synth.cost) ]
+                in
+                on_trial a trial;
+                let lambda' = (analyze o trial).Throughput.lambda in
+                let beats =
+                  match !best with
+                  | Some (_, l) -> lambda' < l -. 1e-12
+                  | None -> lambda' <= target
+                in
+                if beats then best := Some (choice, lambda'))
+              (viable_choices o pl_cur master func fanin))
+          (List.rev !eligible);
+        match !best with
+        | None -> inserted
+        | Some (choice, lambda') ->
+            rounds := (choice, lambda') :: !rounds;
+            round
+              (Pl.with_ee pl_cur
+                 [ (choice.Synth.master, Ms.request_of choice.Synth.chosen choice.Synth.cost) ])
+              (choice :: inserted)
+      end
+    in
+    let choices = round pl [] |> List.sort (fun a b -> compare a.Synth.master b.Synth.master) in
+    (choices, List.rev !rounds)
+end
+
+(* The no-EE netlists of b01-b13, then those of every family at widths 4
+   and 8. *)
+let itc99_netlists () =
+  let module Itc99 = Ee_bench_circuits.Itc99 in
+  List.filter_map
+    (fun (b : Itc99.benchmark) ->
+      if b.Itc99.id <= "b13" then
+        Some (b.Itc99.id, Pl.of_netlist (Ee_rtl.Techmap.run_rtl (b.Itc99.build ())))
+      else None)
+    Itc99.all
+
+let family_netlists () =
+  let module Families = Ee_bench_circuits.Families in
+  List.concat_map
+    (fun (f : Families.family) ->
+      List.map
+        (fun w ->
+          ( Printf.sprintf "%s%d" f.Families.name w,
+            Pl.of_netlist (Ee_rtl.Techmap.run_rtl (f.Families.build w)) ))
+        [ 4; 8 ])
+    Families.all
+
+let plan_netlists () = itc99_netlists () @ family_netlists ()
+
+(* The reference plans of b01-b13, checking every trial graph on the way:
+   the warm λ-only oracle, and Howard from the mapped base policy or from
+   a random policy, all give the cold λ bit for bit; Karp agrees on every
+   16th trial.  Shared by the next two tests. *)
+let itc99_reference_plans =
+  lazy
+    (let module Ms = Ee_core.Mcr_select in
+     let o = Ms.default_options in
+     let policies = Ee_util.Prng.create 99 in
+     let trials = ref 0 in
+     let on_trial name a trial =
+       incr trials;
+       let what = Printf.sprintf "%s trial %d" name !trials in
+       let m = Tg.of_pl ~gate_delay:o.Ms.gate_delay ~ee_overhead:o.Ms.ee_overhead trial in
+       let g = m.Tg.graph in
+       check_hints ~karp:(!trials mod 16 = 0) what g
+         [ ("mapped base", Throughput.hint a m); ("random", random_policy policies g) ];
+       let cold = (Reference_plan.analyze o trial).Throughput.lambda in
+       if not (bits_equal cold (Ms.lambda ~warm:a o trial)) then
+         Alcotest.failf "%s: Mcr_select.lambda differs from the full analysis" what
+     in
+     let plans =
+       List.map
+         (fun (name, pl) -> (name, pl, Reference_plan.plan ~on_trial:(on_trial name) o pl))
+         (itc99_netlists ())
+     in
+     (plans, !trials))
+
+let test_warm_start_trials () =
+  let _, trials = Lazy.force itc99_reference_plans in
+  Alcotest.(check bool) (Printf.sprintf "%d trials checked" trials) true (trials > 5000)
+
+let test_plan_matches_reference () =
+  let module Ms = Ee_core.Mcr_select in
+  let module Synth = Ee_core.Synth in
+  let key (c : Synth.gate_choice) =
+    (c.Synth.master, c.Synth.chosen.Ee_core.Trigger.subset, Int64.bits_of_float c.Synth.cost)
+  in
+  let o = Ms.default_options in
+  let itc99, _ = Lazy.force itc99_reference_plans in
+  let families =
+    List.map (fun (name, pl) -> (name, pl, Reference_plan.plan o pl)) (family_netlists ())
+  in
+  List.iter
+    (fun (name, pl, (reference, rounds)) ->
+      let plan = Ms.plan ~memo:(Ee_core.Trigger.Memo.create ()) pl in
+      if List.map key plan <> List.map key reference then
+        Alcotest.failf "%s: plan differs from the reference planner" name;
+      (* Replaying the reference's insertions, the warm λ-only oracle
+         reproduces each round's λ. *)
+      ignore
+        (List.fold_left
+           (fun (k, pl_cur) ((c : Synth.gate_choice), lambda_ref) ->
+             let trial =
+               Pl.with_ee pl_cur [ (c.Synth.master, Ms.request_of c.Synth.chosen c.Synth.cost) ]
+             in
+             let lambda = Ms.lambda ~warm:(Ms.analyze o pl_cur) o trial in
+             if not (bits_equal lambda lambda_ref) then
+               Alcotest.failf "%s round %d: lambda %h, reference %h" name k lambda lambda_ref;
+             (k + 1, trial))
+           (1, pl) rounds))
+    (itc99 @ families)
+
+let search_reference =
+  (* Search_select.run with default options, as it reported before trials
+     became λ-only and warm-started: lambda_mcr, lambda, trials, groups. *)
+  [
+    ("b01", 0x1.4p+2, 0x1.4p+2, 7, 4);
+    ("b02", 0x1.4p+1, 0x1.4p+1, 0, 0);
+    ("b03", 0x1.3p+3, 0x1.2cp+3, 8, 3);
+    ("b04", 0x1.ep+3, 0x1.d8p+3, 8, 4);
+    ("b05", 0x1.8p+3, 0x1.8p+3, 10, 4);
+    ("b06", 0x1.8p+1, 0x1.8p+1, 1, 0);
+    ("b07", 0x1.34p+3, 0x1.34p+3, 3, 3);
+    ("b08", 0x1.ep+1, 0x1.ep+1, 0, 0);
+    ("b09", 0x1.1p+2, 0x1.1p+2, 0, 0);
+    ("b10", 0x1.cp+1, 0x1.cp+1, 1, 0);
+    ("b11", 0x1.6p+3, 0x1.6p+3, 0, 0);
+    ("b12", 0x1.9p+2, 0x1.9p+2, 9, 4);
+    ("b13", 0x1.4p+2, 0x1.4p+2, 8, 1);
+    ("adder4", 0x1p+1, 0x1p+1, 0, 0);
+    ("adder8", 0x1p+1, 0x1p+1, 0, 0);
+    ("compare4", 0x1.2p+1, 0x1.2p+1, 0, 0);
+    ("compare8", 0x1.4666666666666p+1, 0x1.4666666666666p+1, 0, 0);
+    ("parity4", 0x1p+0, 0x1p+0, 0, 0);
+    ("parity8", 0x1p+1, 0x1p+1, 0, 0);
+    ("crc84", 0x1p+1, 0x1p+1, 0, 0);
+    ("crc88", 0x1.4p+1, 0x1.4p+1, 0, 0);
+    ("priority4", 0x1p+0, 0x1p+0, 2, 0);
+    ("priority8", 0x1p+1, 0x1p+1, 8, 0);
+    ("wide-and4", 0x1p+0, 0x1p+0, 0, 0);
+    ("wide-and8", 0x1p+1, 0x1p+1, 0, 0);
+    ("increment4", 0x1p+1, 0x1p+1, 0, 0);
+    ("increment8", 0x1p+1, 0x1p+1, 0, 0);
+  ]
+
+let test_search_matches_reference () =
+  let module Ss = Ee_search.Search_select in
+  let netlists = plan_netlists () in
+  Alcotest.(check int) "circuits" (List.length search_reference) (List.length netlists);
+  List.iter2
+    (fun (name, pl) (name', lambda_mcr, lambda, trials, groups) ->
+      Alcotest.(check string) "circuit" name' name;
+      let _, r = Ss.run pl in
+      if
+        not
+          (bits_equal r.Ss.lambda_mcr lambda_mcr
+          && bits_equal r.Ss.lambda lambda
+          && r.Ss.trials = trials
+          && List.length r.Ss.shared_groups = groups)
+      then
+        Alcotest.failf "%s: lambda_mcr %h lambda %h trials %d groups %d" name r.Ss.lambda_mcr
+          r.Ss.lambda r.Ss.trials (List.length r.Ss.shared_groups))
+    netlists search_reference
+
+(* One λ-only trial allocates a few words per event and arc: no per-node
+   lists, no slack pass.  The cold full analysis it replaced allocated
+   about 150 minor words per event and arc here. *)
+let test_trial_allocation () =
+  let module Ms = Ee_core.Mcr_select in
+  let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (Ee_bench_circuits.Itc99.b12 ())) in
+  let o = Ms.default_options in
+  let a = Ms.analyze o pl in
+  let master, choice =
+    let found = ref None in
+    Array.iteri
+      (fun i g ->
+        match g.Pl.kind with
+        | Pl.Gate func when !found = None && a.Throughput.gate_slack.(i) <= 1e-7 *. a.Throughput.lambda
+          -> (
+            match Ee_core.Trigger.candidates func with c :: _ -> found := Some (i, c) | [] -> ())
+        | _ -> ())
+      (Pl.gates pl);
+    Option.get !found
+  in
+  let trial () = Pl.with_ee pl [ (master, Ms.request_of choice 0.) ] in
+  let g = (Tg.of_pl (trial ())).Tg.graph in
+  let size = g.Tg.nodes + Tg.arc_count g in
+  ignore (Ms.lambda ~warm:a o (trial ()));
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Ms.lambda ~warm:a o (trial ())));
+  let minor = Gc.minor_words () -. minor0 and _, promoted1, major1 = Gc.counters () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  if minor > float_of_int (24 * size) then
+    Alcotest.failf "one trial allocated %.0f minor words (bound %d = 24 x %d events and arcs)"
+      minor (24 * size) size;
+  if minor +. direct_major > float_of_int (32 * size) then
+    Alcotest.failf "one trial allocated %.0f words in all (bound %d)" (minor +. direct_major)
+      (32 * size)
+
 let suite =
   ( "perf",
     [
@@ -314,4 +657,12 @@ let suite =
       Alcotest.test_case "critical cycle names gates" `Quick
         test_critical_cycle_names_gates;
       Alcotest.test_case "MCR-driven selection works" `Slow test_mcr_selection;
+      Alcotest.test_case "warm start exact on 200 random graphs" `Quick test_warm_start_random;
+      Alcotest.test_case "hint ignores dead and out-of-range nodes" `Quick
+        test_hint_ignores_bad_nodes;
+      Alcotest.test_case "warm start exact on every b01-b13 trial" `Slow test_warm_start_trials;
+      Alcotest.test_case "MCR plan matches the reference planner" `Slow
+        test_plan_matches_reference;
+      Alcotest.test_case "search reports unchanged" `Slow test_search_matches_reference;
+      Alcotest.test_case "one trial's allocation bounded" `Quick test_trial_allocation;
     ] )
