@@ -25,6 +25,14 @@ let bench_arg =
 let bench_pos =
   Arg.(required & pos 0 (some bench_arg) None & info [] ~docv:"BENCH" ~doc:"Benchmark id (b01..b15).")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let threshold_t =
   Arg.(value & opt float 0. & info [ "threshold" ] ~docv:"T" ~doc:"Minimum cost for inserting an EE pair.")
 
@@ -243,7 +251,7 @@ let faults_cmd =
      loss/duplication into the rail-level simulator and classify every outcome."
   in
   let waves_t =
-    Arg.(value & opt int 16 & info [ "waves" ] ~docv:"N" ~doc:"Input waves per fault run.")
+    Arg.(value & opt positive_int 16 & info [ "waves" ] ~docv:"N" ~doc:"Input waves per fault run.")
   in
   let json_t =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the full report as JSON.")

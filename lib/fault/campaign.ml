@@ -1,4 +1,5 @@
 module Pl = Ee_phased.Pl
+module Ledr = Ee_phased.Ledr
 module Rail_sim = Ee_phased.Rail_sim
 module Netlist = Ee_netlist.Netlist
 module Mg = Ee_markedgraph.Marked_graph
@@ -53,68 +54,132 @@ let golden nl vectors =
       outs)
     vectors
 
-let run_fault pl ~vectors ~expected fault =
-  let sim = Rail_sim.create ~hooks:(Fault.hooks fault) pl in
-  let rec go wave vecs exps =
-    match (vecs, exps) with
-    | [], [] -> Masked
-    | vec :: vecs', exp :: exps' -> (
-        match Rail_sim.apply sim vec with
-        | outs, _ -> if outs <> exp then Wrong_output { wave } else go (wave + 1) vecs' exps'
-        | exception Rail_sim.Protocol_violation msg -> Detected msg
-        | exception Rail_sim.Stalled s -> Deadlock s)
-    | _ -> assert false
+(* The one wave/classify loop: apply waves [from ..] to [sim] and classify
+   the first departure from the golden outputs.  [settled w] says that after
+   wave [w] the rest of the run is known to be fault-free. *)
+let classify sim ~vectors ~expected ~from ~settled =
+  let rec go wave =
+    if wave = Array.length vectors then Masked
+    else
+      match Rail_sim.apply sim vectors.(wave) with
+      | outs, _ ->
+          if outs <> expected.(wave) then Wrong_output { wave }
+          else if settled wave then Masked
+          else go (wave + 1)
+      | exception Rail_sim.Protocol_violation msg -> Detected msg
+      | exception Rail_sim.Stalled s -> Deadlock s
   in
-  go 0 vectors expected
+  go from
+
+let cold pl ~vectors ~expected fault =
+  classify (Rail_sim.create ~hooks:(Fault.hooks fault) pl) ~vectors ~expected ~from:0
+    ~settled:(fun _ -> false)
+
+let run_fault pl ~vectors ~expected fault =
+  cold pl ~vectors:(Array.of_list vectors) ~expected:(Array.of_list expected) fault
+
+(* [first_reads.(wire_index g rail value)] is the first wave of the
+   fault-free run in which gate [g] latches [value] on that wire of its
+   pair, or the wave count when it never does. *)
+let wire_index gate rail value =
+  (4 * gate) + (match rail with Fault.V -> 0 | Fault.T -> 2) + Bool.to_int value
+
+(* The first wave in which the fault's hooks can act on the fault-free run.
+   A stuck wire changes a latch only when its gate latches the other value
+   on it. *)
+let first_active ~first_reads fault =
+  match fault with
+  | Fault.Stuck_rail { gate; rail; value } -> first_reads.(wire_index gate rail (not value))
+  | _ -> fst (Fault.window fault)
+
+(* Checkpoint fork.  [snapshots.(w)] is the fault-free unit-delay state at
+   the start of wave [w], from a run that matched the golden model.  Before
+   the fault first acts, the faulted run is the fault-free one, so it starts
+   from that wave's snapshot; after the window's last wave, a state equal
+   to the fault-free one has the fault-free future, which is correct. *)
+let forked ~snapshots ~first_reads ~vectors ~expected fault =
+  let first = first_active ~first_reads fault and last = snd (Fault.window fault) in
+  let waves = Array.length vectors in
+  if first >= waves then Masked
+  else
+    let sim = Rail_sim.copy snapshots.(first) ~hooks:(Fault.hooks fault) in
+    classify sim ~vectors ~expected ~from:first ~settled:(fun w ->
+        w >= last && w + 1 < waves && Rail_sim.same_state sim snapshots.(w + 1))
 
 (* The adversarial schedules, quantized into Rail_sim round delays.  Unit
    delay is the reference; the others reorder firings as hostilely as the
    model allows.  A delay-insensitive netlist must produce identical
    outputs under all of them. *)
-let schedules pl ~seed =
+let delay_schedules pl ~seed =
   [
-    ("unit", None);
     ( "adversarial-ee",
-      Some
-        (Delay_model.rounds_of_delays
-           (Delay_model.adversarial_ee pl ~gate_delay:1.0 ~slowdown:4.0)
-           ~resolution:3) );
+      Delay_model.rounds_of_delays
+        (Delay_model.adversarial_ee pl ~gate_delay:1.0 ~slowdown:4.0)
+        ~resolution:3 );
     ( "extremal",
-      Some
-        (Delay_model.rounds_of_delays
-           (Delay_model.extremal pl ~gate_delay:1.0 ~spread:0.5 ~seed)
-           ~resolution:4) );
+      Delay_model.rounds_of_delays
+        (Delay_model.extremal pl ~gate_delay:1.0 ~spread:0.5 ~seed)
+        ~resolution:4 );
     ( "jittered",
-      Some
-        (Delay_model.rounds_of_delays
-           (Delay_model.jittered pl ~gate_delay:1.0 ~spread:0.75 ~seed)
-           ~resolution:4) );
+      Delay_model.rounds_of_delays
+        (Delay_model.jittered pl ~gate_delay:1.0 ~spread:0.75 ~seed)
+        ~resolution:4 );
   ]
 
-let check_schedules pl ~vectors ~expected ~seed =
+(* Every wave runs, so [early_total] covers the whole run even after a
+   mismatch; a raising schedule disagrees.  [at_wave w sim] sees the state
+   before wave [w]. *)
+let check_schedule ?(at_wave = fun _ _ -> ()) sim ~vectors ~expected schedule =
+  let agrees = ref true and early_total = ref 0 in
+  (try
+     Array.iteri
+       (fun w vec ->
+         at_wave w sim;
+         let outs, early = Rail_sim.apply sim vec in
+         early_total := !early_total + early;
+         if outs <> expected.(w) then agrees := false)
+       vectors
+   with Rail_sim.Protocol_violation _ | Rail_sim.Stalled _ -> agrees := false);
+  { schedule; agrees = !agrees; early_total = !early_total }
+
+let other_schedules pl ~vectors ~expected ~seed =
   List.map
     (fun (schedule, delays) ->
-      let sim = Rail_sim.create ?delays pl in
-      let early_total = ref 0 in
-      let agrees =
-        List.for_all2
-          (fun vec exp ->
-            let outs, early = Rail_sim.apply sim vec in
-            early_total := !early_total + early;
-            outs = exp)
-          vectors expected
-      in
-      { schedule; agrees; early_total = !early_total })
-    (schedules pl ~seed)
+      check_schedule (Rail_sim.create ~delays pl) ~vectors ~expected schedule)
+    (delay_schedules pl ~seed)
+
+let check_schedules pl ~vectors ~expected ~seed =
+  let vectors = Array.of_list vectors and expected = Array.of_list expected in
+  check_schedule (Rail_sim.create pl) ~vectors ~expected "unit"
+  :: other_schedules pl ~vectors ~expected ~seed
 
 let run ?(waves = 16) ?(seed = 2002) ~bench pl nl =
+  if waves < 1 then invalid_arg "Campaign.run: waves must be positive";
   let width = Array.length (Pl.source_ids pl) in
   let vectors = make_vectors ~width ~waves ~seed in
-  let expected = golden nl vectors in
+  let expected = Array.of_list (golden nl vectors) and vectors = Array.of_list vectors in
+  (* The unit-delay schedule check is the fault-free run the faults fork
+     from.  Its latch hook returns its argument and keeps minima, so it
+     does not matter how often or in which order the kernel calls it. *)
+  let first_reads = Array.make (4 * Array.length (Pl.gates pl)) waves in
+  let note i wave = if wave < first_reads.(i) then first_reads.(i) <- wave in
+  let record ~wave ~gate (r : Ledr.rails) =
+    note (wire_index gate Fault.V r.Ledr.v) wave;
+    note (wire_index gate Fault.T r.Ledr.t) wave;
+    r
+  in
+  let base = Rail_sim.create ~hooks:{ Rail_sim.no_hooks with Rail_sim.on_latch = record } pl in
+  let snapshots = Array.make waves base in
+  let unit =
+    check_schedule base ~vectors ~expected "unit" ~at_wave:(fun w sim ->
+        snapshots.(w) <- Rail_sim.copy sim ~hooks:Rail_sim.no_hooks)
+  in
+  let outcome =
+    if unit.agrees then forked ~snapshots ~first_reads ~vectors ~expected
+    else cold pl ~vectors ~expected
+  in
   let records =
-    List.map
-      (fun fault -> { fault; outcome = run_fault pl ~vectors ~expected fault })
-      (Fault.enumerate pl ~waves)
+    List.map (fun fault -> { fault; outcome = outcome fault }) (Fault.enumerate pl ~waves)
   in
   let count cls =
     List.length (List.filter (fun r -> outcome_class r.outcome = cls) records)
@@ -125,7 +190,7 @@ let run ?(waves = 16) ?(seed = 2002) ~bench pl nl =
     waves;
     seed;
     records;
-    schedules = check_schedules pl ~vectors ~expected ~seed;
+    schedules = unit :: other_schedules pl ~vectors ~expected ~seed;
     masked = count "masked";
     detected = count "detected";
     deadlock = count "deadlock";
@@ -141,6 +206,7 @@ type token_verdict = Audit_live | Audit_dead of Mg.deadlock | Audit_unsafe of in
 type token_audit = { arc : int; delta : int; verdict : token_verdict }
 
 let token_audit ?(max_arcs = 64) pl ~steps ~seed =
+  if max_arcs < 1 then invalid_arg "Campaign.token_audit: max_arcs must be positive";
   let mg = Pl.to_marked_graph pl in
   let arcs = Mg.arcs mg in
   let n = Array.length arcs in

@@ -19,7 +19,28 @@
     adversarial delay schedules of {!Ee_sim.Delay_model}; a
     delay-insensitive netlist must agree with the golden model under all
     of them (and early evaluation must stay correct with its late inputs
-    maximally delayed). *)
+    maximally delayed).
+
+    {b Simulating only what a fault changes.}  {!run} classifies every
+    fault exactly as {!run_fault} would, but skips the waves in which the
+    fault cannot differ from the fault-free run:
+
+    - {e checkpoints} — the unit-delay schedule check is the fault-free run,
+      and it keeps a copy ({!Ee_phased.Rail_sim.copy}) of the simulator at
+      the start of every wave.  A fault whose hooks leave the fault-free
+      run unchanged before wave [w] starts from the wave-[w] checkpoint:
+      [w] is where its {!Fault.window} opens, or, for a stuck rail, the
+      first wave in which the fault-free run latches the other value on
+      the stuck wire of that gate (never: the fault is [Masked]);
+    - {e reconvergence} — after the window's last wave, a faulted state
+      equal ({!Ee_phased.Rail_sim.same_state}) to the checkpoint of the
+      next wave has the fault-free future, which agrees with the golden
+      model: the fault is [Masked] without running the remaining waves.
+
+    Both rules rely on the simulator being deterministic and its hooks
+    pure.  When the fault-free unit-delay run disagrees with the golden
+    model or raises, there is nothing to fork from, and every fault runs
+    cold from wave 0. *)
 
 type outcome =
   | Masked
@@ -56,7 +77,8 @@ type report = {
 val run :
   ?waves:int -> ?seed:int -> bench:string -> Ee_phased.Pl.t -> Ee_netlist.Netlist.t -> report
 (** Sweep every enumerated fault over [waves] random vectors (default 16,
-    seed 2002).  [bench] only labels the report. *)
+    seed 2002).  [bench] only labels the report.  Raises
+    [Invalid_argument] when [waves < 1]. *)
 
 val run_fault :
   Ee_phased.Pl.t ->
@@ -64,7 +86,8 @@ val run_fault :
   expected:bool array list ->
   Fault.t ->
   outcome
-(** One fault against precomputed vectors and golden outputs. *)
+(** One fault against precomputed vectors and golden outputs, simulated
+    cold from wave 0: the reference {!run} agrees with. *)
 
 val check_schedules :
   Ee_phased.Pl.t ->
@@ -72,6 +95,11 @@ val check_schedules :
   expected:bool array list ->
   seed:int ->
   schedule_check list
+(** The fault-free netlist under the unit-delay schedule and the three
+    adversarial ones.  Every schedule runs all waves; one whose run raises
+    {!Ee_phased.Rail_sim.Protocol_violation} or
+    {!Ee_phased.Rail_sim.Stalled} disagrees, with [early_total] counted up
+    to the raise. *)
 
 (** {1 Token-game audit}
 
@@ -90,7 +118,8 @@ type token_audit = { arc : int; delta : int; verdict : token_verdict }
 
 val token_audit : ?max_arcs:int -> Ee_phased.Pl.t -> steps:int -> seed:int -> token_audit list
 (** For up to [max_arcs] (default 64, stride-sampled) arcs: remove a token
-    where one sits ([delta = -1]) and add one everywhere ([delta = +1]). *)
+    where one sits ([delta = -1]) and add one everywhere ([delta = +1]).
+    Raises [Invalid_argument] when [max_arcs < 1]. *)
 
 (** {1 Rendering} *)
 

@@ -23,6 +23,14 @@ let to_string = function
   | Token_loss { gate; wave } -> Printf.sprintf "token loss at gate %d, wave %d" gate wave
   | Token_dup { gate; wave } -> Printf.sprintf "token duplication at gate %d, wave %d" gate wave
 
+let window = function
+  | Stuck_rail _ -> (0, max_int)
+  | Glitch_rail { wave; _ }
+  | Trigger_corrupt { wave; _ }
+  | Token_loss { wave; _ }
+  | Token_dup { wave; _ } ->
+      (wave, wave)
+
 let set_rail rail b (r : Ledr.rails) =
   match rail with V -> { r with Ledr.v = b } | T -> { r with Ledr.t = b }
 

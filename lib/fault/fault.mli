@@ -42,6 +42,12 @@ val to_string : t -> string
 val hooks : t -> Ee_phased.Rail_sim.hooks
 (** The instrumentation record injecting exactly this fault. *)
 
+val window : t -> int * int
+(** [(first, last)]: the waves in which {!hooks} can act.  In every other
+    wave each hook behaves as in {!Ee_phased.Rail_sim.no_hooks}.  A stuck
+    rail is active from wave 0 on ([last = max_int]); a transient only in
+    its own wave. *)
+
 val enumerate : Ee_phased.Pl.t -> waves:int -> t list
 (** The standard campaign fault list: stuck-at faults on both rails and
     polarities of every token-producing gate (sources, constants,

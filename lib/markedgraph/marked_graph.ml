@@ -207,11 +207,10 @@ let marking_of_array t a =
     invalid_arg
       (Printf.sprintf "Marked_graph.marking_of_array: %d counts for %d arcs" (Array.length a)
          (arc_count t));
-  Array.iteri
-    (fun i k ->
-      if k < 0 then
-        invalid_arg (Printf.sprintf "Marked_graph.marking_of_array: arc %d negative" i))
-    a;
+  for i = 0 to Array.length a - 1 do
+    if a.(i) < 0 then
+      invalid_arg (Printf.sprintf "Marked_graph.marking_of_array: arc %d negative" i)
+  done;
   Array.copy a
 
 let adjust_tokens m ~arc ~delta =

@@ -29,12 +29,40 @@
     {e delays} reorder firings within a wave (the rail-level analogue of a
     delay assignment) without changing which values flow — running the same
     vectors under many adversarial schedules and observing identical
-    outputs is the delay-insensitivity claim made executable. *)
+    outputs is the delay-insensitivity claim made executable.
+
+    {b Compiled kernel.}  {!create} compiles the netlist once into flat
+    arrays: a kind code per gate, a CSR fanin table, a deduplicated CSR
+    fanout table of combinational consumers (trigger->master edges
+    included), and each master's trigger id and support mask.  Rail pairs
+    (as two-bit codes), gate phases and register state are flat arrays
+    too.  The firing fixpoint runs in unit-delay rounds, each deciding
+    from a snapshot of the rails which gates fire and then firing them
+    together.  A gate can only become enabled when one of its inputs
+    changes, so the kernel is event-driven: round 0 evaluates the
+    consumers of the gates whose rails carry the new phase once the
+    sources and registers have emitted (plus any gate without inputs), and
+    a later round the consumers of the gates latched in the round before
+    plus the gates still counting down a delay.  The gates of one round
+    fire in descending gate id, the order of the record-walking simulator
+    this kernel replaced: a latch touches only its own gate's rails, so
+    the order shows only in which breach is raised (that of the highest
+    gate) and in duplicated firings, which re-read their fanins and are
+    processed in sorted order.  Per-wave working storage lives in the
+    simulator and is invalidated with stamps, so a healthy wave allocates
+    only its result.
+
+    {b Hook purity.}  A hook must be a pure function of its arguments: the
+    kernel calls it only for the gates and rounds it evaluates, so how
+    often, and in which order, a hook is called is unspecified.  A hook
+    field physically equal to the one in {!no_hooks} is not called at
+    all. *)
 
 type t
 
-(** Instrumentation points, called on every wave.  {!no_hooks} makes each a
-    no-op; fault models override individual fields. *)
+(** Instrumentation points, consulted during every wave (see hook purity
+    above).  {!no_hooks} makes each a no-op; fault models override
+    individual fields. *)
 type hooks = {
   on_latch : wave:int -> gate:int -> Ledr.rails -> Ledr.rails;
       (** Transforms the rail pair a firing actually drives.  Returning the
@@ -63,14 +91,39 @@ val create : ?hooks:hooks -> ?delays:int array -> Pl.t -> t
 
 val reset : t -> unit
 
+val copy : t -> hooks:hooks -> t
+(** [copy t ~hooks] is a simulator in [t]'s current state (rails, gate
+    phases, register state and wave count) that injects [hooks] from then
+    on.  It shares [t]'s compiled netlist, delays, deadlock-forensics
+    cache and per-wave working storage: [t] and its copies are
+    independent between waves, but must not run {!apply} concurrently
+    from different domains. *)
+
+val same_state : t -> t -> bool
+(** [same_state a b] holds when [a] and [b] have applied the same number
+    of waves and hold the same rails, gate phases and register state.
+    Two simulators of one netlist in the same state with the same delays
+    and hooks produce the same future; meaningful for a simulator and its
+    copies. *)
+
 exception Protocol_violation of string
 (** An observable breach of the LEDR/PL protocol: a gate fired twice in a
     wave, changed both rails at once, latched the wrong phase, presented a
     stale D input to a register, or an early-fired master's value was
-    contradicted by its late inputs.  None of these can happen for netlists
-    built by [Pl.of_netlist] / [Pl.with_ee] without fault hooks. *)
+    contradicted by its late inputs.  None of these can happen without
+    fault hooks for netlists built by [Pl.of_netlist] / [Pl.with_ee] with
+    triggers that imply their masters' insensitivity to the late inputs,
+    as the EE selection guarantees.  When
+    several gates of one round breach the protocol, the message names the
+    highest gate id.  After this exception or {!Stalled}, the simulator's
+    state is that of an unfinished wave; {!reset} before applying again. *)
 
-(** {1 Deadlock forensics} *)
+(** {1 Deadlock forensics}
+
+    The PL marked graph and the role of each of its arcs (register
+    self-loop, data or feedback) are built on a simulator's first stall
+    and shared with its copies, so diagnosing a stall is a few passes over
+    arrays plus one search for a token-free cycle. *)
 
 type stall = {
   stall_wave : int;  (** Wave index (0-based) at which the wave stalled. *)

@@ -122,6 +122,19 @@ let spec_of_json j =
     |> set Engine.with_selection selection
     |> set Engine.with_lut_k lut_k)
 
+(* The most waves a [perf] or [faults] request may ask for, ten times the
+   larger default: the bound keeps one request from tying up a worker and
+   allocating input vectors without limit. *)
+let max_waves = 2400
+
+let waves_of_json j ~default =
+  let* waves = field_int j "waves" in
+  match waves with
+  | None -> Ok default
+  | Some w when w < 1 || w > max_waves ->
+      Error (Printf.sprintf "\"waves\" must be in 1..%d" max_waves)
+  | Some w -> Ok w
+
 let bench_of_json j =
   let* bench = field_string j "bench" in
   match bench with
@@ -181,13 +194,13 @@ let request_of_json j =
   | "perf" ->
       let* spec = spec_of_json j in
       let* bench = bench_of_json j in
-      let* waves = field_int j "waves" in
-      Ok (Perf { bench; spec; waves = Option.value waves ~default:240 })
+      let* waves = waves_of_json j ~default:240 in
+      Ok (Perf { bench; spec; waves })
   | "faults" ->
       let* spec = spec_of_json j in
       let* bench = bench_of_json j in
-      let* waves = field_int j "waves" in
-      Ok (Faults { bench; spec; waves = Option.value waves ~default:16 })
+      let* waves = waves_of_json j ~default:16 in
+      Ok (Faults { bench; spec; waves })
   | "stats" -> Ok Stats
   | "health" -> Ok Health
   | "ping" -> Ok Ping

@@ -11,19 +11,19 @@ module Mg = Ee_markedgraph.Marked_graph
 
 let artifact id = Ee_report.Pipeline.build (Ee_bench_circuits.Itc99.find id)
 
+let golden nl vectors =
+  let st = ref (Netlist.initial_state nl) in
+  List.map
+    (fun vec ->
+      let outs, st' = Netlist.step nl !st vec in
+      st := st';
+      outs)
+    vectors
+
 let vectors_and_golden nl ~width ~waves ~seed =
   let rng = Ee_util.Prng.create seed in
   let vectors = List.init waves (fun _ -> Ee_util.Prng.bool_vector rng width) in
-  let st = ref (Netlist.initial_state nl) in
-  let expected =
-    List.map
-      (fun vec ->
-        let outs, st' = Netlist.step nl !st vec in
-        st := st';
-        outs)
-      vectors
-  in
-  (vectors, expected)
+  (vectors, golden nl vectors)
 
 (* Acceptance: every enumerated fault gets a class, the classes partition
    the fault list, and the fault-free netlist agrees with the golden model
@@ -231,6 +231,143 @@ let test_report_rendering () =
     (1 + List.length r.Campaign.records)
     (List.length lines)
 
+(* The forked campaign (checkpoint start, reconvergence exit) classifies
+   every fault exactly as the cold one-fault run does, detail included. *)
+let check_matches_cold label pl ~vectors ~expected (r : Campaign.report) =
+  List.iter
+    (fun (rec_ : Campaign.record) ->
+      let cold = Campaign.run_fault pl ~vectors ~expected rec_.Campaign.fault in
+      let show o = Campaign.outcome_class o ^ " " ^ Campaign.outcome_detail o in
+      if show cold <> show rec_.Campaign.outcome then
+        Alcotest.failf "%s: %s: campaign says %s, cold run %s" label
+          (Fault.to_string rec_.Campaign.fault) (show rec_.Campaign.outcome) (show cold))
+    r.Campaign.records
+
+let test_forked_matches_cold () =
+  List.iter
+    (fun id ->
+      let a = artifact id in
+      let pl = a.Ee_report.Pipeline.pl_ee and nl = a.Ee_report.Pipeline.netlist in
+      let r = Campaign.run ~waves:16 ~seed:2002 ~bench:id pl nl in
+      let width = Array.length (Pl.source_ids pl) in
+      let vectors, expected = vectors_and_golden nl ~width ~waves:16 ~seed:2002 in
+      check_matches_cold id pl ~vectors ~expected r)
+    [ "b01"; "b03"; "b06" ]
+
+(* The whole b01 report at the default seed, as the record-walking
+   simulator and the one-fault-at-a-time campaign produced it. *)
+let test_pinned_b01_report () =
+  let a = artifact "b01" in
+  let r =
+    Campaign.run ~waves:16 ~seed:2002 ~bench:"b01" a.Ee_report.Pipeline.pl_ee
+      a.Ee_report.Pipeline.netlist
+  in
+  Alcotest.(check string) "MD5 of the b01 JSON report" "a7f0f06f660f857c854eb9efc5b9254b"
+    (Digest.to_hex (Digest.string (Campaign.to_json r)))
+
+(* z = x AND y, with y two buffers late, and an EE trigger on x alone that
+   always says "fire": a hook-free netlist whose master fires early with a
+   stale y, which the late inputs then contradict. *)
+let unjustified_trigger () =
+  let b = Netlist.builder () in
+  let x = Netlist.add_input b "x" in
+  let y = Netlist.add_input b "y" in
+  let y1 = Netlist.add_lut b (Ee_logic.Lut4.var 0) [| y |] in
+  let y2 = Netlist.add_lut b (Ee_logic.Lut4.var 0) [| y1 |] in
+  let z = Netlist.add_lut b Ee_logic.Lut4.(logand (var 0) (var 1)) [| x; y2 |] in
+  Netlist.set_output b "z" z;
+  let nl = Netlist.finalize b in
+  let pl = Pl.of_netlist nl in
+  let gates = Pl.gates pl in
+  let master =
+    List.find
+      (fun i ->
+        match gates.(i).Pl.kind with Pl.Gate _ -> Array.length gates.(i).Pl.fanin = 2 | _ -> false)
+      (List.init (Array.length gates) Fun.id)
+  in
+  let req =
+    { Pl.req_support = 0b01; req_func = Ee_logic.Lut4.const1; req_coverage = 0.; req_cost = 0. }
+  in
+  (nl, Pl.with_ee pl [ (master, req) ])
+
+let test_schedule_checks_run_every_wave () =
+  (* A wrong golden output in one wave: the schedules disagree, and their
+     early counts still cover all waves. *)
+  let a = artifact "b01" in
+  let pl = a.Ee_report.Pipeline.pl_ee in
+  let width = Array.length (Pl.source_ids pl) in
+  let vectors, expected =
+    vectors_and_golden a.Ee_report.Pipeline.netlist ~width ~waves:12 ~seed:4
+  in
+  let patched = List.mapi (fun w outs -> if w = 1 then Array.map not outs else outs) expected in
+  let good = Campaign.check_schedules pl ~vectors ~expected ~seed:4 in
+  let bad = Campaign.check_schedules pl ~vectors ~expected:patched ~seed:4 in
+  List.iter2
+    (fun (g : Campaign.schedule_check) (b : Campaign.schedule_check) ->
+      Alcotest.(check bool)
+        (g.Campaign.schedule ^ " agrees with the true outputs")
+        true g.Campaign.agrees;
+      Alcotest.(check bool)
+        (b.Campaign.schedule ^ " disagrees with patched outputs")
+        false b.Campaign.agrees;
+      Alcotest.(check int) (b.Campaign.schedule ^ " counts early firings over the whole run")
+        g.Campaign.early_total b.Campaign.early_total)
+    good bad;
+  Alcotest.(check bool) "b01 fires early at all" true
+    (List.exists (fun (g : Campaign.schedule_check) -> g.Campaign.early_total > 0) good);
+  (* A schedule that raises disagrees instead of escaping. *)
+  let nl, pl = unjustified_trigger () in
+  let vectors = [ [| true; false |]; [| true; true |]; [| true; false |]; [| false; true |] ] in
+  let expected = golden nl vectors in
+  let unit_sim = Rail_sim.create pl in
+  ignore (Rail_sim.apply unit_sim (List.hd vectors));
+  (match Rail_sim.apply unit_sim (List.nth vectors 1) with
+  | _ -> Alcotest.fail "the unjustified early firing must be contradicted"
+  | exception Rail_sim.Protocol_violation _ -> ());
+  match Campaign.check_schedules pl ~vectors ~expected ~seed:4 with
+  | exception e -> Alcotest.failf "check_schedules raised %s" (Printexc.to_string e)
+  | checks ->
+      let unit =
+        List.find (fun (c : Campaign.schedule_check) -> c.Campaign.schedule = "unit") checks
+      in
+      Alcotest.(check bool) "the raising unit schedule disagrees" false unit.Campaign.agrees
+
+(* When the fault-free run disagrees, there is no checkpoint to fork from:
+   every fault runs cold, and the campaign still completes. *)
+let test_campaign_without_checkpoints () =
+  let nl, pl = unjustified_trigger () in
+  let r = Campaign.run ~waves:8 ~seed:1 ~bench:"unjustified" pl nl in
+  Alcotest.(check bool) "the unit schedule disagrees" false
+    (List.hd r.Campaign.schedules).Campaign.agrees;
+  let vectors, expected = vectors_and_golden nl ~width:2 ~waves:8 ~seed:1 in
+  check_matches_cold "unjustified" pl ~vectors ~expected r
+
+let test_token_audit_bounds () =
+  let pl = (artifact "b01").Ee_report.Pipeline.pl_ee in
+  List.iter
+    (fun max_arcs ->
+      match Campaign.token_audit ~max_arcs pl ~steps:10 ~seed:1 with
+      | _ -> Alcotest.failf "max_arcs = %d accepted" max_arcs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ];
+  Alcotest.(check int) "max_arcs = 1 audits one arc" 1
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (x : Campaign.token_audit) -> x.Campaign.arc)
+             (Campaign.token_audit ~max_arcs:1 pl ~steps:10 ~seed:1))))
+
+let test_fault_windows () =
+  let pl = (artifact "b06").Ee_report.Pipeline.pl_ee in
+  List.iter
+    (fun f ->
+      let first, last = Fault.window f in
+      match f with
+      | Fault.Stuck_rail _ ->
+          Alcotest.(check bool) "a stuck rail acts from wave 0 on" true
+            (first = 0 && last = max_int)
+      | _ -> Alcotest.(check bool) "a transient acts in its wave" true (first = 4 && last = 4))
+    (Fault.enumerate pl ~waves:9)
+
 let suite =
   ( "fault",
     [
@@ -243,4 +380,12 @@ let suite =
         test_trigger_suppression_harmless;
       Alcotest.test_case "token audit: loss starves, dup trips safety" `Quick test_token_audit;
       Alcotest.test_case "JSON/CSV reports well-formed" `Quick test_report_rendering;
+      Alcotest.test_case "forked campaign = cold one-fault runs" `Quick test_forked_matches_cold;
+      Alcotest.test_case "pinned b01 report digest" `Quick test_pinned_b01_report;
+      Alcotest.test_case "schedule checks run every wave, never raise" `Quick
+        test_schedule_checks_run_every_wave;
+      Alcotest.test_case "campaign without checkpoints runs cold" `Quick
+        test_campaign_without_checkpoints;
+      Alcotest.test_case "token audit rejects max_arcs < 1" `Quick test_token_audit_bounds;
+      Alcotest.test_case "fault wave windows" `Quick test_fault_windows;
     ] )

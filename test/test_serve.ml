@@ -110,6 +110,29 @@ let test_protocol_rejects () =
       "{\"cmd\":\"perf\"}";
     ]
 
+(* [waves] must lie in 1..2400 for both requests that take it. *)
+let test_protocol_waves_bounds () =
+  List.iter
+    (fun cmd ->
+      let line w = Printf.sprintf "{\"cmd\":\"%s\",\"bench\":\"b01\",\"waves\":%d}" cmd w in
+      List.iter
+        (fun w ->
+          match Protocol.parse_line (line w) with
+          | Ok _ -> Alcotest.failf "%s accepted waves = %d" cmd w
+          | Error m ->
+              Alcotest.(check bool) (cmd ^ ": the error names the field") true
+                (Astring_contains.contains m "waves"))
+        [ 0; -3; 2401; 1_000_000_000 ];
+      List.iter
+        (fun w ->
+          match Protocol.parse_line (line w) with
+          | Ok { Protocol.req = Protocol.Perf { waves; _ } | Protocol.Faults { waves; _ }; _ } ->
+              Alcotest.(check int) (cmd ^ ": waves kept") w waves
+          | Ok _ -> Alcotest.fail "request shape changed"
+          | Error e -> Alcotest.failf "%s rejected waves = %d: %s" cmd w e)
+        [ 1; 2400 ])
+    [ "perf"; "faults" ]
+
 (* ---------------- End to end ---------------- *)
 
 let sock_counter = ref 0
@@ -296,6 +319,19 @@ let test_e2e_synth_blif_matches_import () =
         (match Option.bind (Json.member "message" gate) Json.to_string_opt with
         | Some m -> Astring_contains.contains m "line"
         | None -> false))
+
+let test_e2e_waves_bad_request () =
+  with_server (fun sock ->
+      List.iter
+        (fun line -> check_error (send sock line) "bad_request")
+        [
+          "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":0}";
+          "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":-4}";
+          "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":1000000000}";
+          "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":0}";
+          "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":1000000000}";
+        ];
+      check_status (send sock "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":1}") "ok")
 
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
@@ -946,12 +982,15 @@ let suite =
       Alcotest.test_case "json raw splice" `Quick test_json_raw_compact;
       Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
       Alcotest.test_case "protocol rejects bad requests" `Quick test_protocol_rejects;
+      Alcotest.test_case "protocol bounds waves" `Quick test_protocol_waves_bounds;
       Alcotest.test_case "e2e: synth + content-addressed cache" `Quick test_e2e_synth_and_cache;
       Alcotest.test_case "e2e: inline BLIF source" `Quick test_e2e_inline_blif;
       Alcotest.test_case "e2e: synth {blif} = import synth section" `Quick
         test_e2e_synth_blif_matches_import;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
+      Alcotest.test_case "e2e: out-of-range waves are bad_request" `Quick
+        test_e2e_waves_bad_request;
       Alcotest.test_case "e2e: overload rejects, never queues unboundedly" `Quick
         test_e2e_overload;
       Alcotest.test_case "e2e: per-request deadline" `Quick test_e2e_deadline;
