@@ -563,11 +563,11 @@ let print_engine ?domains () =
 let print_perf ?(selection_timeout = 120.) () =
   section "Perf: analytic throughput (maximum cycle ratio) vs streaming simulation";
   let waves = if !vectors < 100 then 120 else 240 in
-  (* MCR-greedy selection re-analyzes the whole event graph per candidate
-     pair, which takes several minutes on the largest circuits (b15 in
-     particular); each benchmark gets a wall-clock budget and is skipped —
-     with a note — when it exceeds it.  The analytic-vs-sim table always
-     covers all 15 benchmarks. *)
+  (* MCR-greedy selection re-analyzes the event graph for each candidate
+     pair whose master is on the critical cycle; b15, the largest, plans
+     in a few seconds.  Each benchmark still gets a wall-clock budget and
+     is skipped — with a note — when it exceeds it.  The analytic-vs-sim
+     table always covers all 15 benchmarks. *)
   Printf.printf
     "(per-benchmark MCR-greedy selection budget: %.0f s [--selection-timeout]; \
      over-budget benchmarks are skipped)\n"

@@ -59,9 +59,9 @@ let analyze options pl =
   Throughput.analyze ~gate_delay:options.gate_delay
     ~ee_overhead:options.ee_overhead pl
 
-let lambda ?warm options pl =
+let lambda ?warm ?cutoff options pl =
   Throughput.lambda ~gate_delay:options.gate_delay
-    ~ee_overhead:options.ee_overhead ?warm pl
+    ~ee_overhead:options.ee_overhead ?warm ?cutoff pl
 
 let plan ?(options = default_options) ?memo pl =
   let gates = Pl.gates pl in
@@ -91,22 +91,34 @@ let plan ?(options = default_options) ?memo pl =
             | _ -> ())
           gates;
         let target = period *. (1. -. (options.min_gain_percent /. 100.)) in
+        (* Certificate: attaching a trigger to a master off the critical
+           cycle leaves that cycle, weights and tokens, in the trial graph,
+           so the trial's period is at least [period]; it cannot win unless
+           the threshold reaches [period], less a margin for rounding. *)
+        let on_cycle = Array.make (Array.length (Pl.gates pl_cur)) false in
+        List.iter (fun g -> on_cycle.(g) <- true) a.Throughput.critical_gates;
         let best = ref None in
         List.iter
           (fun (master, func, fanin) ->
             List.iter
               (fun choice ->
-                let trial =
-                  Pl.with_ee pl_cur
-                    [ (master, request_of choice.Synth.chosen choice.Synth.cost) ]
+                (* A trial wins with a period at most [threshold] (below it,
+                   once there is an incumbent); the solve of one that
+                   cannot win stops early. *)
+                let threshold =
+                  match !best with Some (_, l) -> l -. 1e-12 | None -> target
                 in
-                let lambda' = lambda ~warm:a options trial in
-                let beats =
-                  match !best with
-                  | Some (_, l) -> lambda' < l -. 1e-12
-                  | None -> lambda' <= target
-                in
-                if beats then best := Some (choice, lambda'))
+                if on_cycle.(master) || period *. (1. -. 1e-9) <= threshold then begin
+                  let trial =
+                    Pl.with_ee pl_cur
+                      [ (master, request_of choice.Synth.chosen choice.Synth.cost) ]
+                  in
+                  let lambda' = lambda ~warm:a ~cutoff:threshold options trial in
+                  let beats =
+                    if Option.is_none !best then lambda' <= threshold else lambda' < threshold
+                  in
+                  if beats then best := Some (choice, lambda')
+                end)
               (viable_choices options ?memo pl_cur master func fanin))
           (List.rev !eligible)
         (* eligible was built backwards; restore ascending master order so

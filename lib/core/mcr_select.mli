@@ -36,11 +36,18 @@ val analyze : options -> Ee_phased.Pl.t -> Ee_perf.Throughput.analysis
 (** {!Ee_perf.Throughput.analyze} under the options' timing model. *)
 
 val lambda :
-  ?warm:Ee_perf.Throughput.analysis -> options -> Ee_phased.Pl.t -> float
+  ?warm:Ee_perf.Throughput.analysis ->
+  ?cutoff:float ->
+  options ->
+  Ee_phased.Pl.t ->
+  float
 (** The period alone under the options' timing model
     ({!Ee_perf.Throughput.lambda}): the trial oracle of {!plan} and of
     [Ee_search.Search_select].  [warm] is the analysis of the netlist the
-    trial extends; it only speeds the solve up. *)
+    trial extends; it only speeds the solve up.  [cutoff] is the value a
+    trial must reach to win: the result is exact when it is at most
+    [cutoff], and otherwise some value in [(cutoff, lambda]], so the
+    solve of a losing trial stops early without changing the verdict. *)
 
 val plan :
   ?options:options -> ?memo:Trigger.Memo.t -> Ee_phased.Pl.t -> Synth.gate_choice list
@@ -48,7 +55,23 @@ val plan :
     field records the Equation-1 (arrival-weighted) cost of the chosen
     candidate for comparability, but plays no part in the selection.
     [memo] is the trigger-candidate cache to consult and fill (default:
-    the calling domain's {!Trigger.Memo.domain_default}). *)
+    the calling domain's {!Trigger.Memo.domain_default}).
+
+    {b Trials ruled out by certificate.}  A trial wins only with a period
+    at most its [threshold]: the round's target
+    [lambda * (1 - min_gain_percent / 100)] while no trial has won, then
+    the best period so far less 1e-12.  [Pl.with_ee] appends the trigger
+    after every existing gate, and {!Ee_perf.Timed_graph.of_pl} then
+    changes only arcs that touch the master's or the trigger's events.  So
+    when the master is not among the round analysis's [critical_gates],
+    the critical cycle survives in the trial graph with the same weights
+    and tokens, and the trial's period is at least [lambda].  [plan] skips
+    such a trial, without building it, whenever
+    [lambda * (1 - 1e-9) > threshold] (the margin absorbs rounding).  With
+    [min_gain_percent <= 0] the threshold is at least [lambda] and nothing
+    is skipped.  The trials that remain pass [threshold] as the cutoff of
+    {!lambda}, so a losing one stops early.  Neither step changes the plan:
+    every skipped or stopped trial would have lost. *)
 
 val run :
   ?options:options ->

@@ -94,9 +94,13 @@ let check_token_free_cycles n c =
 (* ------------------------------------------------------------------ *)
 
 (* Converged policy iteration: the CSR, the live nodes, each live node's
-   cycle ratio and its policy arc (a CSR position).  [None] when no node
-   lies on or leads to a cycle. *)
-let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
+   policy arc (a CSR position), a node of maximal cycle ratio and that
+   ratio.  [None] when no node lies on or leads to a cycle.  With
+   [cutoff], the iteration stops at the first policy cycle whose ratio
+   exceeds [cutoff] by more than twice the tolerance; the node returned is
+   that cycle's root and the ratio returned is the cycle's less the
+   tolerance. *)
+let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
   let n = g.nodes in
   let c = csr_of g in
   check_token_free_cycles n c;
@@ -138,6 +142,14 @@ let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
   else begin
     let scale = weight_scale g in
     let eps = eps *. scale in
+    (* Every policy cycle is a cycle of the graph, so its ratio is a lower
+       bound on the maximum.  The same cycle summed from another root may
+       differ in the last bits, so the bound reported is the ratio less
+       [eps], and a solve stops only [2 eps] above the cutoff: one whose
+       maximum is at most the cutoff runs to convergence, and the bound
+       returned by one that stops still exceeds the cutoff. *)
+    let stop_above = cutoff +. (2. *. eps) in
+    let stopped = ref (-1) in
     (* Initial policy: the hinted successor when a live arc reaches it,
        otherwise the node's first live arc. *)
     let policy = Array.make n (-1) in
@@ -164,7 +176,10 @@ let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
     let sigma v = dst.(policy.(v)) in
     let evaluate () =
       Array.fill state 0 n 0;
-      for start = 0 to n - 1 do
+      let next = ref 0 in
+      while !next < n && !stopped < 0 do
+        let start = !next in
+        incr next;
         if alive.(start) && state.(start) = 0 then begin
           let len = ref 0 in
           let cur = ref start in
@@ -195,6 +210,7 @@ let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
             if !tsum = 0 then
               raise (Not_live "policy cycle without tokens");
             lam.(root) <- !wsum /. float_of_int !tsum;
+            if lam.(root) > stop_above then stopped := root;
             state.(root) <- 2
           end;
           (* Deepest first, so each node's successor is already evaluated
@@ -256,27 +272,30 @@ let howard ?(eps = 1e-12) ?hint (g : Timed_graph.t) =
     in
     let rounds = ref 0 in
     evaluate ();
-    while improve () do
+    while !stopped < 0 && improve () do
       incr rounds;
       if !rounds > 4 * (n + 8) then
         failwith "Mcr.solve: policy iteration failed to converge";
       evaluate ()
     done;
-    (* The first node of maximal ratio. *)
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if alive.(v) && (!best < 0 || lam.(v) > lam.(!best)) then best := v
-    done;
-    Some (c, alive, lam, policy, !best)
+    if !stopped >= 0 then Some (c, alive, policy, !stopped, lam.(!stopped) -. eps)
+    else begin
+      (* The first node of maximal ratio. *)
+      let best = ref (-1) in
+      for v = 0 to n - 1 do
+        if alive.(v) && (!best < 0 || lam.(v) > lam.(!best)) then best := v
+      done;
+      Some (c, alive, policy, !best, lam.(!best))
+    end
   end
 
-let lambda ?eps ?hint g =
-  Option.map (fun (_, _, lam, _, best) -> lam.(best)) (howard ?eps ?hint g)
+let lambda ?eps ?hint ?cutoff g =
+  Option.map (fun (_, _, _, _, lambda) -> lambda) (howard ?eps ?hint ?cutoff g)
 
 let solve ?eps ?hint g =
   match howard ?eps ?hint g with
   | None -> None
-  | Some (c, alive, lam, policy, best) ->
+  | Some (c, alive, policy, best, lambda) ->
       (* Extract a critical cycle: walk sigma from the ratio-maximizing
          node until it closes. *)
       let n = g.Timed_graph.nodes in
@@ -299,7 +318,7 @@ let solve ?eps ?hint g =
       done;
       Some
         {
-          lambda = lam.(best);
+          lambda;
           cycle = List.rev !cycle;
           cycle_arcs = List.rev !cycle_arcs;
           policy = Array.init n (fun v -> if alive.(v) then sigma v else -1);

@@ -56,9 +56,23 @@ val solve : ?eps:float -> ?hint:int array -> Timed_graph.t -> result option
     the largest weight) separates ratio and potential improvements from
     float noise. *)
 
-val lambda : ?eps:float -> ?hint:int array -> Timed_graph.t -> float option
+val lambda :
+  ?eps:float -> ?hint:int array -> ?cutoff:float -> Timed_graph.t -> float option
 (** [solve]'s [lambda] alone, without extracting a cycle or building the
-    policy array: the cheap oracle for trial re-analysis. *)
+    policy array: the cheap oracle for trial re-analysis.
+
+    {b Cutoff.}  After each policy evaluation every policy cycle is a cycle
+    of the graph, so its ratio is a lower bound on [lambda*].  With
+    [cutoff], the iteration stops as soon as such a ratio exceeds [cutoff]
+    by more than twice the scaled [eps], and returns the ratio less [eps]
+    (the same cycle summed from another root can differ in its last bits,
+    so the bare ratio could lie an ulp above the converged [lambda*]).  The
+    contract: when [lambda* <= cutoff] the result is [lambda*] bit for bit,
+    exactly as without [cutoff]; otherwise it is some value in
+    [(cutoff, lambda*]].  So a caller that only asks "is [lambda*] at most
+    [cutoff]?" gets the same answer, and the same value whenever the answer
+    is yes, while a trial that is sure to lose stops early.  The default,
+    [infinity], never stops. *)
 
 val karp : Timed_graph.t -> float option
 (** Independent cross-check: per strongly-connected component, unfold the

@@ -111,10 +111,10 @@ let hint a (m : Timed_graph.mapping) =
     p.succ;
   hint
 
-let lambda ?gate_delay ?ee_overhead ?warm pl =
+let lambda ?gate_delay ?ee_overhead ?warm ?cutoff pl =
   let m = Timed_graph.of_pl ?gate_delay ?ee_overhead pl in
   let hint = Option.map (fun a -> hint a m) warm in
-  Option.value ~default:0. (Mcr.lambda ?hint m.Timed_graph.graph)
+  Option.value ~default:0. (Mcr.lambda ?hint ?cutoff m.Timed_graph.graph)
 
 let bottlenecks a k =
   let critical i = List.mem i a.critical_gates in

@@ -40,12 +40,19 @@ val analyze :
     [Pl.of_netlist] outputs). *)
 
 val lambda :
-  ?gate_delay:float -> ?ee_overhead:float -> ?warm:analysis -> Ee_phased.Pl.t -> float
+  ?gate_delay:float ->
+  ?ee_overhead:float ->
+  ?warm:analysis ->
+  ?cutoff:float ->
+  Ee_phased.Pl.t ->
+  float
 (** [(analyze pl).lambda] alone, without the critical cycle, the slack
     pass or the per-gate arrays: the cheap oracle for trial re-analysis.
     [warm] starts Howard's iteration from that analysis's policy, carried
     over by {!hint}; it changes only the iteration count, never the result
-    (see {!Mcr.solve}). *)
+    (see {!Mcr.solve}).  [cutoff] is {!Mcr.lambda}'s: the result is exact
+    when it is at most [cutoff], and otherwise only guaranteed to lie in
+    [(cutoff, lambda]] — enough to reject a trial that cannot win. *)
 
 val hint : analysis -> Timed_graph.mapping -> int array
 (** The analysis's policy re-keyed onto the events of [m], a netlist that

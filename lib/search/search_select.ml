@@ -215,8 +215,9 @@ let run ?(options = default_options) ?memo pl =
               |> List.sort (fun (a, _) (b, _) -> compare a b)
             in
             let pl' = Pl.with_ee_shared pl requests' in
-            let lambda' = Mcr_select.lambda ~warm:a_mcr base pl' in
-            if lambda' <= !current_lambda *. (1. +. 1e-12) then begin
+            let accept_at = !current_lambda *. (1. +. 1e-12) in
+            let lambda' = Mcr_select.lambda ~warm:a_mcr ~cutoff:accept_at base pl' in
+            if lambda' <= accept_at then begin
               current_requests := requests';
               current_pl := pl';
               current_lambda := min lambda' !current_lambda;

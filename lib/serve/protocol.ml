@@ -76,6 +76,16 @@ let field_string j name =
       | Some s -> Ok (Some s)
       | None -> Error (Printf.sprintf "field %S must be a string" name))
 
+(* The most input vectors a request may ask for, ten times Table 3's 400:
+   the bound keeps one request from tying up a worker and allocating
+   vectors without limit. *)
+let max_vectors = 4000
+
+(* An error naming the field when its given value fails [ok]. *)
+let check_float name ok what = function
+  | Some f when not (ok f) -> Error (Printf.sprintf "%S must be %s" name what)
+  | _ -> Ok ()
+
 let spec_of_json j =
   let set f = function Some v -> f v | None -> Fun.id in
   let* threshold = field_float j "threshold" in
@@ -100,8 +110,24 @@ let spec_of_json j =
   in
   let* () =
     match vectors with
-    | Some v when v <= 0 -> Error "\"vectors\" must be positive"
+    | Some v when v <= 0 || v > max_vectors ->
+        Error (Printf.sprintf "\"vectors\" must be in 1..%d" max_vectors)
     | _ -> Ok ()
+  in
+  (* A wire value such as 1e999 decodes to infinity.  Non-finite timing
+     makes every delay NaN or infinite, and a negative EE overhead reports
+     a speedup no circuit delivers. *)
+  let* () =
+    check_float "gate_delay" (fun f -> Float.is_finite f && f > 0.) "finite and positive"
+      gate_delay
+  in
+  let* () =
+    check_float "ee_overhead" (fun f -> Float.is_finite f && f >= 0.) "finite and >= 0"
+      ee_overhead
+  in
+  let* () = check_float "threshold" (fun f -> not (Float.is_nan f)) "a number" threshold in
+  let* () =
+    check_float "min_coverage" (fun f -> not (Float.is_nan f)) "a number" min_coverage
   in
   let* lut_k = field_int j "lut_k" in
   let* () =

@@ -25,9 +25,11 @@
     {!Ee_engine.Engine.spec} as flat optional fields ([threshold],
     [coverage_only], [min_coverage], [share_triggers], [vectors], [seed],
     [gate_delay], [ee_overhead], [selection] = ["eq1"]|["mcr"]); omitted
-    knobs default to {!Ee_engine.Engine.default_spec}.  [perf] and
-    [faults] also take ["waves"] (defaults 240 and 16), which must lie in
-    1..2400; any other value is a [bad_request].  [synth] takes its
+    knobs default to {!Ee_engine.Engine.default_spec}.  [vectors] must lie
+    in 1..4000, [gate_delay] must be finite and positive, [ee_overhead]
+    finite and non-negative, and [threshold] and [min_coverage] must not be
+    NaN.  [perf] and [faults] also take ["waves"] (defaults 240 and 16),
+    which must lie in 1..2400.  Any other value is a [bad_request].  [synth] takes its
     netlist either from ["bench"] (an ITC99 id) or from ["blif"] (inline
     BLIF text, parsed by {!Ee_frontend.Frontend.parse} with the format
     fixed to BLIF — the reader [import] uses — and measured without a

@@ -352,6 +352,44 @@ let test_warm_start_random () =
       [ Mcr.lambda g; Mcr.lambda ~hint:mapped g ]
   done
 
+(* [Mcr.lambda ~cutoff] against the uncut λ, at cutoffs below, at and
+   above it: bit for bit λ when λ <= cutoff, otherwise a value in
+   (cutoff, λ].  Returns how many of the solves stopped early. *)
+let check_cutoffs what ?hint g =
+  match Mcr.lambda ?hint g with
+  | None -> 0
+  | Some l ->
+      List.fold_left
+        (fun stopped cutoff ->
+          match Mcr.lambda ?hint ~cutoff g with
+          | Some r when l <= cutoff ->
+              if not (bits_equal r l) then
+                Alcotest.failf "%s: lambda %h <= cutoff %h, but the cut solve gave %h" what l
+                  cutoff r;
+              stopped
+          | Some r ->
+              if not (cutoff < r && r <= l) then
+                Alcotest.failf "%s: cutoff %h below lambda %h, but the cut solve gave %h" what
+                  cutoff l r;
+              if bits_equal r l then stopped else stopped + 1
+          | None -> Alcotest.failf "%s: no cycle under cutoff %h" what cutoff)
+        0
+        [
+          neg_infinity; 0.; l /. 2.; l *. (1. -. 1e-6); Float.pred l; l; Float.succ l;
+          l *. 2.; infinity;
+        ]
+
+let test_cutoff_random () =
+  let rng = Ee_util.Prng.create 7701 and policies = Ee_util.Prng.create 4242 in
+  let stopped = ref 0 in
+  for i = 1 to 200 do
+    let g = random_live_graph rng in
+    let what = Printf.sprintf "graph %d" i in
+    stopped :=
+      !stopped + check_cutoffs what g + check_cutoffs what ~hint:(random_policy policies g) g
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d solves stopped early" !stopped) true (!stopped > 0)
+
 let test_hint_ignores_bad_nodes () =
   (* Node 3 has no out-arc, so it is dead; node 2 leads only to it. *)
   let g =
@@ -411,14 +449,18 @@ module Reference_plan = struct
              else None)
 
   (* Masters ascending, and each round's chosen pair with the λ it was
-     trialled at, in insertion order. *)
-  let plan ?(on_trial = fun _ _ -> ()) (o : Ms.options) pl =
+     trialled at, in insertion order.  [on_trial] sees the round's base
+     analysis, the trial's master and the trial netlist. *)
+  let plan ?(on_trial = fun _ _ _ -> ()) (o : Ms.options) pl =
     let gates = Pl.gates pl in
     let rounds = ref [] in
+    let budget_left inserted =
+      match o.Ms.max_pairs with Some k -> List.length inserted < k | None -> true
+    in
     let rec round pl_cur inserted =
       let a = analyze o pl_cur in
       let lambda = a.Throughput.lambda in
-      if lambda <= 0. then inserted
+      if lambda <= 0. || not (budget_left inserted) then inserted
       else begin
         let eligible = ref [] in
         Array.iteri
@@ -439,7 +481,7 @@ module Reference_plan = struct
                   Pl.with_ee pl_cur
                     [ (master, Ms.request_of choice.Synth.chosen choice.Synth.cost) ]
                 in
-                on_trial a trial;
+                on_trial a master trial;
                 let lambda' = (analyze o trial).Throughput.lambda in
                 let beats =
                   match !best with
@@ -487,68 +529,120 @@ let family_netlists () =
 
 let plan_netlists () = itc99_netlists () @ family_netlists ()
 
+type reference_pass = {
+  plans :
+    (string * Pl.t * (Ee_core.Synth.gate_choice list * (Ee_core.Synth.gate_choice * float) list))
+    list;
+  trials : int;
+  off_cycle : int;  (** Trials whose master is off the base critical cycle. *)
+  stopped : int;  (** Cut solves that stopped before converging. *)
+}
+
 (* The reference plans of b01-b13, checking every trial graph on the way:
    the warm λ-only oracle, and Howard from the mapped base policy or from
    a random policy, all give the cold λ bit for bit; Karp agrees on every
-   16th trial.  Shared by the next two tests. *)
+   16th trial; the cut solve keeps its contract; and a trial whose master
+   is off the base analysis's critical cycle never lowers λ, the
+   certificate by which [Mcr_select.plan] skips such trials.  Shared by
+   the next four tests. *)
 let itc99_reference_plans =
   lazy
     (let module Ms = Ee_core.Mcr_select in
      let o = Ms.default_options in
      let policies = Ee_util.Prng.create 99 in
-     let trials = ref 0 in
-     let on_trial name a trial =
+     let trials = ref 0 and off_cycle = ref 0 and stopped = ref 0 in
+     let on_trial name a master trial =
        incr trials;
        let what = Printf.sprintf "%s trial %d" name !trials in
        let m = Tg.of_pl ~gate_delay:o.Ms.gate_delay ~ee_overhead:o.Ms.ee_overhead trial in
        let g = m.Tg.graph in
+       let hint = Throughput.hint a m in
        check_hints ~karp:(!trials mod 16 = 0) what g
-         [ ("mapped base", Throughput.hint a m); ("random", random_policy policies g) ];
+         [ ("mapped base", hint); ("random", random_policy policies g) ];
+       stopped := !stopped + check_cutoffs what ~hint g;
        let cold = (Reference_plan.analyze o trial).Throughput.lambda in
        if not (bits_equal cold (Ms.lambda ~warm:a o trial)) then
-         Alcotest.failf "%s: Mcr_select.lambda differs from the full analysis" what
+         Alcotest.failf "%s: Mcr_select.lambda differs from the full analysis" what;
+       if not (List.mem master a.Throughput.critical_gates) then begin
+         incr off_cycle;
+         if cold < a.Throughput.lambda then
+           Alcotest.failf "%s: master g%d is off the critical cycle, yet lambda %h < %h" what
+             master cold a.Throughput.lambda
+       end
      in
      let plans =
        List.map
          (fun (name, pl) -> (name, pl, Reference_plan.plan ~on_trial:(on_trial name) o pl))
          (itc99_netlists ())
      in
-     (plans, !trials))
+     { plans; trials = !trials; off_cycle = !off_cycle; stopped = !stopped })
 
 let test_warm_start_trials () =
-  let _, trials = Lazy.force itc99_reference_plans in
+  let { trials; _ } = Lazy.force itc99_reference_plans in
   Alcotest.(check bool) (Printf.sprintf "%d trials checked" trials) true (trials > 5000)
 
-let test_plan_matches_reference () =
+let test_certificate_sound () =
+  let { trials; off_cycle; _ } = Lazy.force itc99_reference_plans in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d trials off the critical cycle" off_cycle trials)
+    true
+    (off_cycle > trials / 2)
+
+let test_cutoff_trials () =
+  let { stopped; _ } = Lazy.force itc99_reference_plans in
+  Alcotest.(check bool) (Printf.sprintf "%d cut solves stopped early" stopped) true (stopped > 0)
+
+(* [Mcr_select.plan] under [o] chooses the reference's pairs, and the warm
+   λ-only oracle reproduces each of the reference's per-round λ. *)
+let check_matches_reference o (name, pl, (reference, rounds)) =
   let module Ms = Ee_core.Mcr_select in
   let module Synth = Ee_core.Synth in
   let key (c : Synth.gate_choice) =
     (c.Synth.master, c.Synth.chosen.Ee_core.Trigger.subset, Int64.bits_of_float c.Synth.cost)
   in
-  let o = Ms.default_options in
-  let itc99, _ = Lazy.force itc99_reference_plans in
+  let plan = Ms.plan ~options:o ~memo:(Ee_core.Trigger.Memo.create ()) pl in
+  if List.map key plan <> List.map key reference then
+    Alcotest.failf "%s: plan differs from the reference planner" name;
+  ignore
+    (List.fold_left
+       (fun (k, pl_cur) ((c : Synth.gate_choice), lambda_ref) ->
+         let trial =
+           Pl.with_ee pl_cur [ (c.Synth.master, Ms.request_of c.Synth.chosen c.Synth.cost) ]
+         in
+         let lambda = Ms.lambda ~warm:(Ms.analyze o pl_cur) o trial in
+         if not (bits_equal lambda lambda_ref) then
+           Alcotest.failf "%s round %d: lambda %h, reference %h" name k lambda lambda_ref;
+         (k + 1, trial))
+       (1, pl) rounds)
+
+let test_plan_matches_reference () =
+  let o = Ee_core.Mcr_select.default_options in
+  let { plans = itc99; _ } = Lazy.force itc99_reference_plans in
   let families =
     List.map (fun (name, pl) -> (name, pl, Reference_plan.plan o pl)) (family_netlists ())
   in
+  List.iter (check_matches_reference o) (itc99 @ families)
+
+(* The certificate and the cutoff depend on the gain threshold.  At 0 a
+   trial that only ties λ can win, so the certificate must never fire
+   (capped at three pairs: with ties accepted the cold reference runs for
+   a minute); at 5 % it fires on more trials; a one-pair budget ends the
+   plan after its first round. *)
+let test_plan_threshold_edges () =
+  let module Ms = Ee_core.Mcr_select in
+  let o = Ms.default_options in
   List.iter
-    (fun (name, pl, (reference, rounds)) ->
-      let plan = Ms.plan ~memo:(Ee_core.Trigger.Memo.create ()) pl in
-      if List.map key plan <> List.map key reference then
-        Alcotest.failf "%s: plan differs from the reference planner" name;
-      (* Replaying the reference's insertions, the warm λ-only oracle
-         reproduces each round's λ. *)
-      ignore
-        (List.fold_left
-           (fun (k, pl_cur) ((c : Synth.gate_choice), lambda_ref) ->
-             let trial =
-               Pl.with_ee pl_cur [ (c.Synth.master, Ms.request_of c.Synth.chosen c.Synth.cost) ]
-             in
-             let lambda = Ms.lambda ~warm:(Ms.analyze o pl_cur) o trial in
-             if not (bits_equal lambda lambda_ref) then
-               Alcotest.failf "%s round %d: lambda %h, reference %h" name k lambda lambda_ref;
-             (k + 1, trial))
-           (1, pl) rounds))
-    (itc99 @ families)
+    (fun (tag, o) ->
+      List.iter
+        (fun (name, pl) ->
+          check_matches_reference o (name ^ " " ^ tag, pl, Reference_plan.plan o pl))
+        (itc99_netlists ()))
+    [
+      ("min gain 0, 3 pairs", { o with Ms.min_gain_percent = 0.; max_pairs = Some 3 });
+      ("min gain 0.1", { o with Ms.min_gain_percent = 0.1 });
+      ("min gain 5", { o with Ms.min_gain_percent = 5. });
+      ("max pairs 1", { o with Ms.max_pairs = Some 1 });
+    ]
 
 let search_reference =
   (* Search_select.run with default options, as it reported before trials
@@ -658,11 +752,16 @@ let suite =
         test_critical_cycle_names_gates;
       Alcotest.test_case "MCR-driven selection works" `Slow test_mcr_selection;
       Alcotest.test_case "warm start exact on 200 random graphs" `Quick test_warm_start_random;
+      Alcotest.test_case "cutoff contract on 200 random graphs" `Quick test_cutoff_random;
       Alcotest.test_case "hint ignores dead and out-of-range nodes" `Quick
         test_hint_ignores_bad_nodes;
       Alcotest.test_case "warm start exact on every b01-b13 trial" `Slow test_warm_start_trials;
+      Alcotest.test_case "cutoff contract on every b01-b13 trial" `Slow test_cutoff_trials;
+      Alcotest.test_case "off-cycle trials never lower lambda" `Slow test_certificate_sound;
       Alcotest.test_case "MCR plan matches the reference planner" `Slow
         test_plan_matches_reference;
+      Alcotest.test_case "MCR plan matches the reference at threshold edges" `Slow
+        test_plan_threshold_edges;
       Alcotest.test_case "search reports unchanged" `Slow test_search_matches_reference;
       Alcotest.test_case "one trial's allocation bounded" `Quick test_trial_allocation;
     ] )

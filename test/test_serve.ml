@@ -110,6 +110,39 @@ let test_protocol_rejects () =
       "{\"cmd\":\"perf\"}";
     ]
 
+(* The spec knobs that could make one request unbounded or its report
+   meaningless: [vectors] beyond 4000, non-finite or non-positive
+   [gate_delay], non-finite or negative [ee_overhead].  JSON numbers
+   cannot spell NaN, so the NaN checks on [threshold] and [min_coverage]
+   only show here as infinities still being accepted. *)
+let test_protocol_spec_bounds () =
+  let line field v =
+    Printf.sprintf "{\"cmd\":\"synth\",\"bench\":\"b01\",\"%s\":%s}" field v
+  in
+  List.iter
+    (fun (field, bad, good) ->
+      List.iter
+        (fun v ->
+          match Protocol.parse_line (line field v) with
+          | Ok _ -> Alcotest.failf "accepted %s = %s" field v
+          | Error m ->
+              Alcotest.(check bool) (field ^ ": the error names the field") true
+                (Astring_contains.contains m field))
+        bad;
+      List.iter
+        (fun v ->
+          match Protocol.parse_line (line field v) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "rejected %s = %s: %s" field v e)
+        good)
+    [
+      ("vectors", [ "0"; "4001"; "1000000000" ], [ "1"; "4000" ]);
+      ("gate_delay", [ "0"; "-1"; "1e999"; "-1e999" ], [ "0.5"; "2" ]);
+      ("ee_overhead", [ "-5"; "-0.25"; "1e999"; "-1e999" ], [ "0"; "0.25" ]);
+      ("threshold", [], [ "1e999"; "-1e999"; "50" ]);
+      ("min_coverage", [], [ "1e999"; "0" ]);
+    ]
+
 (* [waves] must lie in 1..2400 for both requests that take it. *)
 let test_protocol_waves_bounds () =
   List.iter
@@ -332,6 +365,18 @@ let test_e2e_waves_bad_request () =
           "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":1000000000}";
         ];
       check_status (send sock "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":1}") "ok")
+
+let test_e2e_spec_bad_request () =
+  with_server (fun sock ->
+      List.iter
+        (fun line -> check_error (send sock line) "bad_request")
+        [
+          "{\"cmd\":\"synth\",\"bench\":\"b01\",\"gate_delay\":1e999}";
+          "{\"cmd\":\"synth\",\"bench\":\"b01\",\"ee_overhead\":-5}";
+          "{\"cmd\":\"synth\",\"bench\":\"b01\",\"vectors\":100000000}";
+          "{\"cmd\":\"perf\",\"bench\":\"b01\",\"gate_delay\":0}";
+        ];
+      check_status (send sock "{\"cmd\":\"synth\",\"bench\":\"b01\",\"vectors\":5}") "ok")
 
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
@@ -983,6 +1028,7 @@ let suite =
       Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
       Alcotest.test_case "protocol rejects bad requests" `Quick test_protocol_rejects;
       Alcotest.test_case "protocol bounds waves" `Quick test_protocol_waves_bounds;
+      Alcotest.test_case "protocol bounds vectors and timing" `Quick test_protocol_spec_bounds;
       Alcotest.test_case "e2e: synth + content-addressed cache" `Quick test_e2e_synth_and_cache;
       Alcotest.test_case "e2e: inline BLIF source" `Quick test_e2e_inline_blif;
       Alcotest.test_case "e2e: synth {blif} = import synth section" `Quick
@@ -991,6 +1037,8 @@ let suite =
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
       Alcotest.test_case "e2e: out-of-range waves are bad_request" `Quick
         test_e2e_waves_bad_request;
+      Alcotest.test_case "e2e: hostile spec fields are bad_request" `Quick
+        test_e2e_spec_bad_request;
       Alcotest.test_case "e2e: overload rejects, never queues unboundedly" `Quick
         test_e2e_overload;
       Alcotest.test_case "e2e: per-request deadline" `Quick test_e2e_deadline;
