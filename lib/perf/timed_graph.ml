@@ -54,7 +54,8 @@ let coverage_probability pl i =
   | None -> 0.
   | Some e -> Float.min 1. (Float.max 0. (e.Pl.coverage /. 100.))
 
-let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
+let of_pl ?(gate_delay = Ee_phased.Timing.gate_delay)
+    ?(ee_overhead = Ee_phased.Timing.ee_overhead) ?delays ?mode pl =
   let gates = Pl.gates pl in
   let n = Array.length gates in
   (match delays with

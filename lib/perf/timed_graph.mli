@@ -78,10 +78,11 @@ val of_pl :
   Ee_phased.Pl.t ->
   mapping
 (** Event graph of a PL netlist under [Stream_sim]'s timing semantics.
-    [gate_delay] (default 1.0) and [ee_overhead] (default 0.25) match
-    [Stream_sim.default_config]; [delays] optionally gives a per-gate base
-    delay indexed like [Pl.gates] (a [Delay_model] schedule — sources,
-    constant generators and sinks are forced to 0, as in the simulator).
+    [gate_delay] and [ee_overhead] default to {!Ee_phased.Timing} (1.0 and
+    0.25), as [Stream_sim.default_config] does; [delays] optionally gives
+    a per-gate base delay indexed like [Pl.gates] (a [Delay_model]
+    schedule — sources, constant generators and sinks are forced to 0, as
+    in the simulator).
     [mode] (default [Expected] with [p = coverage/100], the trigger's firing
     probability under uniform inputs) selects the EE model above; on a
     netlist without EE annotations all modes coincide.  Raises

@@ -3,7 +3,8 @@ module Lut4 = Ee_logic.Lut4
 
 type config = { gate_delay : float; ee_overhead : float }
 
-let default_config = { gate_delay = 1.0; ee_overhead = 0.25 }
+let default_config =
+  { gate_delay = Ee_phased.Timing.gate_delay; ee_overhead = Ee_phased.Timing.ee_overhead }
 
 type wave = {
   outputs : bool array;
@@ -16,6 +17,10 @@ type wave = {
    registers, whose wave-start token values live in [state]. *)
 type code = Source | Hold | Lut | Master | Sink
 
+(* Gate lists are in [Pl.topo] order.  A gate is time-dynamic when it is
+   an EE master or reads a time-dynamic gate; every other gate fires at the
+   same time on every wave, so [create] leaves its time in [times] and
+   folds its settle and output contributions into [base]. *)
 type t = {
   pl : Pl.t;
   config : config;
@@ -24,13 +29,109 @@ type t = {
   arg : int array; (* source position, register reset value, master's trigger or sink fanin *)
   func : Lut4.t array; (* LUT of gates and triggers *)
   fstart : int array; (* fanins of gate i are fanin.(fstart.(i) .. fstart.(i+1)-1) *)
-  fanin : int array;
+  fanin : int array; (* a register's only fanin is its D input *)
+  masters : int; (* EE master count *)
+  topo : int array; (* every gate: the value pass of [apply] *)
   regs : int array; (* register ids, ascending *)
-  reg_d : int array; (* D fanin of each register *)
+  cone : int array; (* backward closure of the triggers: the value pass of a run *)
+  cone_regs : int array; (* registers in the cone *)
+  cone_reads_sources : bool;
+  dyn : int array; (* time-dynamic gates other than sinks *)
+  dyn_regs : int array; (* registers with a time-dynamic D input *)
+  dyn_sinks : int array; (* sinks of time-dynamic gates *)
+  base : float array; (* output and settle time of the static gates *)
+  clock : float array; (* output and settle time of the last wave *)
   state : bool array; (* held token values, indexed by gate id *)
   values : bool array; (* scratch, per wave *)
-  times : float array; (* scratch, per wave *)
+  times : float array; (* static times; the dynamic ones are rewritten every wave *)
 }
+
+(* [Stdlib.max] on floats, inlined so that no time is boxed; the same
+   comparison keeps every time bit-identical to the max-plus rule, and the
+   max of a set of non-negative times does not depend on the fold order. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* The time pass: [gates], then the registers [regs] firing on their D
+   arrival, then the [sinks].  Starting from [t.base], it folds the output
+   and settle times into [t.clock] and returns the masters that fired
+   early.  The float accumulators are local refs that never escape, so
+   they stay unboxed. *)
+let time_pass t ~gates ~regs ~sinks =
+  let code = t.code and arg = t.arg and fstart = t.fstart and fanin = t.fanin in
+  let values = t.values and times = t.times and delays = t.delays in
+  let overhead = t.config.ee_overhead in
+  let settle = ref t.base.(1) and early = ref 0 in
+  for k = 0 to Array.length gates - 1 do
+    let i = gates.(k) in
+    let arrival = ref 0. in
+    for j = fstart.(i) to fstart.(i + 1) - 1 do
+      arrival := fmax !arrival times.(fanin.(j))
+    done;
+    let normal = !arrival +. delays.(i) in
+    if code.(i) <> Master then begin
+      times.(i) <- normal;
+      settle := fmax !settle normal
+    end
+    else begin
+      let tr = arg.(i) in
+      let trig_time = times.(tr) in
+      let guarded = fmax normal (trig_time +. delays.(i)) +. overhead in
+      let fire_time =
+        if values.(tr) then begin
+          let early_time = trig_time +. overhead in
+          if early_time < guarded then incr early;
+          if guarded <= early_time then guarded else early_time
+        end
+        else guarded
+      in
+      times.(i) <- fire_time;
+      (* The master's late input tokens must still be absorbed before
+         the wave is over, even when the output fired early. *)
+      settle := fmax !settle (fmax fire_time !arrival)
+    end
+  done;
+  for k = 0 to Array.length regs - 1 do
+    let r = regs.(k) in
+    settle := fmax !settle (times.(fanin.(fstart.(r))) +. delays.(r))
+  done;
+  let output = ref t.base.(0) in
+  for k = 0 to Array.length sinks - 1 do
+    let s = sinks.(k) in
+    let time = times.(arg.(s)) in
+    times.(s) <- time;
+    settle := fmax !settle time;
+    output := fmax !output time
+  done;
+  t.clock.(0) <- !output;
+  t.clock.(1) <- !settle;
+  !early
+
+(* One wave: the value pass over [order] latching the registers [latch],
+   then the time pass over the dynamic gates.  Returns the early firings;
+   the wave's output and settle times are left in [t.clock]. *)
+let step t ~order ~latch vector =
+  let values = t.values and state = t.state and code = t.code and arg = t.arg in
+  let func = t.func and fstart = t.fstart and fanin = t.fanin in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    match code.(i) with
+    | Source -> values.(i) <- vector.(arg.(i))
+    | Hold -> values.(i) <- state.(i)
+    | Sink -> values.(i) <- values.(arg.(i))
+    | Lut | Master ->
+        let first = fstart.(i) in
+        let m = ref 0 in
+        for j = first to fstart.(i + 1) - 1 do
+          m := !m lor (Bool.to_int values.(fanin.(j)) lsl (j - first))
+        done;
+        values.(i) <- ((func.(i) :> int) lsr !m) land 1 = 1
+  done;
+  (* Registers produce the next wave's token from their D input. *)
+  for k = 0 to Array.length latch - 1 do
+    let r = latch.(k) in
+    state.(r) <- values.(fanin.(fstart.(r)))
+  done;
+  time_pass t ~gates:t.dyn ~regs:t.dyn_regs ~sinks:t.dyn_sinks
 
 let create_with_delays ?(config = default_config) ~delays pl =
   let gates = Pl.gates pl in
@@ -38,7 +139,7 @@ let create_with_delays ?(config = default_config) ~delays pl =
   if Array.length delays <> n then invalid_arg "Sim.create_with_delays: delay count";
   let malformed fmt = Printf.ksprintf (fun s -> invalid_arg ("Sim.create: " ^ s)) fmt in
   let code = Array.make n Hold and arg = Array.make n 0 and func = Array.make n Lut4.const0 in
-  let state = Array.make n false and regs = ref [] in
+  let state = Array.make n false and regs = ref [] and triggers = ref [] in
   Array.iteri (fun k id -> arg.(id) <- k) (Pl.source_ids pl);
   Array.iteri
     (fun i g ->
@@ -64,15 +165,61 @@ let create_with_delays ?(config = default_config) ~delays pl =
               if tr < 0 || tr >= n || not (is_trigger tr) then
                 malformed "EE trigger %d of gate %d is not a trigger gate" tr i;
               code.(i) <- Master;
-              arg.(i) <- tr))
+              arg.(i) <- tr;
+              triggers := tr :: !triggers))
     gates;
   let fstart = Array.make (n + 1) 0 in
   Array.iteri (fun i g -> fstart.(i + 1) <- fstart.(i) + Array.length g.Pl.fanin) gates;
   let fanin = Array.concat (List.map (fun g -> g.Pl.fanin) (Array.to_list gates)) in
-  let regs = Array.of_list (List.rev !regs) in
-  { pl; config; delays = Array.copy delays; code; arg; func; fstart; fanin; regs;
-    reg_d = Array.map (fun r -> fanin.(fstart.(r))) regs; state;
-    values = Array.make n false; times = Array.make n 0. }
+  let topo = Pl.topo pl and regs = Array.of_list (List.rev !regs) in
+  let reads mark i =
+    let r = ref false in
+    for j = fstart.(i) to fstart.(i + 1) - 1 do
+      r := !r || mark.(fanin.(j))
+    done;
+    !r
+  in
+  (* Sources, constants and registers start every wave at time 0. *)
+  let dynamic = Array.make n false in
+  Array.iter
+    (fun i ->
+      dynamic.(i) <-
+        (match code.(i) with Source | Hold -> false | Master -> true | Lut | Sink -> reads dynamic i))
+    topo;
+  (* The triggers' backward closure over fanins; a register's fanin is its
+     D input, evaluated in the previous wave. *)
+  let cone = Array.make n false and stack = Stack.of_seq (List.to_seq !triggers) in
+  while not (Stack.is_empty stack) do
+    let i = Stack.pop stack in
+    if not cone.(i) then begin
+      cone.(i) <- true;
+      for j = fstart.(i) to fstart.(i + 1) - 1 do
+        Stack.push fanin.(j) stack
+      done
+    end
+  done;
+  let select keep a = Array.of_list (List.filter keep (Array.to_list a)) in
+  let is_sink i = code.(i) = Sink in
+  let d_dynamic r = dynamic.(fanin.(fstart.(r))) in
+  let t =
+    { pl; config; delays = Array.copy delays; code; arg; func; fstart; fanin;
+      masters = List.length !triggers; topo; regs;
+      cone = select (fun i -> cone.(i)) topo;
+      cone_regs = select (fun r -> cone.(r)) regs;
+      cone_reads_sources = Array.exists (fun i -> cone.(i) && code.(i) = Source) topo;
+      dyn = select (fun i -> dynamic.(i) && not (is_sink i)) topo;
+      dyn_regs = select d_dynamic regs;
+      dyn_sinks = select (fun i -> dynamic.(i) && is_sink i) topo;
+      base = [| 0.; 0. |]; clock = [| 0.; 0. |]; state;
+      values = Array.make n false; times = Array.make n 0. }
+  in
+  ignore
+    (time_pass t
+       ~gates:(select (fun i -> code.(i) = Lut && not dynamic.(i)) topo)
+       ~regs:(select (fun r -> not (d_dynamic r)) regs)
+       ~sinks:(select (fun i -> is_sink i && not dynamic.(i)) topo));
+  Array.blit t.clock 0 t.base 0 2;
+  t
 
 let create ?(config = default_config) pl =
   create_with_delays ~config
@@ -81,79 +228,15 @@ let create ?(config = default_config) pl =
 
 let reset t = Array.iter (fun r -> t.state.(r) <- t.arg.(r) = 1) t.regs
 
-(* [Stdlib.max] on floats, inlined so that no time is boxed; the same
-   comparison keeps every time bit-identical to the max-plus rule. *)
-let[@inline] fmax (a : float) b = if a >= b then a else b
-
-(* One wave in topological order.  The float accumulators are local refs
-   that never escape, so they stay unboxed. *)
-let apply t vector =
+let check_width t vector =
   if Array.length vector <> Array.length (Pl.source_ids t.pl) then
-    invalid_arg "Sim.apply: wrong vector length";
-  let values = t.values and times = t.times and delays = t.delays and state = t.state in
-  let code = t.code and arg = t.arg and func = t.func and fstart = t.fstart and fanin = t.fanin in
-  let overhead = t.config.ee_overhead in
-  let settle = ref 0. and early = ref 0 in
-  let topo = Pl.topo t.pl in
-  for k = 0 to Array.length topo - 1 do
-    let i = topo.(k) in
-    match code.(i) with
-    | Source ->
-        values.(i) <- vector.(arg.(i));
-        times.(i) <- 0.
-    | Hold ->
-        values.(i) <- state.(i);
-        times.(i) <- 0.
-    | Sink ->
-        values.(i) <- values.(arg.(i));
-        times.(i) <- times.(arg.(i));
-        settle := fmax !settle times.(i)
-    | Lut | Master ->
-        (* Pack the LUT index and fold the fanin arrival in one pass. *)
-        let first = fstart.(i) in
-        let m = ref 0 and arrival = ref 0. in
-        for j = first to fstart.(i + 1) - 1 do
-          let f = fanin.(j) in
-          if values.(f) then m := !m lor (1 lsl (j - first));
-          arrival := fmax !arrival times.(f)
-        done;
-        values.(i) <- Lut4.eval_bits func.(i) !m;
-        let normal = !arrival +. delays.(i) in
-        if code.(i) = Lut then begin
-          times.(i) <- normal;
-          settle := fmax !settle normal
-        end
-        else begin
-          let tr = arg.(i) in
-          let trig_time = times.(tr) in
-          let guarded = fmax normal (trig_time +. delays.(i)) +. overhead in
-          let fire_time =
-            if values.(tr) then begin
-              let early_time = trig_time +. overhead in
-              if early_time < guarded then incr early;
-              if guarded <= early_time then guarded else early_time
-            end
-            else guarded
-          in
-          times.(i) <- fire_time;
-          (* The master's late input tokens must still be absorbed before
-             the wave is over, even when the output fired early. *)
-          settle := fmax !settle (fmax fire_time !arrival)
-        end
-  done;
-  (* Registers fire on their D arrival, producing the next wave's token. *)
-  let regs = t.regs and reg_d = t.reg_d in
-  for k = 0 to Array.length regs - 1 do
-    settle := fmax !settle (times.(reg_d.(k)) +. delays.(regs.(k)));
-    state.(regs.(k)) <- values.(reg_d.(k))
-  done;
-  let sink_ids = Pl.sink_ids t.pl in
-  let outputs = Array.map (fun s -> values.(s)) sink_ids in
-  let output_time = ref 0. in
-  for k = 0 to Array.length sink_ids - 1 do
-    output_time := fmax !output_time times.(sink_ids.(k))
-  done;
-  { outputs; output_time = !output_time; settle_time = !settle; early_fires = !early }
+    invalid_arg "Sim.apply: wrong vector length"
+
+let apply t vector =
+  check_width t vector;
+  let early = step t ~order:t.topo ~latch:t.regs vector in
+  let outputs = Array.map (fun s -> t.values.(s)) (Pl.sink_ids t.pl) in
+  { outputs; output_time = t.clock.(0); settle_time = t.clock.(1); early_fires = early }
 
 let probe t = (Array.copy t.values, Array.copy t.times)
 
@@ -166,20 +249,17 @@ type run = {
   early_fire_rate : float;
 }
 
-(* Runs [waves] waves from a fresh reset; [vector k] is called just before
-   wave [k] is applied. *)
-let run_waves ~config pl waves vector =
-  let t = create ~config pl in
+(* Runs [waves] waves of a fresh simulator; [vector k] is called just
+   before wave [k].  The value pass walks only the triggers' cone. *)
+let run_waves t waves vector =
   if waves <= 0 then invalid_arg "Sim.run_vectors: no vectors";
   let output_times = Array.make waves 0. in
   let settle_times = Array.make waves 0. in
-  let ee_total = Pl.ee_gate_count pl in
   let early_sum = ref 0 in
   for k = 0 to waves - 1 do
-    let w = apply t (vector k) in
-    output_times.(k) <- w.output_time;
-    settle_times.(k) <- w.settle_time;
-    early_sum := !early_sum + w.early_fires
+    early_sum := !early_sum + step t ~order:t.cone ~latch:t.cone_regs (vector k);
+    output_times.(k) <- t.clock.(0);
+    settle_times.(k) <- t.clock.(1)
   done;
   {
     waves;
@@ -188,18 +268,24 @@ let run_waves ~config pl waves vector =
     output_times;
     settle_times;
     early_fire_rate =
-      (if ee_total = 0 then 0.
-       else float_of_int !early_sum /. float_of_int (ee_total * waves));
+      (if t.masters = 0 then 0.
+       else float_of_int !early_sum /. float_of_int (t.masters * waves));
   }
 
 let run_vectors ?(config = default_config) pl vectors =
   let vectors = Array.of_list vectors in
-  run_waves ~config pl (Array.length vectors) (Array.get vectors)
+  let t = create ~config pl in
+  run_waves t (Array.length vectors) (fun k ->
+      check_width t vectors.(k);
+      vectors.(k))
 
 let run_random ?(config = default_config) pl ~vectors ~seed =
+  let t = create ~config pl in
   let rng = Ee_util.Prng.create seed in
   let width = Array.length (Pl.source_ids pl) in
-  run_waves ~config pl vectors (fun _ -> Ee_util.Prng.bool_vector rng width)
+  (* Only the cone reads the vector, so a cone without sources draws none. *)
+  run_waves t vectors (fun _ ->
+      if t.cone_reads_sources then Ee_util.Prng.bool_vector rng width else [||])
 
 let equiv_random pl nl ~vectors ~seed =
   let rng = Ee_util.Prng.create seed in

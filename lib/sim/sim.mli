@@ -28,13 +28,15 @@
     input vector gives the same result (tested as an invariant). *)
 
 type config = {
-  gate_delay : float;  (** Latency of one PL gate firing (default 1.0). *)
+  gate_delay : float;  (** Latency of one PL gate firing. *)
   ee_overhead : float;
-      (** Extra latency of the EE Muller-C stage on a master (default
-          0.25); responsible for the small degradations in Table 3. *)
+      (** Extra latency of the EE Muller-C stage on a master; responsible
+          for the small degradations in Table 3. *)
 }
 
 val default_config : config
+(** {!Ee_phased.Timing}'s defaults: [gate_delay = 1.0],
+    [ee_overhead = 0.25]. *)
 
 type wave = {
   outputs : bool array;  (** Sink values in sink order. *)
@@ -49,9 +51,27 @@ type t
     Creation compiles the netlist into flat arrays indexed by gate id: a
     kind code, one int argument (source position, register reset value,
     master's trigger or sink fanin), the LUT4 function, CSR fanins, and the
-    register ids with their D fanins.  {!apply} then walks {!Ee_phased.Pl.topo}
-    once, packing each gate's LUT index while folding its fanin arrival; per
-    wave it allocates only the outputs array and the {!wave} record. *)
+    register ids.  A wave is a {e value pass} (each gate's LUT index packed
+    from its fanin values) followed by a {e time pass} (each gate's fanin
+    arrival), both in {!Ee_phased.Pl.topo} order; per wave {!apply}
+    allocates only the outputs array and the {!wave} record.
+
+    Only data-dependent times are recomputed.  A gate's time is
+    {e dynamic} when it is an EE master or reads a dynamic gate (a sink
+    reads its fanin); sources, constants and registers start every wave
+    at time 0 and cut propagation.  Every other gate fires at the same
+    time on every wave, so creation computes those times once and folds
+    their settle and output contributions (and those of registers with a
+    static D input) into two constants.  The time pass walks only the
+    dynamic gates, the registers with a dynamic D input and the dynamic
+    sinks; since the max of non-negative times does not depend on the
+    fold order, every time is bit-identical to a full walk.
+
+    The value passes differ: {!apply} evaluates every gate, because it
+    returns the outputs and backs {!probe}; the [run_*] functions report
+    only times and early firings, so they evaluate only the backward
+    closure of the masters' triggers over fanins (a register in it pulls
+    in its D input).  Without EE both passes of a run are empty. *)
 
 val create : ?config:config -> Ee_phased.Pl.t -> t
 (** Raises [Invalid_argument "Sim.create: ..."] on a gate or trigger with
@@ -68,7 +88,9 @@ val reset : t -> unit
 (** Back to register reset values. *)
 
 val apply : t -> bool array -> wave
-(** Run one wave; the vector is in source order (= netlist input order). *)
+(** Run one wave, evaluating every gate; the vector is in source order
+    (= netlist input order).  Raises [Invalid_argument "Sim.apply: wrong
+    vector length"]. *)
 
 val probe : t -> bool array * float array
 (** Per-gate (value, firing time) of the most recent wave, indexed by PL
@@ -83,13 +105,20 @@ type run = {
   settle_times : float array;
   early_fire_rate : float;
       (** Average fraction of EE masters firing early per wave (0 when the
-          netlist has no EE). *)
+          netlist has no EE).  Masters sharing one trigger each count, so
+          the rate never exceeds 1. *)
 }
 
 val run_random : ?config:config -> Ee_phased.Pl.t -> vectors:int -> seed:int -> run
-(** Simulate [vectors] uniformly random input vectors from a fresh reset. *)
+(** Simulate [vectors] uniformly random input vectors from a fresh reset.
+    The times are those of {!apply} on the same waves, but only the
+    triggers' cone is evaluated; when no source is in it (always, without
+    EE), no vector is drawn. *)
 
 val run_vectors : ?config:config -> Ee_phased.Pl.t -> bool array list -> run
+(** {!run_random} on the given vectors.  Raises [Invalid_argument
+    "Sim.run_vectors: no vectors"] on [[]], and {!apply}'s length error on
+    a wrong-length vector even where the cone reads no source. *)
 
 val equiv_random :
   Ee_phased.Pl.t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool

@@ -3,7 +3,8 @@ module Lut4 = Ee_logic.Lut4
 
 type config = { gate_delay : float; ee_overhead : float }
 
-let default_config = { gate_delay = 1.0; ee_overhead = 0.25 }
+let default_config =
+  { gate_delay = Ee_phased.Timing.gate_delay; ee_overhead = Ee_phased.Timing.ee_overhead }
 
 type result = {
   waves : int;

@@ -7,7 +7,7 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* SplitMix64 finalizer: two xor-shift-multiply rounds. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -47,7 +47,16 @@ let float t x =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   x *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool_vector t n = Array.init n (fun _ -> bool t)
+(* [Array.init n (fun _ -> bool t)], with the state kept in an unboxed
+   local for the whole vector and stored back once. *)
+let bool_vector t n =
+  let v = Array.make n false and state = ref t.state in
+  for k = 0 to n - 1 do
+    state := Int64.add !state golden_gamma;
+    v.(k) <- Int64.shift_right_logical (mix !state) 63 = 1L
+  done;
+  t.state <- !state;
+  v
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

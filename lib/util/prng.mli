@@ -33,7 +33,10 @@ val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
 val bool_vector : t -> int -> bool array
-(** [bool_vector t n] is an array of [n] uniform booleans. *)
+(** [bool_vector t n] is an array of [n] uniform booleans: element [k] is
+    the [k]-th of [n] successive {!bool} draws, and [t] is left where those
+    draws leave it.  Every recorded experiment's vector stream depends on
+    this contract. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

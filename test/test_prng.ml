@@ -58,6 +58,20 @@ let test_bool_vector_length () =
   let rng = Ee_util.Prng.create 1 in
   Alcotest.(check int) "length" 17 (Array.length (Ee_util.Prng.bool_vector rng 17))
 
+(* The unboxed [bool_vector] draws the stream of successive [bool]s and
+   leaves the generator where they leave it. *)
+let test_bool_vector_stream () =
+  List.iter
+    (fun seed ->
+      let a = Ee_util.Prng.create seed and b = Ee_util.Prng.create seed in
+      for n = 0 to 130 do
+        let v = Ee_util.Prng.bool_vector a n in
+        let v' = Array.init n (fun _ -> Ee_util.Prng.bool b) in
+        Alcotest.(check (array bool)) (Printf.sprintf "seed %d, width %d" seed n) v' v;
+        Alcotest.(check int64) "state after" (Ee_util.Prng.int64 b) (Ee_util.Prng.int64 a)
+      done)
+    [ 0; 1; 2002; -7; max_int ]
+
 let test_shuffle_permutation () =
   let rng = Ee_util.Prng.create 13 in
   let a = Array.init 20 Fun.id in
@@ -86,6 +100,7 @@ let suite =
       Alcotest.test_case "split diverges" `Quick test_split_diverges;
       Alcotest.test_case "float range" `Quick test_float_range;
       Alcotest.test_case "bool_vector length" `Quick test_bool_vector_length;
+      Alcotest.test_case "bool_vector stream" `Quick test_bool_vector_stream;
       Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
       Alcotest.test_case "bool balanced" `Quick test_bool_balanced;
     ] )

@@ -52,6 +52,36 @@ let test_table3_shape () =
   Alcotest.(check bool) "some degradation exists" true
     (List.exists (fun r -> r.Tables.delay_decrease < 0.) t3.Tables.rows)
 
+(* Table 3 at the paper's protocol (100 vectors, seed 2002): the average
+   delays of both simulations, pinned bit for bit. *)
+let golden_table3 =
+  [
+    ("b01", 0x1.8p+2, 0x1.5f33333333333p+2);
+    ("b02", 0x1p+1, 0x1.1p+1);
+    ("b03", 0x1.6p+3, 0x1.07eb851eb851fp+3);
+    ("b04", 0x1.1p+4, 0x1.5a147ae147ae1p+3);
+    ("b05", 0x1.1p+4, 0x1.459999999999ap+3);
+    ("b06", 0x1p+2, 0x1.01c28f5c28f5cp+2);
+    ("b07", 0x1.bp+4, 0x1.459999999999ap+4);
+    ("b08", 0x1.8p+2, 0x1.868f5c28f5c29p+2);
+    ("b09", 0x1.2p+3, 0x1.35eb851eb851fp+2);
+    ("b10", 0x1.2p+3, 0x1.ecccccccccccdp+2);
+    ("b11", 0x1.1p+4, 0x1.868f5c28f5c29p+3);
+    ("b12", 0x1.6p+3, 0x1.8e3d70a3d70a4p+2);
+    ("b13", 0x1.4p+3, 0x1.cbae147ae147bp+2);
+    ("b14", 0x1p+5, 0x1.aaae147ae147bp+4);
+    ("b15", 0x1.5p+5, 0x1.34b3333333333p+5);
+  ]
+
+let test_table3_golden () =
+  let t3 = Tables.run_table3 ~vectors:100 ~seed:2002 () in
+  let got =
+    List.map (fun r -> (r.Tables.id, r.Tables.delay_no_ee, r.Tables.delay_ee)) t3.Tables.rows
+  in
+  let show (id, a, b) = Printf.sprintf "%s %h %h" id a b in
+  Alcotest.(check (list string)) "delay_no_ee, delay_ee" (List.map show golden_table3)
+    (List.map show got)
+
 let test_sweep_monotone_area () =
   let points =
     Ee_report.Sweep.run ~vectors:20 ~seed:1 ~thresholds:[ 0.; 100.; 1e9 ]
@@ -86,6 +116,7 @@ let suite =
       Alcotest.test_case "pipeline artifact" `Quick test_pipeline_artifact;
       Alcotest.test_case "row determinism" `Quick test_row_determinism;
       Alcotest.test_case "table3 shape" `Slow test_table3_shape;
+      Alcotest.test_case "table3 golden delays" `Quick test_table3_golden;
       Alcotest.test_case "sweep monotone area" `Quick test_sweep_monotone_area;
       Alcotest.test_case "ablation rows" `Quick test_ablation_rows;
       Alcotest.test_case "table3 rendering" `Quick test_table3_rendering;

@@ -218,9 +218,8 @@ module Reference = struct
     source_pos : (int, int) Hashtbl.t;
     values : bool array;
     times : float array;
+    ee_overhead : float;
   }
-
-  let ee_overhead = Sim.default_config.Sim.ee_overhead
 
   let reset t =
     Array.iteri
@@ -228,7 +227,7 @@ module Reference = struct
         match g.Pl.kind with Pl.Register init -> t.state.(i) <- init | _ -> t.state.(i) <- false)
       (Pl.gates t.pl)
 
-  let create ~delays pl =
+  let create ?(ee_overhead = Sim.default_config.Sim.ee_overhead) ~delays pl =
     let n = Array.length (Pl.gates pl) in
     let source_pos = Hashtbl.create 16 in
     Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
@@ -240,6 +239,7 @@ module Reference = struct
         source_pos;
         values = Array.make n false;
         times = Array.make n 0.;
+        ee_overhead;
       }
     in
     reset t;
@@ -252,7 +252,7 @@ module Reference = struct
 
   let apply t vector =
     let gates = Pl.gates t.pl in
-    let values = t.values and times = t.times in
+    let values = t.values and times = t.times and ee_overhead = t.ee_overhead in
     let settle = ref 0. in
     let early = ref 0 in
     let fanin_arrival fanin = Array.fold_left (fun acc f -> max acc times.(f)) 0. fanin in
@@ -325,23 +325,25 @@ let wave_equal (a : Sim.wave) (b : Sim.wave) =
        [| b.Sim.output_time; b.Sim.settle_time |]
   && a.Sim.early_fires = b.Sim.early_fires
 
-(* Eq. 1 EE netlists of b01-b13 and of every family at widths 4 and 8. *)
-let ee_netlists () =
+(* b01-b13 and every family at widths 4 and 8, without EE. *)
+let base_netlists () =
   let module Itc99 = Ee_bench_circuits.Itc99 in
   let module Families = Ee_bench_circuits.Families in
-  let ee name design =
-    (name, fst (Ee_core.Synth.run (Pl.of_netlist (Ee_rtl.Techmap.run_rtl design))))
-  in
+  let pl name design = (name, Pl.of_netlist (Ee_rtl.Techmap.run_rtl design)) in
   List.filter_map
     (fun (b : Itc99.benchmark) ->
-      if b.Itc99.id <= "b13" then Some (ee b.Itc99.id (b.Itc99.build ())) else None)
+      if b.Itc99.id <= "b13" then Some (pl b.Itc99.id (b.Itc99.build ())) else None)
     Itc99.all
   @ List.concat_map
       (fun (f : Families.family) ->
         List.map
-          (fun w -> ee (Printf.sprintf "%s%d" f.Families.name w) (f.Families.build w))
+          (fun w -> pl (Printf.sprintf "%s%d" f.Families.name w) (f.Families.build w))
           [ 4; 8 ])
       Families.all
+
+(* Their Eq. 1 EE netlists. *)
+let ee_netlists () =
+  List.map (fun (name, pl) -> (name, fst (Ee_core.Synth.run pl))) (base_netlists ())
 
 let test_matches_reference () =
   let module D = Ee_sim.Delay_model in
@@ -398,6 +400,120 @@ let test_apply_allocation () =
     Alcotest.failf "100 waves allocated %.0f words (bound %d, %d gates)" words bound
       (Array.length (Pl.gates pl_ee))
 
+let masters pl =
+  let n = ref 0 in
+  Array.iteri (fun i _ -> if Pl.ee pl i <> None then incr n) (Pl.gates pl);
+  !n
+
+(* A {!Sim.run} built from {!Reference.apply} waves: the summary the run
+   path must reproduce bit for bit. *)
+let reference_run (config : Sim.config) pl vectors =
+  let delays = Array.make (Array.length (Pl.gates pl)) config.Sim.gate_delay in
+  let r = Reference.create ~ee_overhead:config.Sim.ee_overhead ~delays pl in
+  let waves = Array.map (Reference.apply r) vectors in
+  let output_times = Array.map (fun w -> w.Sim.output_time) waves in
+  let settle_times = Array.map (fun w -> w.Sim.settle_time) waves in
+  let early = Array.fold_left (fun acc w -> acc + w.Sim.early_fires) 0 waves in
+  let m = masters pl and n = Array.length vectors in
+  {
+    Sim.waves = n;
+    avg_output_time = Ee_util.Stats.mean output_times;
+    avg_settle_time = Ee_util.Stats.mean settle_times;
+    output_times;
+    settle_times;
+    early_fire_rate = (if m = 0 then 0. else float_of_int early /. float_of_int (m * n));
+  }
+
+let run_equal (a : Sim.run) (b : Sim.run) =
+  a.Sim.waves = b.Sim.waves
+  && bits_equal a.Sim.output_times b.Sim.output_times
+  && bits_equal a.Sim.settle_times b.Sim.settle_times
+  && bits_equal
+       [| a.Sim.avg_output_time; a.Sim.avg_settle_time; a.Sim.early_fire_rate |]
+       [| b.Sim.avg_output_time; b.Sim.avg_settle_time; b.Sim.early_fire_rate |]
+
+(* Search selection (shared triggers) on b01-b13, the first 13 base
+   netlists. *)
+let search_netlists () =
+  List.filteri (fun k _ -> k < 13) (base_netlists ())
+  |> List.map (fun (name, pl) -> (name ^ "/search", fst (Ee_search.Search_select.run pl)))
+
+(* [run_random] and [run_vectors] walk only the triggers' cone and the
+   time-dynamic gates; their summaries must equal the reference kernel's
+   full walk. *)
+let test_runs_match_reference () =
+  let base = base_netlists () in
+  let netlists =
+    List.map (fun (n, pl) -> (n ^ "/no-ee", pl)) base @ ee_netlists () @ search_netlists ()
+  in
+  let configs =
+    [
+      ("default", Sim.default_config);
+      ("no overhead", { Sim.default_config with Sim.ee_overhead = 0. });
+      ("overhead > gate delay", { Sim.gate_delay = 1.0; ee_overhead = 1.5 });
+    ]
+  in
+  List.iter
+    (fun (name, pl) ->
+      let width = Array.length (Pl.source_ids pl) in
+      let seed = 2002 in
+      let rng = Ee_util.Prng.create seed in
+      let random = Array.init 40 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+      let rng = Ee_util.Prng.create 17 in
+      let given = Array.init 25 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+      List.iter
+        (fun (cname, config) ->
+          if not (run_equal (Sim.run_random ~config pl ~vectors:40 ~seed) (reference_run config pl random))
+          then Alcotest.failf "%s, %s: run_random differs" name cname;
+          if
+            not
+              (run_equal
+                 (Sim.run_vectors ~config pl (Array.to_list given))
+                 (reference_run config pl given))
+          then Alcotest.failf "%s, %s: run_vectors differs" name cname)
+        configs)
+    netlists
+
+(* A netlist without EE has an empty value pass on the run path, but the
+   vectors it is handed are still checked. *)
+let test_run_vectors_checks () =
+  let pl, _ = quickstart_pl () in
+  Alcotest.check_raises "wrong length" (Invalid_argument "Sim.apply: wrong vector length")
+    (fun () -> ignore (Sim.run_vectors pl [ [| true; false; true |]; [| true |] ]));
+  Alcotest.check_raises "no vectors" (Invalid_argument "Sim.run_vectors: no vectors") (fun () ->
+      ignore (Sim.run_vectors pl []))
+
+(* Without EE every time is folded into [Sim.create]: a wave costs the two
+   recorded times, not a walk over the gates. *)
+let test_run_allocation () =
+  let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (Ee_bench_circuits.Itc99.b12 ())) in
+  let words waves =
+    let before = Gc.allocated_bytes () in
+    ignore (Sim.run_random pl ~vectors:waves ~seed:12);
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  ignore (words 10);
+  let extra = words 1010 -. words 10 in
+  if extra >= 4. *. 1000. then
+    Alcotest.failf "1000 more waves allocated %.0f words (%d gates)" extra
+      (Array.length (Pl.gates pl))
+
+(* Search selection gives several masters one trigger; the early-fire rate
+   is a fraction of masters, not of trigger gates. *)
+let test_early_fire_rate_shared () =
+  let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (Ee_bench_circuits.Itc99.b04 ())) in
+  let pl_ee, _ = Ee_search.Search_select.run pl in
+  let m = masters pl_ee in
+  Alcotest.(check bool) "triggers are shared" true (m > Pl.ee_gate_count pl_ee);
+  let rng = Ee_util.Prng.create 5 in
+  let width = Array.length (Pl.source_ids pl_ee) in
+  let vectors = List.init 200 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+  let sim = Sim.create pl_ee in
+  let early = List.fold_left (fun acc v -> acc + (Sim.apply sim v).Sim.early_fires) 0 vectors in
+  let rate = (Sim.run_vectors pl_ee vectors).Sim.early_fire_rate in
+  Alcotest.(check (float 0.)) "hand count" (float_of_int early /. float_of_int (m * 200)) rate;
+  Alcotest.(check bool) "at most 1" true (rate <= 1.)
+
 let suite =
   ( "sim",
     [
@@ -415,6 +531,11 @@ let suite =
       Alcotest.test_case "rejects bad EE trigger" `Quick test_rejects_bad_trigger;
       Alcotest.test_case "matches reference kernel" `Quick test_matches_reference;
       Alcotest.test_case "apply allocation bound" `Quick test_apply_allocation;
+      Alcotest.test_case "runs match reference kernel" `Quick test_runs_match_reference;
+      Alcotest.test_case "run_vectors input checks" `Quick test_run_vectors_checks;
+      Alcotest.test_case "run allocation bound (no EE)" `Quick test_run_allocation;
+      Alcotest.test_case "early-fire rate with shared triggers" `Quick
+        test_early_fire_rate_shared;
       prop_pl_matches_golden;
       prop_ee_matches_golden;
       prop_ee_never_slower_per_gate;
