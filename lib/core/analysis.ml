@@ -52,16 +52,18 @@ let predict ?(config = Ee_sim.Sim.default_config) pl =
           time.(i) <- time.(g.Pl.fanin.(0))
       | Pl.Gate func -> (
           prob.(i) <- lut_prob func fanin_probs;
-          let normal = fanin_time () +. config.Ee_sim.Sim.gate_delay in
+          let arrival = fanin_time () in
+          let normal = arrival +. config.Ee_sim.Sim.gate_delay in
           match Pl.ee pl i with
           | None -> time.(i) <- normal
           | Some e ->
               let p_early = prob.(e.Pl.trigger) in
               trigger_rates := (i, p_early) :: !trigger_rates;
-              let t_early = time.(e.Pl.trigger) +. config.Ee_sim.Sim.ee_overhead in
+              let trig = time.(e.Pl.trigger) in
+              let t_early = Ee_phased.Timing.early config trig in
               let guarded =
-                max normal (time.(e.Pl.trigger) +. config.Ee_sim.Sim.gate_delay)
-                +. config.Ee_sim.Sim.ee_overhead
+                Ee_phased.Timing.guarded config ~delay:config.Ee_sim.Sim.gate_delay
+                  (max arrival trig)
               in
               time.(i) <- (p_early *. min t_early guarded) +. ((1. -. p_early) *. guarded)))
     (Pl.topo pl);

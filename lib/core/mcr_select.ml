@@ -15,8 +15,8 @@ let default_options =
     min_gain_percent = 0.1;
     min_coverage = 0.;
     max_pairs = None;
-    gate_delay = Ee_phased.Timing.gate_delay;
-    ee_overhead = Ee_phased.Timing.ee_overhead;
+    gate_delay = Ee_phased.Timing.default.gate_delay;
+    ee_overhead = Ee_phased.Timing.default.ee_overhead;
   }
 
 let request_of (c : Trigger.candidate) cost =

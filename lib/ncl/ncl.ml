@@ -232,23 +232,12 @@ let run_random ?(gate_delay = 1.0) t ~vectors ~seed =
   }
 
 let equiv_random t nl ~vectors ~seed =
-  let rng = Ee_util.Prng.create seed in
-  let width = Array.length (Netlist.inputs nl) in
-  let input_times = Array.make width 0. in
+  let input_times = Array.make (Array.length (Netlist.inputs nl)) 0. in
   let state = ref (initial_reg_state nl) in
-  let sync_state = ref (Netlist.initial_state nl) in
-  let ok = ref true in
-  for _ = 1 to vectors do
-    if !ok then begin
-      let vector = Ee_util.Prng.bool_vector rng width in
+  Netlist.agrees_random nl ~vectors ~seed (fun vector ->
       let asserted, _ = data_wave t ~gate_delay:1.0 ~state:!state ~vector ~input_times in
-      let expected, sync' = Netlist.step nl !sync_state vector in
-      sync_state := sync';
-      if wave_outputs t asserted <> expected then ok := false;
-      state := next_state t asserted !state
-    end
-  done;
-  !ok
+      state := next_state t asserted !state;
+      wave_outputs t asserted)
 
 let strongly_indicating_witness t ~vectors ~seed =
   let nl = t.netlist in

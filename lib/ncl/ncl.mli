@@ -57,7 +57,8 @@ type run = {
 val run_random : ?gate_delay:float -> t -> vectors:int -> seed:int -> run
 
 val equiv_random : t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool
-(** DATA-wave outputs against the synchronous golden model. *)
+(** DATA-wave outputs against the synchronous golden model
+    ({!Ee_netlist.Netlist.agrees_random}). *)
 
 val strongly_indicating_witness : t -> vectors:int -> seed:int -> bool
 (** Checks on random vectors that no primary-output rail asserts earlier

@@ -218,6 +218,19 @@ let step t st input_values =
   in
   (outs, st')
 
+let agrees_random t ~vectors ~seed wave =
+  let rng = Ee_util.Prng.create seed in
+  let width = Array.length t.inputs in
+  let rec go k st =
+    k >= vectors
+    ||
+    let vector = Ee_util.Prng.bool_vector rng width in
+    let outputs = wave vector in
+    let expected, st = step t st vector in
+    outputs = expected && go (k + 1) st
+  in
+  go 0 (initial_state t)
+
 let eval_node t st input_values i = (eval_all t st input_values).(i)
 
 let to_dot t =

@@ -95,6 +95,13 @@ val step : t -> state -> bool array -> bool array * state
     declaration order; returns output values (declaration order) and the
     next register state. *)
 
+val agrees_random : t -> vectors:int -> seed:int -> (bool array -> bool array) -> bool
+(** [agrees_random t ~vectors ~seed wave] checks a model of [t] against
+    {!step}: it feeds [vectors] random input vectors, drawn from
+    [Prng.create seed], to [wave] and to {!step} from {!initial_state},
+    and is [true] when [wave] returns {!step}'s outputs every time.  It
+    stops at the first mismatch; [wave] carries the model's own state. *)
+
 val eval_node : t -> state -> bool array -> int -> bool
 (** Value of one signal under the given state and inputs (combinational
     settling). *)

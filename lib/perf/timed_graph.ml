@@ -1,5 +1,6 @@
 module Mg = Ee_markedgraph.Marked_graph
 module Pl = Ee_phased.Pl
+module Flat = Ee_phased.Flat
 
 type arc = { src : int; dst : int; weight : float; tokens : int }
 
@@ -54,21 +55,23 @@ let coverage_probability pl i =
   | None -> 0.
   | Some e -> Float.min 1. (Float.max 0. (e.Pl.coverage /. 100.))
 
-let of_pl ?(gate_delay = Ee_phased.Timing.gate_delay)
-    ?(ee_overhead = Ee_phased.Timing.ee_overhead) ?delays ?mode pl =
-  let gates = Pl.gates pl in
-  let n = Array.length gates in
+let of_pl ?(gate_delay = Ee_phased.Timing.default.gate_delay)
+    ?(ee_overhead = Ee_phased.Timing.default.ee_overhead) ?delays ?mode pl =
+  let n = Array.length (Pl.gates pl) in
   (match delays with
   | Some d when Array.length d <> n ->
       invalid_arg "Timed_graph.of_pl: delays length mismatch"
   | _ -> ());
+  let { Flat.code; support; pstart; producer; pmask; _ } =
+    Flat.of_pl ~caller:"Timed_graph.of_pl" pl
+  in
   let mode =
     match mode with Some m -> m | None -> Expected (coverage_probability pl)
   in
   let base i =
-    match gates.(i).Pl.kind with
-    | Pl.Source _ | Pl.Const_source _ | Pl.Sink _ -> 0.
-    | Pl.Gate _ | Pl.Register _ | Pl.Trigger _ -> (
+    match code.(i) with
+    | Flat.Source | Flat.Const | Flat.Sink -> 0.
+    | Flat.Lut | Flat.Master | Flat.Register | Flat.Trigger -> (
         match delays with Some d -> d.(i) | None -> gate_delay)
   in
   (* A master splits into an output event and a completion event whenever
@@ -83,15 +86,16 @@ let of_pl ?(gate_delay = Ee_phased.Timing.gate_delay)
   let complete_event = Array.make n 0 in
   let next = ref 0 in
   for i = 0 to n - 1 do
-    let ee = Pl.ee pl i in
-    full.(i) <- (if ee = None then base i else base i +. ee_overhead);
+    let master = code.(i) = Flat.Master in
+    full.(i) <- (if master then base i +. ee_overhead else base i);
     complete_event.(i) <- !next;
     incr next;
     let p =
-      match (mode, ee) with
-      | _, None | Guarded, _ -> None
-      | Expected p, Some _ -> Some (Float.min 1. (Float.max 0. (p i)))
-      | Eager, Some _ -> Some 1.
+      match mode with
+      | _ when not master -> None
+      | Guarded -> None
+      | Expected p -> Some (Float.min 1. (Float.max 0. (p i)))
+      | Eager -> Some 1.
     in
     match p with
     | Some p ->
@@ -110,24 +114,24 @@ let of_pl ?(gate_delay = Ee_phased.Timing.gate_delay)
     event_gate.(output_event.(i)) <- i;
     event_early.(output_event.(i)) <- split i
   done;
-  (* A (producer, consumer) pair gives at most one data arc, two into a
-     split consumer, and one acknowledge, two into a split producer; the
-     producers of a gate are its fanins plus its trigger.  The bound is
-     usually exact, and then the arc arrays need no trimming. *)
-  let arity i = if split i then 2 else 1 in
-  let bound = ref 0 in
+  (* A (producer, consumer) pair gives one data arc, two into a split
+     consumer unless it is a late input under Eager, and one acknowledge
+     unless it is a self-loop, two into a split producer.  A producer
+     feeds the early C-element when it is the trigger or sits at a subset
+     position. *)
+  let early_input i j = pmask.(j) land (support.(i) lor Flat.trigger_bit) <> 0 in
+  let data_arcs i j =
+    if not (split i) then 1 else if early_input i j then 2 else match mode with Eager -> 1 | _ -> 2
+  in
+  let acks i src = if src = i then 0 else if split src then 2 else 1 in
+  let count = ref 0 in
   for i = 0 to n - 1 do
-    let fanin = gates.(i).Pl.fanin in
-    for pos = 0 to Array.length fanin - 1 do
-      bound := !bound + arity i + arity fanin.(pos)
-    done;
-    match Pl.ee pl i with
-    | Some e -> bound := !bound + arity i + arity e.Pl.trigger
-    | None -> ()
+    for j = pstart.(i) to pstart.(i + 1) - 1 do
+      count := !count + data_arcs i j + acks i producer.(j)
+    done
   done;
-  let bound = !bound in
-  let arc_src = Array.make bound 0 and arc_dst = Array.make bound 0 in
-  let arc_weight = Array.make bound 0. and arc_tokens = Array.make bound 0 in
+  let arc_src = Array.make !count 0 and arc_dst = Array.make !count 0 in
+  let arc_weight = Array.make !count 0. and arc_tokens = Array.make !count 0 in
   let count = ref 0 in
   let add src dst weight tokens =
     let k = !count in
@@ -138,79 +142,46 @@ let of_pl ?(gate_delay = Ee_phased.Timing.gate_delay)
     count := k + 1
   in
   for i = 0 to n - 1 do
-    let g = gates.(i) in
-    let fanin = g.Pl.fanin in
-    let k = Array.length fanin in
-    let ee = Pl.ee pl i in
-    let subset_positions = match ee with Some e -> e.Pl.support | None -> 0 in
-    (* Distinct producers in order of first appearance — the fanins, then
-       the trigger as one more producer — mirroring the per-pair arc
-       sharing of [Stream_sim] and [Pl.to_marked_graph].  A producer feeds
-       the early C-element when it is the trigger or sits at a subset
-       position. *)
-    for pos = 0 to k do
-      let src =
-        if pos < k then fanin.(pos)
-        else match ee with Some e -> e.Pl.trigger | None -> -1
+    (* The producers come in [Flat]'s order — fanins, then the trigger —
+       mirroring the per-pair arc sharing of [Stream_sim] and
+       [Pl.to_marked_graph]. *)
+    for j = pstart.(i) to pstart.(i + 1) - 1 do
+      let src = producer.(j) in
+      let data_tokens =
+        match code.(src) with Flat.Register | Flat.Const -> 1 | _ -> 0
       in
-      let first = ref (src >= 0) in
-      for q = 0 to min pos k - 1 do
-        if fanin.(q) = src then first := false
-      done;
-      if !first then begin
-        let early_relevant = ref (pos = k) in
-        for q = pos to k - 1 do
-          if fanin.(q) = src && subset_positions land (1 lsl q) <> 0 then
-            early_relevant := true
-        done;
-        (match ee with
-        | Some e when pos < k && e.Pl.trigger = src -> early_relevant := true
-        | _ -> ());
-        let data_tokens =
-          match gates.(src).Pl.kind with
-          | Pl.Register _ | Pl.Const_source _ -> 1
-          | _ -> 0
-        in
-        (* Data direction: producer's output event -> consumer firing. *)
-        let src_ev = output_event.(src) in
-        (* Completion waits for every input with the full latency. *)
-        add src_ev complete_event.(i) full.(i) data_tokens;
-        (* The early C-element waits for the subset inputs and the trigger
-           token; under Eager the late inputs impose nothing, under
-           Expected they impose their full constraint scaled by the
-           probability the trigger stays silent. *)
-        if split i then begin
-          if !early_relevant then add src_ev output_event.(i) early.(i) data_tokens
-          else begin
-            match mode with
-            | Eager -> ()
-            | Expected _ -> add src_ev output_event.(i) late.(i) data_tokens
-            | Guarded -> assert false
-          end
-        end;
-        (* Feedback direction: this gate acknowledges the producer once per
-           wave (no feedback on a register's self-loop).  The acknowledge
-           leaves at the completion event and constrains the producer's
-           next firing — both of its events, when split. *)
-        if src <> i then begin
-          let fb_tokens = 1 - data_tokens in
-          let ack_ev = complete_event.(i) in
-          add ack_ev complete_event.(src) full.(src) fb_tokens;
-          if split src then add ack_ev output_event.(src) early.(src) fb_tokens
+      (* Data direction: producer's output event -> consumer firing. *)
+      let src_ev = output_event.(src) in
+      (* Completion waits for every input with the full latency. *)
+      add src_ev complete_event.(i) full.(i) data_tokens;
+      (* The early C-element waits for the subset inputs and the trigger
+         token; under Eager the late inputs impose nothing, under
+         Expected they impose their full constraint scaled by the
+         probability the trigger stays silent. *)
+      if split i then begin
+        if early_input i j then
+          add src_ev output_event.(i) early.(i) data_tokens
+        else begin
+          match mode with
+          | Eager -> ()
+          | Expected _ -> add src_ev output_event.(i) late.(i) data_tokens
+          | Guarded -> assert false
         end
+      end;
+      (* Feedback direction: this gate acknowledges the producer once per
+         wave (no feedback on a register's self-loop).  The acknowledge
+         leaves at the completion event and constrains the producer's
+         next firing — both of its events, when split. *)
+      if src <> i then begin
+        let fb_tokens = 1 - data_tokens in
+        let ack_ev = complete_event.(i) in
+        add ack_ev complete_event.(src) full.(src) fb_tokens;
+        if split src then add ack_ev output_event.(src) early.(src) fb_tokens
       end
     done
   done;
-  let trim a = if !count = bound then a else Array.sub a 0 !count in
   {
-    graph =
-      {
-        nodes = events;
-        arc_src = trim arc_src;
-        arc_dst = trim arc_dst;
-        arc_weight = trim arc_weight;
-        arc_tokens = trim arc_tokens;
-      };
+    graph = { nodes = events; arc_src; arc_dst; arc_weight; arc_tokens };
     event_gate;
     event_early;
     output_event;

@@ -78,15 +78,19 @@ val of_pl :
   Ee_phased.Pl.t ->
   mapping
 (** Event graph of a PL netlist under [Stream_sim]'s timing semantics.
-    [gate_delay] and [ee_overhead] default to {!Ee_phased.Timing} (1.0 and
-    0.25), as [Stream_sim.default_config] does; [delays] optionally gives
+    [gate_delay] and [ee_overhead] default to {!Ee_phased.Timing.default}
+    (1.0 and 0.25), as [Stream_sim.default_config] does; [delays] optionally gives
     a per-gate base delay indexed like [Pl.gates] (a [Delay_model]
     schedule — sources, constant generators and sinks are forced to 0, as
     in the simulator).
     [mode] (default [Expected] with [p = coverage/100], the trigger's firing
     probability under uniform inputs) selects the EE model above; on a
-    netlist without EE annotations all modes coincide.  Raises
-    [Invalid_argument] if [delays] has the wrong length. *)
+    netlist without EE annotations all modes coincide.  The arcs follow
+    {!Ee_phased.Flat}'s producers: per gate, its distinct fanins in
+    position order, then its trigger.  Raises [Invalid_argument] if
+    [delays] has the wrong length, and [Invalid_argument
+    "Timed_graph.of_pl: ..."] on a netlist {!Ee_phased.Flat.of_pl}
+    refuses. *)
 
 val coverage_probability : Ee_phased.Pl.t -> int -> float
 (** The default [Expected] probability: the master's trigger coverage as a

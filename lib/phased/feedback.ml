@@ -6,33 +6,28 @@ type analysis = {
   graph : Mg.t;
 }
 
-(* Rebuild the arc list of [Pl.to_marked_graph] but keep the feedback arcs
-   identifiable so they can be deleted one at a time. *)
+(* The arcs of [Pl.to_marked_graph], in its order (per gate the trigger
+   first, then the other producers), with the feedback arcs apart so they
+   can be deleted one at a time. *)
 let arcs_of pl =
-  let gates = Pl.gates pl in
+  let f = Flat.of_pl ~caller:"Feedback.analyze" pl in
   let data = ref [] and feedback = ref [] in
-  Array.iteri
-    (fun i g ->
-      let seen = Hashtbl.create 4 in
-      let deps =
-        (match Pl.ee pl i with Some e -> [ e.Pl.trigger ] | None -> [])
-        @ Array.to_list g.Pl.fanin
-      in
-      List.iter
-        (fun src ->
-          if not (Hashtbl.mem seen src) then begin
-            Hashtbl.add seen src ();
-            let tok =
-              match gates.(src).Pl.kind with
-              | Pl.Register _ | Pl.Const_source _ -> 1
-              | _ -> 0
-            in
-            data := (src, i, tok) :: !data;
-            (* Self-loops carry their own token circuit; no feedback arc. *)
-            if src <> i then feedback := (i, src, 1 - tok) :: !feedback
-          end)
-        deps)
-    gates;
+  let add i j =
+    let src = f.producer.(j) in
+    let tok = match f.code.(src) with Flat.Register | Flat.Const -> 1 | _ -> 0 in
+    data := (src, i, tok) :: !data;
+    (* Self-loops carry their own token circuit; no feedback arc. *)
+    if src <> i then feedback := (i, src, 1 - tok) :: !feedback
+  in
+  for i = 0 to Array.length f.code - 1 do
+    let trigger j = f.pmask.(j) land Flat.trigger_bit <> 0 in
+    for j = f.pstart.(i) to f.pstart.(i + 1) - 1 do
+      if trigger j then add i j
+    done;
+    for j = f.pstart.(i) to f.pstart.(i + 1) - 1 do
+      if not (trigger j) then add i j
+    done
+  done;
   (List.rev !data, List.rev !feedback)
 
 let analyze pl =

@@ -56,54 +56,47 @@ let level t i = t.levels.(i)
 
 let arrival t i = t.levels.(i) + 1
 
-(* Dependencies that order firing within one wave: a combinational gate
-   follows its fanins; a master additionally follows its trigger.  Register,
-   source and constant gates hold wave-start tokens, so they do not
-   constrain the order. *)
-let wave_deps gates ee i =
-  let base =
-    match gates.(i).kind with
-    | Gate _ | Trigger _ | Sink _ -> Array.to_list gates.(i).fanin
-    | Source _ | Const_source _ | Register _ -> []
-  in
-  match ee.(i) with Some e -> e.trigger :: base | None -> base
-
-(* Gates whose within-wave firing depends on other firings this wave:
-   combinational gates, triggers and sinks.  Sources, constants and
-   registers hold wave-start tokens. *)
-let wave_dependent gates j =
-  match gates.(j).kind with
-  | Gate _ | Trigger _ | Sink _ -> true
-  | Source _ | Const_source _ | Register _ -> false
-
+(* Token-holding gates (sources, constants, registers) first, in id
+   order: they hold wave-start tokens and order nothing.  Then the
+   wave-dependent gates (combinational gates, triggers, sinks) in
+   depth-first post-order, each after its wave-dependent fanins and a
+   master also after its trigger. *)
 let compute_topo gates ee =
   let n = Array.length gates in
-  let state = Array.make n 0 in
-  let order = ref [] in
+  let wave_dependent j =
+    match gates.(j).kind with
+    | Gate _ | Trigger _ | Sink _ -> true
+    | Source _ | Const_source _ | Register _ -> false
+  in
+  let state = Array.make n 0 and topo = Array.make n 0 and next = ref 0 in
+  let emit i =
+    topo.(!next) <- i;
+    incr next
+  in
   let rec visit i =
     match state.(i) with
     | 2 -> ()
     | 1 -> invalid_arg "Pl: combinational cycle"
     | _ ->
         state.(i) <- 1;
-        List.iter (fun j -> if wave_dependent gates j then visit j) (wave_deps gates ee i);
+        (match ee.(i) with Some e when wave_dependent e.trigger -> visit e.trigger | _ -> ());
+        let fanin = gates.(i).fanin in
+        for k = 0 to Array.length fanin - 1 do
+          if wave_dependent fanin.(k) then visit fanin.(k)
+        done;
         state.(i) <- 2;
-        order := i :: !order
+        emit i
   in
-  (* Token-holding gates first, then wave-dependent gates in dependency
-     order. *)
   for i = 0 to n - 1 do
-    if not (wave_dependent gates i) && state.(i) = 0 then begin
+    if not (wave_dependent i) then begin
       state.(i) <- 2;
-      order := i :: !order
+      emit i
     end
   done;
-  let holders = List.rev !order in
-  order := [];
   for i = 0 to n - 1 do
-    if wave_dependent gates i then visit i
+    if wave_dependent i then visit i
   done;
-  Array.of_list (holders @ List.rev !order)
+  topo
 
 let compute_levels gates topo =
   let levels = Array.make (Array.length gates) 0 in
@@ -244,7 +237,7 @@ let with_ee_gen ~share t pairs =
   let gates_arr =
     Array.append t.gates (Array.make extra { kind = Const_source false; fanin = [||] })
   in
-  let ee = Array.append (Array.map (fun x -> x) t.ee) (Array.make extra None) in
+  let ee = Array.append t.ee (Array.make extra None) in
   List.iter
     (fun (master, req, tfanin, compact, tid) ->
       (* A shared trigger keeps its first master as the nominal owner. *)

@@ -48,10 +48,6 @@ let rails_of_code =
 
 let code_of_rails (r : Ledr.rails) = Bool.to_int r.Ledr.v lor (Bool.to_int r.Ledr.t lsl 1)
 
-(* Gate kinds of the compiled form; [Master] is a [Pl.Gate] with an EE
-   trigger. *)
-type code = Source | Const | Register | Lut | Master | Trigger | Sink
-
 type role = Self_loop | Data | Feedback
 
 (* The PL marked graph and the role of each arc in [stalled_marking],
@@ -83,16 +79,10 @@ type work = {
 (* The compiled netlist, immutable apart from [work] and shared by
    copies. *)
 type net = {
-  pl : Pl.t;
-  code : code array;
-  arg : int array; (* source position, constant or reset value, master's trigger *)
-  func : Lut4.t array;
-  fstart : int array; (* fanins of gate i are fanin.(fstart.(i) .. fstart.(i+1)-1) *)
-  fanin : int array;
-  support : int array; (* master: fanin positions feeding its trigger *)
+  flat : Flat.t;
   ostart : int array; (* distinct Lut/Master/Trigger consumers, trigger->master included *)
   fanout : int array;
-  producers : int array; (* sources, constants and registers, ascending *)
+  holders : int array; (* sources, constants and registers, ascending *)
   comb : int array; (* Lut, Master and Trigger gates, ascending *)
   inputless : int array; (* Lut, Master and Trigger gates without fanins *)
   masters : int array; (* ascending *)
@@ -121,19 +111,18 @@ type t = {
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 
-let build_forensics pl code arg fstart fanin =
-  let mg = Pl.to_marked_graph pl in
+let build_forensics (f : Flat.t) =
+  let mg = Pl.to_marked_graph f.pl in
   let arcs = Marked_graph.arcs mg in
   let arc_src = Array.map (fun (s, _, _) -> s) arcs in
   let arc_dst = Array.map (fun (_, d, _) -> d) arcs in
   let arc_tok = Array.map (fun (_, _, k) -> k) arcs in
   let dep_of d s =
-    (code.(d) = Master && arg.(d) = s)
-    || (let found = ref false in
-        for j = fstart.(d) to fstart.(d + 1) - 1 do
-          if fanin.(j) = s then found := true
-        done;
-        !found)
+    let found = ref false in
+    for j = f.pstart.(d) to f.pstart.(d + 1) - 1 do
+      if f.producer.(j) = s then found := true
+    done;
+    !found
   in
   let role =
     Array.map
@@ -143,68 +132,31 @@ let build_forensics pl code arg fstart fanin =
   { mg; arc_src; arc_dst; arc_tok; role }
 
 let compile ~delays pl =
-  let gates = Pl.gates pl in
-  let n = Array.length gates in
-  let code = Array.make n Lut and arg = Array.make n 0 and func = Array.make n Lut4.const0 in
-  let support = Array.make n 0 in
-  Array.iteri (fun k id -> arg.(id) <- k) (Pl.source_ids pl);
-  Array.iteri
-    (fun i g ->
-      match g.Pl.kind with
-      | Pl.Source _ -> code.(i) <- Source
-      | Pl.Const_source v ->
-          code.(i) <- Const;
-          arg.(i) <- Bool.to_int v
-      | Pl.Register init ->
-          code.(i) <- Register;
-          arg.(i) <- Bool.to_int init
-      | Pl.Sink _ -> code.(i) <- Sink
-      | Pl.Trigger { func = f; _ } ->
-          code.(i) <- Trigger;
-          func.(i) <- f
-      | Pl.Gate f -> (
-          func.(i) <- f;
-          match Pl.ee pl i with
-          | None -> ()
-          | Some e ->
-              code.(i) <- Master;
-              arg.(i) <- e.Pl.trigger;
-              support.(i) <- e.Pl.support))
-    gates;
-  let fstart = Array.make (n + 1) 0 in
-  Array.iteri (fun i g -> fstart.(i + 1) <- fstart.(i) + Array.length g.Pl.fanin) gates;
-  let fanin = Array.concat (List.map (fun g -> g.Pl.fanin) (Array.to_list gates)) in
+  let flat = Flat.of_pl ~caller:"Rail_sim.create" pl in
+  let { Flat.code; fstart; pstart; producer; _ } = flat in
+  let n = Array.length code in
   let is_comb i = match code.(i) with Lut | Master | Trigger -> true | _ -> false in
-  (* Each combinational consumer once per distinct producer. *)
-  let seen = Array.make n (-1) in
-  let edges = ref [] in
-  for c = n - 1 downto 0 do
-    if is_comb c then begin
-      let add p =
-        if seen.(p) <> c then begin
-          seen.(p) <- c;
-          edges := (p, c) :: !edges
-        end
-      in
-      if code.(c) = Master then add arg.(c);
-      for j = fstart.(c) to fstart.(c + 1) - 1 do
-        add fanin.(j)
-      done
-    end
-  done;
+  (* Each combinational consumer once per distinct producer, ascending. *)
   let ostart = Array.make (n + 1) 0 in
-  List.iter (fun (p, _) -> ostart.(p + 1) <- ostart.(p + 1) + 1) !edges;
+  let each_edge visit =
+    for c = 0 to n - 1 do
+      if is_comb c then
+        for j = pstart.(c) to pstart.(c + 1) - 1 do
+          visit producer.(j) c
+        done
+    done
+  in
+  each_edge (fun p _ -> ostart.(p + 1) <- ostart.(p + 1) + 1);
   for i = 0 to n - 1 do
     ostart.(i + 1) <- ostart.(i + 1) + ostart.(i)
   done;
   let fanout = Array.make ostart.(n) 0 in
   let fill = Array.sub ostart 0 n in
-  List.iter
-    (fun (p, c) ->
+  each_edge (fun p c ->
       fanout.(fill.(p)) <- c;
-      fill.(p) <- fill.(p) + 1)
-    !edges;
-  let ids p = List.filter p (List.init n Fun.id) |> Array.of_list in
+      fill.(p) <- fill.(p) + 1);
+  let all = Array.init n Fun.id in
+  let ids keep = Flat.select keep all in
   let work =
     {
       wave_stamp = 0;
@@ -220,24 +172,18 @@ let compile ~delays pl =
     }
   in
   {
-    pl;
-    code;
-    arg;
-    func;
-    fstart;
-    fanin;
-    support;
+    flat;
     ostart;
     fanout;
-    producers = ids (fun i -> match code.(i) with Source | Const | Register -> true | _ -> false);
+    holders = ids (fun i -> match code.(i) with Source | Const | Register -> true | _ -> false);
     comb = ids is_comb;
     inputless = ids (fun i -> is_comb i && fstart.(i + 1) = fstart.(i));
     masters = ids (fun i -> code.(i) = Master);
     settles = ids (fun i -> match code.(i) with Register | Sink -> true | _ -> false);
-    sink_fanin = Array.map (fun s -> fanin.(fstart.(s))) (Pl.sink_ids pl);
+    sink_fanin = Array.map (fun s -> flat.arg.(s)) (Pl.sink_ids pl);
     delays;
     max_rounds = Array.fold_left ( + ) (n + 2) delays;
-    forensics = lazy (build_forensics pl code arg fstart fanin);
+    forensics = lazy (build_forensics flat);
     work;
   }
 
@@ -269,14 +215,15 @@ let create ?(hooks = no_hooks) ?delays pl =
         Array.copy d
   in
   let net = compile ~delays pl in
-  let reg_state = Array.init n (fun i -> net.code.(i) = Register && net.arg.(i) = 1) in
+  let f = net.flat in
+  let reg_state = Array.init n (fun i -> f.code.(i) = Register && f.arg.(i) = 1) in
   with_hooks net hooks ~rails:(Array.make n 0) ~gate_phase:(Array.make n 0) ~reg_state
     ~wave_phase:1 ~wave_no:0
 
 let reset t =
-  let net = t.net in
+  let f = t.net.flat in
   for i = 0 to Array.length t.rails - 1 do
-    t.reg_state.(i) <- net.code.(i) = Register && net.arg.(i) = 1;
+    t.reg_state.(i) <- f.code.(i) = Register && f.arg.(i) = 1;
     t.rails.(i) <- 0;
     t.gate_phase.(i) <- 0
   done;
@@ -332,13 +279,13 @@ let latch t i value =
 
 (* The LUT value of a gate over whatever its fanin rails hold right now. *)
 let eval_gate t i =
-  let net = t.net in
-  let first = net.fstart.(i) in
+  let f = t.net.flat in
+  let first = f.fstart.(i) in
   let m = ref 0 in
-  for j = first to net.fstart.(i + 1) - 1 do
-    if t.rails.(net.fanin.(j)) land 1 = 1 then m := !m lor (1 lsl (j - first))
+  for j = first to f.fstart.(i + 1) - 1 do
+    if t.rails.(f.fanin.(j)) land 1 = 1 then m := !m lor (1 lsl (j - first))
   done;
-  Bool.to_int (Lut4.eval_bits net.func.(i) !m)
+  Bool.to_int (Lut4.eval_bits f.func.(i) !m)
 
 (* The Muller-C rule for one combinational gate: -1 when it is not enabled,
    otherwise [early lsl 1 lor value].  A master is also enabled when its
@@ -347,27 +294,27 @@ let eval_gate t i =
    its late inputs still carry the previous wave's values and the trigger
    guarantees insensitivity to them. *)
 let probe t i =
-  let net = t.net and rails = t.rails and wave = t.wave_phase in
-  let first = net.fstart.(i) in
+  let f = t.net.flat and rails = t.rails and wave = t.wave_phase in
+  let first = f.fstart.(i) in
   let m = ref 0 and stale = ref 0 in
-  for j = first to net.fstart.(i + 1) - 1 do
-    let c = rails.(net.fanin.(j)) in
+  for j = first to f.fstart.(i + 1) - 1 do
+    let c = rails.(f.fanin.(j)) in
     m := !m lor ((c land 1) lsl (j - first));
     if phase_bit c <> wave then stale := !stale lor (1 lsl (j - first))
   done;
   let early =
     !stale <> 0
-    && net.code.(i) = Master
-    && !stale land net.support.(i) = 0
+    && f.code.(i) = Master
+    && !stale land f.support.(i) = 0
     &&
-    let c = rails.(net.arg.(i)) in
+    let c = rails.(f.arg.(i)) in
     phase_bit c = wave
     &&
     if t.trigger_hook then t.hooks.trigger_seen ~wave:t.wave_no ~master:i (c land 1 = 1)
     else c land 1 = 1
   in
   if !stale = 0 || early then
-    Bool.to_int (Lut4.eval_bits net.func.(i) !m) lor if early then 2 else 0
+    Bool.to_int (Lut4.eval_bits f.func.(i) !m) lor if early then 2 else 0
   else -1
 
 (* Map the mid-wave rail/phase state onto the PL marked graph: a data arc
@@ -384,7 +331,7 @@ let stalled_marking t f =
   let st =
     Array.init (Array.length t.rails) (fun i ->
         let fired =
-          match net.code.(i) with
+          match net.flat.code.(i) with
           | Lut | Master | Trigger | Sink -> t.gate_phase.(i) = wave
           | Source | Const | Register -> true
         in
@@ -406,9 +353,10 @@ let diagnose_stall t ~unfired =
   let n = Array.length t.rails in
   let stale i = phase_bit t.rails.(i) <> wave in
   let deps i =
-    let first = net.fstart.(i) in
-    let fanins = List.init (net.fstart.(i + 1) - first) (fun k -> net.fanin.(first + k)) in
-    if net.code.(i) = Master then net.arg.(i) :: fanins else fanins
+    let f = net.flat in
+    let first = f.fstart.(i) in
+    let fanins = List.init (f.fstart.(i + 1) - first) (fun k -> f.fanin.(first + k)) in
+    if f.code.(i) = Master then f.arg.(i) :: fanins else fanins
   in
   let waiting_on = List.map (fun i -> (i, List.filter stale (deps i))) unfired in
   let is_unfired = Array.make n false in
@@ -424,7 +372,7 @@ let diagnose_stall t ~unfired =
   let stale_sources = ref [] in
   for i = n - 1 downto 0 do
     let fired_stale =
-      match net.code.(i) with
+      match net.flat.code.(i) with
       | Lut | Master | Trigger -> t.gate_phase.(i) = wave && stale i
       | Source | Const | Register -> stale i
       | Sink -> false
@@ -463,18 +411,18 @@ let queue_fanout t i ~nnext =
 
 let apply t vector =
   let net = t.net and s = t.net.work in
-  if Array.length vector <> Array.length (Pl.source_ids net.pl) then
+  if Array.length vector <> Array.length (Pl.source_ids net.flat.pl) then
     invalid_arg "Rail_sim.apply: wrong vector length";
   let wave = t.wave_phase and wave_no = t.wave_no in
-  let rails = t.rails and gate_phase = t.gate_phase and code = net.code in
+  let rails = t.rails and gate_phase = t.gate_phase and code = net.flat.code in
   (* Environment and token-holding gates emit the new wave's tokens. *)
-  for k = 0 to Array.length net.producers - 1 do
-    let i = net.producers.(k) in
+  for k = 0 to Array.length net.holders - 1 do
+    let i = net.holders.(k) in
     let v =
       match code.(i) with
-      | Source -> Bool.to_int vector.(net.arg.(i))
+      | Source -> Bool.to_int vector.(net.flat.arg.(i))
       | Register -> Bool.to_int t.reg_state.(i)
-      | _ -> net.arg.(i)
+      | _ -> net.flat.arg.(i)
     in
     latch t i v;
     gate_phase.(i) <- wave
@@ -607,7 +555,7 @@ let apply t vector =
   for k = 0 to Array.length net.settles - 1 do
     let i = net.settles.(k) in
     if code.(i) = Register then begin
-      let d = rails.(net.fanin.(net.fstart.(i))) in
+      let d = rails.(net.flat.fanin.(net.flat.fstart.(i))) in
       if phase_bit d <> wave then violation "register %d: stale D input" i;
       t.reg_state.(i) <- d land 1 = 1
     end
@@ -622,18 +570,5 @@ let apply t vector =
   (outputs, !early)
 
 let run_check pl nl ~vectors ~seed =
-  let rng = Ee_util.Prng.create seed in
   let t = create pl in
-  let st = ref (Ee_netlist.Netlist.initial_state nl) in
-  let width = Array.length (Pl.source_ids pl) in
-  let ok = ref true in
-  for _ = 1 to vectors do
-    if !ok then begin
-      let vec = Ee_util.Prng.bool_vector rng width in
-      let outs, _ = apply t vec in
-      let expected, st' = Ee_netlist.Netlist.step nl !st vec in
-      st := st';
-      if outs <> expected then ok := false
-    end
-  done;
-  !ok
+  Ee_netlist.Netlist.agrees_random nl ~vectors ~seed (fun v -> fst (apply t v))

@@ -31,10 +31,11 @@
     vectors under many adversarial schedules and observing identical
     outputs is the delay-insensitivity claim made executable.
 
-    {b Compiled kernel.}  {!create} compiles the netlist once into flat
-    arrays: a kind code per gate, a CSR fanin table, a deduplicated CSR
-    fanout table of combinational consumers (trigger->master edges
-    included), and each master's trigger id and support mask.  Rail pairs
+    {b Compiled kernel.}  {!create} runs on the netlist's {!Flat} form — a
+    kind code per gate, a CSR fanin table, each master's trigger id and
+    support mask, each gate's distinct producers — and inverts the
+    producers into a CSR fanout table of combinational consumers
+    (trigger->master edges included).  Rail pairs
     (as two-bit codes), gate phases and register state are flat arrays
     too.  The firing fixpoint runs in unit-delay rounds, each deciding
     from a snapshot of the rails which gates fire and then firing them
@@ -87,7 +88,8 @@ val create : ?hooks:hooks -> ?delays:int array -> Pl.t -> t
 (** [delays] gives each gate an extra number of fixpoint rounds between
     becoming enabled and firing (default all zero — fire as soon as
     enabled).  Raises [Invalid_argument] on a length mismatch or negative
-    delay. *)
+    delay, and [Invalid_argument "Rail_sim.create: ..."] on a netlist
+    {!Flat.of_pl} refuses. *)
 
 val reset : t -> unit
 
@@ -159,4 +161,4 @@ val apply : t -> bool array -> bool array * int
 
 val run_check : Pl.t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool
 (** Cross-check rail-level simulation against the synchronous golden model
-    on random vectors. *)
+    on random vectors ({!Ee_netlist.Netlist.agrees_random}). *)

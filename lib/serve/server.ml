@@ -196,14 +196,9 @@ let synth_netlist_json ?(search = false) ~spec nl =
 
 let perf_json ~spec ~waves b =
   let options = Engine.synth_options spec in
-  let config =
-    {
-      Ee_sim.Stream_sim.gate_delay = spec.Engine.gate_delay;
-      ee_overhead = spec.Engine.ee_overhead;
-    }
-  in
   let r =
-    Ee_report.Perf_report.analyze_bench ~options ~config ~waves ~seed:spec.Engine.seed b
+    Ee_report.Perf_report.analyze_bench ~options ~config:(Engine.sim_config spec) ~waves
+      ~seed:spec.Engine.seed b
   in
   Json.raw_compact
     (Ee_report.Perf_report.to_json { Ee_report.Perf_report.rows = [ r ]; selection = [] })

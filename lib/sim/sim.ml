@@ -1,10 +1,9 @@
 module Pl = Ee_phased.Pl
-module Lut4 = Ee_logic.Lut4
+module Flat = Ee_phased.Flat
 
-type config = { gate_delay : float; ee_overhead : float }
+type config = Ee_phased.Timing.t = { gate_delay : float; ee_overhead : float }
 
-let default_config =
-  { gate_delay = Ee_phased.Timing.gate_delay; ee_overhead = Ee_phased.Timing.ee_overhead }
+let default_config = Ee_phased.Timing.default
 
 type wave = {
   outputs : bool array;
@@ -13,23 +12,14 @@ type wave = {
   early_fires : int;
 }
 
-(* Gate kinds of the compiled form; [Hold] covers constant generators and
-   registers, whose wave-start token values live in [state]. *)
-type code = Source | Hold | Lut | Master | Sink
-
 (* Gate lists are in [Pl.topo] order.  A gate is time-dynamic when it is
    an EE master or reads a time-dynamic gate; every other gate fires at the
    same time on every wave, so [create] leaves its time in [times] and
    folds its settle and output contributions into [base]. *)
 type t = {
-  pl : Pl.t;
+  flat : Flat.t;
   config : config;
   delays : float array; (* per-gate firing latency *)
-  code : code array;
-  arg : int array; (* source position, register reset value, master's trigger or sink fanin *)
-  func : Lut4.t array; (* LUT of gates and triggers *)
-  fstart : int array; (* fanins of gate i are fanin.(fstart.(i) .. fstart.(i+1)-1) *)
-  fanin : int array; (* a register's only fanin is its D input *)
   masters : int; (* EE master count *)
   topo : int array; (* every gate: the value pass of [apply] *)
   regs : int array; (* register ids, ascending *)
@@ -41,7 +31,7 @@ type t = {
   dyn_sinks : int array; (* sinks of time-dynamic gates *)
   base : float array; (* output and settle time of the static gates *)
   clock : float array; (* output and settle time of the last wave *)
-  state : bool array; (* held token values, indexed by gate id *)
+  state : bool array; (* held token values of constants and registers *)
   values : bool array; (* scratch, per wave *)
   times : float array; (* static times; the dynamic ones are rewritten every wave *)
 }
@@ -57,7 +47,7 @@ let[@inline] fmax (a : float) b = if a >= b then a else b
    early.  The float accumulators are local refs that never escape, so
    they stay unboxed. *)
 let time_pass t ~gates ~regs ~sinks =
-  let code = t.code and arg = t.arg and fstart = t.fstart and fanin = t.fanin in
+  let { Flat.code; arg; fstart; fanin; _ } = t.flat in
   let values = t.values and times = t.times and delays = t.delays in
   let overhead = t.config.ee_overhead in
   let settle = ref t.base.(1) and early = ref 0 in
@@ -67,15 +57,19 @@ let time_pass t ~gates ~regs ~sinks =
     for j = fstart.(i) to fstart.(i + 1) - 1 do
       arrival := fmax !arrival times.(fanin.(j))
     done;
-    let normal = !arrival +. delays.(i) in
-    if code.(i) <> Master then begin
+    if code.(i) <> Flat.Master then begin
+      let normal = !arrival +. delays.(i) in
       times.(i) <- normal;
       settle := fmax !settle normal
     end
     else begin
+      (* [Ee_phased.Timing]'s master rule, written out: the default dune
+         profile compiles every module with [-opaque], so a call into
+         [Timing] would never be inlined and would box its float result
+         for every master on every wave. *)
       let tr = arg.(i) in
       let trig_time = times.(tr) in
-      let guarded = fmax normal (trig_time +. delays.(i)) +. overhead in
+      let guarded = fmax !arrival trig_time +. delays.(i) +. overhead in
       let fire_time =
         if values.(tr) then begin
           let early_time = trig_time +. overhead in
@@ -110,15 +104,15 @@ let time_pass t ~gates ~regs ~sinks =
    then the time pass over the dynamic gates.  Returns the early firings;
    the wave's output and settle times are left in [t.clock]. *)
 let step t ~order ~latch vector =
-  let values = t.values and state = t.state and code = t.code and arg = t.arg in
-  let func = t.func and fstart = t.fstart and fanin = t.fanin in
+  let values = t.values and state = t.state in
+  let { Flat.code; arg; func; fstart; fanin; _ } = t.flat in
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
     match code.(i) with
     | Source -> values.(i) <- vector.(arg.(i))
-    | Hold -> values.(i) <- state.(i)
+    | Const | Register -> values.(i) <- state.(i)
     | Sink -> values.(i) <- values.(arg.(i))
-    | Lut | Master ->
+    | Lut | Trigger | Master ->
         let first = fstart.(i) in
         let m = ref 0 in
         for j = first to fstart.(i + 1) - 1 do
@@ -134,44 +128,13 @@ let step t ~order ~latch vector =
   time_pass t ~gates:t.dyn ~regs:t.dyn_regs ~sinks:t.dyn_sinks
 
 let create_with_delays ?(config = default_config) ~delays pl =
-  let gates = Pl.gates pl in
-  let n = Array.length gates in
+  let n = Array.length (Pl.gates pl) in
   if Array.length delays <> n then invalid_arg "Sim.create_with_delays: delay count";
-  let malformed fmt = Printf.ksprintf (fun s -> invalid_arg ("Sim.create: " ^ s)) fmt in
-  let code = Array.make n Hold and arg = Array.make n 0 and func = Array.make n Lut4.const0 in
-  let state = Array.make n false and regs = ref [] and triggers = ref [] in
-  Array.iteri (fun k id -> arg.(id) <- k) (Pl.source_ids pl);
-  Array.iteri
-    (fun i g ->
-      let k = Array.length g.Pl.fanin in
-      match g.Pl.kind with
-      | Pl.Source _ -> code.(i) <- Source
-      | Pl.Const_source v -> state.(i) <- v
-      | (Pl.Register _ | Pl.Sink _) when k <> 1 -> malformed "gate %d has %d fanins, not 1" i k
-      | (Pl.Gate _ | Pl.Trigger _) when k > Lut4.arity -> malformed "gate %d has %d fanins" i k
-      | Pl.Register init ->
-          regs := i :: !regs;
-          arg.(i) <- Bool.to_int init;
-          state.(i) <- init
-      | Pl.Sink _ ->
-          code.(i) <- Sink;
-          arg.(i) <- g.Pl.fanin.(0)
-      | Pl.Trigger { func = f; _ } | Pl.Gate f -> (
-          func.(i) <- f;
-          match (g.Pl.kind, Pl.ee pl i) with
-          | Pl.Trigger _, _ | _, None -> code.(i) <- Lut
-          | _, Some { Pl.trigger = tr; _ } ->
-              let is_trigger j = match gates.(j).Pl.kind with Pl.Trigger _ -> true | _ -> false in
-              if tr < 0 || tr >= n || not (is_trigger tr) then
-                malformed "EE trigger %d of gate %d is not a trigger gate" tr i;
-              code.(i) <- Master;
-              arg.(i) <- tr;
-              triggers := tr :: !triggers))
-    gates;
-  let fstart = Array.make (n + 1) 0 in
-  Array.iteri (fun i g -> fstart.(i + 1) <- fstart.(i) + Array.length g.Pl.fanin) gates;
-  let fanin = Array.concat (List.map (fun g -> g.Pl.fanin) (Array.to_list gates)) in
-  let topo = Pl.topo pl and regs = Array.of_list (List.rev !regs) in
+  let flat = Flat.of_pl ~caller:"Sim.create" pl in
+  let { Flat.code; arg; fstart; fanin; _ } = flat in
+  let state = Array.init n (fun i -> (code.(i) = Const || code.(i) = Register) && arg.(i) = 1) in
+  let all = Array.init n Fun.id and topo = Pl.topo pl in
+  let regs = Flat.select (fun i -> code.(i) = Register) all in
   let reads mark i =
     let r = ref false in
     for j = fstart.(i) to fstart.(i + 1) - 1 do
@@ -184,11 +147,16 @@ let create_with_delays ?(config = default_config) ~delays pl =
   Array.iter
     (fun i ->
       dynamic.(i) <-
-        (match code.(i) with Source | Hold -> false | Master -> true | Lut | Sink -> reads dynamic i))
+        (match code.(i) with
+        | Source | Const | Register -> false
+        | Master -> true
+        | Lut | Trigger | Sink -> reads dynamic i))
     topo;
   (* The triggers' backward closure over fanins; a register's fanin is its
      D input, evaluated in the previous wave. *)
-  let cone = Array.make n false and stack = Stack.of_seq (List.to_seq !triggers) in
+  let masters = Flat.select (fun i -> code.(i) = Master) all in
+  let cone = Array.make n false and stack = Stack.create () in
+  Array.iter (fun m -> Stack.push arg.(m) stack) masters;
   while not (Stack.is_empty stack) do
     let i = Stack.pop stack in
     if not cone.(i) then begin
@@ -198,12 +166,10 @@ let create_with_delays ?(config = default_config) ~delays pl =
       done
     end
   done;
-  let select keep a = Array.of_list (List.filter keep (Array.to_list a)) in
-  let is_sink i = code.(i) = Sink in
+  let select = Flat.select and is_sink i = code.(i) = Sink in
   let d_dynamic r = dynamic.(fanin.(fstart.(r))) in
   let t =
-    { pl; config; delays = Array.copy delays; code; arg; func; fstart; fanin;
-      masters = List.length !triggers; topo; regs;
+    { flat; config; delays = Array.copy delays; masters = Array.length masters; topo; regs;
       cone = select (fun i -> cone.(i)) topo;
       cone_regs = select (fun r -> cone.(r)) regs;
       cone_reads_sources = Array.exists (fun i -> cone.(i) && code.(i) = Source) topo;
@@ -215,7 +181,7 @@ let create_with_delays ?(config = default_config) ~delays pl =
   in
   ignore
     (time_pass t
-       ~gates:(select (fun i -> code.(i) = Lut && not dynamic.(i)) topo)
+       ~gates:(select (fun i -> (code.(i) = Lut || code.(i) = Trigger) && not dynamic.(i)) topo)
        ~regs:(select (fun r -> not (d_dynamic r)) regs)
        ~sinks:(select (fun i -> is_sink i && not dynamic.(i)) topo));
   Array.blit t.clock 0 t.base 0 2;
@@ -226,16 +192,16 @@ let create ?(config = default_config) pl =
     ~delays:(Array.make (Array.length (Pl.gates pl)) config.gate_delay)
     pl
 
-let reset t = Array.iter (fun r -> t.state.(r) <- t.arg.(r) = 1) t.regs
+let reset t = Array.iter (fun r -> t.state.(r) <- t.flat.Flat.arg.(r) = 1) t.regs
 
 let check_width t vector =
-  if Array.length vector <> Array.length (Pl.source_ids t.pl) then
+  if Array.length vector <> Array.length (Pl.source_ids t.flat.Flat.pl) then
     invalid_arg "Sim.apply: wrong vector length"
 
 let apply t vector =
   check_width t vector;
   let early = step t ~order:t.topo ~latch:t.regs vector in
-  let outputs = Array.map (fun s -> t.values.(s)) (Pl.sink_ids t.pl) in
+  let outputs = Array.map (fun s -> t.values.(s)) (Pl.sink_ids t.flat.Flat.pl) in
   { outputs; output_time = t.clock.(0); settle_time = t.clock.(1); early_fires = early }
 
 let probe t = (Array.copy t.values, Array.copy t.times)
@@ -288,18 +254,5 @@ let run_random ?(config = default_config) pl ~vectors ~seed =
       if t.cone_reads_sources then Ee_util.Prng.bool_vector rng width else [||])
 
 let equiv_random pl nl ~vectors ~seed =
-  let rng = Ee_util.Prng.create seed in
   let t = create pl in
-  let st = ref (Ee_netlist.Netlist.initial_state nl) in
-  let width = Array.length (Pl.source_ids pl) in
-  let ok = ref true in
-  for _ = 1 to vectors do
-    if !ok then begin
-      let vec = Ee_util.Prng.bool_vector rng width in
-      let w = apply t vec in
-      let outs, st' = Ee_netlist.Netlist.step nl !st vec in
-      st := st';
-      if w.outputs <> outs then ok := false
-    end
-  done;
-  !ok
+  Ee_netlist.Netlist.agrees_random nl ~vectors ~seed (fun v -> (apply t v).outputs)

@@ -27,16 +27,11 @@
     function is constant over the late inputs, so evaluating with the full
     input vector gives the same result (tested as an invariant). *)
 
-type config = {
-  gate_delay : float;  (** Latency of one PL gate firing. *)
-  ee_overhead : float;
-      (** Extra latency of the EE Muller-C stage on a master; responsible
-          for the small degradations in Table 3. *)
-}
+type config = Ee_phased.Timing.t = { gate_delay : float; ee_overhead : float }
+(** The one timing record of every timed model; see {!Ee_phased.Timing}. *)
 
 val default_config : config
-(** {!Ee_phased.Timing}'s defaults: [gate_delay = 1.0],
-    [ee_overhead = 0.25]. *)
+(** {!Ee_phased.Timing.default}: [gate_delay = 1.0], [ee_overhead = 0.25]. *)
 
 type wave = {
   outputs : bool array;  (** Sink values in sink order. *)
@@ -48,13 +43,17 @@ type wave = {
 type t
 (** Mutable simulator instance (holds register state).
 
-    Creation compiles the netlist into flat arrays indexed by gate id: a
-    kind code, one int argument (source position, register reset value,
-    master's trigger or sink fanin), the LUT4 function, CSR fanins, and the
-    register ids.  A wave is a {e value pass} (each gate's LUT index packed
-    from its fanin values) followed by a {e time pass} (each gate's fanin
-    arrival), both in {!Ee_phased.Pl.topo} order; per wave {!apply}
-    allocates only the outputs array and the {!wave} record.
+    Creation compiles the netlist into its {!Ee_phased.Flat} form (kind
+    codes, one int argument per gate, the LUT4 functions, CSR fanins) and
+    adds the register ids and the gate lists below.  A wave is a
+    {e value pass} (each gate's LUT index packed from its fanin values)
+    followed by a {e time pass} (each gate's fanin arrival), both in
+    {!Ee_phased.Pl.topo} order; per wave {!apply} allocates only the
+    outputs array and the {!wave} record.  The time pass writes
+    {!Ee_phased.Timing}'s master rule out inline rather than calling it:
+    the default dune profile compiles every module with [-opaque], so the
+    call would never be inlined and would box a float for every master on
+    every wave.
 
     Only data-dependent times are recomputed.  A gate's time is
     {e dynamic} when it is an EE master or reads a dynamic gate (a sink
@@ -76,7 +75,8 @@ type t
 val create : ?config:config -> Ee_phased.Pl.t -> t
 (** Raises [Invalid_argument "Sim.create: ..."] on a gate or trigger with
     more than 4 fanins, a sink or register without exactly one fanin, or an
-    EE master whose trigger id does not name a trigger gate. *)
+    EE master whose trigger id does not name a trigger gate: the checks of
+    {!Ee_phased.Flat.of_pl}, which every timed model shares. *)
 
 val create_with_delays : ?config:config -> delays:float array -> Ee_phased.Pl.t -> t
 (** Like {!create} but with an explicit firing latency per PL gate (see
@@ -123,4 +123,5 @@ val run_vectors : ?config:config -> Ee_phased.Pl.t -> bool array list -> run
 val equiv_random :
   Ee_phased.Pl.t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool
 (** Cross-check the PL simulation against the synchronous golden model on
-    random vectors (outputs compared every wave). *)
+    random vectors, outputs compared every wave
+    ({!Ee_netlist.Netlist.agrees_random}). *)

@@ -1,10 +1,11 @@
 module Pl = Ee_phased.Pl
+module Flat = Ee_phased.Flat
 module Lut4 = Ee_logic.Lut4
+module Timing = Ee_phased.Timing
 
-type config = { gate_delay : float; ee_overhead : float }
+type config = Timing.t = { gate_delay : float; ee_overhead : float }
 
-let default_config =
-  { gate_delay = Ee_phased.Timing.gate_delay; ee_overhead = Ee_phased.Timing.ee_overhead }
+let default_config = Timing.default
 
 type result = {
   waves : int;
@@ -19,12 +20,6 @@ exception Unsafe of string
 
 type token = { time : float; value : bool }
 
-(* Packed LUT index of a gate's input tokens. *)
-let minterm tokens =
-  let m = ref 0 in
-  Array.iteri (fun k tok -> if tok.value then m := !m lor (1 lsl k)) tokens;
-  !m
-
 type arc = {
   src : int;
   dst : int;
@@ -36,69 +31,49 @@ type arc = {
    the untimed token game order coincides with the timed order; tokens carry
    timestamps, so gates may be processed from a worklist in any order. *)
 let run ?(config = default_config) ?delays pl ~vectors =
-  let gates = Pl.gates pl in
-  let n = Array.length gates in
+  let n = Array.length (Pl.gates pl) in
   (match delays with
   | Some d when Array.length d <> n ->
       invalid_arg "Stream_sim.run: delays length mismatch"
   | _ -> ());
+  let { Flat.code; arg; func; support; pstart; producer; pmask; _ } =
+    Flat.of_pl ~caller:"Stream_sim.run" pl
+  in
   let delay i =
     match delays with Some d -> d.(i) | None -> config.gate_delay
   in
-  let arcs = ref [] in
-  let n_arcs = ref 0 in
   let in_arcs = Array.make n [] in
   let out_data = Array.make n [] in
   let out_feedback = Array.make n [] in
   let add_arc src dst is_data initial =
     let a = { src; dst; is_data; slot = initial } in
-    arcs := a :: !arcs;
-    incr n_arcs;
     in_arcs.(dst) <- a :: in_arcs.(dst);
     if is_data then out_data.(src) <- a :: out_data.(src)
     else out_feedback.(src) <- a :: out_feedback.(src);
     a
   in
-  (* Per-gate map from fanin position to its data arc (ee trigger arc is
-     tracked separately). *)
-  let fanin_arcs = Array.make n [||] in
-  let efire_arc = Array.make n None in
-  for i = 0 to n - 1 do
-    let seen = Hashtbl.create 4 in
-    let arc_for src =
-      match Hashtbl.find_opt seen src with
-      | Some a -> a
-      | None ->
-          let initial =
-            match gates.(src).Pl.kind with
-            | Pl.Register init -> Some { time = 0.; value = init }
-            | Pl.Const_source v -> Some { time = 0.; value = v }
-            | _ -> None
-          in
-          let a = add_arc src i true initial in
-          (* Complementary feedback arc: marked iff the data arc is not.
-             Self-loops (a register reading itself) need none — the marked
-             data arc is already the one-token circuit. *)
-          if src <> i then begin
-            let fb_initial =
-              if initial = None then Some { time = 0.; value = false } else None
+  (* One data arc per producer, in [Flat]'s producer order, and the
+     complementary feedback arc: marked iff the data arc is not.
+     Self-loops (a register reading itself) need none — the marked data
+     arc is already the one-token circuit. *)
+  let data_in =
+    Array.init n (fun i ->
+        Array.init (pstart.(i + 1) - pstart.(i)) (fun k ->
+            let src = producer.(pstart.(i) + k) in
+            let initial =
+              match code.(src) with
+              | Flat.Register | Flat.Const -> Some { time = 0.; value = arg.(src) = 1 }
+              | _ -> None
             in
-            ignore (add_arc i src false fb_initial)
-          end;
-          Hashtbl.replace seen src a;
-          a
-    in
-    fanin_arcs.(i) <- Array.map arc_for gates.(i).Pl.fanin;
-    match Pl.ee pl i with
-    | Some e -> efire_arc.(i) <- Some (arc_for e.Pl.trigger)
-    | None -> ()
-  done;
+            let a = add_arc src i true initial in
+            if src <> i then
+              ignore (add_arc i src false (if initial = None then Some { time = 0.; value = false } else None));
+            a))
+  in
   (* Environment state: every source gate injects the same wave sequence,
      each tracking its own wave cursor (sources are acknowledged
      independently, so their cursors can be out of step transiently). *)
   let vector_arr = Array.of_list vectors in
-  let source_pos = Array.make n (-1) in
-  Array.iteri (fun k id -> source_pos.(id) <- k) (Pl.source_ids pl);
   let source_wave = Array.make n 0 in
   let sink_ids = Pl.sink_ids pl in
   let total_waves = List.length vectors in
@@ -125,79 +100,68 @@ let run ?(config = default_config) ?delays pl ~vectors =
     | None -> a.slot <- Some tok);
     enqueue a.dst
   in
-  let take a =
-    match a.slot with
-    | Some tok ->
-        a.slot <- None;
-        tok
-    | None -> assert false
-  in
   let fire i =
     queued.(i) <- false;
     if enabled i then begin
-      let g = gates.(i) in
-      (* Gather and clear all input tokens. *)
-      let fanin_tokens = Array.map (fun a -> Option.get a.slot) fanin_arcs.(i) in
-      let trigger_token = Option.map (fun a -> Option.get a.slot) efire_arc.(i) in
-      let t_all =
-        List.fold_left (fun acc a -> max acc (Option.get a.slot).time) 0. in_arcs.(i)
-      in
+      (* Gather the input values by fanin position, the trigger token and
+         the arrival of the master's subset inputs, then consume every input
+         token. *)
+      let m = ref 0 and trigger = ref None and t_subset = ref 0. in
+      let ins = data_in.(i) in
+      for k = 0 to Array.length ins - 1 do
+        let tok = Option.get ins.(k).slot and mask = pmask.(pstart.(i) + k) in
+        if tok.value then m := !m lor (mask land (Flat.trigger_bit - 1));
+        if mask land Flat.trigger_bit <> 0 then trigger := Some tok;
+        if mask land support.(i) <> 0 then t_subset := max !t_subset tok.time
+      done;
       (* Consumers' acknowledges bound any firing, early ones included: the
          output latch must be free before a new token can be emitted. *)
-      let t_acks =
-        List.fold_left
-          (fun acc a -> if a.is_data then acc else max acc (Option.get a.slot).time)
-          0. in_arcs.(i)
-      in
-      List.iter (fun a -> ignore (take a)) in_arcs.(i);
+      let t_all = ref 0. and t_acks = ref 0. in
+      List.iter
+        (fun a ->
+          let t = (Option.get a.slot).time in
+          t_all := max !t_all t;
+          if not a.is_data then t_acks := max !t_acks t;
+          a.slot <- None)
+        in_arcs.(i);
+      let t_all = !t_all and t_acks = !t_acks in
       let emit_output t_out value =
         List.iter (fun a -> deposit a { time = t_out; value }) out_data.(i)
       in
       let emit_feedback t =
         List.iter (fun a -> deposit a { time = t; value = false }) out_feedback.(i)
       in
-      (match g.Pl.kind with
-      | Pl.Source _ ->
+      (match code.(i) with
+      | Flat.Source ->
           let w = source_wave.(i) in
           if w < Array.length vector_arr then begin
             source_wave.(i) <- w + 1;
-            let value = vector_arr.(w).(source_pos.(i)) in
+            let value = vector_arr.(w).(arg.(i)) in
             emit_output t_all value;
             emit_feedback t_all
           end
-      | Pl.Const_source v ->
-          emit_output t_all v;
+      | Flat.Const ->
+          emit_output t_all (arg.(i) = 1);
           emit_feedback t_all
-      | Pl.Register _ ->
-          let d = fanin_tokens.(0) in
-          emit_output (t_all +. delay i) d.value;
+      | Flat.Register ->
+          emit_output (t_all +. delay i) (!m = 1);
           emit_feedback (t_all +. delay i)
-      | Pl.Sink _ ->
-          let d = fanin_tokens.(0) in
-          Queue.push d (sink_records.(sink_index.(i)));
-          emit_feedback d.time
-      | Pl.Trigger { func; _ } ->
-          emit_output (t_all +. delay i) (Lut4.eval_bits func (minterm fanin_tokens));
+      | Flat.Sink ->
+          (* A sink's only input token is its fanin's. *)
+          Queue.push { time = t_all; value = !m = 1 } sink_records.(sink_index.(i));
+          emit_feedback t_all
+      | Flat.Lut | Flat.Trigger ->
+          emit_output (t_all +. delay i) (Lut4.eval_bits func.(i) !m);
           emit_feedback (t_all +. delay i)
-      | Pl.Gate func ->
-          let value = Lut4.eval_bits func (minterm fanin_tokens) in
-          let t_complete =
-            t_all +. delay i
-            +. (if trigger_token = None then 0. else config.ee_overhead)
-          in
+      | Flat.Master ->
+          let value = Lut4.eval_bits func.(i) !m in
+          let t_complete = Timing.guarded config ~delay:(delay i) t_all in
           let t_out =
-            match (trigger_token, Pl.ee pl i) with
-            | Some trig, Some e when trig.value ->
+            match !trigger with
+            | Some trig when trig.value ->
                 (* Early path: the subset tokens, the efire token and the
                    consumers' acknowledges gate the early C-element. *)
-                let t_subset =
-                  Ee_util.Bits.fold_bits e.Pl.support
-                    (fun acc p -> max acc fanin_tokens.(p).time)
-                    0.
-                in
-                let t_early =
-                  max (max t_subset trig.time) t_acks +. config.ee_overhead
-                in
+                let t_early = Timing.early config (max (max !t_subset trig.time) t_acks) in
                 if t_early < t_complete then incr early_fires;
                 min t_early t_complete
             | _ -> t_complete

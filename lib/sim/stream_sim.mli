@@ -16,15 +16,15 @@
     marked-graph safety under pipelined operation.
 
     Output values are checked against the synchronous golden model by the
-    test suite: pipelining changes times, never values. *)
+    test suite: pipelining changes times, never values.  With a single
+    vector the run is {!Sim}'s wave: its completion time and outputs equal
+    {!Sim.apply}'s bit for bit (also tested). *)
 
-type config = {
-  gate_delay : float;
-  ee_overhead : float;
-}
+type config = Ee_phased.Timing.t = { gate_delay : float; ee_overhead : float }
+(** The same type as {!Sim.config}. *)
 
 val default_config : config
-(** Same defaults as {!Sim.default_config}. *)
+(** {!Ee_phased.Timing.default}, as {!Sim.default_config}. *)
 
 type result = {
   waves : int;  (** Output words collected. *)
@@ -52,8 +52,11 @@ val run :
     self-timed handshakes allow.  [delays] optionally replaces the uniform
     [config.gate_delay] with a per-gate latency indexed like [Pl.gates] (a
     [Delay_model] schedule); sources, constant generators and sinks fire
-    instantaneously either way.  Raises [Invalid_argument] on a length
-    mismatch. *)
+    instantaneously either way.  Each (producer, consumer) pair of
+    {!Ee_phased.Flat} is one data arc and its feedback arc, and masters
+    fire by {!Ee_phased.Timing}'s rule.  Raises [Invalid_argument] on a
+    length mismatch, and [Invalid_argument "Stream_sim.run: ..."] on a
+    netlist {!Ee_phased.Flat.of_pl} refuses. *)
 
 val run_random :
   ?config:config ->

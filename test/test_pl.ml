@@ -162,6 +162,44 @@ let test_dot () =
   let dot = Pl.to_dot pl' in
   Alcotest.(check bool) "efire edge rendered" true (Astring_contains.contains dot "efire")
 
+(* The compiled form's (producer, consumer) pairs are the marked graph's
+   data arcs: the graph holds one data arc per pair, marked when the
+   producer is a register or a constant, and, unless the pair is a
+   self-loop, the complementary acknowledge.  Checked on ITC99 b01-b13
+   with and without EE, and on a shared-trigger netlist. *)
+let test_flat_pairs_match_marked_graph () =
+  let module Flat = Ee_phased.Flat in
+  let module Itc99 = Ee_bench_circuits.Itc99 in
+  let netlists =
+    List.concat_map
+      (fun (b : Itc99.benchmark) ->
+        if b.Itc99.id > "b13" then []
+        else
+          let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (b.Itc99.build ())) in
+          [ (b.Itc99.id, pl); (b.Itc99.id ^ "/ee", fst (Ee_core.Synth.run pl)) ])
+      Itc99.all
+  in
+  let shared = fst (Ee_search.Search_select.run (List.assoc "b04" netlists)) in
+  let masters = ref 0 in
+  Array.iteri (fun i _ -> if Pl.ee shared i <> None then incr masters) (Pl.gates shared);
+  Alcotest.(check bool) "b04 search shares a trigger" true (!masters > Pl.ee_gate_count shared);
+  List.iter
+    (fun (name, pl) ->
+      let f = Flat.of_pl ~caller:"test" pl in
+      let arcs = ref [] in
+      for c = 0 to Array.length f.Flat.code - 1 do
+        for j = f.Flat.pstart.(c) to f.Flat.pstart.(c + 1) - 1 do
+          let p = f.Flat.producer.(j) in
+          let tokens = match f.Flat.code.(p) with Flat.Register | Flat.Const -> 1 | _ -> 0 in
+          arcs := (p, c, tokens) :: !arcs;
+          if p <> c then arcs := (c, p, 1 - tokens) :: !arcs
+        done
+      done;
+      let sorted l = List.sort compare l in
+      if sorted !arcs <> sorted (Array.to_list (Mg.arcs (Pl.to_marked_graph pl))) then
+        Alcotest.failf "%s: compiled producers differ from the marked graph's data arcs" name)
+    (("b04/search", shared) :: netlists)
+
 let suite =
   ( "pl",
     [
@@ -175,4 +213,6 @@ let suite =
       Alcotest.test_case "marked graph counts" `Quick test_marked_graph_counts;
       Alcotest.test_case "register tokens" `Quick test_register_tokens;
       Alcotest.test_case "dot export" `Quick test_dot;
+      Alcotest.test_case "compiled producers = marked graph data arcs" `Quick
+        test_flat_pairs_match_marked_graph;
     ] )

@@ -163,14 +163,24 @@ let test_wrong_vector_length () =
   Alcotest.check_raises "length check" (Invalid_argument "Sim.apply: wrong vector length")
     (fun () -> ignore (Sim.apply sim [| true |]))
 
-(* Malformed netlists are refused when the simulator is built, not deep
-   inside a wave.  [Pl.gates] hands out the netlist's own array, so each
-   case patches one gate of a freshly built netlist. *)
+(* Malformed netlists are refused when a model is built, not deep inside a
+   wave, and the same way by every model of a PL netlist.  [Pl.gates] hands
+   out the netlist's own array, so each case patches one gate of a freshly
+   built netlist. *)
 let rejected name pl =
-  match Sim.create pl with
-  | _ -> Alcotest.failf "%s: accepted" name
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) (name ^ ": " ^ msg) true (String.starts_with ~prefix:"Sim.create" msg)
+  let vector = Array.make (Array.length (Pl.source_ids pl)) false in
+  List.iter
+    (fun (model, build) ->
+      match build () with
+      | () -> Alcotest.failf "%s: accepted by %s" name model
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ ": " ^ msg) true (String.starts_with ~prefix:model msg))
+    [
+      ("Sim.create", fun () -> ignore (Sim.create pl));
+      ("Rail_sim.create", fun () -> ignore (Ee_phased.Rail_sim.create pl));
+      ("Stream_sim.run", fun () -> ignore (Ee_sim.Stream_sim.run pl ~vectors:[ vector ]));
+      ("Timed_graph.of_pl", fun () -> ignore (Ee_perf.Timed_graph.of_pl pl));
+    ]
 
 (* In [quickstart_pl], gates 0-2 are the inputs, 3-4 the buffers and 5 the
    carry, the only EE master. *)

@@ -100,6 +100,51 @@ let test_register_initial_tokens_flow () =
   let seq = Array.to_list (Array.map (fun o -> o.(0)) r.Ss.outputs) in
   Alcotest.(check (list bool)) "toggle stream" [ false; true; false; true; false; true ] seq
 
+(* With one wave in flight the stream simulator is the wave simulator:
+   its completion time and outputs are [Sim.apply]'s, bit for bit, with
+   and without EE, with a free, a default and a dominant EE overhead,
+   and under uniform and jittered delays. *)
+let test_single_wave_matches_sim () =
+  let module Sim = Ee_sim.Sim in
+  let module D = Ee_sim.Delay_model in
+  let cases = ref 0 in
+  List.iter
+    (fun id ->
+      let nl, pl, pl_ee = build id in
+      let vectors = random_vectors nl 10 21 in
+      List.iter
+        (fun (variant, netlist) ->
+          List.iter
+            (fun ee_overhead ->
+              let config = { Ss.gate_delay = 1.0; ee_overhead } in
+              List.iter
+                (fun (model, delays) ->
+                  let sim = Sim.create_with_delays ~config ~delays netlist in
+                  List.iteri
+                    (fun k vector ->
+                      Sim.reset sim;
+                      let w = Sim.apply sim vector in
+                      let r = Ss.run ~config ~delays netlist ~vectors:[ vector ] in
+                      incr cases;
+                      if
+                        not
+                          (r.Ss.waves = 1
+                          && Int64.bits_of_float r.Ss.completion_times.(0)
+                             = Int64.bits_of_float w.Sim.output_time
+                          && r.Ss.outputs.(0) = w.Sim.outputs)
+                      then
+                        Alcotest.failf "%s %s, ee_overhead %g, %s delays, vector %d: stream %h, sim %h"
+                          id variant ee_overhead model k r.Ss.completion_times.(0) w.Sim.output_time)
+                    vectors)
+                [
+                  ("uniform", D.uniform netlist ~gate_delay:1.0);
+                  ("jittered", D.jittered netlist ~gate_delay:1.0 ~spread:0.5 ~seed:7);
+                ])
+            [ 0.25; 0.; 1.5 ])
+        [ ("no EE", pl); ("EE", pl_ee) ])
+    (List.init 13 (fun k -> Printf.sprintf "b%02d" (k + 1)));
+  Alcotest.(check int) "cases" 1560 !cases
+
 let suite =
   ( "stream-sim",
     [
@@ -110,4 +155,5 @@ let suite =
       Alcotest.test_case "early fires counted" `Quick test_ee_counts_early_fires;
       Alcotest.test_case "no spurious unsafety" `Quick test_safety_guard_trips_on_unsafe_netlist;
       Alcotest.test_case "register tokens flow" `Quick test_register_initial_tokens_flow;
+      Alcotest.test_case "one wave in flight = Sim.apply" `Quick test_single_wave_matches_sim;
     ] )
