@@ -142,6 +142,7 @@ let print_feedback () =
     Ee_util.Table.create
       ~headers:[ "Benchmark"; "Feedback arcs"; "Removable"; "Savings"; "Still live+safe" ]
   in
+  let broken = ref [] in
   List.iter
     (fun id ->
       let b = Ee_bench_circuits.Itc99.find id in
@@ -151,6 +152,7 @@ let print_feedback () =
         Ee_markedgraph.Marked_graph.is_live a.Ee_phased.Feedback.graph
         && Ee_markedgraph.Marked_graph.is_safe a.Ee_phased.Feedback.graph
       in
+      if not ok then broken := id :: !broken;
       Ee_util.Table.add_row t
         [
           id;
@@ -160,7 +162,12 @@ let print_feedback () =
           (if ok then "yes" else "NO");
         ])
     [ "b01"; "b02"; "b06"; "b08"; "b09" ];
-  Ee_util.Table.print t
+  Ee_util.Table.print t;
+  if !broken <> [] then begin
+    Printf.printf "FAIL: minimized marked graph not live and safe: %s\n"
+      (String.concat " " (List.rev !broken));
+    exit 1
+  end
 
 let print_analysis () =
   section "Extension: analytical delay prediction vs simulation";
@@ -1909,7 +1916,10 @@ let micro () =
   let sim = Ee_sim.Sim.create artifact.Ee_report.Pipeline.pl_ee in
   let width = Array.length (Ee_phased.Pl.source_ids artifact.Ee_report.Pipeline.pl_ee) in
   let vec_rng = Ee_util.Prng.create 3 in
-  let mg = Ee_phased.Pl.to_marked_graph artifact.Ee_report.Pipeline.pl in
+  let mg =
+    let module Flat = Ee_phased.Flat in
+    Flat.marked_graph (Flat.of_pl ~caller:"bench" artifact.Ee_report.Pipeline.pl)
+  in
   let idx = ref 0 in
   let tests =
     [

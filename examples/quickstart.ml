@@ -54,7 +54,7 @@ let () =
 
   (* 5. The marked-graph equivalents are live and safe (paper Section 2). *)
   let live_safe pl =
-    let mg = Pl.to_marked_graph pl in
+    let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"quickstart" pl) in
     Ee_markedgraph.Marked_graph.is_live mg && Ee_markedgraph.Marked_graph.is_safe mg
   in
   Printf.printf "\nmarked graph live+safe: without EE %b, with EE %b\n" (live_safe pl)

@@ -20,8 +20,6 @@ let eq_const w e v = Rtl.Eq (e, Rtl.Const (w, v))
 
 let inc w e = Rtl.Add (e, Rtl.Const (w, 1))
 
-let add_mod a b = Rtl.Add (a, b)
-
 let popcount_width w = Ee_util.Bits.log2_ceil (w + 1)
 
 let popcount w e =

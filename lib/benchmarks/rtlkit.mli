@@ -20,9 +20,6 @@ val eq_const : int -> Rtl.expr -> int -> Rtl.expr
 
 val inc : int -> Rtl.expr -> Rtl.expr
 
-val add_mod : Rtl.expr -> Rtl.expr -> Rtl.expr
-(** Same-width addition (wraps); alias of [Rtl.Add]. *)
-
 val popcount : int -> Rtl.expr -> Rtl.expr
 (** [popcount w e] is the number of set bits of a [w]-bit expression, as a
     [ceil(log2 (w+1))]-bit value. *)

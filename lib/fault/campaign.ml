@@ -1,4 +1,5 @@
 module Pl = Ee_phased.Pl
+module Flat = Ee_phased.Flat
 module Ledr = Ee_phased.Ledr
 module Rail_sim = Ee_phased.Rail_sim
 module Netlist = Ee_netlist.Netlist
@@ -207,7 +208,7 @@ type token_audit = { arc : int; delta : int; verdict : token_verdict }
 
 let token_audit ?(max_arcs = 64) pl ~steps ~seed =
   if max_arcs < 1 then invalid_arg "Campaign.token_audit: max_arcs must be positive";
-  let mg = Pl.to_marked_graph pl in
+  let mg = Flat.marked_graph (Flat.of_pl ~caller:"Campaign.token_audit" pl) in
   let arcs = Mg.arcs mg in
   let n = Array.length arcs in
   let stride = max 1 (n / max_arcs) in

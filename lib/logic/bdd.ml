@@ -158,30 +158,6 @@ let rec any_sat_node = function
 
 let any_sat _m node = any_sat_node node
 
-(* A witness of [a ∧ ¬b], found by walking the pair without constructing
-   the difference BDD — the CEGIS loop calls this once per refinement, and
-   building [¬b] there would redo a full apply every iteration. *)
-let any_sat_diff _m a b =
-  let seen = Hashtbl.create 64 in
-  let rec go a b =
-    match (a, b) with
-    | Leaf false, _ | _, Leaf true -> None
-    | _, Leaf false -> any_sat_node a
-    | _ ->
-        let key = pack 0 (id a) (id b) in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.add seen key ();
-          let v = min (top_var a) (top_var b) in
-          let a0, a1 = cofactors a v in
-          let b0, b1 = cofactors b v in
-          match go a1 b1 with
-          | Some m -> Some (m lor (1 lsl v))
-          | None -> go a0 b0
-        end
-  in
-  go a b
-
 let exists_mask m node ~mask =
   Ee_util.Bits.fold_bits mask
     (fun acc v ->

@@ -59,12 +59,6 @@ val any_sat : manager -> t -> int option
     CEGIS trigger search uses this to extract counterexamples without
     enumerating minterms. *)
 
-val any_sat_diff : manager -> t -> t -> int option
-(** [any_sat_diff m a b] is a satisfying minterm of [a ∧ ¬b], if any,
-    found by walking the pair — no difference BDD is constructed, so a
-    refinement loop can call it every iteration without paying an apply.
-    Same determinism convention as {!any_sat}. *)
-
 val exists_mask : manager -> t -> mask:int -> t
 (** Existentially quantify out every variable in the bitmask. *)
 

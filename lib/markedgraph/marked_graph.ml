@@ -141,58 +141,39 @@ let min_cycle_tokens t a =
   let dist = dijkstra t t.dsts.(a) in
   if dist.(t.srcs.(a)) = max_int then None else Some (t.toks.(a) + dist.(t.srcs.(a)))
 
-let is_safe t =
-  (* Group arcs by destination so one Dijkstra serves all arcs entering from
-     the same head node. *)
-  let ok = ref true in
+(* The first arc, scanning destinations in ascending order with one
+   Dijkstra per destination, that lies on no cycle of exactly one token. *)
+let unsafe_arc t =
   let by_dst = Array.make t.nodes [] in
   for a = 0 to arc_count t - 1 do
     by_dst.(t.dsts.(a)) <- a :: by_dst.(t.dsts.(a))
   done;
-  for v = 0 to t.nodes - 1 do
-    if !ok && by_dst.(v) <> [] then begin
+  let rec scan v =
+    if v = t.nodes then None
+    else if by_dst.(v) = [] then scan (v + 1)
+    else
       let dist = dijkstra t v in
-      List.iter
-        (fun a ->
-          let back = dist.(t.srcs.(a)) in
-          if back = max_int || t.toks.(a) + back > 1 then ok := false)
-        by_dst.(v)
-    end
-  done;
-  !ok
+      let unsafe a =
+        let back = dist.(t.srcs.(a)) in
+        back = max_int || t.toks.(a) + back > 1
+      in
+      match List.find_opt unsafe by_dst.(v) with Some a -> Some a | None -> scan (v + 1)
+  in
+  scan 0
+
+let is_safe t = unsafe_arc t = None
 
 let check_live_safe t =
   if not (tokens_on_cycles_ok t) then Error "liveness: a directed cycle carries no token"
   else if not (all_arcs_on_cycles t) then
     Error "liveness: an arc lies on no directed cycle"
-  else begin
-    let offender = ref None in
-    let by_dst = Array.make t.nodes [] in
-    for a = 0 to arc_count t - 1 do
-      by_dst.(t.dsts.(a)) <- a :: by_dst.(t.dsts.(a))
-    done;
-    (try
-       for v = 0 to t.nodes - 1 do
-         if by_dst.(v) <> [] then begin
-           let dist = dijkstra t v in
-           List.iter
-             (fun a ->
-               let back = dist.(t.srcs.(a)) in
-               if back = max_int || t.toks.(a) + back > 1 then begin
-                 offender := Some a;
-                 raise Exit
-               end)
-             by_dst.(v)
-         end
-       done
-     with Exit -> ());
-    match !offender with
+  else
+    match unsafe_arc t with
     | None -> Ok ()
     | Some a ->
         Error
           (Printf.sprintf "safety: arc %d (%d -> %d, %d tokens) can exceed one token" a
              t.srcs.(a) t.dsts.(a) t.toks.(a))
-  end
 
 type marking = int array
 
@@ -284,17 +265,6 @@ let diagnose t m =
     dead_enabled = enabled_nodes t m;
     dead_cycle = (match token_free_cycle t m with Some c -> c | None -> []);
   }
-
-let cycle_string = function
-  | [] -> "-"
-  | first :: _ as nodes ->
-      String.concat ">" (List.map string_of_int (nodes @ [ first ]))
-
-let deadlock_to_string d =
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Printf.sprintf "deadlock: %d tokens left; enabled=[%s]; token-free cycle=%s"
-    (Array.fold_left ( + ) 0 d.dead_marking)
-    (ints d.dead_enabled) (cycle_string d.dead_cycle)
 
 let game t m ~check_initial ~steps ~rng =
   let counts = Array.make t.nodes 0 in

@@ -114,12 +114,6 @@ type deadlock = {
 val diagnose : t -> marking -> deadlock
 (** Explain a stalled marking: which nodes could still fire, and which
     token-free cycle starves the rest.  The node ids are PL gate ids when
-    the graph came from [Ee_phased.Pl.to_marked_graph], so the report names
+    the graph came from [Ee_phased.Flat.marked_graph], so the report names
     the gates responsible. *)
 
-val cycle_string : int list -> string
-(** Render a node cycle compactly, closing it explicitly: [[3;7;9]] becomes
-    ["3>7>9>3"]; the empty cycle renders as ["-"].  Shared by deadlock
-    forensics and the throughput analyzer's critical-cycle reports. *)
-
-val deadlock_to_string : deadlock -> string

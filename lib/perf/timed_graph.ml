@@ -1,4 +1,3 @@
-module Mg = Ee_markedgraph.Marked_graph
 module Pl = Ee_phased.Pl
 module Flat = Ee_phased.Flat
 
@@ -32,14 +31,6 @@ let make ~nodes ~arcs =
 
 let arc_count g = Array.length g.arc_src
 
-let of_marked_graph mg ~node_delay =
-  let arcs =
-    Mg.arcs mg |> Array.to_list
-    |> List.map (fun (src, dst, tokens) ->
-           { src; dst; weight = node_delay dst; tokens })
-  in
-  make ~nodes:(Mg.node_count mg) ~arcs
-
 type ee_mode = Guarded | Eager | Expected of (int -> float)
 
 type mapping = {
@@ -62,9 +53,8 @@ let of_pl ?(gate_delay = Ee_phased.Timing.default.gate_delay)
   | Some d when Array.length d <> n ->
       invalid_arg "Timed_graph.of_pl: delays length mismatch"
   | _ -> ());
-  let { Flat.code; support; pstart; producer; pmask; _ } =
-    Flat.of_pl ~caller:"Timed_graph.of_pl" pl
-  in
+  let f = Flat.of_pl ~caller:"Timed_graph.of_pl" pl in
+  let { Flat.code; support; pstart; producer; pmask; _ } = f in
   let mode =
     match mode with Some m -> m | None -> Expected (coverage_probability pl)
   in
@@ -142,14 +132,8 @@ let of_pl ?(gate_delay = Ee_phased.Timing.default.gate_delay)
     count := k + 1
   in
   for i = 0 to n - 1 do
-    (* The producers come in [Flat]'s order — fanins, then the trigger —
-       mirroring the per-pair arc sharing of [Stream_sim] and
-       [Pl.to_marked_graph]. *)
     for j = pstart.(i) to pstart.(i + 1) - 1 do
-      let src = producer.(j) in
-      let data_tokens =
-        match code.(src) with Flat.Register | Flat.Const -> 1 | _ -> 0
-      in
+      let src = producer.(j) and data_tokens = Flat.token f j in
       (* Data direction: producer's output event -> consumer firing. *)
       let src_ev = output_event.(src) in
       (* Completion waits for every input with the full latency. *)

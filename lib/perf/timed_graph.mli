@@ -9,14 +9,13 @@
     Linearity") gives the asymptotic period of the recurrence as the
     {e maximum cycle ratio} [max_C sum w(C) / sum k(C)] — see {!Mcr}.
 
-    Two constructors cover the repo's needs: {!of_marked_graph} annotates an
-    existing [Marked_graph.t] with per-node delays (arc weight = delay of
-    the consuming node), and {!of_pl} builds the event graph of a phased
-    logic netlist directly, mirroring [Ee_sim.Stream_sim]'s firing rule —
-    including the early-evaluation path, where a master with a trigger is
-    split into an {e output} event (gated by the trigger cone, the subset
-    inputs and the consumers' acknowledges) and a {e completion} event
-    (gated by all inputs; emits the acknowledges to the producers). *)
+    {!of_pl} builds the event graph of a phased logic netlist from
+    {!Ee_phased.Flat}'s token graph, mirroring [Ee_sim.Stream_sim]'s
+    firing rule — including the early-evaluation path, where a master with
+    a trigger is split into an {e output} event (gated by the trigger cone,
+    the subset inputs and the consumers' acknowledges) and a
+    {e completion} event (gated by all inputs; emits the acknowledges to
+    the producers). *)
 
 type arc = { src : int; dst : int; weight : float; tokens : int }
 
@@ -36,13 +35,6 @@ val make : nodes:int -> arcs:arc list -> t
     out-of-range endpoints, negative token counts or non-finite weights. *)
 
 val arc_count : t -> int
-
-val of_marked_graph :
-  Ee_markedgraph.Marked_graph.t -> node_delay:(int -> float) -> t
-(** One event per marked-graph node; each arc keeps its token count and is
-    weighted with the {e consumer}'s delay ([node_delay dst]), i.e. firing
-    completion of a node happens [node_delay] after all its input tokens
-    arrived — the timed firing rule of [Ee_sim.Sim] and [Stream_sim]. *)
 
 (** How the early-evaluation path of an annotated master is modelled.
 
@@ -86,11 +78,11 @@ val of_pl :
     [mode] (default [Expected] with [p = coverage/100], the trigger's firing
     probability under uniform inputs) selects the EE model above; on a
     netlist without EE annotations all modes coincide.  The arcs follow
-    {!Ee_phased.Flat}'s producers: per gate, its distinct fanins in
-    position order, then its trigger.  Raises [Invalid_argument] if
-    [delays] has the wrong length, and [Invalid_argument
-    "Timed_graph.of_pl: ..."] on a netlist {!Ee_phased.Flat.of_pl}
-    refuses. *)
+    {!Ee_phased.Flat}'s slots (per gate, its distinct fanins in position
+    order, then its trigger) and take their tokens from [Flat.token].
+    Raises [Invalid_argument] if [delays] has the wrong length, and
+    [Invalid_argument "Timed_graph.of_pl: ..."] on a netlist
+    {!Ee_phased.Flat.of_pl} refuses. *)
 
 val coverage_probability : Ee_phased.Pl.t -> int -> float
 (** The default [Expected] probability: the master's trigger coverage as a

@@ -6,29 +6,17 @@ type analysis = {
   graph : Mg.t;
 }
 
-(* The arcs of [Pl.to_marked_graph], in its order (per gate the trigger
-   first, then the other producers), with the feedback arcs apart so they
-   can be deleted one at a time. *)
+(* The arcs of [Flat.marked_graph], data and feedback apart so the feedback
+   arcs can be deleted one at a time, each list in reverse graph order
+   (per gate ascending, the trigger first). *)
 let arcs_of pl =
   let f = Flat.of_pl ~caller:"Feedback.analyze" pl in
   let data = ref [] and feedback = ref [] in
-  let add i j =
-    let src = f.producer.(j) in
-    let tok = match f.code.(src) with Flat.Register | Flat.Const -> 1 | _ -> 0 in
-    data := (src, i, tok) :: !data;
-    (* Self-loops carry their own token circuit; no feedback arc. *)
-    if src <> i then feedback := (i, src, 1 - tok) :: !feedback
-  in
-  for i = 0 to Array.length f.code - 1 do
-    let trigger j = f.pmask.(j) land Flat.trigger_bit <> 0 in
-    for j = f.pstart.(i) to f.pstart.(i + 1) - 1 do
-      if trigger j then add i j
-    done;
-    for j = f.pstart.(i) to f.pstart.(i + 1) - 1 do
-      if not (trigger j) then add i j
-    done
-  done;
-  (List.rev !data, List.rev !feedback)
+  Flat.iter_slots f (fun i j ->
+      let src = f.producer.(j) and tok = Flat.token f j in
+      data := (src, i, tok) :: !data;
+      if src <> i then feedback := (i, src, 1 - tok) :: !feedback);
+  (!data, !feedback)
 
 let analyze pl =
   let nodes = Array.length (Pl.gates pl) in

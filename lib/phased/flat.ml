@@ -88,6 +88,47 @@ let of_pl ~caller pl =
   let trim a = if !count = bound then a else Array.sub a 0 !count in
   { pl; code; arg; func; support; fstart; fanin; pstart; producer = trim producer; pmask = trim pmask }
 
+let token f j = match f.code.(f.producer.(j)) with Register | Const -> 1 | _ -> 0
+
+type consumers = { cstart : int array; cslot : int array; owner : int array }
+
+let consumers f =
+  let n = Array.length f.code and slots = Array.length f.producer in
+  let cstart = Array.make (n + 1) 0 and owner = Array.make slots 0 in
+  for i = 0 to n - 1 do
+    for j = f.pstart.(i) to f.pstart.(i + 1) - 1 do
+      owner.(j) <- i;
+      cstart.(f.producer.(j) + 1) <- cstart.(f.producer.(j) + 1) + 1
+    done
+  done;
+  for i = 0 to n - 1 do
+    cstart.(i + 1) <- cstart.(i + 1) + cstart.(i)
+  done;
+  let cslot = Array.make slots 0 and fill = Array.sub cstart 0 n in
+  for j = 0 to slots - 1 do
+    let p = f.producer.(j) in
+    cslot.(fill.(p)) <- j;
+    fill.(p) <- fill.(p) + 1
+  done;
+  { cstart; cslot; owner }
+
+let iter_slots f visit =
+  for i = Array.length f.code - 1 downto 0 do
+    let trigger = ref (-1) in
+    for j = f.pstart.(i + 1) - 1 downto f.pstart.(i) do
+      if f.pmask.(j) land trigger_bit <> 0 then trigger := j else visit i j
+    done;
+    if !trigger >= 0 then visit i !trigger
+  done
+
+let marked_graph f =
+  let arcs = ref [] in
+  iter_slots f (fun i j ->
+      let p = f.producer.(j) and k = token f j in
+      arcs := (p, i, k) :: !arcs;
+      if p <> i then arcs := (i, p, 1 - k) :: !arcs);
+  Ee_markedgraph.Marked_graph.make ~nodes:(Array.length f.code) ~arcs:(List.rev !arcs)
+
 let select keep ids =
   let r = Array.make (Array.fold_left (fun c i -> if keep i then c + 1 else c) 0 ids) 0 in
   ignore (Array.fold_left (fun k i -> if keep i then (r.(k) <- i; k + 1) else k) 0 ids);

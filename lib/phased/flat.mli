@@ -1,11 +1,16 @@
-(** The compiled form of a PL netlist, shared by every simulator and timed
-    model ([Sim], [Rail_sim], [Stream_sim], [Timed_graph]), so that all of
-    them refuse a malformed netlist the same way.
+(** The compiled form of a PL netlist and its token graph, shared by every
+    simulator and timed model ([Sim], [Rail_sim], [Stream_sim],
+    [Timed_graph]) and by [Feedback], so that all of them refuse a malformed
+    netlist the same way and see the same arcs.
 
     The producers of a gate are the gates its input tokens come from: its
     fanins in position order, each once, then a master's trigger unless it
-    is also a fanin.  Each (producer, consumer) pair is one data arc of
-    {!Pl.to_marked_graph}. *)
+    is also a fanin.  Producer {e slot} [j] of consumer [i] is the data arc
+    [producer.(j) -> i], holding {!token} [j] initial tokens, and, unless it
+    is a self-loop (a register reading itself, whose marked data arc is
+    already a one-token circuit), its acknowledge [i -> producer.(j)],
+    holding the complement.  These are the arcs of {!marked_graph}, in the
+    order {!iter_slots} gives. *)
 
 (** [Master] is a [Pl.Gate] with an EE trigger. *)
 type code = Source | Const | Register | Lut | Trigger | Master | Sink
@@ -20,10 +25,10 @@ type t = private {
   support : int array;  (** Master: mask of the fanin positions feeding its trigger. *)
   fstart : int array;  (** Gate [i]'s fanins are [fanin.(fstart.(i) .. fstart.(i+1)-1)]. *)
   fanin : int array;
-  pstart : int array;  (** Gate [i]'s producers are [producer.(pstart.(i) .. pstart.(i+1)-1)]. *)
-  producer : int array;
+  pstart : int array;  (** Gate [i]'s slots are [pstart.(i) .. pstart.(i+1)-1]. *)
+  producer : int array;  (** Per slot: the gate its data token comes from. *)
   pmask : int array;
-      (** Per producer: bit [q] when it feeds fanin position [q],
+      (** Per slot: bit [q] when its producer feeds fanin position [q],
           {!trigger_bit} when it is the master's trigger. *)
 }
 
@@ -34,6 +39,28 @@ val of_pl : caller:string -> Pl.t -> t
 (** Raises [Invalid_argument (caller ^ ": ...")] on a gate or trigger with
     more than 4 fanins, a sink or register without exactly one fanin, or an
     EE master whose trigger id does not name a trigger gate. *)
+
+val token : t -> int -> int
+(** [token f j]: the initial tokens on slot [j]'s data arc, 1 when its
+    producer is a register or a constant source and 0 otherwise.  Computed
+    on each call, so a compiled netlist stores no marking. *)
+
+(** The slots read from the producer side: gate [g] is the producer of
+    slots [cslot.(cstart.(g) .. cstart.(g+1)-1)], ascending (so their
+    consumers ascend too), and slot [j] belongs to consumer [owner.(j)]. *)
+type consumers = { cstart : int array; cslot : int array; owner : int array }
+
+val consumers : t -> consumers
+(** Built on each call; [t] does not keep it. *)
+
+val iter_slots : t -> (int -> int -> unit) -> unit
+(** [iter_slots f visit] calls [visit i j] for every slot [j] of consumer
+    [i] in the token graph's arc order: consumers descending; per consumer,
+    its slots other than the trigger's descending, then the trigger's. *)
+
+val marked_graph : t -> Ee_markedgraph.Marked_graph.t
+(** The token graph: one node per gate; per slot in {!iter_slots} order, its
+    data arc, then its acknowledge unless it is a self-loop. *)
 
 val select : (int -> bool) -> int array -> int array
 (** [select keep ids] keeps the ids satisfying [keep], in order. *)

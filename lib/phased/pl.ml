@@ -1,6 +1,5 @@
 module Netlist = Ee_netlist.Netlist
 module Lut4 = Ee_logic.Lut4
-module Marked_graph = Ee_markedgraph.Marked_graph
 
 type kind =
   | Source of string
@@ -276,40 +275,6 @@ let strip_ee t =
     t.gates;
   let gates_arr = Array.sub t.gates 0 n in
   build gates_arr (Array.make n None) t.source_ids t.sink_ids
-
-let to_marked_graph t =
-  let n = Array.length t.gates in
-  let arcs = ref [] in
-  let add_pair src dst =
-    let data_tok =
-      match t.gates.(src).kind with
-      | Register _ | Const_source _ -> 1
-      | Source _ | Gate _ | Trigger _ | Sink _ -> 0
-    in
-    if src = dst then
-      (* A register consuming its own output: the marked data self-loop is
-         already a one-token circuit; a complementary feedback self-arc
-         would be a token-free cycle (deadlock). *)
-      arcs := (src, dst, data_tok) :: !arcs
-    else arcs := (src, dst, data_tok) :: (dst, src, 1 - data_tok) :: !arcs
-  in
-  for i = 0 to n - 1 do
-    let seen = Hashtbl.create 4 in
-    (* For the token graph every fanin matters (unlike [wave_deps], which
-       only orders combinational firing), plus the trigger's efire edge. *)
-    let all =
-      (match t.ee.(i) with Some e -> [ e.trigger ] | None -> [])
-      @ Array.to_list t.gates.(i).fanin
-    in
-    List.iter
-      (fun src ->
-        if not (Hashtbl.mem seen src) then begin
-          Hashtbl.add seen src ();
-          add_pair src i
-        end)
-      all
-  done;
-  Marked_graph.make ~nodes:n ~arcs:!arcs
 
 let to_dot t =
   let buf = Buffer.create 1024 in

@@ -3,12 +3,13 @@
     A synchronous LUT4/DFF netlist maps one-to-one onto PL gates
     (paper §2): LUTs become combinational PL gates, flip-flops become
     register (buffer) PL gates holding an initial token, primary inputs
-    become token sources and primary outputs token sinks.  Feedback
-    (acknowledge) arcs are inserted so that every data arc lies on a
-    two-node directed circuit carrying exactly one token, which makes the
-    marked-graph equivalent live and safe; one feedback per distinct
+    become token sources and primary outputs token sinks.  The token graph
+    pairs every data arc with a feedback (acknowledge) arc so that it lies
+    on a two-node directed circuit carrying exactly one token, which makes
+    the marked-graph equivalent live and safe; one feedback per distinct
     producer/consumer pair covers all signals between them (the sharing the
-    paper describes).
+    paper describes).  {!Flat} compiles a [t] and builds that graph
+    ({!Flat.marked_graph}).
 
     Early-evaluation pairs (paper §3, Figure 2) add a {e trigger} gate next
     to a {e master} gate: the trigger computes a sub-function of the
@@ -96,11 +97,6 @@ val with_ee_shared : t -> (int * ee_info_request) list -> t
 
 val strip_ee : t -> t
 (** Remove all EE pairs (for baseline comparisons). *)
-
-val to_marked_graph : t -> Ee_markedgraph.Marked_graph.t
-(** Token-flow semantics: one node per gate; per distinct producer/consumer
-    pair a data arc (one initial token when the producer is a register or a
-    constant source) and a feedback arc carrying the complementary token. *)
 
 val to_dot : t -> string
 

@@ -112,7 +112,7 @@ type t = {
 let violation fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 
 let build_forensics (f : Flat.t) =
-  let mg = Pl.to_marked_graph f.pl in
+  let mg = Flat.marked_graph f in
   let arcs = Marked_graph.arcs mg in
   let arc_src = Array.map (fun (s, _, _) -> s) arcs in
   let arc_dst = Array.map (fun (_, d, _) -> d) arcs in
@@ -133,28 +133,20 @@ let build_forensics (f : Flat.t) =
 
 let compile ~delays pl =
   let flat = Flat.of_pl ~caller:"Rail_sim.create" pl in
-  let { Flat.code; fstart; pstart; producer; _ } = flat in
+  let { Flat.code; fstart; _ } = flat in
   let n = Array.length code in
   let is_comb i = match code.(i) with Lut | Master | Trigger -> true | _ -> false in
   (* Each combinational consumer once per distinct producer, ascending. *)
+  let { Flat.cstart; cslot; owner } = Flat.consumers flat in
+  let fanout = Flat.select is_comb (Array.map (fun j -> owner.(j)) cslot) in
   let ostart = Array.make (n + 1) 0 in
-  let each_edge visit =
-    for c = 0 to n - 1 do
-      if is_comb c then
-        for j = pstart.(c) to pstart.(c + 1) - 1 do
-          visit producer.(j) c
-        done
-    done
-  in
-  each_edge (fun p _ -> ostart.(p + 1) <- ostart.(p + 1) + 1);
-  for i = 0 to n - 1 do
-    ostart.(i + 1) <- ostart.(i + 1) + ostart.(i)
+  for p = 0 to n - 1 do
+    let comb = ref 0 in
+    for k = cstart.(p) to cstart.(p + 1) - 1 do
+      if is_comb owner.(cslot.(k)) then incr comb
+    done;
+    ostart.(p + 1) <- ostart.(p) + !comb
   done;
-  let fanout = Array.make ostart.(n) 0 in
-  let fill = Array.sub ostart 0 n in
-  each_edge (fun p c ->
-      fanout.(fill.(p)) <- c;
-      fill.(p) <- fill.(p) + 1);
   let all = Array.init n Fun.id in
   let ids keep = Flat.select keep all in
   let work =

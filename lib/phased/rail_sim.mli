@@ -122,10 +122,12 @@ exception Protocol_violation of string
 
 (** {1 Deadlock forensics}
 
-    The PL marked graph and the role of each of its arcs (register
-    self-loop, data or feedback) are built on a simulator's first stall
-    and shared with its copies, so diagnosing a stall is a few passes over
-    arrays plus one search for a token-free cycle. *)
+    The PL marked graph ({!Flat.marked_graph}) and the role of each of its
+    arcs are built on a simulator's first stall and shared with its copies,
+    so diagnosing a stall is a few passes over arrays plus one search for a
+    token-free cycle.  An arc is a register self-loop when it starts and
+    ends at one gate, data when its source is a producer of its
+    destination, and feedback otherwise. *)
 
 type stall = {
   stall_wave : int;  (** Wave index (0-based) at which the wave stalled. *)

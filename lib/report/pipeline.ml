@@ -34,7 +34,8 @@ let build_all ?options () =
 
 let check_live_safe a =
   let check tag pl =
-    let mg = Ee_phased.Pl.to_marked_graph pl in
+    let module Flat = Ee_phased.Flat in
+    let mg = Flat.marked_graph (Flat.of_pl ~caller:"Pipeline.check_live_safe" pl) in
     match Ee_markedgraph.Marked_graph.check_live_safe mg with
     | Ok () -> Ok ()
     | Error msg -> Error (Printf.sprintf "%s (%s): %s" a.id tag msg)

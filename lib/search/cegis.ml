@@ -235,6 +235,3 @@ let synthesize ?(seed = true) ?max_cubes ctx ~subset =
     iterations = !iterations;
     seeded;
   }
-
-let synthesize_sketch ctx sketch =
-  synthesize ~max_cubes:(Sketch.max_cubes sketch) ctx ~subset:(Sketch.support sketch)

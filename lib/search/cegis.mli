@@ -70,6 +70,3 @@ val synthesize : ?seed:bool -> ?max_cubes:int -> ctx -> subset:int -> result
     few subsets of the master will ever be synthesized (the {!Driver}
     decides per run).  [func], [coverage_count] and [exact] do not depend
     on seeding; the cube list may (both are sound covers of the spec). *)
-
-val synthesize_sketch : ctx -> Sketch.t -> result
-(** [synthesize] with the sketch's support and cube budget. *)

@@ -20,14 +20,6 @@ type stats = {
   iterations : int;
 }
 
-let to_wide c =
-  {
-    Trigger_wide.subset = c.subset;
-    coverage_count = c.coverage_count;
-    coverage = c.coverage;
-    func = c.func;
-  }
-
 let rec take k = function
   | [] -> []
   | _ when k <= 0 -> []

@@ -59,8 +59,6 @@ val candidates :
 val prune : ?min_coverage:float -> ?top_k:int -> candidate list -> candidate list
 (** Same rule as {!Ee_core.Trigger_wide.prune}, preserving cube lists. *)
 
-val to_wide : candidate -> Ee_core.Trigger_wide.candidate
-
 val agrees_with_brute :
   ?min_coverage:float -> ?top_k:int -> Ee_logic.Truthtab.t -> bool
 (** Does [candidates] (no cube budget) return exactly what brute force

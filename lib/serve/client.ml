@@ -5,7 +5,7 @@ exception Timeout
 type t = {
   fd : Unix.file_descr;
   mutable inbuf : string;
-  mutable recv_timeout_s : float option;
+  recv_timeout_s : float option;
 }
 
 let sockaddr = function
@@ -38,8 +38,6 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.1) ?recv_timeout_s address =
         raise e
   in
   attempt retries
-
-let set_recv_timeout t s = t.recv_timeout_s <- s
 
 let send_line t line =
   let data = Bytes.of_string (line ^ "\n") in

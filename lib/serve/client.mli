@@ -20,10 +20,6 @@ val connect :
     behaviour).  The deadline covers the whole line, so a server
     trickling bytes cannot extend it. *)
 
-val set_recv_timeout : t -> float option -> unit
-(** Change the receive timeout for subsequent {!recv_line} calls.
-    [None] waits forever. *)
-
 val send_line : t -> string -> unit
 (** Send one raw request line (no trailing newline) without waiting for
     the response — pipelining primitive; responses arrive in send order

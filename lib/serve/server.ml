@@ -16,8 +16,6 @@ type config = {
   shards : int;
   domains : int;
   max_pending : int;
-  throttle_pending : int option;
-  shed_pending : int option;
   backlog : int option;
   default_deadline_s : float option;
   cache_max_bytes : int;
@@ -34,8 +32,6 @@ let default_config =
     shards = 1;
     domains = Domain.recommended_domain_count ();
     max_pending = 4 * Domain.recommended_domain_count ();
-    throttle_pending = None;
-    shed_pending = None;
     backlog = None;
     default_deadline_s = None;
     cache_max_bytes = 64 * 1024 * 1024;
@@ -46,20 +42,11 @@ let default_config =
     log = ignore;
   }
 
-(* Watermarks of the graded admission ladder, clamped into
-   1 <= throttle <= shed <= max_pending. *)
+(* Watermarks of the graded admission ladder: half and three quarters of
+   [max_pending], with 1 <= throttle <= shed. *)
 let tier_thresholds cfg =
-  let throttle =
-    match cfg.throttle_pending with
-    | Some t -> max 1 (min t cfg.max_pending)
-    | None -> max 1 (cfg.max_pending / 2)
-  in
-  let shed =
-    match cfg.shed_pending with
-    | Some s -> min (max throttle s) cfg.max_pending
-    | None -> max throttle (3 * cfg.max_pending / 4)
-  in
-  (throttle, shed)
+  let throttle = max 1 (cfg.max_pending / 2) in
+  (throttle, max throttle (3 * cfg.max_pending / 4))
 
 let backlog_of cfg =
   match cfg.backlog with Some b -> max 1 b | None -> max 64 cfg.max_pending

@@ -18,8 +18,9 @@
     - admission is graded, not binary.  With [i] requests in flight
       (batch-locally adjusted): cacheable work ([synth]/[perf]/[faults])
       is admitted until [i >= max_pending] ([overloaded]); non-cacheable
-      work ([sleep]) is admitted below the throttle watermark, answered
-      [throttled] from there, [shed] past the shed watermark, and
+      work ([sleep]) is admitted below the throttle watermark (half of
+      [max_pending]), answered [throttled] from there, [shed] from the
+      shed watermark (three quarters), and
       [overloaded] at the hard bound.  Every rejection carries a
       ["retry_after_s"] hint derived from an EWMA of worker occupancy;
     - each admitted request may carry a deadline (its own ["deadline_s"],
@@ -53,13 +54,6 @@ type config = {
   shards : int;  (** IO shard domains (clamped to 1..64). *)
   domains : int;  (** Worker domains in the compute pool. *)
   max_pending : int;  (** Hard admission bound: max requests in flight. *)
-  throttle_pending : int option;
-      (** Non-cacheable work is [throttled] from this many in flight.
-          Default [max_pending / 2]. *)
-  shed_pending : int option;
-      (** Non-cacheable work is [shed] from this many in flight.
-          Default [3 * max_pending / 4]; clamped to
-          [throttle <= shed <= max_pending]. *)
   backlog : int option;
       (** Listen backlog.  Default [max 64 max_pending] — sized so a
           connection burst survives until the acceptor catches up. *)
@@ -80,12 +74,13 @@ type config = {
 val default_config : config
 (** Unix socket ["ee_synthd.sock"], 1 shard, pool of
     [Domain.recommended_domain_count], [max_pending] = 4× domains,
-    default watermarks and backlog, no default deadline, 64 MiB in-memory
+    default backlog, no default deadline, 64 MiB in-memory
     cache, no persistence, no trace, 5 s grace, 8 MiB request bound,
     silent log. *)
 
 val tier_thresholds : config -> int * int
-(** [(throttle, shed)] after defaulting and clamping. *)
+(** [(throttle, shed)]: [max 1 (max_pending / 2)] and
+    [max throttle (3 * max_pending / 4)]. *)
 
 val backlog_of : config -> int
 (** The listen backlog after defaulting. *)

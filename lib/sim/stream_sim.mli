@@ -52,9 +52,13 @@ val run :
     self-timed handshakes allow.  [delays] optionally replaces the uniform
     [config.gate_delay] with a per-gate latency indexed like [Pl.gates] (a
     [Delay_model] schedule); sources, constant generators and sinks fire
-    instantaneously either way.  Each (producer, consumer) pair of
-    {!Ee_phased.Flat} is one data arc and its feedback arc, and masters
-    fire by {!Ee_phased.Timing}'s rule.  Raises [Invalid_argument] on a
+    instantaneously either way.  The arcs are {!Ee_phased.Flat}'s slots
+    (a data arc and, unless a self-loop, its acknowledge; marked by
+    [Flat.token]), held as flat per-slot arrays of token time, value and
+    occupancy, with a per-gate count of empty input arcs.  Tokens are
+    deposited in descending slot order, which fixes the worklist order and
+    so [early_fires] of free-running circuits.  Masters fire by
+    {!Ee_phased.Timing}'s rule.  Raises [Invalid_argument] on a
     length mismatch, and [Invalid_argument "Stream_sim.run: ..."] on a
     netlist {!Ee_phased.Flat.of_pl} refuses. *)
 

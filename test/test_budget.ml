@@ -44,7 +44,7 @@ let test_run_budgeted () =
   in
   Alcotest.(check bool) "still equivalent" true
     (Ee_sim.Sim.equiv_random pl' nl ~vectors:80 ~seed:3);
-  let mg = Pl.to_marked_graph pl' in
+  let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" pl') in
   Alcotest.(check bool) "live+safe" true
     (Ee_markedgraph.Marked_graph.is_live mg && Ee_markedgraph.Marked_graph.is_safe mg)
 

@@ -65,7 +65,7 @@ let prop_marked_graph_live_safe =
       let d = Rtl_gen.generate seed in
       let nl = Techmap.run_rtl d in
       let pl_ee, _ = Ee_core.Synth.run (Pl.of_netlist nl) in
-      let mg = Pl.to_marked_graph pl_ee in
+      let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" pl_ee) in
       Ee_markedgraph.Marked_graph.is_live mg && Ee_markedgraph.Marked_graph.is_safe mg)
 
 let prop_blif_roundtrip =

@@ -98,7 +98,7 @@ let test_token_game_on_pl_netlist () =
   let b = Ee_bench_circuits.Itc99.find "b03" in
   let nl = Ee_rtl.Techmap.run_rtl (b.Ee_bench_circuits.Itc99.build ()) in
   let pl = Ee_phased.Pl.of_netlist nl in
-  let g = Ee_phased.Pl.to_marked_graph pl in
+  let g = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" pl) in
   let rng = Ee_util.Prng.create 11 in
   match Mg.run_token_game g ~steps:5000 ~rng with
   | `Ok counts ->

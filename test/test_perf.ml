@@ -294,7 +294,8 @@ let test_mcr_selection () =
         Alcotest.failf "wave %d differs from golden model" w)
     golden;
   (* The extended marked graph stays live and safe. *)
-  match Mg.check_live_safe (Pl.to_marked_graph pl_mcr) with
+  let flat = Ee_phased.Flat.of_pl ~caller:"test" pl_mcr in
+  match Mg.check_live_safe (Ee_phased.Flat.marked_graph flat) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "not live/safe: %s" e
 

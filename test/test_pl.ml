@@ -2,6 +2,9 @@ module Pl = Ee_phased.Pl
 module Netlist = Ee_netlist.Netlist
 module Lut4 = Ee_logic.Lut4
 module Mg = Ee_markedgraph.Marked_graph
+module Flat = Ee_phased.Flat
+
+let marked_graph pl = Flat.marked_graph (Flat.of_pl ~caller:"test" pl)
 
 (* carry LUT fed by two inputs and a delayed third input. *)
 let small_netlist () =
@@ -116,13 +119,13 @@ let test_marked_graph_live_safe_with_ee () =
   let pl = small_pl () in
   let m = master_id pl in
   let pl' = Pl.with_ee pl [ (m, ee_request) ] in
-  let g = Pl.to_marked_graph pl' in
+  let g = marked_graph (pl') in
   Alcotest.(check bool) "live" true (Mg.is_live g);
   Alcotest.(check bool) "safe" true (Mg.is_safe g)
 
 let test_marked_graph_counts () =
   let pl = small_pl () in
-  let g = Pl.to_marked_graph pl in
+  let g = marked_graph (pl) in
   Alcotest.(check int) "nodes = gates" (Array.length (Pl.gates pl)) (Mg.node_count g);
   (* Each distinct (src,dst) pair contributes a data and a feedback arc:
      a->carry, b->carry, c->buf, buf->carry, carry->sink = 5 pairs. *)
@@ -137,7 +140,7 @@ let test_register_tokens () =
   Netlist.connect_dff b d ~d:f;
   Netlist.set_output b "q" d;
   let pl = Pl.of_netlist (Netlist.finalize b) in
-  let g = Pl.to_marked_graph pl in
+  let g = marked_graph (pl) in
   Alcotest.(check bool) "live" true (Mg.is_live g);
   Alcotest.(check bool) "safe" true (Mg.is_safe g);
   (* Count initial tokens on arcs leaving the register node. *)
@@ -162,43 +165,77 @@ let test_dot () =
   let dot = Pl.to_dot pl' in
   Alcotest.(check bool) "efire edge rendered" true (Astring_contains.contains dot "efire")
 
-(* The compiled form's (producer, consumer) pairs are the marked graph's
-   data arcs: the graph holds one data arc per pair, marked when the
-   producer is a register or a constant, and, unless the pair is a
-   self-loop, the complementary acknowledge.  Checked on ITC99 b01-b13
-   with and without EE, and on a shared-trigger netlist. *)
-let test_flat_pairs_match_marked_graph () =
-  let module Flat = Ee_phased.Flat in
+(* The token graph as [Pl.to_marked_graph] built it before [Flat] owned
+   the arcs: per gate, the trigger then the fanins, each distinct producer
+   once, prepended with its data arc ahead of its acknowledge. *)
+let reference_marked_graph pl =
+  let gates = Pl.gates pl in
+  let n = Array.length gates in
+  let arcs = ref [] in
+  let add_pair src dst =
+    let data_tok =
+      match gates.(src).Pl.kind with
+      | Pl.Register _ | Pl.Const_source _ -> 1
+      | Pl.Source _ | Pl.Gate _ | Pl.Trigger _ | Pl.Sink _ -> 0
+    in
+    if src = dst then arcs := (src, dst, data_tok) :: !arcs
+    else arcs := (src, dst, data_tok) :: (dst, src, 1 - data_tok) :: !arcs
+  in
+  for i = 0 to n - 1 do
+    let seen = Hashtbl.create 4 in
+    let all =
+      (match Pl.ee pl i with Some e -> [ e.Pl.trigger ] | None -> [])
+      @ Array.to_list gates.(i).Pl.fanin
+    in
+    List.iter
+      (fun src ->
+        if not (Hashtbl.mem seen src) then begin
+          Hashtbl.add seen src ();
+          add_pair src i
+        end)
+      all
+  done;
+  Mg.make ~nodes:n ~arcs:!arcs
+
+(* [Flat.marked_graph] is the reference graph arc for arc, in order, on
+   ITC99 b01-b15 with and without EE, on the search selections of
+   b01-b13 (shared triggers included) and on the circuit families. *)
+let test_marked_graph_matches_reference () =
   let module Itc99 = Ee_bench_circuits.Itc99 in
-  let netlists =
-    List.concat_map
+  let module Families = Ee_bench_circuits.Families in
+  let with_ee name pl = [ (name, pl); (name ^ "/ee", fst (Ee_core.Synth.run pl)) ] in
+  let itc99 =
+    List.map
       (fun (b : Itc99.benchmark) ->
-        if b.Itc99.id > "b13" then []
-        else
-          let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (b.Itc99.build ())) in
-          [ (b.Itc99.id, pl); (b.Itc99.id ^ "/ee", fst (Ee_core.Synth.run pl)) ])
+        (b.Itc99.id, Pl.of_netlist (Ee_rtl.Techmap.run_rtl (b.Itc99.build ()))))
       Itc99.all
   in
-  let shared = fst (Ee_search.Search_select.run (List.assoc "b04" netlists)) in
+  let search =
+    List.filter_map
+      (fun (id, pl) ->
+        if id > "b13" then None else Some (id ^ "/search", fst (Ee_search.Search_select.run pl)))
+      itc99
+  in
+  let shared = List.assoc "b04/search" search in
   let masters = ref 0 in
   Array.iteri (fun i _ -> if Pl.ee shared i <> None then incr masters) (Pl.gates shared);
   Alcotest.(check bool) "b04 search shares a trigger" true (!masters > Pl.ee_gate_count shared);
+  let families =
+    List.map
+      (fun (fam : Families.family) ->
+        (fam.Families.name, Pl.of_netlist (Ee_rtl.Techmap.run_rtl (fam.Families.build 8))))
+      Families.all
+  in
+  let netlists =
+    List.concat_map (fun (name, pl) -> with_ee name pl) (itc99 @ families) @ search
+  in
+  Alcotest.(check int) "netlists" ((2 * 15) + 13 + (2 * List.length Families.all))
+    (List.length netlists);
   List.iter
     (fun (name, pl) ->
-      let f = Flat.of_pl ~caller:"test" pl in
-      let arcs = ref [] in
-      for c = 0 to Array.length f.Flat.code - 1 do
-        for j = f.Flat.pstart.(c) to f.Flat.pstart.(c + 1) - 1 do
-          let p = f.Flat.producer.(j) in
-          let tokens = match f.Flat.code.(p) with Flat.Register | Flat.Const -> 1 | _ -> 0 in
-          arcs := (p, c, tokens) :: !arcs;
-          if p <> c then arcs := (c, p, 1 - tokens) :: !arcs
-        done
-      done;
-      let sorted l = List.sort compare l in
-      if sorted !arcs <> sorted (Array.to_list (Mg.arcs (Pl.to_marked_graph pl))) then
-        Alcotest.failf "%s: compiled producers differ from the marked graph's data arcs" name)
-    (("b04/search", shared) :: netlists)
+      if Mg.arcs (marked_graph pl) <> Mg.arcs (reference_marked_graph pl) then
+        Alcotest.failf "%s: Flat.marked_graph differs from the reference graph" name)
+    netlists
 
 let suite =
   ( "pl",
@@ -213,6 +250,6 @@ let suite =
       Alcotest.test_case "marked graph counts" `Quick test_marked_graph_counts;
       Alcotest.test_case "register tokens" `Quick test_register_tokens;
       Alcotest.test_case "dot export" `Quick test_dot;
-      Alcotest.test_case "compiled producers = marked graph data arcs" `Quick
-        test_flat_pairs_match_marked_graph;
+      Alcotest.test_case "marked graph = reference to_marked_graph" `Quick
+        test_marked_graph_matches_reference;
     ] )

@@ -158,7 +158,7 @@ module Reference = struct
            gates)
       |> List.filter_map Fun.id
     in
-    let mg = Pl.to_marked_graph t.pl in
+    let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" t.pl) in
     let blamed_cycle =
       match Marked_graph.token_free_cycle mg (stalled_marking t mg) with
       | Some c -> c

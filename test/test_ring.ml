@@ -48,7 +48,7 @@ let test_queue_insertion_reported () =
 
 let test_ring_is_live_safe () =
   let r = Ring.build ~stages:12 ~tokens:5 in
-  let mg = Ee_phased.Pl.to_marked_graph r.Ring.pl in
+  let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" r.Ring.pl) in
   Alcotest.(check bool) "live" true (Ee_markedgraph.Marked_graph.is_live mg);
   Alcotest.(check bool) "safe" true (Ee_markedgraph.Marked_graph.is_safe mg)
 

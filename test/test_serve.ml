@@ -170,8 +170,8 @@ let test_protocol_waves_bounds () =
 
 let sock_counter = ref 0
 
-let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?throttle_pending
-    ?shed_pending ?backlog ?default_deadline_s f =
+let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?backlog
+    ?default_deadline_s f =
   incr sock_counter;
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -185,8 +185,6 @@ let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?throttle_pendin
       shards;
       domains;
       max_pending;
-      throttle_pending;
-      shed_pending;
       backlog;
       default_deadline_s;
       shutdown_grace_s = 1.;
@@ -471,15 +469,8 @@ let test_tier_thresholds () =
   let cfg = { Server.default_config with Server.max_pending = 8 } in
   Alcotest.(check (pair int int)) "defaults at half and three-quarters" (4, 6)
     (Server.tier_thresholds cfg);
-  Alcotest.(check (pair int int)) "explicit watermarks" (2, 5)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 2; shed_pending = Some 5 });
-  Alcotest.(check (pair int int)) "clamped into 1 <= t <= s <= max_pending" (1, 8)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 0; shed_pending = Some 99 });
-  Alcotest.(check (pair int int)) "shed never below throttle" (6, 6)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 6; shed_pending = Some 2 });
+  Alcotest.(check (pair int int)) "at least 1" (1, 1)
+    (Server.tier_thresholds { cfg with Server.max_pending = 1 });
   Alcotest.(check int) "backlog defaults to at least the admission bound" 64
     (Server.backlog_of cfg);
   Alcotest.(check int) "large queues widen the backlog" 200
@@ -488,10 +479,11 @@ let test_tier_thresholds () =
     (Server.backlog_of { cfg with Server.backlog = Some 4 })
 
 let test_e2e_tier_ladder () =
-  (* One worker, three admission slots, watermarks at 1 (throttle) and 2
-     (shed).  A single pipelined batch walks the whole ladder: the sleep
-     holds the worker so in-flight counts cannot drain mid-batch. *)
-  with_server ~domains:1 ~max_pending:3 ~throttle_pending:1 ~shed_pending:2
+  (* One worker, three admission slots, so the default watermarks sit at 1
+     (throttle) and 2 (shed).  A single pipelined batch walks the whole
+     ladder: the sleep holds the worker so in-flight counts cannot drain
+     mid-batch. *)
+  with_server ~domains:1 ~max_pending:3
     (fun sock ->
       let lines =
         [

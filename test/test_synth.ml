@@ -156,7 +156,7 @@ let test_trigger_sharing () =
     (Ee_sim.Sim.equiv_random unshared_pl nl ~vectors:100 ~seed:5);
   Alcotest.(check bool) "shared equivalent" true
     (Ee_sim.Sim.equiv_random shared_pl nl ~vectors:100 ~seed:5);
-  let mg = Pl.to_marked_graph shared_pl in
+  let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" shared_pl) in
   Alcotest.(check bool) "shared live+safe" true
     (Ee_markedgraph.Marked_graph.is_live mg && Ee_markedgraph.Marked_graph.is_safe mg);
   (* Same timing: sharing merges identical gates only. *)
