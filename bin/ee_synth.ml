@@ -573,14 +573,16 @@ let client_cmd =
          or raw. 'raw' sends $(b,--json) verbatim. synth/import/perf/faults accept the \
          usual spec knobs; the response is one JSON line on stdout (exit 1 if its \
          status is \"error\").";
+      `P "'synth' measures the ITC99 benchmark named by $(b,--bench).";
       `P
-        "'import' sends an arbitrary netlist file ($(b,--file), full-dialect BLIF or \
-         ASCII/binary AIGER — binary payloads are base64-coded automatically) through \
-         the frontend: parse, delay-driven LUT4 remap (disable with $(b,--no-remap)), \
-         EE synthesis and simulation.";
+        "'import' is the request for your own netlists: it sends a file ($(b,--file), \
+         full-dialect BLIF or ASCII/binary AIGER — binary payloads are base64-coded \
+         automatically) through the frontend: parse, delay-driven LUT4 remap (disable \
+         with $(b,--no-remap)), EE synthesis and simulation.  $(b,--search) adds the \
+         trigger-search section to the row of either.";
     ]
   in
-  let run command socket tcp bench blif file format_name no_remap waves deadline
+  let run command socket tcp bench file format_name no_remap waves deadline
       threshold coverage_only vectors seed selection search lut_k json =
     let module Client = Ee_serve.Client in
     let module Protocol = Ee_serve.Protocol in
@@ -605,16 +607,6 @@ let client_cmd =
       in
       match lut_k with Some k -> Engine.with_lut_k k base | None -> base
     in
-    let source =
-      match (bench, blif) with
-      | Some b, None -> Ok (`Bench b)
-      | None, Some path -> (
-          match In_channel.with_open_text path In_channel.input_all with
-          | text -> Ok (`Blif text)
-          | exception Sys_error m -> Error m)
-      | Some _, Some _ -> Error "give --bench or --blif, not both"
-      | None, None -> Error "synth needs --bench or --blif"
-    in
     let line =
       match command with
       | "raw" -> (
@@ -625,7 +617,9 @@ let client_cmd =
           let req =
             match command with
             | "synth" ->
-                Result.map (fun source -> Protocol.Synth { source; spec; search }) source
+                Result.map
+                  (fun bench -> Protocol.Synth { bench; spec; search })
+                  (Option.to_result ~none:"synth needs --bench" bench)
             | "import" -> (
                 match file with
                 | None -> Error "import needs --file NETLIST"
@@ -647,7 +641,9 @@ let client_cmd =
                         match format with
                         | Error m -> Error m
                         | Ok format ->
-                            Ok (Protocol.Import { text; format; remap = not no_remap; spec }))))
+                            Ok
+                              (Protocol.Import
+                                 { text; format; remap = not no_remap; search; spec }))))
             | "perf" ->
                 Result.map
                   (fun b -> Protocol.Perf { bench = b; spec; waves = Option.value waves ~default:240 })
@@ -704,9 +700,6 @@ let client_cmd =
   let bench_t =
     Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"BENCH" ~doc:"Benchmark id (b01..b15).")
   in
-  let blif_t =
-    Arg.(value & opt (some string) None & info [ "blif" ] ~docv:"FILE" ~doc:"Send this BLIF file as the synth source.")
-  in
   let file_t =
     Arg.(value & opt (some string) None & info [ "file" ] ~docv:"NETLIST" ~doc:"Netlist file for 'import' (BLIF or AIGER, binary allowed).")
   in
@@ -726,7 +719,7 @@ let client_cmd =
     Arg.(value & opt (some string) None & info [ "selection" ] ~docv:"NAME" ~doc:"EE selection: eq1, mcr or search.")
   in
   let search_t =
-    Arg.(value & flag & info [ "search" ] ~doc:"Ask 'synth' for the trigger-search section (shared-trigger lambda table and wide-cone summary).")
+    Arg.(value & flag & info [ "search" ] ~doc:"Ask 'synth' or 'import' for the trigger-search section (shared-trigger lambda table and wide-cone summary).")
   in
   let lut_k_t =
     Arg.(value & opt (some int) None & info [ "lut-k" ] ~docv:"K" ~doc:"Wide-LUT arity for the search analyses (4..8).")
@@ -736,7 +729,7 @@ let client_cmd =
   in
   Cmd.v (Cmd.info "client" ~doc ~man)
     Term.(
-      const run $ command_pos $ socket_t $ tcp_t $ bench_t $ blif_t $ file_t
+      const run $ command_pos $ socket_t $ tcp_t $ bench_t $ file_t
       $ format_t $ no_remap_t $ waves_t
       $ deadline_t $ threshold_t $ coverage_only_t $ vectors_t $ seed_t
       $ selection_t $ search_t $ lut_k_t $ json_t)

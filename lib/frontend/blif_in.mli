@@ -1,6 +1,6 @@
 (** The repo's only BLIF reader: it reads back what
     {!Ee_export.Blif.to_blif} writes, and the BLIF that real tools dump.
-    The daemon's [synth {blif}] and [import] requests both parse with it.
+    The daemon's [import] request parses BLIF with it.
     It accepts:
 
     - multiple [.model] blocks with [.subckt] instantiation, flattened

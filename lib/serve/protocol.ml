@@ -2,15 +2,12 @@ module Json = Ee_export.Json
 module Engine = Ee_engine.Engine
 
 type request =
-  | Synth of {
-      source : [ `Bench of string | `Blif of string ];
-      spec : Engine.spec;
-      search : bool;
-    }
+  | Synth of { bench : string; spec : Engine.spec; search : bool }
   | Import of {
       text : string;
       format : Ee_frontend.Frontend.format option;
       remap : bool;
+      search : bool;
       spec : Engine.spec;
     }
   | Perf of { bench : string; spec : Engine.spec; waves : int }
@@ -176,18 +173,17 @@ let request_of_json j =
   in
   match cmd with
   | "synth" ->
-      let* spec = spec_of_json j in
-      let* bench = field_string j "bench" in
-      let* blif = field_string j "blif" in
-      let* source =
-        match (bench, blif) with
-        | Some b, None -> Ok (`Bench b)
-        | None, Some text -> Ok (`Blif text)
-        | Some _, Some _ -> Error "give either \"bench\" or \"blif\", not both"
-        | None, None -> Error "synth needs a \"bench\" id or inline \"blif\" text"
+      let* () =
+        if Json.member "blif" j = None then Ok ()
+        else
+          Error
+            "synth takes no inline \"blif\"; send the netlist with \"import\" \
+             (\"format\":\"blif\",\"remap\":false)"
       in
+      let* spec = spec_of_json j in
+      let* bench = bench_of_json j in
       let* search = field_bool j "search" in
-      Ok (Synth { source; spec; search = Option.value search ~default:false })
+      Ok (Synth { bench; spec; search = Option.value search ~default:false })
   | "import" ->
       let* spec = spec_of_json j in
       let* text = field_string j "text" in
@@ -216,7 +212,9 @@ let request_of_json j =
                      "unknown format %S (use \"auto\", \"blif\", \"aag\" or \"aig\")" s))
       in
       let* remap = field_bool j "remap" in
-      Ok (Import { text; format; remap = Option.value remap ~default:true; spec })
+      let* search = field_bool j "search" in
+      let search = Option.value search ~default:false in
+      Ok (Import { text; format; remap = Option.value remap ~default:true; search; spec })
   | "perf" ->
       let* spec = spec_of_json j in
       let* bench = bench_of_json j in
@@ -271,6 +269,8 @@ let spec_fields (spec : Engine.spec) =
       (if spec.lut_k <> d.lut_k then keep "lut_k" (Json.Int spec.lut_k) else None);
     ]
 
+let search_field search = if search then [ ("search", Json.Bool true) ] else []
+
 let envelope_to_json env =
   let base = [ ("cmd", Json.String (cmd_name env.req)) ] in
   let id = match env.id with Json.Null -> [] | id -> [ ("id", id) ] in
@@ -279,13 +279,9 @@ let envelope_to_json env =
   in
   let body =
     match env.req with
-    | Synth { source; spec; search } ->
-        (match source with
-        | `Bench b -> [ ("bench", Json.String b) ]
-        | `Blif text -> [ ("blif", Json.String text) ])
-        @ (if search then [ ("search", Json.Bool true) ] else [])
-        @ spec_fields spec
-    | Import { text; format; remap; spec } ->
+    | Synth { bench; spec; search } ->
+        (("bench", Json.String bench) :: search_field search) @ spec_fields spec
+    | Import { text; format; remap; search; spec } ->
         (* Binary payloads (the delta-coded AIGER AND section) cannot ride
            in a JSON string; base64 them.  Printable text goes verbatim. *)
         let binary =
@@ -304,7 +300,7 @@ let envelope_to_json env =
           | Some f ->
               [ ("format", Json.String (Ee_frontend.Frontend.format_to_string f)) ])
         @ (if remap then [] else [ ("remap", Json.Bool false) ])
-        @ spec_fields spec
+        @ search_field search @ spec_fields spec
     | Perf { bench; spec; waves } ->
         [ ("bench", Json.String bench); ("waves", Json.Int waves) ] @ spec_fields spec
     | Faults { bench; spec; waves } ->

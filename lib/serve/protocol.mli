@@ -9,7 +9,6 @@
 
     {v
     {"cmd":"synth","bench":"b04","vectors":100,"seed":2002}
-    {"cmd":"synth","blif":".model m\n...","threshold":50}
     {"cmd":"import","text":".model m\n...","format":"auto"}
     {"cmd":"import","text":"YWlnIDc...","encoding":"base64","format":"aig"}
     {"cmd":"perf","bench":"b01","waves":240}
@@ -21,30 +20,35 @@
     {"cmd":"shutdown"}
     v}
 
-    [synth], [perf] and [faults] accept the spec knobs of
+    [synth], [import], [perf] and [faults] accept the spec knobs of
     {!Ee_engine.Engine.spec} as flat optional fields ([threshold],
     [coverage_only], [min_coverage], [share_triggers], [vectors], [seed],
-    [gate_delay], [ee_overhead], [selection] = ["eq1"]|["mcr"]); omitted
-    knobs default to {!Ee_engine.Engine.default_spec}.  [vectors] must lie
-    in 1..4000, [gate_delay] must be finite and positive, [ee_overhead]
-    finite and non-negative, and [threshold] and [min_coverage] must not be
-    NaN.  [perf] and [faults] also take ["waves"] (defaults 240 and 16),
-    which must lie in 1..2400.  Any other value is a [bad_request].  [synth] takes its
-    netlist either from ["bench"] (an ITC99 id) or from ["blif"] (inline
-    BLIF text, parsed by {!Ee_frontend.Frontend.parse} with the format
-    fixed to BLIF — the reader [import] uses — and measured without a
-    remap, so it answers as [import] with ["remap":false] does in its
-    ["synth"] section).
+    [gate_delay], [ee_overhead], [selection] = ["eq1"]|["mcr"]|["search"],
+    [lut_k]); omitted knobs default to {!Ee_engine.Engine.default_spec}.
+    [vectors] must lie in 1..4000, [gate_delay] must be finite and
+    positive, [ee_overhead] finite and non-negative, [lut_k] in 4..8, and
+    [threshold] and [min_coverage] must not be NaN.  [perf] and [faults]
+    also take ["waves"] (defaults 240 and 16), which must lie in 1..2400.
+    Any other value is a [bad_request].
 
-    [import] runs the arbitrary-netlist frontend: ["text"] holds the file
+    [synth] measures the ITC99 benchmark named by ["bench"].  It takes no
+    netlist text: a request with a ["blif"] field is a [bad_request] that
+    points at [import].
+
+    [import] is the one request for user netlists: ["text"] holds the file
     contents (full-dialect BLIF or ASCII/binary AIGER), optionally
     base64-coded (["encoding":"base64"] — required for binary AIGER, since
     JSON strings cannot carry arbitrary bytes).  ["format"] is ["auto"]
     (default, sniffs the [aag]/[aig] magic), ["blif"], ["aag"] or ["aig"];
     ["remap"] (default [true]) re-covers the parsed netlist with the
     delay-driven cut mapper ({!Ee_frontend.Remap}) before PL mapping, EE
-    synthesis and simulation — the same measurements [synth] reports, plus
-    the imported and mapped netlist shapes.
+    synthesis and simulation.  The reply holds the imported and mapped
+    netlist shapes and, under ["synth"], the row [synth] reports for a
+    benchmark.
+
+    [synth] and [import] take ["search"] (default [false]): it appends the
+    trigger-search section (shared-trigger λ table and wide-LUT cone
+    summary at [lut_k]) to the synth row, and is part of the cache key.
 
     [sleep] occupies a
     worker for the given time — a debugging aid for exercising deadlines
@@ -62,7 +66,7 @@
     {"status":"error","cmd":"synth","id":...,"error":"overloaded","message":"..."}
     v}
 
-    Error codes: [bad_request] (malformed JSON, unknown cmd, bad BLIF),
+    Error codes: [bad_request] (malformed JSON, unknown cmd, bad netlist),
     [not_found] (unknown benchmark id), [throttled] (graded back-pressure:
     the shard is past its throttle watermark and the request is
     non-cacheable — retry after the accompanying ["retry_after_s"] hint),
@@ -77,18 +81,12 @@
     in request order. *)
 
 type request =
-  | Synth of {
-      source : [ `Bench of string | `Blif of string ];
-      spec : Ee_engine.Engine.spec;
-      search : bool;
-          (** Append the trigger-search section (shared-trigger λ table and
-              wide-LUT cone summary at [spec.lut_k]) to the synth row.
-              Part of the cache key. *)
-    }
+  | Synth of { bench : string; spec : Ee_engine.Engine.spec; search : bool }
   | Import of {
       text : string;  (** Decoded file contents (may be binary AIGER). *)
       format : Ee_frontend.Frontend.format option;  (** [None] = auto-detect. *)
       remap : bool;
+      search : bool;
       spec : Ee_engine.Engine.spec;
     }
   | Perf of { bench : string; spec : Ee_engine.Engine.spec; waves : int }

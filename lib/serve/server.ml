@@ -4,7 +4,6 @@ module Cache = Ee_cache.Cache
 module Pool = Ee_util.Pool
 module Stats = Ee_util.Stats
 module Engine = Ee_engine.Engine
-module Trace = Ee_engine.Trace
 module Pipeline = Ee_report.Pipeline
 module Tables = Ee_report.Tables
 module Itc99 = Ee_bench_circuits.Itc99
@@ -20,9 +19,7 @@ type config = {
   default_deadline_s : float option;
   cache_max_bytes : int;
   cache_dir : string option;
-  trace : Trace.t option;
   shutdown_grace_s : float;
-  max_request_bytes : int;
   log : string -> unit;
 }
 
@@ -36,9 +33,7 @@ let default_config =
     default_deadline_s = None;
     cache_max_bytes = 64 * 1024 * 1024;
     cache_dir = None;
-    trace = None;
     shutdown_grace_s = 5.;
-    max_request_bytes = 8 * 1024 * 1024;
     log = ignore;
   }
 
@@ -47,6 +42,10 @@ let default_config =
 let tier_thresholds cfg =
   let throttle = max 1 (cfg.max_pending / 2) in
   (throttle, max throttle (3 * cfg.max_pending / 4))
+
+(* A connection whose unfinished line grows past this is answered
+   [bad_request] and closed. *)
+let max_request_bytes = 8 * 1024 * 1024
 
 let backlog_of cfg =
   match cfg.backlog with Some b -> max 1 b | None -> max 64 cfg.max_pending
@@ -164,14 +163,14 @@ let with_search ~spec ~search nl = function
   | Json.Obj fields when search -> Json.Obj (fields @ [ ("search", search_json ~spec nl) ])
   | j -> j
 
-let synth_bench_json ?trace ~spec ~search b =
-  let r = Engine.run ~spec ?trace b in
+let synth_bench_json ~spec ~search b =
+  let r = Engine.run ~spec b in
   let a = r.Engine.artifact in
   with_search ~spec ~search a.Pipeline.netlist (row_json r.Engine.row a.Pipeline.synth_report spec)
 
-(* The user-netlist path of [synth {blif}] and [import]: the plan and row
-   of a benchmark run, starting from the parsed netlist. *)
-let synth_netlist_json ?(search = false) ~spec nl =
+(* The user-netlist path of [import]: the plan and row of a benchmark run,
+   starting from the parsed netlist. *)
+let synth_netlist_json ~search ~spec nl =
   let pl = Ee_phased.Pl.of_netlist nl in
   let pl_ee, report = Engine.plan spec pl in
   let row =
@@ -202,7 +201,7 @@ let faults_json ~spec ~waves b =
 (* The import path: arbitrary-netlist frontend (full BLIF / AIGER) ->
    optional delay-driven remap -> the same measurements as [synth], plus
    the imported and mapped netlist shapes. *)
-let import_json ~spec ~remap ~format nl =
+let import_json ~spec ~remap ~search ~format nl =
   let module F = Ee_frontend.Frontend in
   let shape tag netlist =
     let s = F.stats format netlist in
@@ -217,7 +216,7 @@ let import_json ~spec ~remap ~format nl =
         ] )
   in
   let mapped = if remap then Ee_frontend.Remap.run nl else nl in
-  let synth = synth_netlist_json ~spec mapped in
+  let synth = synth_netlist_json ~search ~spec mapped in
   Json.Obj
     [
       ("format", Json.String (F.format_to_string format));
@@ -226,6 +225,7 @@ let import_json ~spec ~remap ~format nl =
       shape "mapped" mapped;
       ("synth", synth);
     ]
+
 let with_cache cache key run =
   match Cache.find cache key with
   | Some payload -> (Json.Raw payload, true)
@@ -235,98 +235,71 @@ let with_cache cache key run =
       Cache.add cache ~key payload;
       (Json.Raw payload, false)
 
-let bench_key ~cmd ~blif ~spec extras =
-  Cache.key (cmd :: blif :: Engine.spec_fingerprint spec :: extras)
+(* The cache key of every cached request: its command tag, the canonical
+   BLIF of its netlist, its spec and its run parameters. *)
+let cache_key req ~blif spec extras =
+  Cache.key (Protocol.cmd_name req :: blif :: Engine.spec_fingerprint spec :: extras)
+
+let search_extra search = if search then [ "search" ] else []
+
+(* A benchmark-sourced request: its bench id, spec, cache-key extras and
+   computation. *)
+let bench_job (req : Protocol.request) =
+  match req with
+  | Protocol.Synth { bench; spec; search } ->
+      Some (bench, spec, search_extra search, synth_bench_json ~spec ~search)
+  | Protocol.Perf { bench; spec; waves } ->
+      Some (bench, spec, [ string_of_int waves ], perf_json ~spec ~waves)
+  | Protocol.Faults { bench; spec; waves } ->
+      Some (bench, spec, [ string_of_int waves ], faults_json ~spec ~waves)
+  | Protocol.Import _ | Protocol.Stats | Protocol.Health | Protocol.Ping
+  | Protocol.Sleep _ | Protocol.Shutdown ->
+      None
 
 (* The cache key of a benchmark-sourced request, but only when the
    canonical BLIF is already memoized: used by the event loop to answer
    repeat requests inline without occupying a worker.  Never elaborates
    RTL (that would block the loop), so a cold benchmark returns [None]. *)
-let probe_key (req : Protocol.request) =
-  let memoized bid = Ee_util.Memo.Shared.find_opt bench_blif_memo bid in
-  match req with
-  | Protocol.Synth { source = `Bench bid; spec; search } ->
+let probe_key req =
+  Option.bind (bench_job req) (fun (bid, spec, extras, _) ->
       Option.map
-        (fun blif ->
-          bench_key ~cmd:"synth" ~blif ~spec (if search then [ "search" ] else []))
-        (memoized bid)
-  | Protocol.Perf { bench; spec; waves } ->
-      Option.map
-        (fun blif -> bench_key ~cmd:"perf" ~blif ~spec [ string_of_int waves ])
-        (memoized bench)
-  | Protocol.Faults { bench; spec; waves } ->
-      Option.map
-        (fun blif -> bench_key ~cmd:"faults" ~blif ~spec [ string_of_int waves ])
-        (memoized bench)
-  | Protocol.Synth { source = `Blif _; _ }
-  | Protocol.Import _ | Protocol.Stats | Protocol.Health | Protocol.Ping
-  | Protocol.Sleep _ | Protocol.Shutdown ->
-      None
-
-let with_trace trace ~bench name f =
-  match trace with None -> f () | Some t -> Trace.with_span t ~bench name f
+        (fun blif -> cache_key req ~blif spec extras)
+        (Ee_util.Memo.Shared.find_opt bench_blif_memo bid))
 
 (* Returns (result payload, served-from-cache). *)
-let compute ~trace ~cache (req : Protocol.request) =
-  match req with
-  | Protocol.Stats | Protocol.Health | Protocol.Ping | Protocol.Shutdown ->
-      invalid_arg "Server.compute: inline command" (* handled by the event loop *)
-  | Protocol.Sleep s ->
-      with_trace trace ~bench:"" "sleep" (fun () ->
-          Unix.sleepf s;
-          (Json.Obj [ ("slept_s", Json.Float s) ], false))
-  | Protocol.Synth { source; spec; search } -> (
-      let extras = if search then [ "search" ] else [] in
-      match source with
-      | `Bench bid ->
-          let b = find_bench bid in
-          with_trace trace ~bench:bid "synth" (fun () ->
-              let key =
-                bench_key ~cmd:"synth" ~blif:(canonical_bench_blif b) ~spec extras
-              in
-              with_cache cache key (fun () -> synth_bench_json ?trace ~spec ~search b))
-      | `Blif text -> (
-          match Ee_frontend.Frontend.parse ~format:Ee_frontend.Frontend.Blif text with
+let compute ~cache (req : Protocol.request) =
+  match bench_job req with
+  | Some (bid, spec, extras, run) ->
+      let b = find_bench bid in
+      with_cache cache
+        (cache_key req ~blif:(canonical_bench_blif b) spec extras)
+        (fun () -> run b)
+  | None -> (
+      match req with
+      | Protocol.Import { text; format; remap; search; spec } -> (
+          match Ee_frontend.Frontend.parse ?format text with
           | Error e -> raise (Reject ("bad_request", e))
           | Ok nl ->
-              with_trace trace ~bench:"netlist" "synth" (fun () ->
-                  let key = bench_key ~cmd:"synth" ~blif:(Blif.to_blif nl) ~spec extras in
-                  with_cache cache key (fun () -> synth_netlist_json ~search ~spec nl))))
-  | Protocol.Import { text; format; remap; spec } -> (
-      match Ee_frontend.Frontend.parse ?format text with
-      | Error e -> raise (Reject ("bad_request", e))
-      | Ok nl ->
-          let format =
-            match format with
-            | Some f -> f
-            | None -> Ee_frontend.Frontend.detect text
-          in
-          with_trace trace ~bench:"import" "import" (fun () ->
+              let format =
+                match format with
+                | Some f -> f
+                | None -> Ee_frontend.Frontend.detect text
+              in
               (* Content-addressed on the canonical BLIF of the parsed
                  netlist, so the same circuit arriving as BLIF, ASCII or
                  binary AIGER shares compute per (remap, spec); the source
                  format stays in the key because the payload echoes it. *)
-              let key =
-                bench_key ~cmd:"import" ~blif:(Blif.to_blif nl) ~spec
-                  [ string_of_bool remap; Ee_frontend.Frontend.format_to_string format ]
+              let extras =
+                [ string_of_bool remap; Ee_frontend.Frontend.format_to_string format ]
+                @ search_extra search
               in
-              with_cache cache key (fun () -> import_json ~spec ~remap ~format nl)))
-  | Protocol.Perf { bench; spec; waves } ->
-      let b = find_bench bench in
-      with_trace trace ~bench "perf" (fun () ->
-          let key =
-            bench_key ~cmd:"perf" ~blif:(canonical_bench_blif b) ~spec
-              [ string_of_int waves ]
-          in
-          with_cache cache key (fun () -> perf_json ~spec ~waves b))
-  | Protocol.Faults { bench; spec; waves } ->
-      let b = find_bench bench in
-      with_trace trace ~bench "faults" (fun () ->
-          let key =
-            bench_key ~cmd:"faults" ~blif:(canonical_bench_blif b) ~spec
-              [ string_of_int waves ]
-          in
-          with_cache cache key (fun () -> faults_json ~spec ~waves b))
+              with_cache cache
+                (cache_key req ~blif:(Blif.to_blif nl) spec extras)
+                (fun () -> import_json ~spec ~remap ~search ~format nl))
+      | Protocol.Sleep s ->
+          Unix.sleepf s;
+          (Json.Obj [ ("slept_s", Json.Float s) ], false)
+      | _ -> invalid_arg "Server.compute: inline command" (* handled by the event loop *))
 
 (* Is the computation's result cacheable?  Cacheable work is never
    throttled or shed below the hard bound: rejecting it forfeits a cache
@@ -593,6 +566,8 @@ let health_json m ~inflight ~cfg ~cache ~shards =
    slice never delays the delivery of its finished siblings. *)
 type slot = (Json.t * bool, exn) result option Atomic.t
 
+(* A request line on its connection's queue, in arrival order: answered
+   already, or admitted and waiting for its slot or its deadline. *)
 type entry =
   | Ready of { line : string; cmd : string; outcome : [ `Ok | `Error of string ]; t0 : float }
   | Running of {
@@ -601,17 +576,6 @@ type entry =
       id : Json.t;
       t0 : float;
       deadline : float option;  (* absolute *)
-    }
-
-(* A classified request line, still in arrival order. *)
-type decision =
-  | Answer of { resp : string; cmd : string; outcome : [ `Ok | `Error of string ]; t0 : float }
-  | Admit of {
-      req : Protocol.request;
-      cmd : string;
-      id : Json.t;
-      t0 : float;
-      deadline : float option;
     }
 
 type conn = {
@@ -665,10 +629,11 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     write_all conn line
   in
 
-  (* -- classification: one decision per request line -- *)
-  let classify ~admitted line =
+  (* -- classification: one queue entry per request line; an admitted
+        line also joins [admits] with the slot its worker will fill -- *)
+  let classify ~admits line =
     let t0 = now () in
-    let answer ~cmd ~outcome resp = Answer { resp; cmd; outcome; t0 } in
+    let answer ~cmd ~outcome line = Ready { line; cmd; outcome; t0 } in
     match Protocol.parse_line line with
     | Error msg ->
         answer ~cmd:"?" ~outcome:(`Error "bad_request")
@@ -715,11 +680,11 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
                        ~elapsed_ms:((now () -. t0) *. 1000.)
                        (Json.Raw payload))
               | None ->
-                  (* Graded admission.  [admitted] counts lines admitted
+                  (* Graded admission.  [admits] holds the lines admitted
                      earlier in this same batch, whose slices are not yet
-                     submitted — without it a pipelined batch would be
+                     submitted — without them a pipelined batch would be
                      classified against a stale in-flight count. *)
-                  let eff = Atomic.get inflight + !admitted in
+                  let eff = Atomic.get inflight + Queue.length admits in
                   let reject tier detail =
                     bump_tier metrics tier;
                     let retry_after_s =
@@ -731,13 +696,14 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
                   in
                   let admit () =
                     bump_tier metrics "ok";
-                    incr admitted;
                     let deadline =
                       match (env.Protocol.deadline_s, cfg.default_deadline_s) with
                       | Some d, _ | None, Some d -> Some (t0 +. d)
                       | None, None -> None
                     in
-                    Admit { req; cmd; id; t0; deadline }
+                    let slot = Atomic.make None in
+                    Queue.add (req, slot) admits;
+                    Running { slot; cmd; id; t0; deadline }
                   in
                   if eff >= cfg.max_pending then
                     reject "overloaded"
@@ -762,13 +728,8 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
   (* -- batch slice submission: the admitted lines of one read, chunked
         map_chunked-style into at most two slices per worker, one pool
         submission per slice -- *)
-  let submit_batch (admits : decision array) : slot array =
+  let submit_batch (admits : (Protocol.request * slot) array) =
     let n = Array.length admits in
-    let slots : slot array = Array.init n (fun _ -> Atomic.make None) in
-    let req_of = function
-      | Admit a -> a.req
-      | Answer _ -> assert false
-    in
     let chunk = max 1 ((n + (2 * workers) - 1) / (2 * workers)) in
     let i = ref 0 in
     while !i < n do
@@ -780,14 +741,12 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       match
         Pool.submit pool (fun () ->
             for j = lo to hi - 1 do
+              let req, slot = admits.(j) in
               let t_start = now () in
-              let res =
-                try Ok (compute ~trace:cfg.trace ~cache (req_of admits.(j)))
-                with e -> Error e
-              in
+              let res = try Ok (compute ~cache req) with e -> Error e in
               Atomic.decr inflight;
               note_work metrics (now () -. t_start);
-              Atomic.set slots.(j) (Some res);
+              Atomic.set slot (Some res);
               wake sh
             done)
       with
@@ -795,32 +754,16 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       | exception e ->
           ignore (Atomic.fetch_and_add inflight (-count));
           for j = lo to hi - 1 do
-            Atomic.set slots.(j) (Some (Error e))
+            Atomic.set (snd admits.(j)) (Some (Error e))
           done
-    done;
-    slots
+    done
   in
 
   let handle_batch conn lines =
-    let admitted = ref 0 in
-    let decisions = List.map (fun line -> classify ~admitted line) lines in
-    let admits =
-      Array.of_list (List.filter (function Admit _ -> true | Answer _ -> false) decisions)
-    in
-    let slots = submit_batch admits in
-    let k = ref 0 in
-    List.iter
-      (fun d ->
-        match d with
-        | Answer { resp; cmd; outcome; t0 } ->
-            Queue.add (Ready { line = resp; cmd; outcome; t0 }) conn.queue
-        | Admit a ->
-            Atomic.incr sh.depth;
-            Queue.add
-              (Running { slot = slots.(!k); cmd = a.cmd; id = a.id; t0 = a.t0; deadline = a.deadline })
-              conn.queue;
-            incr k)
-      decisions
+    let admits = Queue.create () in
+    List.iter (fun line -> Queue.add (classify ~admits line) conn.queue) lines;
+    ignore (Atomic.fetch_and_add sh.depth (Queue.length admits));
+    submit_batch (Array.of_seq (Queue.to_seq admits))
   in
 
   let process_input conn =
@@ -842,10 +785,10 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     in
     split ();
     if !lines <> [] then handle_batch conn (List.rev !lines);
-    if String.length conn.inbuf > cfg.max_request_bytes then begin
+    if String.length conn.inbuf > max_request_bytes then begin
       write_all conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"
-           (Printf.sprintf "request exceeds %d bytes" cfg.max_request_bytes));
+           (Printf.sprintf "request exceeds %d bytes" max_request_bytes));
       conn.alive <- false
     end
   in
@@ -861,54 +804,47 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     | exception Unix.Unix_error _ -> conn.alive <- false
   in
 
+  (* The reply a queue head can give now: its ready line, its filled slot
+     or its passed deadline. *)
+  let reply_of = function
+    | Ready { line; cmd; outcome; t0 } -> Some (line, cmd, outcome, t0)
+    | Running { slot; cmd; id; t0; deadline } -> (
+        let reply outcome line = Some (line, cmd, outcome, t0) in
+        let error code msg = reply (`Error code) (Protocol.error_response ~id ~cmd ~code msg) in
+        match Atomic.get slot with
+        | Some (Ok (payload, cached)) ->
+            reply `Ok
+              (Protocol.ok_response ~id ~cmd ~cached ~elapsed_ms:((now () -. t0) *. 1000.)
+                 payload)
+        | Some (Error (Reject (code, msg))) -> error code msg
+        | Some (Error e) -> error "internal" (Printexc.to_string e)
+        | None -> (
+            match deadline with
+            | Some d when now () >= d ->
+                error "deadline_exceeded"
+                  (Printf.sprintf
+                     "no result within %.3fs; the computation continues and will warm \
+                      the cache"
+                     (d -. t0))
+            | _ -> None))
+  in
+
+  (* The one completion step: pop the head, release its admission, answer
+     it and record its latency. *)
+  let finish conn (line, cmd, outcome, t0) =
+    (match Queue.pop conn.queue with Running _ -> Atomic.decr sh.depth | Ready _ -> ());
+    respond conn line;
+    record metrics ~cmd ~outcome ~lat_ms:((now () -. t0) *. 1000.)
+  in
+
   (* Deliver responses in request order: only the queue head may answer. *)
-  let pump conn =
-    let continue = ref true in
-    while !continue && conn.alive && not (Queue.is_empty conn.queue) do
-      match Queue.peek conn.queue with
-      | Ready { line; cmd; outcome; t0 } ->
-          ignore (Queue.pop conn.queue);
-          respond conn line;
-          record metrics ~cmd ~outcome ~lat_ms:((now () -. t0) *. 1000.)
-      | Running { slot; cmd; id; t0; deadline } -> (
-          match Atomic.get slot with
-          | Some (Ok (payload, cached)) ->
-              ignore (Queue.pop conn.queue);
-              Atomic.decr sh.depth;
-              respond conn
-                (Protocol.ok_response ~id ~cmd ~cached
-                   ~elapsed_ms:((now () -. t0) *. 1000.)
-                   payload);
-              record metrics ~cmd ~outcome:`Ok ~lat_ms:((now () -. t0) *. 1000.)
-          | Some (Error (Reject (code, msg))) ->
-              ignore (Queue.pop conn.queue);
-              Atomic.decr sh.depth;
-              respond conn (Protocol.error_response ~id ~cmd ~code msg);
-              record metrics ~cmd ~outcome:(`Error code)
-                ~lat_ms:((now () -. t0) *. 1000.)
-          | Some (Error e) ->
-              ignore (Queue.pop conn.queue);
-              Atomic.decr sh.depth;
-              respond conn
-                (Protocol.error_response ~id ~cmd ~code:"internal"
-                   (Printexc.to_string e));
-              record metrics ~cmd ~outcome:(`Error "internal")
-                ~lat_ms:((now () -. t0) *. 1000.)
-          | None -> (
-              match deadline with
-              | Some d when now () >= d ->
-                  ignore (Queue.pop conn.queue);
-                  Atomic.decr sh.depth;
-                  respond conn
-                    (Protocol.error_response ~id ~cmd ~code:"deadline_exceeded"
-                       (Printf.sprintf
-                          "no result within %.3fs; the computation continues and \
-                           will warm the cache"
-                          (d -. t0)));
-                  record metrics ~cmd ~outcome:(`Error "deadline_exceeded")
-                    ~lat_ms:((now () -. t0) *. 1000.)
-              | _ -> continue := false))
-    done
+  let rec pump conn =
+    if conn.alive && not (Queue.is_empty conn.queue) then
+      match reply_of (Queue.peek conn.queue) with
+      | Some reply ->
+          finish conn reply;
+          pump conn
+      | None -> ()
   in
 
   let flush_shutting_down conn =

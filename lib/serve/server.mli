@@ -10,14 +10,15 @@
       delivered as soon as they exist, not on a poll tick, and the select
       timeout only has to cover pending request deadlines (nearest
       deadline first) and the stop flag;
-    - requests are NDJSON lines ({!Protocol}); all complete lines of one
-      read are classified as a batch and the admitted ones submitted to
-      the pool as slices ([map_chunked]-style, at most two slices per
+    - requests are NDJSON lines ({!Protocol}); a connection whose
+      unfinished line grows past 8 MiB is answered [bad_request] and
+      closed.  All complete lines of one read are classified as a batch
+      and the admitted ones submitted to the pool as slices ([map_chunked]-style, at most two slices per
       worker), each element with its own result slot so one slow element
       never delays a finished sibling;
     - admission is graded, not binary.  With [i] requests in flight
-      (batch-locally adjusted): cacheable work ([synth]/[perf]/[faults])
-      is admitted until [i >= max_pending] ([overloaded]); non-cacheable
+      (batch-locally adjusted): cacheable work
+      ([synth]/[import]/[perf]/[faults]) is admitted until [i >= max_pending] ([overloaded]); non-cacheable
       work ([sleep]) is admitted below the throttle watermark (half of
       [max_pending]), answered [throttled] from there, [shed] from the
       shed watermark (three quarters), and
@@ -34,7 +35,7 @@
       outside its lock.  With [cache_dir] the directory is a
       cross-instance tier (see {!Ee_cache.Cache}): two daemons on one
       host can share it safely;
-    - [stats]/[ping]/[shutdown] are answered inline by the owning shard;
+    - [stats]/[health]/[ping]/[shutdown] are answered inline by the owning shard;
       [stats] reports per-tier admission counts, per-shard request counts
       and balance, and disk-tier size alongside the existing per-command
       latency percentiles.
@@ -60,14 +61,9 @@ type config = {
   default_deadline_s : float option;  (** Per-request default; [None] = no deadline. *)
   cache_max_bytes : int;
   cache_dir : string option;  (** Persist cache entries here when set (cross-instance tier). *)
-  trace : Ee_engine.Trace.t option;
-      (** When set, every request records a span (and [synth] its pipeline
-          stages).  Spans accumulate for the server's lifetime — meant for
-          bounded profiling sessions, not always-on production use. *)
   shutdown_grace_s : float;
       (** How long shutdown waits for in-flight requests before answering
           them with [shutting_down]. *)
-  max_request_bytes : int;  (** Per-connection line-length bound. *)
   log : string -> unit;  (** Daemon log sink ([prerr_endline] or [ignore]). *)
 }
 
@@ -75,8 +71,7 @@ val default_config : config
 (** Unix socket ["ee_synthd.sock"], 1 shard, pool of
     [Domain.recommended_domain_count], [max_pending] = 4× domains,
     default backlog, no default deadline, 64 MiB in-memory
-    cache, no persistence, no trace, 5 s grace, 8 MiB request bound,
-    silent log. *)
+    cache, no persistence, 5 s grace, silent log. *)
 
 val tier_thresholds : config -> int * int
 (** [(throttle, shed)]: [max 1 (max_pending / 2)] and

@@ -368,7 +368,13 @@ let test_protocol_import () =
       deadline_s = None;
       req =
         Protocol.Import
-          { text = binary; format = None; remap = true; spec = Ee_engine.Engine.default_spec };
+          {
+            text = binary;
+            format = None;
+            remap = true;
+            search = false;
+            spec = Ee_engine.Engine.default_spec;
+          };
     }
   in
   let encoded = Json.to_string (Protocol.envelope_to_json env) in

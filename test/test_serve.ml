@@ -68,26 +68,37 @@ let test_protocol_roundtrip () =
     Engine.default_spec |> Engine.with_vectors 17 |> Engine.with_threshold 50.
     |> Engine.with_selection Engine.Search |> Engine.with_lut_k 6
   in
-  let env =
-    {
-      Protocol.id = Json.Int 9;
-      deadline_s = Some 2.5;
-      req = Protocol.Synth { source = `Bench "b04"; spec; search = true };
-    }
+  let roundtrip req =
+    let env = { Protocol.id = Json.Int 9; deadline_s = Some 2.5; req } in
+    match Protocol.parse_line (Json.to_string (Protocol.envelope_to_json env)) with
+    | Error e -> Alcotest.fail e
+    | Ok env' ->
+        Alcotest.(check bool) "id survives" true (env'.Protocol.id = Json.Int 9);
+        Alcotest.(check (option (float 1e-9))) "deadline survives" (Some 2.5)
+          env'.Protocol.deadline_s;
+        env'.Protocol.req
   in
-  let line = Json.to_string (Protocol.envelope_to_json env) in
-  match Protocol.parse_line line with
-  | Error e -> Alcotest.fail e
-  | Ok env' ->
-      Alcotest.(check bool) "id survives" true (env'.Protocol.id = Json.Int 9);
-      Alcotest.(check (option (float 1e-9))) "deadline survives" (Some 2.5)
-        env'.Protocol.deadline_s;
-      (match env'.Protocol.req with
-      | Protocol.Synth { source = `Bench "b04"; spec = s; search } ->
-          Alcotest.(check string) "spec survives" (Engine.spec_fingerprint spec)
-            (Engine.spec_fingerprint s);
-          Alcotest.(check bool) "search flag survives" true search
-      | _ -> Alcotest.fail "request shape changed")
+  (match roundtrip (Protocol.Synth { bench = "b04"; spec; search = true }) with
+  | Protocol.Synth { bench = "b04"; spec = s; search } ->
+      Alcotest.(check string) "spec survives" (Engine.spec_fingerprint spec)
+        (Engine.spec_fingerprint s);
+      Alcotest.(check bool) "search flag survives" true search
+  | _ -> Alcotest.fail "request shape changed");
+  let text = ".model m\n.inputs a\n.outputs a\n.end\n" in
+  match
+    roundtrip
+      (Protocol.Import
+         { text; format = Some Ee_frontend.Frontend.Blif; remap = false; search = true; spec })
+  with
+  | Protocol.Import { text = t; format; remap; search; spec = s } ->
+      Alcotest.(check string) "import text survives" text t;
+      Alcotest.(check bool) "import format survives" true
+        (format = Some Ee_frontend.Frontend.Blif);
+      Alcotest.(check bool) "import remap survives" false remap;
+      Alcotest.(check bool) "import search flag survives" true search;
+      Alcotest.(check string) "import spec survives" (Engine.spec_fingerprint spec)
+        (Engine.spec_fingerprint s)
+  | _ -> Alcotest.fail "request shape changed"
 
 let test_protocol_rejects () =
   List.iter
@@ -107,8 +118,16 @@ let test_protocol_rejects () =
       "{\"cmd\":\"synth\",\"bench\":\"b01\",\"lut_k\":3}";
       "{\"cmd\":\"synth\",\"bench\":\"b01\",\"lut_k\":9}";
       "{\"cmd\":\"synth\",\"bench\":\"b01\",\"search\":\"yes\"}";
+      "{\"cmd\":\"synth\",\"blif\":\".model m\\n.end\\n\"}";
+      "{\"cmd\":\"import\",\"text\":\".model m\\n.end\\n\",\"search\":1}";
       "{\"cmd\":\"perf\"}";
-    ]
+    ];
+  (* Inline netlists go through [import]: the rejection says so. *)
+  match Protocol.parse_line "{\"cmd\":\"synth\",\"blif\":\".model m\\n.end\\n\"}" with
+  | Error m ->
+      Alcotest.(check bool) "synth {blif} points at import" true
+        (Astring_contains.contains m "import")
+  | Ok _ -> Alcotest.fail "synth {blif} accepted"
 
 (* The spec knobs that could make one request unbounded or its report
    meaningless: [vectors] beyond 4000, non-finite or non-positive
@@ -289,30 +308,52 @@ let test_e2e_search_section () =
       Alcotest.(check bool) "no section without the flag" true
         (get r3 [ "result"; "search" ] = None))
 
+(* An [import] of BLIF text, measured as it stands (no remap). *)
+let import_blif ?(extra = []) text =
+  Json.to_string
+    (Json.Obj
+       ([
+          ("cmd", Json.String "import");
+          ("text", Json.String text);
+          ("format", Json.String "blif");
+          ("remap", Json.Bool false);
+          ("vectors", Json.Int 4);
+        ]
+       @ extra))
+
+let half_adder =
+  ".model ha\n.inputs a b\n.outputs s c\n.names a b s\n10 1\n01 1\n.names a b c\n11 1\n.end\n"
+
 let test_e2e_inline_blif () =
   with_server (fun sock ->
-      let blif =
-        ".model ha\\n.inputs a b\\n.outputs s c\\n.names a b s\\n10 1\\n01 1\\n.names a b c\\n11 1\\n.end\\n"
-      in
-      let r =
-        send sock (Printf.sprintf "{\"cmd\":\"synth\",\"blif\":\"%s\",\"vectors\":4}" blif)
-      in
+      let r = send sock (import_blif half_adder) in
       check_status r "ok";
       Alcotest.(check (option string)) "netlist row" (Some "netlist")
-        (Option.bind (get r [ "result"; "id" ]) Json.to_string_opt);
+        (Option.bind (get r [ "result"; "synth"; "id" ]) Json.to_string_opt);
+      Alcotest.(check (option bool)) "measured as it stands" (Some false)
+        (Option.bind (get r [ "result"; "remapped" ]) Json.to_bool);
       (* Same netlist again: content-addressed, so cached. *)
-      let r2 =
-        send sock (Printf.sprintf "{\"cmd\":\"synth\",\"blif\":\"%s\",\"vectors\":4}" blif)
-      in
+      let r2 = send sock (import_blif half_adder) in
       Alcotest.(check (option bool)) "inline blif cached by content" (Some true)
         (Option.bind (Json.member "cached" r2) Json.to_bool);
       (* Malformed BLIF is the client's fault, not an internal error. *)
-      let bad = send sock "{\"cmd\":\"synth\",\"blif\":\"garbage\"}" in
-      check_error bad "bad_request")
+      check_error (send sock (import_blif "garbage")) "bad_request";
+      (* synth takes no netlist text; its rejection points at import. *)
+      let old =
+        send sock
+          (Json.to_string
+             (Json.Obj [ ("cmd", Json.String "synth"); ("blif", Json.String half_adder) ]))
+      in
+      check_error old "bad_request";
+      Alcotest.(check bool) "synth {blif} rejection names import" true
+        (match Option.bind (Json.member "message" old) Json.to_string_opt with
+        | Some m -> Astring_contains.contains m "import"
+        | None -> false))
 
-let test_e2e_synth_blif_matches_import () =
-  (* The two user-netlist requests share the reader and the measurement:
-     synth {blif} answers exactly import's synth section without a remap. *)
+let test_e2e_import_blif_reader () =
+  (* import reads full-dialect BLIF as it stands: a 5-input .names and a
+     benchmark's canonical BLIF are measured, and an unsupported .gate is a
+     bad_request naming its line. *)
   let wide =
     ".model ext\n.inputs a b c d e\n.outputs y\n.names a b c d e y\n11--- 1\n--111 1\n.end\n"
   in
@@ -321,35 +362,69 @@ let test_e2e_synth_blif_matches_import () =
     Ee_export.Blif.to_blif ~model:"b03"
       (Ee_rtl.Techmap.run_rtl (b.Ee_bench_circuits.Itc99.build ()))
   in
-  let request fields = Json.to_string (Json.Obj (("vectors", Json.Int 4) :: fields)) in
-  let synth text = request [ ("cmd", Json.String "synth"); ("blif", Json.String text) ] in
   with_server (fun sock ->
       List.iter
         (fun (what, text) ->
-          let s = send sock (synth text) in
-          let i =
-            send sock
-              (request
-                 [
-                   ("cmd", Json.String "import");
-                   ("text", Json.String text);
-                   ("format", Json.String "blif");
-                   ("remap", Json.Bool false);
-                 ])
-          in
-          check_status s "ok";
-          check_status i "ok";
-          Alcotest.(check bool) (what ^ ": synth result = import synth section") true
-            (match (Json.member "result" s, get i [ "result"; "synth" ]) with
-            | Some a, Some b -> a = b
-            | _ -> false))
+          let r = send sock (import_blif text) in
+          check_status r "ok";
+          Alcotest.(check bool) (what ^ ": measured") true
+            (Option.bind (get r [ "result"; "synth"; "pl_gates" ]) Json.to_int <> None))
         [ ("wide names", wide); ("b03", b03) ];
-      let gate = send sock (synth ".model g\n.inputs a\n.outputs y\n.gate inv A=a Y=y\n.end\n") in
+      let gate = send sock (import_blif ".model g\n.inputs a\n.outputs y\n.gate inv A=a Y=y\n.end\n") in
       check_error gate "bad_request";
       Alcotest.(check bool) ".gate error names the line" true
         (match Option.bind (Json.member "message" gate) Json.to_string_opt with
         | Some m -> Astring_contains.contains m "line"
         | None -> false))
+
+let test_e2e_cached_kinds () =
+  with_server (fun sock ->
+      let cached j = Option.bind (Json.member "cached" j) Json.to_bool in
+      let twice what line =
+        let r1 = send sock line in
+        check_status r1 "ok";
+        Alcotest.(check (option bool)) (what ^ ": first is cold") (Some false) (cached r1);
+        let r2 = send sock line in
+        Alcotest.(check (option bool)) (what ^ ": repeat is cached") (Some true) (cached r2);
+        Alcotest.(check bool) (what ^ ": identical payload") true
+          (Json.member "result" r1 = Json.member "result" r2);
+        r1
+      in
+      ignore (twice "perf" "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":8}");
+      ignore (twice "faults" "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":4}");
+      let plain = twice "import" (import_blif half_adder) in
+      Alcotest.(check bool) "no search section without the flag" true
+        (get plain [ "result"; "synth"; "search" ] = None);
+      (* The search flag keys its own entry and adds the section. *)
+      let searched =
+        twice "import with search" (import_blif ~extra:[ ("search", Json.Bool true) ] half_adder)
+      in
+      Alcotest.(check bool) "search section under synth" true
+        (Option.bind (get searched [ "result"; "synth"; "search"; "lambda_search" ]) Json.to_float
+        <> None))
+
+let test_e2e_request_bound () =
+  with_server (fun sock ->
+      let c = Client.connect ~retries:100 ~recv_timeout_s:30. (`Unix sock) in
+      (* The bound is 8 MiB; the line's end comes 1 MiB after it. *)
+      (try Client.send_line c (String.make (9 * 1024 * 1024) 'x')
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let r =
+        match Json.parse (Client.recv_line c) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "bad response: %s" e
+      in
+      check_error r "bad_request";
+      Alcotest.(check bool) "message names the bound" true
+        (match Option.bind (Json.member "message" r) Json.to_string_opt with
+        | Some m -> Astring_contains.contains m "request exceeds"
+        | None -> false);
+      Alcotest.(check bool) "connection closed" true
+        (match Client.recv_line c with
+        | _ -> false
+        | exception (End_of_file | Unix.Unix_error _) -> true);
+      Client.close c;
+      check_status (send sock "{\"cmd\":\"ping\"}") "ok")
 
 let test_e2e_waves_bad_request () =
   with_server (fun sock ->
@@ -1023,8 +1098,11 @@ let suite =
       Alcotest.test_case "protocol bounds vectors and timing" `Quick test_protocol_spec_bounds;
       Alcotest.test_case "e2e: synth + content-addressed cache" `Quick test_e2e_synth_and_cache;
       Alcotest.test_case "e2e: inline BLIF source" `Quick test_e2e_inline_blif;
-      Alcotest.test_case "e2e: synth {blif} = import synth section" `Quick
-        test_e2e_synth_blif_matches_import;
+      Alcotest.test_case "e2e: import reads wide names, rejects gate" `Quick
+        test_e2e_import_blif_reader;
+      Alcotest.test_case "e2e: perf, faults, import repeats cached" `Quick
+        test_e2e_cached_kinds;
+      Alcotest.test_case "e2e: oversized line refused, closed" `Quick test_e2e_request_bound;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
       Alcotest.test_case "e2e: out-of-range waves are bad_request" `Quick
