@@ -14,6 +14,8 @@
      main.exe --domains N     worker domains for the --engine parallel run
                               (default: max 2 recommended_domain_count)
      main.exe --perf          analytic throughput vs simulation (writes BENCH_perf.json)
+     main.exe --faults        fault campaigns on every ITC99 EE netlist
+                              (writes BENCH_faults.json)
      main.exe --selection-timeout S   per-benchmark budget for the --perf
                               MCR-greedy selection sweep (default 120 s)
      main.exe --serve         ee_synthd cold/warm latency (writes BENCH_serve.json)
@@ -1494,25 +1496,50 @@ let print_chaos () =
     Printf.printf
       "(single-core machine: availability/recovery gates recorded but not enforced)\n"
 
-(* Fault-injection campaigns: sweep the standard fault list over a few
-   benchmarks and check that nothing silently mis-computes under the
-   adversarial delay schedules.  The dangerous class is wrong-output; the
-   v-rail stuck-ats that land there are precisely the faults LEDR encoding
-   cannot witness locally. *)
+(* Fault-injection campaigns: sweep the standard fault list over every
+   ITC99 benchmark's EE netlist and check that nothing silently mis-computes
+   under the adversarial delay schedules.  The dangerous class is
+   wrong-output; the v-rail stuck-ats that land there are precisely the
+   faults LEDR encoding cannot witness locally.  BENCH_faults.json records,
+   per benchmark, the fault count, the four classes and the MD5 of the JSON
+   report, which a faster campaign must reproduce exactly, plus the
+   campaign's wall time and cost per fault, which it need not. *)
 
 let print_faults () =
   section "Robustness: fault-injection campaigns (Ee_fault.Campaign)";
-  Printf.printf "(16 waves per fault, seed %d; faults per Fault.enumerate)\n\n" seed;
-  List.iter
-    (fun id ->
-      let b = Ee_bench_circuits.Itc99.find id in
-      let a = Ee_report.Pipeline.build b in
-      let r =
-        Ee_fault.Campaign.run ~waves:16 ~seed ~bench:id a.Ee_report.Pipeline.pl_ee
-          a.Ee_report.Pipeline.netlist
-      in
-      print_endline (Ee_fault.Campaign.summary_string r))
-    [ "b01"; "b04"; "b06" ];
+  let waves = 16 in
+  Printf.printf "(%d waves per fault, seed %d; faults per Fault.enumerate)\n\n" waves seed;
+  let rows =
+    List.map
+      (fun (b : Ee_bench_circuits.Itc99.benchmark) ->
+        let id = b.Ee_bench_circuits.Itc99.id in
+        let a = Ee_report.Pipeline.build b in
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Ee_fault.Campaign.run ~waves ~seed ~bench:id a.Ee_report.Pipeline.pl_ee
+            a.Ee_report.Pipeline.netlist
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        let faults = List.length r.Ee_fault.Campaign.records in
+        Printf.printf "%s  %.3f s, %.1f us/fault\n%!" (Ee_fault.Campaign.summary_string r) wall
+          (wall *. 1e6 /. float_of_int faults);
+        Printf.sprintf
+          "    { \"bench\": \"%s\", \"faults\": %d, \"masked\": %d, \"detected\": %d, \
+           \"deadlock\": %d, \"wrong_output\": %d, \"report_md5\": \"%s\", \"wall_s\": %.3f, \
+           \"us_per_fault\": %.1f }"
+          id faults r.Ee_fault.Campaign.masked r.Ee_fault.Campaign.detected
+          r.Ee_fault.Campaign.deadlock r.Ee_fault.Campaign.wrong_output
+          (Digest.to_hex (Digest.string (Ee_fault.Campaign.to_json r)))
+          wall
+          (wall *. 1e6 /. float_of_int faults))
+      Ee_bench_circuits.Itc99.all
+  in
+  let oc = open_out "BENCH_faults.json" in
+  Printf.fprintf oc
+    "{\n  \"waves\": %d,\n  \"seed\": %d,\n  \"cores\": %d,\n  \"campaigns\": [\n%s\n  ]\n}\n"
+    waves seed (Domain.recommended_domain_count ()) (String.concat ",\n" rows);
+  close_out oc;
+  Printf.printf "wrote BENCH_faults.json\n";
   let b01 = Ee_report.Pipeline.build (Ee_bench_circuits.Itc99.find "b01") in
   let pl = b01.Ee_report.Pipeline.pl_ee in
   let gates = Array.length (Ee_phased.Pl.gates pl) in
@@ -1681,7 +1708,7 @@ let print_corpus ?dir ~fast () =
     exit 1
   end
 
-(* Experiment 18: the sketch/CEGIS trigger search against brute-force
+(* Experiment 18: the CEGIS trigger search against brute-force
    subset enumeration, and shared multi-master triggers on the ITC99
    suite.  Writes BENCH_search.json.
 

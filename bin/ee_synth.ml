@@ -407,7 +407,7 @@ let search_cmd =
       `S Manpage.s_description;
       `P
         "Covers the benchmark's netlist with LUT-$(i,K) cones ($(b,--lut-k); analysis \
-         only — the emitted netlist cell stays LUT4), runs the sketch/CEGIS trigger \
+         only — the emitted netlist cell stays LUT4), runs the CEGIS trigger \
          search on every cone wider than four inputs and cross-checks it against the \
          brute-force minterm scan.  $(b,--shared) additionally runs the shared \
          multi-master trigger selection and prints the period table against the \

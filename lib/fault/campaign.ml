@@ -85,6 +85,17 @@ let run_fault pl ~vectors ~expected fault =
 let wire_index gate rail value =
   (4 * gate) + (match rail with Fault.V -> 0 | Fault.T -> 2) + Bool.to_int value
 
+let first_reads trace ~gates ~waves =
+  let first = Array.make (4 * gates) waves in
+  for wave = waves - 1 downto 0 do
+    for gate = 0 to gates - 1 do
+      let r = Rail_sim.traced_rails trace ~wave gate in
+      first.(wire_index gate Fault.V r.Ledr.v) <- wave;
+      first.(wire_index gate Fault.T r.Ledr.t) <- wave
+    done
+  done;
+  first
+
 (* The first wave in which the fault's hooks can act on the fault-free run.
    A stuck wire changes a latch only when its gate latches the other value
    on it. *)
@@ -93,19 +104,22 @@ let first_active ~first_reads fault =
   | Fault.Stuck_rail { gate; rail; value } -> first_reads.(wire_index gate rail (not value))
   | _ -> fst (Fault.window fault)
 
-(* Checkpoint fork.  [snapshots.(w)] is the fault-free unit-delay state at
-   the start of wave [w], from a run that matched the golden model.  Before
-   the fault first acts, the faulted run is the fault-free one, so it starts
-   from that wave's snapshot; after the window's last wave, a state equal
-   to the fault-free one has the fault-free future, which is correct. *)
-let forked ~snapshots ~first_reads ~vectors ~expected fault =
+(* Fork from the trace of the fault-free unit-delay run, which matched the
+   golden model.  Before the fault first acts, the faulted run is the
+   fault-free one, so it starts from that wave's boundary and simulates
+   only the gates the fault can reach; after the window's last wave, a
+   state equal to the fault-free one has the fault-free future, which is
+   correct. *)
+let forked ~trace ~first_reads ~vectors ~expected fault =
   let first = first_active ~first_reads fault and last = snd (Fault.window fault) in
   let waves = Array.length vectors in
   if first >= waves then Masked
   else
-    let sim = Rail_sim.copy snapshots.(first) ~hooks:(Fault.hooks fault) in
+    let sim =
+      Rail_sim.fork trace ~wave:first ~site:(Fault.site fault) ~last ~hooks:(Fault.hooks fault)
+    in
     classify sim ~vectors ~expected ~from:first ~settled:(fun w ->
-        w >= last && w + 1 < waves && Rail_sim.same_state sim snapshots.(w + 1))
+        w >= last && w + 1 < waves && not (Rail_sim.diverged sim))
 
 (* The adversarial schedules, quantized into Rail_sim round delays.  Unit
    delay is the reference; the others reorder firings as hostilely as the
@@ -128,14 +142,12 @@ let delay_schedules pl ~seed =
   ]
 
 (* Every wave runs, so [early_total] covers the whole run even after a
-   mismatch; a raising schedule disagrees.  [at_wave w sim] sees the state
-   before wave [w]. *)
-let check_schedule ?(at_wave = fun _ _ -> ()) sim ~vectors ~expected schedule =
+   mismatch; a raising schedule disagrees. *)
+let check_schedule sim ~vectors ~expected schedule =
   let agrees = ref true and early_total = ref 0 in
   (try
      Array.iteri
        (fun w vec ->
-         at_wave w sim;
          let outs, early = Rail_sim.apply sim vec in
          early_total := !early_total + early;
          if outs <> expected.(w) then agrees := false)
@@ -160,23 +172,14 @@ let run ?(waves = 16) ?(seed = 2002) ~bench pl nl =
   let vectors = make_vectors ~width ~waves ~seed in
   let expected = Array.of_list (golden nl vectors) and vectors = Array.of_list vectors in
   (* The unit-delay schedule check is the fault-free run the faults fork
-     from.  Its latch hook returns its argument and keeps minima, so it
-     does not matter how often or in which order the kernel calls it. *)
-  let first_reads = Array.make (4 * Array.length (Pl.gates pl)) waves in
-  let note i wave = if wave < first_reads.(i) then first_reads.(i) <- wave in
-  let record ~wave ~gate (r : Ledr.rails) =
-    note (wire_index gate Fault.V r.Ledr.v) wave;
-    note (wire_index gate Fault.T r.Ledr.t) wave;
-    r
-  in
-  let base = Rail_sim.create ~hooks:{ Rail_sim.no_hooks with Rail_sim.on_latch = record } pl in
-  let snapshots = Array.make waves base in
-  let unit =
-    check_schedule base ~vectors ~expected "unit" ~at_wave:(fun w sim ->
-        snapshots.(w) <- Rail_sim.copy sim ~hooks:Rail_sim.no_hooks)
-  in
+     from. *)
+  let base = Rail_sim.create pl in
+  let trace = Rail_sim.trace base in
+  let unit = check_schedule base ~vectors ~expected "unit" in
   let outcome =
-    if unit.agrees then forked ~snapshots ~first_reads ~vectors ~expected
+    if unit.agrees then
+      let first_reads = first_reads trace ~gates:(Array.length (Pl.gates pl)) ~waves in
+      forked ~trace ~first_reads ~vectors ~expected
     else cold pl ~vectors ~expected
   in
   let records =

@@ -22,25 +22,29 @@
     maximally delayed).
 
     {b Simulating only what a fault changes.}  {!run} classifies every
-    fault exactly as {!run_fault} would, but skips the waves in which the
-    fault cannot differ from the fault-free run:
+    fault exactly as {!run_fault} would, but skips the waves, and the
+    gates, in which the fault cannot differ from the fault-free run:
 
     - {e checkpoints} — the unit-delay schedule check is the fault-free run,
-      and it keeps a copy ({!Ee_phased.Rail_sim.copy}) of the simulator at
-      the start of every wave.  A fault whose hooks leave the fault-free
-      run unchanged before wave [w] starts from the wave-[w] checkpoint:
-      [w] is where its {!Fault.window} opens, or, for a stuck rail, the
-      first wave in which the fault-free run latches the other value on
-      the stuck wire of that gate (never: the fault is [Masked]);
+      recorded by {!Ee_phased.Rail_sim.trace}.  A fault whose hooks leave
+      the fault-free run unchanged before wave [w] is forked
+      ({!Ee_phased.Rail_sim.fork}) from the wave-[w] boundary: [w] is
+      where its {!Fault.window} opens, or, for a stuck rail, the first wave
+      in which the fault-free run latches the other value on the stuck
+      wire of that gate (never: the fault is [Masked]);
+    - {e divergent sets} — each faulty wave evaluates only the gates the
+      fault can reach from {!Fault.site} and from the gates it has already
+      changed, and replays the trace for the rest;
     - {e reconvergence} — after the window's last wave, a faulted state
-      equal ({!Ee_phased.Rail_sim.same_state}) to the checkpoint of the
-      next wave has the fault-free future, which agrees with the golden
-      model: the fault is [Masked] without running the remaining waves.
+      equal to the fault-free one at the same wave boundary
+      ({!Ee_phased.Rail_sim.diverged} is false) has the fault-free future,
+      which agrees with the golden model: the fault is [Masked] without
+      running the remaining waves.
 
-    Both rules rely on the simulator being deterministic and its hooks
-    pure.  When the fault-free unit-delay run disagrees with the golden
-    model or raises, there is nothing to fork from, and every fault runs
-    cold from wave 0. *)
+    These rules rely on the simulator being deterministic and its hooks
+    pure and confined to the fault's site and window.  When the fault-free
+    unit-delay run disagrees with the golden model or raises, there is
+    nothing to fork from, and every fault runs cold from wave 0. *)
 
 type outcome =
   | Masked

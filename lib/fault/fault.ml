@@ -31,6 +31,14 @@ let window = function
   | Token_dup { wave; _ } ->
       (wave, wave)
 
+let site = function
+  | Stuck_rail { gate; _ }
+  | Glitch_rail { gate; _ }
+  | Token_loss { gate; _ }
+  | Token_dup { gate; _ }
+  | Trigger_corrupt { master = gate; _ } ->
+      gate
+
 let set_rail rail b (r : Ledr.rails) =
   match rail with V -> { r with Ledr.v = b } | T -> { r with Ledr.t = b }
 

@@ -39,6 +39,11 @@ type t =
 
 val to_string : t -> string
 
+val site : t -> int
+(** The gate the fault strikes: the gate whose latch or firing {!hooks}
+    alter, or the master whose trigger read they force.  The hooks act on
+    no other gate. *)
+
 val hooks : t -> Ee_phased.Rail_sim.hooks
 (** The instrumentation record injecting exactly this fault. *)
 

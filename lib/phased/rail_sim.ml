@@ -50,14 +50,24 @@ let code_of_rails (r : Ledr.rails) = Bool.to_int r.Ledr.v lor (Bool.to_int r.Led
 
 type role = Self_loop | Data | Feedback
 
-(* The PL marked graph and the role of each arc in [stalled_marking],
-   built on the first stall. *)
+(* The PL marked graph as the stall diagnosis reads it, built on the first
+   stall: per arc its endpoints, initial tokens and role, and per node its
+   out-arcs in descending arc order (the order
+   [Marked_graph.token_free_cycle] visits them in).  The rest is scratch for
+   the cycle search, valid while its stamp is the current one. *)
 type forensics = {
-  mg : Marked_graph.t;
   arc_src : int array;
   arc_dst : int array;
   arc_tok : int array;
   role : role array;
+  out_start : int array; (* node [v]'s out-arcs are [out_arc.(out_start.(v) ..)] *)
+  out_arc : int array;
+  mutable search_stamp : int;
+  visited : int array; (* stamp: reached by the search *)
+  finished : int array; (* stamp: all its out-arcs explored *)
+  parent_arc : int array;
+  stack : int array; (* depth-first path, as nodes *)
+  cursor : int array; (* per path entry, the next out-arc slot to try *)
 }
 
 (* Per-wave working storage.  Entries are valid only while their stamp
@@ -74,6 +84,22 @@ type work = {
   mutable cur : int array; (* candidates of the round being evaluated *)
   mutable next : int array; (* candidates of the following round *)
   fire : int array; (* firings of the round: gate lsl 2 lor early lsl 1 lor value *)
+  latched : int array; (* per gate latched this wave: (round + 1) lsl 1 lor early *)
+}
+
+(* A list of gate ids, ascending, that one step of a wave walks. *)
+type span = { ids : int array; mutable len : int }
+
+(* The gates a wave works on, by the step that walks them: every gate of the
+   netlist for a full wave, the members of the divergent set for a
+   differential one. *)
+type active = {
+  holders : span; (* sources, constants and registers *)
+  inputless : span; (* Lut, Master and Trigger gates without fanins *)
+  scan : span; (* gates whose new-phase rails seed round 0 *)
+  comb : span; (* Lut, Master and Trigger gates *)
+  masters : span;
+  settles : span; (* registers and sinks *)
 }
 
 (* The compiled netlist, immutable apart from [work] and shared by
@@ -82,17 +108,44 @@ type net = {
   flat : Flat.t;
   ostart : int array; (* distinct Lut/Master/Trigger consumers, trigger->master included *)
   fanout : int array;
-  holders : int array; (* sources, constants and registers, ascending *)
-  comb : int array; (* Lut, Master and Trigger gates, ascending *)
-  inputless : int array; (* Lut, Master and Trigger gates without fanins *)
-  masters : int array; (* ascending *)
-  settles : int array; (* registers and sinks, ascending *)
+  cstart : int array; (* every distinct consumer, registers and sinks included *)
+  consumer : int array;
+  full : active;
   sink_fanin : int array; (* in sink order *)
   delays : int array; (* extra firing rounds per gate once enabled *)
   max_rounds : int;
   forensics : forensics Lazy.t;
   work : work;
 }
+
+(* Gate state at a wave boundary. *)
+type state = { s_rails : int array; s_phase : int array; s_reg : bool array }
+
+(* A recorded fault-free unit-delay run, and the scratch of the
+   differential waves forked from it. *)
+type trace = {
+  tnet : net;
+  base : int; (* wave number of [states.(0)] *)
+  mutable states : state array; (* [states.(k)]: at the start of wave [base + k] *)
+  mutable latched : int array array; (* [latched.(k)]: [work.latched] after wave [base + k] *)
+  mutable early : int array; (* [early.(k)]: early firings in wave [base + k] *)
+  mutable recorded : int; (* completed waves *)
+  part : active; (* the divergent set of the current differential wave *)
+  member : int array; (* [dstamp]: in the divergent set; [dstamp + 1]: a feeder *)
+  mutable dstamp : int;
+  dset : int array; (* [part.scan]'s ids: discovery order while built, then ascending *)
+  feeders : int array; (* [(round + 1) * n + gate], ascending *)
+  mutable nfeed : int;
+  mutable fed : int; (* feeders replayed so far *)
+  saved_rails : int array; (* divergent gates' state across the merge *)
+  saved_phase : int array;
+  saved_reg : bool array;
+}
+
+(* What a differential simulator needs besides its state: its trace, the
+   gate its hooks act on and their last wave, and the gates whose state
+   differs from the trace's at the current wave boundary. *)
+type fork = { trace : trace; site : int; last : int; mutable dirty : int array }
 
 type t = {
   net : net;
@@ -107,13 +160,14 @@ type t = {
   reg_state : bool array;
   mutable wave_phase : int; (* phase carried by the NEXT wave's tokens *)
   mutable wave_no : int; (* waves applied so far; the hooks' wave index *)
+  mutable tape : trace option; (* recording this simulator's waves *)
+  mutable fork : fork option; (* replaying the gates outside the divergent set *)
 }
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 
 let build_forensics (f : Flat.t) =
-  let mg = Flat.marked_graph f in
-  let arcs = Marked_graph.arcs mg in
+  let arcs = Marked_graph.arcs (Flat.marked_graph f) in
   let arc_src = Array.map (fun (s, _, _) -> s) arcs in
   let arc_dst = Array.map (fun (_, d, _) -> d) arcs in
   let arc_tok = Array.map (fun (_, _, k) -> k) arcs in
@@ -129,26 +183,55 @@ let build_forensics (f : Flat.t) =
       (fun (s, d, _) -> if s = d then Self_loop else if dep_of d s then Data else Feedback)
       arcs
   in
-  { mg; arc_src; arc_dst; arc_tok; role }
+  let nodes = Array.length f.code in
+  let out_start = Array.make (nodes + 1) 0 in
+  Array.iter (fun s -> out_start.(s + 1) <- out_start.(s + 1) + 1) arc_src;
+  for v = 0 to nodes - 1 do
+    out_start.(v + 1) <- out_start.(v + 1) + out_start.(v)
+  done;
+  let fill = Array.sub out_start 0 nodes and out_arc = Array.make (Array.length arcs) 0 in
+  for a = Array.length arcs - 1 downto 0 do
+    let s = arc_src.(a) in
+    out_arc.(fill.(s)) <- a;
+    fill.(s) <- fill.(s) + 1
+  done;
+  {
+    arc_src;
+    arc_dst;
+    arc_tok;
+    role;
+    out_start;
+    out_arc;
+    search_stamp = 0;
+    visited = Array.make nodes 0;
+    finished = Array.make nodes 0;
+    parent_arc = Array.make nodes 0;
+    stack = Array.make nodes 0;
+    cursor = Array.make nodes 0;
+  }
+
+let span ids = { ids; len = Array.length ids }
+let empty_span n = { ids = Array.make n 0; len = 0 }
 
 let compile ~delays pl =
   let flat = Flat.of_pl ~caller:"Rail_sim.create" pl in
   let { Flat.code; fstart; _ } = flat in
   let n = Array.length code in
   let is_comb i = match code.(i) with Lut | Master | Trigger -> true | _ -> false in
-  (* Each combinational consumer once per distinct producer, ascending. *)
+  (* Each consumer once per distinct producer, ascending. *)
   let { Flat.cstart; cslot; owner } = Flat.consumers flat in
-  let fanout = Flat.select is_comb (Array.map (fun j -> owner.(j)) cslot) in
+  let consumer = Array.map (fun j -> owner.(j)) cslot in
+  let fanout = Flat.select is_comb consumer in
   let ostart = Array.make (n + 1) 0 in
   for p = 0 to n - 1 do
     let comb = ref 0 in
     for k = cstart.(p) to cstart.(p + 1) - 1 do
-      if is_comb owner.(cslot.(k)) then incr comb
+      if is_comb consumer.(k) then incr comb
     done;
     ostart.(p + 1) <- ostart.(p) + !comb
   done;
   let all = Array.init n Fun.id in
-  let ids keep = Flat.select keep all in
+  let ids keep = span (Flat.select keep all) in
   let work =
     {
       wave_stamp = 0;
@@ -161,17 +244,24 @@ let compile ~delays pl =
       cur = Array.make n 0;
       next = Array.make n 0;
       fire = Array.make n 0;
+      latched = Array.make n 0;
     }
   in
   {
     flat;
     ostart;
     fanout;
-    holders = ids (fun i -> match code.(i) with Source | Const | Register -> true | _ -> false);
-    comb = ids is_comb;
-    inputless = ids (fun i -> is_comb i && fstart.(i + 1) = fstart.(i));
-    masters = ids (fun i -> code.(i) = Master);
-    settles = ids (fun i -> match code.(i) with Register | Sink -> true | _ -> false);
+    cstart;
+    consumer;
+    full =
+      {
+        holders = ids (fun i -> match code.(i) with Source | Const | Register -> true | _ -> false);
+        inputless = ids (fun i -> is_comb i && fstart.(i + 1) = fstart.(i));
+        scan = span all;
+        comb = ids is_comb;
+        masters = ids (fun i -> code.(i) = Master);
+        settles = ids (fun i -> match code.(i) with Register | Sink -> true | _ -> false);
+      };
     sink_fanin = Array.map (fun s -> flat.arg.(s)) (Pl.sink_ids pl);
     delays;
     max_rounds = Array.fold_left ( + ) (n + 2) delays;
@@ -179,7 +269,7 @@ let compile ~delays pl =
     work;
   }
 
-let with_hooks net hooks ~rails ~gate_phase ~reg_state ~wave_phase ~wave_no =
+let with_hooks net hooks ~rails ~gate_phase ~reg_state ~wave_phase ~wave_no ~fork =
   {
     net;
     hooks;
@@ -192,6 +282,8 @@ let with_hooks net hooks ~rails ~gate_phase ~reg_state ~wave_phase ~wave_no =
     reg_state;
     wave_phase;
     wave_no;
+    tape = None;
+    fork;
   }
 
 let create ?(hooks = no_hooks) ?delays pl =
@@ -210,7 +302,7 @@ let create ?(hooks = no_hooks) ?delays pl =
   let f = net.flat in
   let reg_state = Array.init n (fun i -> f.code.(i) = Register && f.arg.(i) = 1) in
   with_hooks net hooks ~rails:(Array.make n 0) ~gate_phase:(Array.make n 0) ~reg_state
-    ~wave_phase:1 ~wave_no:0
+    ~wave_phase:1 ~wave_no:0 ~fork:None
 
 let reset t =
   let f = t.net.flat in
@@ -220,15 +312,98 @@ let reset t =
     t.gate_phase.(i) <- 0
   done;
   t.wave_phase <- 1;
-  t.wave_no <- 0
+  t.wave_no <- 0;
+  t.tape <- None;
+  t.fork <- None
 
 let copy t ~hooks =
   with_hooks t.net hooks ~rails:(Array.copy t.rails) ~gate_phase:(Array.copy t.gate_phase)
-    ~reg_state:(Array.copy t.reg_state) ~wave_phase:t.wave_phase ~wave_no:t.wave_no
+    ~reg_state:(Array.copy t.reg_state) ~wave_phase:t.wave_phase ~wave_no:t.wave_no ~fork:None
 
 let same_state a b =
   a.wave_no = b.wave_no && a.wave_phase = b.wave_phase && a.rails = b.rails
   && a.gate_phase = b.gate_phase && a.reg_state = b.reg_state
+
+let rails t = Array.map (fun c -> rails_of_code.(c)) t.rails
+let phases t = Array.map (fun p -> if p = 1 then Ledr.Odd else Ledr.Even) t.gate_phase
+
+let snapshot t =
+  {
+    s_rails = Array.copy t.rails;
+    s_phase = Array.copy t.gate_phase;
+    s_reg = Array.copy t.reg_state;
+  }
+
+let trace t =
+  if t.latch_hook || t.drop_hook || t.extra_hook || t.trigger_hook then
+    invalid_arg "Rail_sim.trace: simulator has hooks";
+  if Array.exists (fun d -> d <> 0) t.net.delays then
+    invalid_arg "Rail_sim.trace: simulator has round delays";
+  let n = Array.length t.rails in
+  let dset = Array.make n 0 in
+  let tr =
+    {
+      tnet = t.net;
+      base = t.wave_no;
+      states = [| snapshot t |];
+      latched = [||];
+      early = [||];
+      recorded = 0;
+      part =
+        {
+          holders = empty_span n;
+          inputless = empty_span n;
+          scan = { ids = dset; len = 0 };
+          comb = empty_span n;
+          masters = empty_span n;
+          settles = empty_span n;
+        };
+      member = Array.make n 0;
+      dstamp = 0;
+      dset;
+      feeders = Array.make n 0;
+      nfeed = 0;
+      fed = 0;
+      saved_rails = Array.make n 0;
+      saved_phase = Array.make n 0;
+      saved_reg = Array.make n false;
+    }
+  in
+  t.tape <- Some tr;
+  tr
+
+let grow a k x = if k < Array.length a then a else Array.append a (Array.make (max 1 k) x)
+
+(* A completed wave of a traced simulator: its latches, early firings and
+   end state. *)
+let record tr t ~early =
+  let k = tr.recorded in
+  tr.latched <- grow tr.latched k [||];
+  tr.latched.(k) <- Array.copy t.net.work.latched;
+  tr.early <- grow tr.early k 0;
+  tr.early.(k) <- early;
+  tr.states <- grow tr.states (k + 1) tr.states.(0);
+  tr.states.(k + 1) <- snapshot t;
+  tr.recorded <- k + 1
+
+let fork tr ~wave ~site ~last ~hooks =
+  let k = wave - tr.base in
+  if k < 0 || k >= tr.recorded then invalid_arg "Rail_sim.fork: wave outside the trace";
+  if site < 0 || site >= Array.length tr.member then invalid_arg "Rail_sim.fork: site out of range";
+  let s = tr.states.(k) in
+  with_hooks tr.tnet hooks ~rails:(Array.copy s.s_rails) ~gate_phase:(Array.copy s.s_phase)
+    ~reg_state:(Array.copy s.s_reg) ~wave_phase:(1 - (wave land 1)) ~wave_no:wave
+    ~fork:(Some { trace = tr; site; last; dirty = [||] })
+
+let diverged t =
+  match t.fork with
+  | Some d -> Array.length d.dirty > 0
+  | None -> invalid_arg "Rail_sim.diverged: not a forked simulator"
+
+let traced_rails tr ~wave gate =
+  let k = wave - tr.base in
+  if k < 0 || k >= tr.recorded then invalid_arg "Rail_sim.traced_rails: wave outside the trace";
+  rails_of_code.(tr.states.(k + 1).s_rails.(gate))
 
 (* Latch a new value into a gate's output pair.  The rails actually driven
    pass through the [on_latch] hook: an unfaulted latch is self-checked for
@@ -309,36 +484,81 @@ let probe t i =
     Bool.to_int (Lut4.eval_bits f.func.(i) !m) lor if early then 2 else 0
   else -1
 
-(* Map the mid-wave rail/phase state onto the PL marked graph: a data arc
-   s->d carries a token when s has produced a fresh token d has not yet
-   consumed; the complementary feedback arc d->s carries one when d has
-   fired (ack returned) or s has not yet fired.  A gate that fired but
-   whose output pair is phase-stale (a stuck rail ate the transition)
-   leaves BOTH arcs of its circuit empty — the token-free cycle that
-   explains the deadlock. *)
-let stalled_marking t f =
-  let net = t.net and wave = t.wave_phase in
-  (* Per gate: bit 0 set when it fired, bit 1 when its output pair carries
-     the new phase. *)
-  let st =
-    Array.init (Array.length t.rails) (fun i ->
-        let fired =
-          match net.flat.code.(i) with
-          | Lut | Master | Trigger | Sink -> t.gate_phase.(i) = wave
-          | Source | Const | Register -> true
-        in
-        Bool.to_int fired lor if phase_bit t.rails.(i) = wave then 2 else 0)
+(* The token-free cycle that explains a stall, read off the mid-wave
+   rail/phase state through each arc's role: a data arc s->d carries a
+   token when s has produced a fresh token d has not yet consumed; the
+   complementary feedback arc d->s carries one when d has fired (ack
+   returned) or s has not yet fired; a register self-loop keeps its state
+   token.  A gate that fired but whose output pair is phase-stale (a stuck
+   rail ate the transition) leaves BOTH arcs of its circuit empty.
+   Sources, constants and registers have emitted; a stalled wave never
+   reaches the step where sinks observe, so no sink has fired.
+
+   The search is [Marked_graph.token_free_cycle]'s depth-first search
+   (roots ascending, out-arcs in descending arc order, the first arc that
+   closes a cycle on the path wins), run iteratively on stamped scratch
+   arrays. *)
+let blamed_cycle t f =
+  let code = t.net.flat.code and wave = t.wave_phase in
+  let fired i =
+    match code.(i) with
+    | Lut | Master | Trigger -> t.gate_phase.(i) = wave
+    | Sink -> false
+    | Source | Const | Register -> true
   in
-  let counts = Array.make (Array.length f.role) 0 in
-  for a = 0 to Array.length counts - 1 do
-    let s = st.(f.arc_src.(a)) and d_fired = st.(f.arc_dst.(a)) land 1 = 1 in
-    counts.(a) <-
-      (match f.role.(a) with
-      | Self_loop -> f.arc_tok.(a) (* register self-loop keeps its state token *)
-      | Data -> if s = 3 && not d_fired then 1 else 0
-      | Feedback -> if s land 1 = 1 || not d_fired then 1 else 0)
+  let token_free a =
+    let s = f.arc_src.(a) and d = f.arc_dst.(a) in
+    match f.role.(a) with
+    | Self_loop -> f.arc_tok.(a) = 0
+    | Data -> not (fired s && phase_bit t.rails.(s) = wave && not (fired d))
+    | Feedback -> (not (fired s)) && fired d
+  in
+  f.search_stamp <- f.search_stamp + 1;
+  let st = f.search_stamp in
+  let cycle = ref [] and searching = ref true in
+  let rec back w u acc =
+    if u = w then acc
+    else
+      let p = f.arc_src.(f.parent_arc.(u)) in
+      back w p (p :: acc)
+  in
+  let v0 = ref 0 and nodes = Array.length f.visited in
+  while !searching && !v0 < nodes do
+    let root = !v0 in
+    if f.visited.(root) <> st then begin
+      f.visited.(root) <- st;
+      f.stack.(0) <- root;
+      f.cursor.(0) <- f.out_start.(root);
+      let sp = ref 1 in
+      while !searching && !sp > 0 do
+        let v = f.stack.(!sp - 1) and c = f.cursor.(!sp - 1) in
+        if c = f.out_start.(v + 1) then begin
+          f.finished.(v) <- st;
+          decr sp
+        end
+        else begin
+          f.cursor.(!sp - 1) <- c + 1;
+          let a = f.out_arc.(c) in
+          if token_free a then begin
+            let w = f.arc_dst.(a) in
+            if f.visited.(w) <> st then begin
+              f.visited.(w) <- st;
+              f.parent_arc.(w) <- a;
+              f.stack.(!sp) <- w;
+              f.cursor.(!sp) <- f.out_start.(w);
+              incr sp
+            end
+            else if f.finished.(w) <> st then begin
+              cycle := back w v [ v ];
+              searching := false
+            end
+          end
+        end
+      done
+    end;
+    incr v0
   done;
-  Marked_graph.marking_of_array f.mg counts
+  !cycle
 
 let diagnose_stall t ~unfired =
   let net = t.net and wave = t.wave_phase in
@@ -371,29 +591,28 @@ let diagnose_stall t ~unfired =
     in
     if fired_stale then stale_sources := i :: !stale_sources
   done;
-  let f = Lazy.force net.forensics in
-  let blamed_cycle =
-    match Marked_graph.token_free_cycle f.mg (stalled_marking t f) with
-    | Some c -> c
-    | None -> []
-  in
   {
     stall_wave = t.wave_no;
     unfired;
     waiting_on;
     roots;
     stale_sources = !stale_sources;
-    blamed_cycle;
+    blamed_cycle = blamed_cycle t (Lazy.force net.forensics);
   }
 
-(* Queue the combinational consumers of gate [i] for the next round. *)
-let queue_fanout t i ~nnext =
+(* Queue the combinational consumers of gate [i] for the next round; with
+   [member >= 0], only those whose [trace.member] entry is [member]. *)
+let queue_fanout t i ~nnext ~member =
   let net = t.net and s = t.net.work in
   let stamp = s.round_stamp in
   let k = ref nnext in
   for j = net.ostart.(i) to net.ostart.(i + 1) - 1 do
     let c = net.fanout.(j) in
-    if s.queued.(c) <> stamp then begin
+    if
+      s.queued.(c) <> stamp
+      && (member < 0
+         || match t.fork with Some d -> d.trace.member.(c) = member | None -> true)
+    then begin
       s.queued.(c) <- stamp;
       s.next.(!k) <- c;
       incr k
@@ -401,15 +620,160 @@ let queue_fanout t i ~nnext =
   done;
   !k
 
+(* Sort [a.(0 .. len - 1)] ascending in place, without allocating
+   (heapsort). *)
+let rec sift (a : int array) i last =
+  let l = (2 * i) + 1 in
+  if l <= last then begin
+    let c = if l < last && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c last
+    end
+  end
+
+let sort_prefix a len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a i (len - 1)
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 (last - 1)
+  done
+
+let enlist tr g =
+  if tr.member.(g) <> tr.dstamp then begin
+    tr.member.(g) <- tr.dstamp;
+    tr.dset.(tr.part.scan.len) <- g;
+    tr.part.scan.len <- tr.part.scan.len + 1
+  end
+
+let push sp g =
+  sp.ids.(sp.len) <- g;
+  sp.len <- sp.len + 1
+
+(* The divergent set of the coming wave of a forked simulator: the gates
+   whose state differs from the trace's, plus the fault site while its
+   hooks can act, closed under consumers.  Sources, constants and
+   registers pass the closure on only when they are seeds themselves: one
+   that a member merely feeds emits the trace's token this wave.  Fills
+   [trace.part] and [trace.feeders]: the non-members producing for a
+   combinational member, in the order of the rounds in which the trace
+   latched them. *)
+let divergent_set t d =
+  let tr = d.trace and f = t.net.flat in
+  let code = f.code and n = Array.length t.rails and p = tr.part in
+  tr.dstamp <- tr.dstamp + 2;
+  p.scan.len <- 0;
+  for k = 0 to Array.length d.dirty - 1 do
+    enlist tr d.dirty.(k)
+  done;
+  if t.wave_no <= d.last then enlist tr d.site;
+  let seeds = p.scan.len and k = ref 0 in
+  while !k < p.scan.len do
+    let g = tr.dset.(!k) in
+    let expands = match code.(g) with Lut | Master | Trigger -> true | _ -> !k < seeds in
+    if expands then
+      for j = t.net.cstart.(g) to t.net.cstart.(g + 1) - 1 do
+        enlist tr t.net.consumer.(j)
+      done;
+    incr k
+  done;
+  sort_prefix tr.dset p.scan.len;
+  p.holders.len <- 0;
+  p.inputless.len <- 0;
+  p.comb.len <- 0;
+  p.masters.len <- 0;
+  p.settles.len <- 0;
+  tr.nfeed <- 0;
+  tr.fed <- 0;
+  let ds = tr.dstamp and latched = tr.latched.(t.wave_no - tr.base) in
+  for k = 0 to p.scan.len - 1 do
+    let g = tr.dset.(k) in
+    match code.(g) with
+    | Source | Const -> push p.holders g
+    | Register ->
+        push p.holders g;
+        push p.settles g
+    | Sink -> push p.settles g
+    | Lut | Master | Trigger ->
+        push p.comb g;
+        if code.(g) = Master then push p.masters g;
+        if f.fstart.(g + 1) = f.fstart.(g) then push p.inputless g;
+        for j = f.pstart.(g) to f.pstart.(g + 1) - 1 do
+          let q = f.producer.(j) in
+          if tr.member.(q) <> ds && tr.member.(q) <> ds + 1 then begin
+            tr.member.(q) <- ds + 1;
+            tr.feeders.(tr.nfeed) <- ((latched.(q) lsr 1) * n) + q;
+            tr.nfeed <- tr.nfeed + 1
+          end
+        done
+  done;
+  sort_prefix tr.feeders tr.nfeed
+
+(* Replay the latches the trace made up to [round] for the feeders of a
+   differential wave, queueing their members for the next round. *)
+let replay t d ~round ~nnext =
+  let tr = d.trace in
+  let n = Array.length t.rails and next = tr.states.(t.wave_no - tr.base + 1) in
+  let k = ref nnext in
+  while tr.fed < tr.nfeed && (tr.feeders.(tr.fed) / n) - 1 <= round do
+    let q = tr.feeders.(tr.fed) mod n in
+    t.rails.(q) <- next.s_rails.(q);
+    k := queue_fanout t q ~nnext:!k ~member:tr.dstamp;
+    tr.fed <- tr.fed + 1
+  done;
+  !k
+
+(* The end of a differential wave's round loop: every gate outside the
+   divergent set takes the trace's end-of-wave state, the members keep
+   their own. *)
+let merge t tr ~next =
+  let m = tr.part.scan in
+  for k = 0 to m.len - 1 do
+    let g = m.ids.(k) in
+    tr.saved_rails.(k) <- t.rails.(g);
+    tr.saved_phase.(k) <- t.gate_phase.(g);
+    tr.saved_reg.(k) <- t.reg_state.(g)
+  done;
+  let n = Array.length t.rails in
+  Array.blit next.s_rails 0 t.rails 0 n;
+  Array.blit next.s_phase 0 t.gate_phase 0 n;
+  Array.blit next.s_reg 0 t.reg_state 0 n;
+  for k = 0 to m.len - 1 do
+    let g = m.ids.(k) in
+    t.rails.(g) <- tr.saved_rails.(k);
+    t.gate_phase.(g) <- tr.saved_phase.(k);
+    t.reg_state.(g) <- tr.saved_reg.(k)
+  done
+
 let apply t vector =
   let net = t.net and s = t.net.work in
   if Array.length vector <> Array.length (Pl.source_ids net.flat.pl) then
     invalid_arg "Rail_sim.apply: wrong vector length";
   let wave = t.wave_phase and wave_no = t.wave_no in
   let rails = t.rails and gate_phase = t.gate_phase and code = net.flat.code in
+  (* A full wave works on every gate.  A differential one works on its
+     divergent set and replays, from the trace, the latches of the gates
+     feeding it, each in the round the trace latched it in. *)
+  let act =
+    match t.fork with
+    | None -> net.full
+    | Some d ->
+        if wave_no - d.trace.base >= d.trace.recorded then
+          invalid_arg "Rail_sim.apply: forked simulator past its trace";
+        divergent_set t d;
+        d.trace.part
+  in
+  let member = match t.fork with None -> -1 | Some d -> d.trace.dstamp in
   (* Environment and token-holding gates emit the new wave's tokens. *)
-  for k = 0 to Array.length net.holders - 1 do
-    let i = net.holders.(k) in
+  let holders = act.holders in
+  for k = 0 to holders.len - 1 do
+    let i = holders.ids.(k) in
     let v =
       match code.(i) with
       | Source -> Bool.to_int vector.(net.flat.arg.(i))
@@ -417,7 +781,8 @@ let apply t vector =
       | _ -> net.flat.arg.(i)
     in
     latch t i v;
-    gate_phase.(i) <- wave
+    gate_phase.(i) <- wave;
+    s.latched.(i) <- 0
   done;
   (* Fire combinational gates with the Muller-C rule until quiescent.  The
      firing is a fixpoint over unit-delay rounds: each round decides which
@@ -438,14 +803,18 @@ let apply t vector =
   s.round_stamp <- s.round_stamp + 1;
   let ws = s.wave_stamp in
   let early = ref 0 and ncands = ref 0 in
-  for k = 0 to Array.length net.inputless - 1 do
-    let i = net.inputless.(k) in
+  let inputless = act.inputless in
+  for k = 0 to inputless.len - 1 do
+    let i = inputless.ids.(k) in
     s.queued.(i) <- s.round_stamp;
     s.next.(!ncands) <- i;
     incr ncands
   done;
-  for i = 0 to Array.length rails - 1 do
-    if phase_bit rails.(i) = wave then ncands := queue_fanout t i ~nnext:!ncands
+  (match t.fork with Some d -> ncands := replay t d ~round:(-1) ~nnext:!ncands | None -> ());
+  let scan = act.scan in
+  for k = 0 to scan.len - 1 do
+    let i = scan.ids.(k) in
+    if phase_bit rails.(i) = wave then ncands := queue_fanout t i ~nnext:!ncands ~member
   done;
   let round = ref 0 and progress = ref true in
   while !progress && !round <= net.max_rounds do
@@ -511,41 +880,54 @@ let apply t vector =
       end
       else begin
         gate_phase.(i) <- wave;
+        s.latched.(i) <- ((!round + 1) lsl 1) lor ((e lsr 1) land 1);
         if e land 2 <> 0 then begin
           incr early;
           s.early_wave.(i) <- ws;
           s.early_value.(i) <- e land 1
         end;
-        nnext := queue_fanout t i ~nnext:!nnext
+        nnext := queue_fanout t i ~nnext:!nnext ~member:(-1)
       end
     done;
     if !worst >= 0 then breach !worst !worst_breach;
-    (* Nothing fired, but some enabled gate still counts down its delay:
-       advance the round clock. *)
-    progress := !nfire > 0 || !waiting;
+    let pending =
+      match t.fork with
+      | None -> false
+      | Some d ->
+          nnext := replay t d ~round:!round ~nnext:!nnext;
+          d.trace.fed < d.trace.nfeed
+    in
+    (* Nothing fired, but some enabled gate still counts down its delay, or
+       a feeder latched or has yet to: advance the round clock. *)
+    progress := !nfire > 0 || !waiting || !nnext > 0 || pending;
     ncands := !nnext;
     incr round
   done;
+  (match t.fork with
+  | Some d -> merge t d.trace ~next:d.trace.states.(wave_no - d.trace.base + 1)
+  | None -> ());
   (* Every combinational gate must have fired exactly once; a quiescent
      state with unfired gates is a deadlock, diagnosed in marked-graph
      terms. *)
-  let unfired = ref [] in
-  for k = Array.length net.comb - 1 downto 0 do
-    let i = net.comb.(k) in
+  let unfired = ref [] and comb = act.comb in
+  for k = comb.len - 1 downto 0 do
+    let i = comb.ids.(k) in
     if gate_phase.(i) <> wave then unfired := i :: !unfired
   done;
   if !unfired <> [] then raise (Stalled (diagnose_stall t ~unfired:!unfired));
   (* Late inputs have all arrived now: re-evaluate the early-fired masters
      and confirm the latched value was correct (the paper's don't-care
      argument made executable). *)
-  for k = 0 to Array.length net.masters - 1 do
-    let i = net.masters.(k) in
+  let masters = act.masters in
+  for k = 0 to masters.len - 1 do
+    let i = masters.ids.(k) in
     if s.early_wave.(i) = ws && eval_gate t i <> s.early_value.(i) then
       violation "gate %d: early value contradicted by late inputs" i
   done;
   (* Registers capture their D inputs; sinks observe. *)
-  for k = 0 to Array.length net.settles - 1 do
-    let i = net.settles.(k) in
+  let settles = act.settles in
+  for k = 0 to settles.len - 1 do
+    let i = settles.ids.(k) in
     if code.(i) = Register then begin
       let d = rails.(net.flat.fanin.(net.flat.fstart.(i))) in
       if phase_bit d <> wave then violation "register %d: stale D input" i;
@@ -557,9 +939,39 @@ let apply t vector =
   for k = 0 to Array.length outputs - 1 do
     outputs.(k) <- rails.(net.sink_fanin.(k)) land 1 = 1
   done;
+  (* A differential wave counts the trace's early firings outside its
+     divergent set, and notes which members now differ from the trace. *)
+  let early =
+    match t.fork with
+    | Some d ->
+        let tr = d.trace in
+        let next = tr.states.(wave_no - tr.base + 1) in
+        let latched = tr.latched.(wave_no - tr.base) in
+        let e = ref (tr.early.(wave_no - tr.base) + !early) in
+        for k = 0 to masters.len - 1 do
+          e := !e - (latched.(masters.ids.(k)) land 1)
+        done;
+        (* The feeders are replayed: their slots hold the dirty gates. *)
+        let m = tr.part.scan and ndirty = ref 0 in
+        for k = 0 to m.len - 1 do
+          let g = m.ids.(k) in
+          if
+            rails.(g) <> next.s_rails.(g)
+            || gate_phase.(g) <> next.s_phase.(g)
+            || t.reg_state.(g) <> next.s_reg.(g)
+          then begin
+            tr.feeders.(!ndirty) <- g;
+            incr ndirty
+          end
+        done;
+        d.dirty <- Array.sub tr.feeders 0 !ndirty;
+        !e
+    | None -> !early
+  in
   t.wave_phase <- 1 - wave;
   t.wave_no <- wave_no + 1;
-  (outputs, !early)
+  (match t.tape with Some tr -> record tr t ~early | None -> ());
+  (outputs, early)
 
 let run_check pl nl ~vectors ~seed =
   let t = create pl in

@@ -51,7 +51,10 @@
     gate) and in duplicated firings, which re-read their fanins and are
     processed in sorted order.  Per-wave working storage lives in the
     simulator and is invalidated with stamps, so a healthy wave allocates
-    only its result.
+    only its result.  Each step of a wave walks a list of gates: every
+    gate of the relevant kind for {!apply} on a simulator {!create} or
+    {!copy} made, the members of the divergent set for one {!fork} made
+    (see {!section-differential}); there is no second kernel.
 
     {b Hook purity.}  A hook must be a pure function of its arguments: the
     kernel calls it only for the gates and rounds it evaluates, so how
@@ -92,14 +95,22 @@ val create : ?hooks:hooks -> ?delays:int array -> Pl.t -> t
     {!Flat.of_pl} refuses. *)
 
 val reset : t -> unit
+(** Back to the initial state.  A reset simulator no longer records a
+    {!trace}, and one {!fork} made runs whole-netlist waves from then on. *)
 
 val copy : t -> hooks:hooks -> t
 (** [copy t ~hooks] is a simulator in [t]'s current state (rails, gate
     phases, register state and wave count) that injects [hooks] from then
-    on.  It shares [t]'s compiled netlist, delays, deadlock-forensics
+    on, and runs whole-netlist waves even when [t] is a {!fork}.  It shares [t]'s compiled netlist, delays, deadlock-forensics
     cache and per-wave working storage: [t] and its copies are
     independent between waves, but must not run {!apply} concurrently
     from different domains. *)
+
+val rails : t -> Ledr.rails array
+(** The output rail pair of every gate, by gate id (a copy). *)
+
+val phases : t -> Ledr.phase array
+(** The phase of every gate's last firing, by gate id (a copy). *)
 
 val same_state : t -> t -> bool
 (** [same_state a b] holds when [a] and [b] have applied the same number
@@ -122,12 +133,15 @@ exception Protocol_violation of string
 
 (** {1 Deadlock forensics}
 
-    The PL marked graph ({!Flat.marked_graph}) and the role of each of its
-    arcs are built on a simulator's first stall and shared with its copies,
-    so diagnosing a stall is a few passes over arrays plus one search for a
-    token-free cycle.  An arc is a register self-loop when it starts and
-    ends at one gate, data when its source is a producer of its
-    destination, and feedback otherwise. *)
+    The arcs of the PL marked graph ({!Flat.marked_graph}), the role of
+    each and a CSR table of each node's out-arcs are built on a simulator's
+    first stall and shared with its copies, so diagnosing a stall is a few
+    passes over arrays plus one iterative search for a token-free cycle,
+    which reads each arc's token off the rails and phases through its role
+    and visits arcs in {!Ee_markedgraph.Marked_graph.token_free_cycle}'s
+    order.  An arc is a register self-loop when it starts and ends at one
+    gate, data when its source is a producer of its destination, and
+    feedback otherwise. *)
 
 type stall = {
   stall_wave : int;  (** Wave index (0-based) at which the wave stalled. *)
@@ -160,6 +174,48 @@ val apply : t -> bool array -> bool array * int
     returns the sink values (sink order) and the number of masters that
     fired early (before all their inputs carried the new phase).
     Raises {!Protocol_violation} or {!Stalled} as described above. *)
+
+(** {1:differential Differential runs}
+
+    A fault campaign runs one fault-free reference and then, per fault, a
+    run that differs from it only around the fault.  {!trace} records the
+    reference: its state at every wave boundary and, per wave, the round in
+    which each gate latched.  {!fork} starts a simulator from a recorded
+    wave boundary whose waves evaluate only their {e divergent set}: the
+    gates whose rails, phase or register state differ from the trace's at
+    the wave's start, plus the fault site while its hooks can act, closed
+    under consumers (trigger->master edges included) up to the registers
+    and sinks they feed.  Every other gate has the trace's fanin history,
+    so under unit delay it latches in the round the trace recorded, with
+    the trace's rails: the wave replays those latches for the gates that
+    feed the set, runs the round loop of {!apply} over the set, and takes
+    the trace's end-of-wave state for the gates outside it.  Outputs,
+    exceptions, early counts and the resulting state are those of a full
+    wave of {!copy} with the same hooks. *)
+
+type trace
+
+val trace : t -> trace
+(** [trace t] records every wave [t] completes from now on, until {!reset}.
+    Raises [Invalid_argument] when [t] has hooks or round delays. *)
+
+val traced_rails : trace -> wave:int -> int -> Ledr.rails
+(** [traced_rails tr ~wave g]: the rails gate [g] latched in recorded wave
+    [wave].  Raises [Invalid_argument] outside the recorded waves. *)
+
+val fork : trace -> wave:int -> site:int -> last:int -> hooks:hooks -> t
+(** A simulator in the traced state at the start of wave [wave], injecting
+    [hooks], whose waves are differential.  The hooks must act only on gate
+    [site] and only up to wave [last]: elsewhere each must behave as in
+    {!no_hooks}.  It shares the trace's compiled netlist and scratch (see
+    {!copy}), and can apply only recorded waves ([Invalid_argument]
+    otherwise).  Raises [Invalid_argument] when [wave] is not a recorded
+    wave. *)
+
+val diverged : t -> bool
+(** Whether a forked simulator's state differs from the trace's at the
+    same wave boundary ({!same_state} with the trace's simulator then).
+    Raises [Invalid_argument] on a simulator {!fork} did not make. *)
 
 val run_check : Pl.t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool
 (** Cross-check rail-level simulation against the synchronous golden model

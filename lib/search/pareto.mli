@@ -20,7 +20,7 @@ type point = {
 
 val front : ?max_cubes:int -> Ee_logic.Truthtab.t -> point list
 (** Non-dominated points, cube count ascending.  [max_cubes] (default 8)
-    bounds the sketches explored.  Deterministic.  Raises
+    bounds the cube budgets explored.  Deterministic.  Raises
     [Invalid_argument] if [max_cubes < 1]. *)
 
 val dominates : point -> point -> bool

@@ -35,6 +35,10 @@ let cmd_name = function
   | Sleep _ -> "sleep"
   | Shutdown -> "shutdown"
 
+(* Every [cmd_name], as [request_of_json] accepts it. *)
+let cmd_names =
+  [ "synth"; "import"; "perf"; "faults"; "stats"; "health"; "ping"; "sleep"; "shutdown" ]
+
 (* -------------------------------------------------------------------- *)
 (* Decoding                                                             *)
 (* -------------------------------------------------------------------- *)
@@ -245,6 +249,17 @@ let parse_line line =
   in
   let id = Option.value (Json.member "id" j) ~default:Json.Null in
   Ok { id; deadline_s; req }
+
+let rejected_echo line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as j) ->
+      let cmd =
+        match Json.member "cmd" j with
+        | Some (Json.String c) when List.mem c cmd_names -> c
+        | _ -> "?"
+      in
+      (cmd, Option.value (Json.member "id" j) ~default:Json.Null)
+  | _ -> ("?", Json.Null)
 
 (* -------------------------------------------------------------------- *)
 (* Encoding                                                             *)

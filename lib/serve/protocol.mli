@@ -108,6 +108,12 @@ val cmd_name : request -> string
 val parse_line : string -> (envelope, string) result
 (** Decode one request line. *)
 
+val rejected_echo : string -> string * Ee_export.Json.t
+(** The ["cmd"] and ["id"] a [bad_request] reply to a line {!parse_line}
+    rejected echoes: when the line is a JSON object, its ["cmd"] if that
+    names a request (["?"] otherwise) and its ["id"] ([Null] when absent);
+    ["?"] and [Null] for any other line. *)
+
 val envelope_to_json : envelope -> Ee_export.Json.t
 (** Encode a request (the client side).  Spec knobs that equal the default
     spec's are omitted. *)

@@ -580,7 +580,7 @@ type entry =
 
 type conn = {
   fd : Unix.file_descr;
-  mutable inbuf : string;
+  inbuf : Buffer.t; (* bytes read and not yet framed into lines *)
   queue : entry Queue.t;
   mutable alive : bool;
 }
@@ -636,8 +636,9 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     let answer ~cmd ~outcome line = Ready { line; cmd; outcome; t0 } in
     match Protocol.parse_line line with
     | Error msg ->
-        answer ~cmd:"?" ~outcome:(`Error "bad_request")
-          (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request" msg)
+        let cmd, id = Protocol.rejected_echo line in
+        answer ~cmd ~outcome:(`Error "bad_request")
+          (Protocol.error_response ~id ~cmd ~code:"bad_request" msg)
     | Ok env -> (
         let cmd = Protocol.cmd_name env.Protocol.req in
         let id = env.Protocol.id in
@@ -766,26 +767,30 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     submit_batch (Array.of_seq (Queue.to_seq admits))
   in
 
-  let process_input conn =
-    let lines = ref [] in
-    let rec split () =
-      match String.index_opt conn.inbuf '\n' with
-      | None -> ()
-      | Some i ->
-          let line = String.sub conn.inbuf 0 i in
-          conn.inbuf <-
-            String.sub conn.inbuf (i + 1) (String.length conn.inbuf - i - 1);
-          let line =
-            if line <> "" && line.[String.length line - 1] = '\r' then
-              String.sub line 0 (String.length line - 1)
-            else line
-          in
-          if line <> "" then lines := line :: !lines;
-          split ()
-    in
-    split ();
+  (* Frame the complete lines of a connection's input, of which the bytes
+     before [from] hold no newline.  Only the rest is searched, and the
+     unframed tail is moved to the front once per call, so a long line or
+     a deep pipelined batch arriving in many reads costs time linear in its
+     length. *)
+  let process_input conn ~from =
+    let b = conn.inbuf in
+    let len = Buffer.length b in
+    let lines = ref [] and start = ref 0 in
+    for i = from to len - 1 do
+      if Buffer.nth b i = '\n' then begin
+        let stop = if i > !start && Buffer.nth b (i - 1) = '\r' then i - 1 else i in
+        if stop > !start then lines := Buffer.sub b !start (stop - !start) :: !lines;
+        start := i + 1
+      end
+    done;
+    if !start = len then Buffer.reset b
+    else if !start > 0 then begin
+      let rest = Buffer.sub b !start (len - !start) in
+      Buffer.clear b;
+      Buffer.add_string b rest
+    end;
     if !lines <> [] then handle_batch conn (List.rev !lines);
-    if String.length conn.inbuf > max_request_bytes then begin
+    if Buffer.length b > max_request_bytes then begin
       write_all conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"
            (Printf.sprintf "request exceeds %d bytes" max_request_bytes));
@@ -793,13 +798,14 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     end
   in
 
+  let chunk = Bytes.create 65536 in
   let read_chunk conn =
-    let buf = Bytes.create 65536 in
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | 0 -> conn.alive <- false
     | k ->
-        conn.inbuf <- conn.inbuf ^ Bytes.sub_string buf 0 k;
-        process_input conn
+        let from = Buffer.length conn.inbuf in
+        Buffer.add_subbytes conn.inbuf chunk 0 k;
+        process_input conn ~from
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> conn.alive <- false
   in
@@ -887,7 +893,8 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     Mutex.unlock sh.incoming_lock;
     List.iter
       (fun fd ->
-        conns := { fd; inbuf = ""; queue = Queue.create (); alive = true } :: !conns)
+        conns :=
+          { fd; inbuf = Buffer.create 4096; queue = Queue.create (); alive = true } :: !conns)
       fresh;
     (* Drop closed connections. *)
     conns :=

@@ -69,7 +69,7 @@ let test_all_nonempty_proper_subsets () =
   Alcotest.(check (list int)) "empty mask" [] (Bits.all_nonempty_proper_subsets 0)
 
 let test_subset_edge_cases () =
-  (* Degenerate shapes the sketch generator leans on: an empty universe,
+  (* Degenerate shapes: an empty universe,
      cube budgets past the universe size, and the full mask. *)
   Alcotest.(check (list int)) "n=0 k=0" [ 0 ] (Bits.subsets_of_size 0 0);
   Alcotest.(check (list int)) "n=0 k=1" [] (Bits.subsets_of_size 0 1);

@@ -231,8 +231,9 @@ let test_report_rendering () =
     (1 + List.length r.Campaign.records)
     (List.length lines)
 
-(* The forked campaign (checkpoint start, reconvergence exit) classifies
-   every fault exactly as the cold one-fault run does, detail included. *)
+(* The forked campaign (checkpoint start, differential waves over the
+   gates the fault can reach, reconvergence exit) classifies every fault
+   exactly as the cold one-fault run does, detail included. *)
 let check_matches_cold label pl ~vectors ~expected (r : Campaign.report) =
   List.iter
     (fun (rec_ : Campaign.record) ->
@@ -247,23 +248,41 @@ let test_forked_matches_cold () =
   List.iter
     (fun id ->
       let a = artifact id in
-      let pl = a.Ee_report.Pipeline.pl_ee and nl = a.Ee_report.Pipeline.netlist in
-      let r = Campaign.run ~waves:16 ~seed:2002 ~bench:id pl nl in
-      let width = Array.length (Pl.source_ids pl) in
-      let vectors, expected = vectors_and_golden nl ~width ~waves:16 ~seed:2002 in
-      check_matches_cold id pl ~vectors ~expected r)
-    [ "b01"; "b03"; "b06" ]
+      let nl = a.Ee_report.Pipeline.netlist in
+      List.iter
+        (fun (variant, pl) ->
+          List.iter
+            (fun seed ->
+              let r = Campaign.run ~waves:16 ~seed ~bench:id pl nl in
+              let width = Array.length (Pl.source_ids pl) in
+              let vectors, expected = vectors_and_golden nl ~width ~waves:16 ~seed in
+              check_matches_cold (Printf.sprintf "%s %s seed %d" id variant seed) pl ~vectors
+                ~expected r)
+            [ 2002; 7 ])
+        [ ("ee", a.Ee_report.Pipeline.pl_ee); ("no-ee", a.Ee_report.Pipeline.pl) ])
+    [ "b01"; "b03"; "b06"; "b08"; "b09" ]
+
+let report_md5 id =
+  let a = artifact id in
+  let r =
+    Campaign.run ~waves:16 ~seed:2002 ~bench:id a.Ee_report.Pipeline.pl_ee
+      a.Ee_report.Pipeline.netlist
+  in
+  Digest.to_hex (Digest.string (Campaign.to_json r))
 
 (* The whole b01 report at the default seed, as the record-walking
    simulator and the one-fault-at-a-time campaign produced it. *)
 let test_pinned_b01_report () =
-  let a = artifact "b01" in
-  let r =
-    Campaign.run ~waves:16 ~seed:2002 ~bench:"b01" a.Ee_report.Pipeline.pl_ee
-      a.Ee_report.Pipeline.netlist
-  in
   Alcotest.(check string) "MD5 of the b01 JSON report" "a7f0f06f660f857c854eb9efc5b9254b"
-    (Digest.to_hex (Digest.string (Campaign.to_json r)))
+    (report_md5 "b01")
+
+(* Two larger EE reports at the default seed and 16 waves, as the campaign
+   that ran every faulty wave over the whole netlist produced them. *)
+let test_pinned_b03_b08_reports () =
+  Alcotest.(check string) "MD5 of the b03 JSON report" "3c322790d906b78dcdf0a6efa7a302b5"
+    (report_md5 "b03");
+  Alcotest.(check string) "MD5 of the b08 JSON report" "beccb664b7a3f6d95bf7078c582129df"
+    (report_md5 "b08")
 
 (* z = x AND y, with y two buffers late, and an EE trigger on x alone that
    always says "fire": a hook-free netlist whose master fires early with a
@@ -382,6 +401,7 @@ let suite =
       Alcotest.test_case "JSON/CSV reports well-formed" `Quick test_report_rendering;
       Alcotest.test_case "forked campaign = cold one-fault runs" `Quick test_forked_matches_cold;
       Alcotest.test_case "pinned b01 report digest" `Quick test_pinned_b01_report;
+      Alcotest.test_case "pinned b03 and b08 report digests" `Quick test_pinned_b03_b08_reports;
       Alcotest.test_case "schedule checks run every wave, never raise" `Quick
         test_schedule_checks_run_every_wave;
       Alcotest.test_case "campaign without checkpoints runs cold" `Quick

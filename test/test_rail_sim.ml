@@ -102,18 +102,17 @@ module Reference = struct
      whose output pair is phase-stale (a stuck rail ate the transition)
      leaves BOTH arcs of its circuit empty — the token-free cycle that
      explains the deadlock. *)
-  let stalled_marking t mg =
-    let gates = Pl.gates t.pl in
-    let wave = t.wave_phase in
+  let stalled_marking pl ~rails ~gate_phase ~wave mg =
+    let gates = Pl.gates pl in
     let fired i =
       match gates.(i).Pl.kind with
-      | Pl.Gate _ | Pl.Trigger _ | Pl.Sink _ -> t.gate_phase.(i) = wave
+      | Pl.Gate _ | Pl.Trigger _ | Pl.Sink _ -> gate_phase.(i) = wave
       | Pl.Source _ | Pl.Const_source _ | Pl.Register _ -> true
     in
-    let fresh i = Ledr.phase t.rails.(i) = wave in
+    let fresh i = Ledr.phase rails.(i) = wave in
     let dep_of d s =
       Array.exists (( = ) s) gates.(d).Pl.fanin
-      || (match Pl.ee t.pl d with Some e -> e.Pl.trigger = s | None -> false)
+      || (match Pl.ee pl d with Some e -> e.Pl.trigger = s | None -> false)
     in
     let counts =
       Array.map
@@ -126,6 +125,14 @@ module Reference = struct
         (Marked_graph.arcs mg)
     in
     Marked_graph.marking_of_array mg counts
+
+  (* The cycle [Rail_sim] must blame for a stall in this state. *)
+  let marked_graph pl = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" pl)
+
+  let blamed_cycle pl mg ~rails ~gate_phase ~wave =
+    match Marked_graph.token_free_cycle mg (stalled_marking pl ~rails ~gate_phase ~wave mg) with
+    | Some c -> c
+    | None -> []
 
   let diagnose_stall t ~unfired =
     let gates = Pl.gates t.pl in
@@ -158,11 +165,8 @@ module Reference = struct
            gates)
       |> List.filter_map Fun.id
     in
-    let mg = Ee_phased.Flat.marked_graph (Ee_phased.Flat.of_pl ~caller:"test" t.pl) in
     let blamed_cycle =
-      match Marked_graph.token_free_cycle mg (stalled_marking t mg) with
-      | Some c -> c
-      | None -> []
+      blamed_cycle t.pl (marked_graph t.pl) ~rails:t.rails ~gate_phase:t.gate_phase ~wave:t.wave_phase
     in
     { Rail_sim.stall_wave = t.wave_no; unfired; waiting_on; roots; stale_sources; blamed_cycle }
 
@@ -590,6 +594,51 @@ let test_reference_fault_hooks () =
         (Ee_fault.Fault.enumerate pl ~waves:8))
     [ "b01"; "b02"; "b06" ]
 
+(* The stall forensics' cycle search, which reads tokens off rails and
+   phases through arc roles, against the transcribed marking and
+   [Marked_graph.token_free_cycle] over it, on every deadlock of the
+   b01-b13 EE campaigns: the stall as the campaign reports it (a
+   differential wave) and as a cold run of the fault reaches it. *)
+let test_stall_search_matches_marking () =
+  let checked = ref 0 in
+  List.iter
+    (fun id ->
+      let a = artifact id in
+      let pl = a.Ee_report.Pipeline.pl_ee in
+      let r = Ee_fault.Campaign.run ~waves:16 ~seed:2002 ~bench:id pl a.Ee_report.Pipeline.netlist in
+      let vectors = random_vectors pl ~waves:16 ~seed:2002 in
+      let mg = Reference.marked_graph pl in
+      List.iter
+        (fun (rc : Ee_fault.Campaign.record) ->
+          match rc.Ee_fault.Campaign.outcome with
+          | Ee_fault.Campaign.Deadlock reported ->
+              let label = id ^ ": " ^ Ee_fault.Fault.to_string rc.Ee_fault.Campaign.fault in
+              let sim = Rail_sim.create ~hooks:(Ee_fault.Fault.hooks rc.Ee_fault.Campaign.fault) pl in
+              let rec stall = function
+                | [] -> Alcotest.failf "%s: the cold run does not stall" label
+                | v :: vs -> (
+                    match Rail_sim.apply sim v with
+                    | _ -> stall vs
+                    | exception Rail_sim.Stalled s -> s)
+              in
+              let cold = stall vectors in
+              let wave = if cold.Rail_sim.stall_wave land 1 = 0 then Ee_phased.Ledr.Odd else Even in
+              let expected =
+                Reference.blamed_cycle pl mg ~rails:(Rail_sim.rails sim)
+                  ~gate_phase:(Rail_sim.phases sim) ~wave
+              in
+              let show c = String.concat "," (List.map string_of_int c) in
+              if cold.Rail_sim.blamed_cycle <> expected || reported.Rail_sim.blamed_cycle <> expected
+              then
+                Alcotest.failf "%s: blamed [%s] cold, [%s] in the campaign, marking gives [%s]"
+                  label (show cold.Rail_sim.blamed_cycle) (show reported.Rail_sim.blamed_cycle)
+                  (show expected);
+              incr checked
+          | _ -> ())
+        r.Ee_fault.Campaign.records)
+    itc99_small;
+  Alcotest.(check bool) "deadlocks checked" true (!checked > 1000)
+
 (* A copy continues from the original's state, independently of it, and
    [same_state] tracks exactly that. *)
 let test_copy_contract () =
@@ -664,6 +713,8 @@ let suite =
       Alcotest.test_case "matches reference under delay schedules" `Quick test_reference_schedules;
       Alcotest.test_case "matches reference under every fault hook" `Quick
         test_reference_fault_hooks;
+      Alcotest.test_case "stall cycle search = token_free_cycle over the marking" `Slow
+        test_stall_search_matches_marking;
       Alcotest.test_case "copy and same_state contract" `Quick test_copy_contract;
       Alcotest.test_case "healthy waves allocate only their result" `Quick test_wave_allocation;
     ] )

@@ -1,4 +1,4 @@
-(* The sketch/CEGIS trigger search: equivalence with brute force,
+(* The CEGIS trigger search: equivalence with brute force,
    pruning, budgets, the Pareto front and shared-trigger selection. *)
 
 module Bits = Ee_util.Bits
@@ -9,7 +9,6 @@ module Bdd = Ee_logic.Bdd
 module Trigger = Ee_core.Trigger
 module Trigger_wide = Ee_core.Trigger_wide
 module Mcr_select = Ee_core.Mcr_select
-module Sketch = Ee_search.Sketch
 module Cegis = Ee_search.Cegis
 module Driver = Ee_search.Driver
 module Pareto = Ee_search.Pareto
@@ -25,35 +24,6 @@ let tt_gen arity =
     (QCheck.Gen.map
        (fun seed -> Tt.random (Ee_util.Prng.create seed) arity)
        (QCheck.Gen.int_bound 1_000_000))
-
-(* ------------------------------------------------------------------ *)
-(* Sketch                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_sketch_enumerate () =
-  let sketches = Sketch.enumerate ~max_cubes:2 ~universe:0b111 () in
-  (* 6 strict non-empty submasks x 2 budgets. *)
-  Alcotest.(check int) "count" 12 (List.length sketches);
-  let costs = List.map Sketch.cost sketches in
-  Alcotest.(check bool) "cost-sorted" true (List.sort compare costs = costs);
-  (* Support size dominates the order: every 1-input sketch precedes every
-     2-input sketch. *)
-  let sizes = List.map (fun s -> Bits.popcount (Sketch.support s)) sketches in
-  Alcotest.(check bool) "size-major" true (List.sort compare sizes = sizes);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        "admits own support" true
-        (Sketch.admits s [ Cube.make ~care:(Sketch.support s) ~value:0 ]))
-    sketches
-
-let test_sketch_validation () =
-  Alcotest.check_raises "empty support"
-    (Invalid_argument "Sketch.make: empty support") (fun () ->
-      ignore (Sketch.make ~support:0 ~max_cubes:1));
-  Alcotest.check_raises "zero cubes"
-    (Invalid_argument "Sketch.make: max_cubes must be >= 1") (fun () ->
-      ignore (Sketch.make ~support:1 ~max_cubes:0))
 
 (* ------------------------------------------------------------------ *)
 (* CEGIS                                                               *)
@@ -365,8 +335,6 @@ let test_pl_canonical_merge () =
 let suite =
   ( "search",
     [
-      Alcotest.test_case "sketch enumerate" `Quick test_sketch_enumerate;
-      Alcotest.test_case "sketch validation" `Quick test_sketch_validation;
       Alcotest.test_case "cegis exact AND" `Quick test_cegis_exact;
       prop_cegis_matches_reference;
       prop_cegis_budget_sound;

@@ -451,6 +451,106 @@ let test_e2e_spec_bad_request () =
         ];
       check_status (send sock "{\"cmd\":\"synth\",\"bench\":\"b01\",\"vectors\":5}") "ok")
 
+(* A rejected line that is still a JSON object with a known "cmd" gets its
+   "cmd" and "id" back, so a pipelining client can match the error to its
+   request; any other line gets "?" and no id. *)
+let test_e2e_bad_request_echo () =
+  with_server (fun sock ->
+      let echoed line =
+        let r = send sock line in
+        check_error r "bad_request";
+        ( Option.bind (Json.member "cmd" r) Json.to_string_opt,
+          Option.bind (Json.member "id" r) Json.to_int )
+      in
+      let check label expected line =
+        Alcotest.(check (pair (option string) (option int))) label expected (echoed line)
+      in
+      check "bad waves" (Some "faults", Some 7)
+        "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":0,\"id\":7}";
+      check "synth {blif}" (Some "synth", Some 8)
+        "{\"cmd\":\"synth\",\"blif\":\".model m\\n.end\\n\",\"id\":8}";
+      check "bad waves without id" (Some "perf", None)
+        "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":-1}";
+      check "unknown cmd keeps its id" (Some "?", Some 9) "{\"cmd\":\"nope\",\"id\":9}";
+      check "not JSON" (Some "?", None) "{\"cmd\":\"ping\",\"id\":10")
+
+(* Raw framing: write [data] to a fresh connection in [chunk]-byte writes
+   from a second domain while this one reads [replies] response lines, so
+   neither side can block the other on a full socket buffer.  With
+   [half_close] the writer then shuts its side down.  Also says whether the
+   server closed the connection after those replies. *)
+let chunked_exchange sock ~chunk ~replies ~half_close data =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let writer =
+    Domain.spawn (fun () ->
+        let b = Bytes.unsafe_of_string data in
+        let off = ref 0 in
+        try
+          while !off < Bytes.length b do
+            let len = min chunk (Bytes.length b - !off) in
+            let k = ref 0 in
+            while !k < len do
+              k := !k + Unix.write fd b (!off + !k) (len - !k)
+            done;
+            off := !off + len
+          done;
+          if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  let lines = List.init replies (fun _ -> input_line ic) in
+  Domain.join writer;
+  (* A server that closes with our input unread resets the connection. *)
+  let closed =
+    match input_line ic with _ -> false | exception (End_of_file | Sys_error _) -> true
+  in
+  Unix.close fd;
+  (lines, closed)
+
+let test_e2e_chunked_framing () =
+  with_server (fun sock ->
+      (* [send] retries until the server listens; the raw socket does not. *)
+      check_status (send sock "{\"cmd\":\"ping\"}") "ok";
+      (* A deep pipelined batch, CRLF and LF line ends and blank lines
+         mixed, whose line boundaries fall anywhere in the 64 KiB reads. *)
+      let n = 5000 in
+      let batch =
+        String.concat ""
+          (List.init n (fun i ->
+               Printf.sprintf "{\"cmd\":\"ping\",\"id\":%d}%s" i
+                 (match i mod 3 with 0 -> "\n" | 1 -> "\r\n" | _ -> "\n\n")))
+      in
+      let replies, closed = chunked_exchange sock ~chunk:65536 ~replies:n ~half_close:true batch in
+      let ids =
+        List.map
+          (fun line ->
+            match Json.parse line with
+            | Ok j -> (
+                check_status j "ok";
+                match Option.bind (Json.member "id" j) Json.to_int with
+                | Some id -> id
+                | None -> Alcotest.fail "response without id")
+            | Error e -> Alcotest.failf "bad response: %s" e)
+          replies
+      in
+      Alcotest.(check bool) "every reply, in send order" true (ids = List.init n Fun.id);
+      Alcotest.(check bool) "closed after the client's end of input" true closed;
+      (* One 9 MiB line in 64 KiB writes: refused once it passes the 8 MiB
+         bound, then the connection is closed. *)
+      let replies, closed =
+        chunked_exchange sock ~chunk:65536 ~replies:1 ~half_close:false (String.make (9 * 1024 * 1024) 'x' ^ "\n")
+      in
+      (match Json.parse (List.hd replies) with
+      | Ok r ->
+          check_error r "bad_request";
+          Alcotest.(check bool) "message names the bound" true
+            (match Option.bind (Json.member "message" r) Json.to_string_opt with
+            | Some m -> Astring_contains.contains m "request exceeds"
+            | None -> false)
+      | Error e -> Alcotest.failf "bad response: %s" e);
+      Alcotest.(check bool) "server closed the connection" true closed)
+
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
       check_error (send sock "{\"cmd\":\"synth\",\"bench\":\"b99\"}") "not_found";
@@ -1103,6 +1203,8 @@ let suite =
       Alcotest.test_case "e2e: perf, faults, import repeats cached" `Quick
         test_e2e_cached_kinds;
       Alcotest.test_case "e2e: oversized line refused, closed" `Quick test_e2e_request_bound;
+      Alcotest.test_case "e2e: bad_request echoes cmd and id" `Quick test_e2e_bad_request_echo;
+      Alcotest.test_case "e2e: 64 KiB chunks framed into lines" `Quick test_e2e_chunked_framing;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
       Alcotest.test_case "e2e: out-of-range waves are bad_request" `Quick
