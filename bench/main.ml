@@ -1838,15 +1838,29 @@ let print_search ~fast () =
   let t =
     Ee_util.Table.create
       ~headers:
-        [ "Benchmark"; "no-EE"; "MCR"; "Search"; "Trials"; "Groups"; "Wide cones"; "Best cov %" ]
+        [
+          "Benchmark"; "no-EE"; "MCR"; "Search"; "Trials"; "Groups"; "Wide cones"; "Best cov %";
+          "MCR ms"; "Search ms";
+        ]
   in
-  let lambda_failures = ref [] in
+  let lambda_failures = ref [] and plan_ms = ref [] in
   let itc_rows =
     List.map
       (fun (b : Ee_bench_circuits.Itc99.benchmark) ->
         let id = b.Ee_bench_circuits.Itc99.id in
         let a = Ee_report.Pipeline.build b in
-        let _, r = Select.run a.Ee_report.Pipeline.pl in
+        let pl = a.Ee_report.Pipeline.pl in
+        (* The MCR floor, then the whole Search plan, which plans the
+           same floor again before its shared-trigger trials; each from
+           an empty trigger memo. *)
+        let (), mcr_ms =
+          time (fun () ->
+              ignore (Ee_core.Mcr_select.plan ~memo:(Ee_core.Trigger.Memo.create ()) pl))
+        in
+        let (_, r), search_ms =
+          time (fun () -> Select.run ~memo:(Ee_core.Trigger.Memo.create ()) pl)
+        in
+        plan_ms := (id, mcr_ms, search_ms) :: !plan_ms;
         if r.Select.lambda > r.Select.lambda_mcr then
           lambda_failures :=
             Printf.sprintf "%s: shared lambda %.4f > mcr lambda %.4f" id r.Select.lambda
@@ -1878,6 +1892,8 @@ let print_search ~fast () =
             string_of_int (List.length r.Select.shared_groups);
             string_of_int (List.length wide);
             Printf.sprintf "%.1f" best_cov;
+            Printf.sprintf "%.1f" mcr_ms;
+            Printf.sprintf "%.1f" search_ms;
           ];
         Json.Obj
           [
@@ -1890,6 +1906,8 @@ let print_search ~fast () =
             ("shared_groups", Json.Int (List.length r.Select.shared_groups));
             ("wide_cones", Json.Int (List.length wide));
             ("mean_best_coverage_percent", Json.Float best_cov);
+            ("mcr_ms", Json.Float mcr_ms);
+            ("search_ms", Json.Float search_ms);
           ])
       itc
   in
@@ -1911,6 +1929,20 @@ let print_search ~fast () =
               ("passed", Json.Bool crossover_ok);
             ] );
         ("itc99", Json.List itc_rows);
+        ( "plan_ms_total",
+          (* Planning wall time summed over b01-b13 (the circuits of the
+             mcr_plan workload) and over every row. *)
+          let total keep =
+            List.fold_left
+              (fun (m, s) (id, mcr, search) -> if keep id then (m +. mcr, s +. search) else (m, s))
+              (0., 0.) !plan_ms
+          in
+          let entry (tag, (mcr, search)) =
+            (tag, Json.Obj [ ("mcr_ms", Json.Float mcr); ("search_ms", Json.Float search) ])
+          in
+          Json.Obj
+            (List.map entry
+               [ ("b01_b13", total (fun id -> id <= "b13")); ("all", total (fun _ -> true)) ]) );
         ("lambda_gate_passed", Json.Bool (!lambda_failures = []));
       ]
   in

@@ -73,7 +73,9 @@ let plan ?(options = default_options) ?memo pl =
   let rec round pl_cur inserted =
     if not (budget_left inserted) then inserted
     else begin
-      let a = analyze options pl_cur in
+      let a, r =
+        Throughput.round ~gate_delay:options.gate_delay ~ee_overhead:options.ee_overhead pl_cur
+      in
       let period = a.Throughput.lambda in
       if period <= 0. then inserted
       else begin
@@ -109,11 +111,10 @@ let plan ?(options = default_options) ?memo pl =
                   match !best with Some (_, l) -> l -. 1e-12 | None -> target
                 in
                 if on_cycle.(master) || period *. (1. -. 1e-9) <= threshold then begin
-                  let trial =
-                    Pl.with_ee pl_cur
-                      [ (master, request_of choice.Synth.chosen choice.Synth.cost) ]
+                  let lambda' =
+                    Throughput.trial_lambda ~cutoff:threshold r master
+                      (request_of choice.Synth.chosen choice.Synth.cost)
                   in
-                  let lambda' = lambda ~warm:a ~cutoff:threshold options trial in
                   let beats =
                     if Option.is_none !best then lambda' <= threshold else lambda' < threshold
                   in

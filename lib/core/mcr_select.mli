@@ -42,9 +42,10 @@ val lambda :
   Ee_phased.Pl.t ->
   float
 (** The period alone under the options' timing model
-    ({!Ee_perf.Throughput.lambda}): the trial oracle of {!plan} and of
-    [Ee_search.Search_select].  [warm] is the analysis of the netlist the
-    trial extends; it only speeds the solve up.  [cutoff] is the value a
+    ({!Ee_perf.Throughput.lambda}) of a whole netlist: the trial oracle of
+    [Ee_search.Search_select], whose trials replace several pairs at once.
+    [warm] is the analysis of the netlist the trial extends; it only
+    speeds the solve up.  [cutoff] is the value a
     trial must reach to win: the result is exact when it is at most
     [cutoff], and otherwise some value in [(cutoff, lambda]], so the
     solve of a losing trial stops early without changing the verdict. *)
@@ -70,8 +71,19 @@ val plan :
     [lambda * (1 - 1e-9) > threshold] (the margin absorbs rounding).  With
     [min_gain_percent <= 0] the threshold is at least [lambda] and nothing
     is skipped.  The trials that remain pass [threshold] as the cutoff of
-    {!lambda}, so a losing one stops early.  Neither step changes the plan:
-    every skipped or stopped trial would have lost. *)
+    their solve (that of {!lambda}), so a losing one stops early.  Neither step changes the plan:
+    every skipped or stopped trial would have lost.
+
+    {b Trials as deltas.}  Each round compiles the current netlist once
+    ({!Ee_perf.Throughput.round}: its event graph, the graph's rows and
+    its token-free check) and solves every trial as a change to it
+    ({!Ee_perf.Throughput.trial_lambda}): the arcs owned by the master,
+    its consumers and the new trigger, emitted by the same firing rule as
+    {!Ee_perf.Timed_graph.of_pl}, with Howard warm-started from the
+    round's converged policy.  A losing trial builds no netlist and no
+    event graph; [Pl.with_ee] runs once per round, for the winner.  The
+    λ of a trial, and so every verdict, is the one {!lambda} gives on the
+    trial netlist, so the plan is unchanged. *)
 
 val run :
   ?options:options ->

@@ -11,8 +11,15 @@ type result = {
 (* Shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let weight_scale (g : Timed_graph.t) =
-  Array.fold_left (fun acc w -> Float.max acc (Float.abs w)) 1. g.arc_weight
+(* The largest weight magnitude of [w] and how many entries reach it. *)
+let weight_top (w : float array) =
+  Array.fold_left
+    (fun (top, count) x ->
+      let a = Float.abs x in
+      if a > top then (a, 1) else if a = top then (top, count + 1) else (top, count))
+    (0., 0) w
+
+let weight_scale (g : Timed_graph.t) = Float.max 1. (fst (weight_top g.arc_weight))
 
 (* Counting sort of the arcs by [key] (their tail or head): row offsets
    ([n + 1] entries) and, row by row, the arc indices in descending
@@ -33,11 +40,14 @@ let rows n (key : int array) =
     key;
   (off, ids)
 
-(* Compressed sparse rows: node [v]'s out-arcs occupy positions [off.(v)]
-   to [off.(v+1) - 1] of [dst], [weight], [tokens] and [id] (the arc's
-   index in the graph), in descending arc index. *)
+(* Compressed sparse rows: node [v]'s out-arcs occupy positions [first.(v)]
+   to [last.(v) - 1] of [dst], [weight], [tokens] and [id] (the arc's index
+   in the graph), in descending arc index.  A compiled graph stores its
+   rows back to back; a spliced trial keeps the rows it leaves alone and
+   points the ones it changes into a scratch tail (with no [id]). *)
 type csr = {
-  off : int array;
+  first : int array;
+  last : int array;
   dst : int array;
   weight : float array;
   tokens : int array;
@@ -45,9 +55,11 @@ type csr = {
 }
 
 let csr_of (g : Timed_graph.t) =
-  let off, id = rows g.nodes g.arc_src in
+  let n = g.nodes in
+  let off, id = rows n g.arc_src in
   {
-    off;
+    first = Array.sub off 0 n;
+    last = Array.sub off 1 n;
     id;
     dst = Array.map (Array.get g.arc_dst) id;
     weight = Array.map (Array.get g.arc_weight) id;
@@ -55,13 +67,23 @@ let csr_of (g : Timed_graph.t) =
   }
 
 (* Every directed cycle must carry a token for a steady state to exist:
-   Kahn's algorithm on the token-free sub-graph; leftovers form a cycle. *)
-let check_token_free_cycles n c =
-  let indeg = Array.make n 0 in
-  Array.iteri (fun k d -> if c.tokens.(k) = 0 then indeg.(d) <- indeg.(d) + 1) c.dst;
-  let queue = Array.make n 0 in
+   Kahn's algorithm on the token-free arcs among the first [len] nodes of
+   [region] (every node when [None]), a set closed under token-free
+   successors; leftovers lie on or behind a token-free cycle. *)
+let check_token_free_cycles c ~len ~region ~indeg ~queue =
+  let node r = match region with None -> r | Some a -> a.(r) in
+  for r = 0 to len - 1 do
+    indeg.(node r) <- 0
+  done;
+  for r = 0 to len - 1 do
+    let u = node r in
+    for k = c.first.(u) to c.last.(u) - 1 do
+      if c.tokens.(k) = 0 then indeg.(c.dst.(k)) <- indeg.(c.dst.(k)) + 1
+    done
+  done;
   let tail = ref 0 in
-  for v = 0 to n - 1 do
+  for r = 0 to len - 1 do
+    let v = node r in
     if indeg.(v) = 0 then begin
       queue.(!tail) <- v;
       incr tail
@@ -71,7 +93,7 @@ let check_token_free_cycles n c =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    for k = c.off.(u) to c.off.(u + 1) - 1 do
+    for k = c.first.(u) to c.last.(u) - 1 do
       if c.tokens.(k) = 0 then begin
         let v = c.dst.(k) in
         indeg.(v) <- indeg.(v) - 1;
@@ -82,55 +104,88 @@ let check_token_free_cycles n c =
       end
     done
   done;
-  if !tail < n then
+  if !tail < len then
     raise
       (Not_live
          (Printf.sprintf
             "token-free cycle through %d node(s): no steady state exists"
-            (n - !tail)))
+            (len - !tail)))
+
+let check_graph n c =
+  check_token_free_cycles c ~len:n ~region:None ~indeg:(Array.make n 0)
+    ~queue:(Array.make n 0)
 
 (* ------------------------------------------------------------------ *)
 (* Howard's policy iteration (multichain max-cycle-ratio variant)      *)
 (* ------------------------------------------------------------------ *)
 
-(* Converged policy iteration: the CSR, the live nodes, each live node's
-   policy arc (a CSR position), a node of maximal cycle ratio and that
-   ratio.  [None] when no node lies on or leads to a cycle.  With
-   [cutoff], the iteration stops at the first policy cycle whose ratio
-   exceeds [cutoff] by more than twice the tolerance; the node returned is
-   that cycle's root and the ratio returned is the cycle's less the
-   tolerance. *)
-let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
-  let n = g.nodes in
-  let c = csr_of g in
-  check_token_free_cycles n c;
-  let { off; dst; weight; tokens; _ } = c in
-  (* Keep only nodes that can lie on a cycle: repeatedly discard nodes with
-     no live outgoing arc (a node whose every path leaves the graph never
-     constrains the steady state). *)
-  let alive = Array.make n true in
-  let out_deg = Array.init n (fun v -> off.(v + 1) - off.(v)) in
-  let kill = Array.make n 0 in
+(* Per-node working arrays of one solve, at least as long as the graph. *)
+type work = {
+  alive : bool array;
+  out_deg : int array;
+  kill : int array;
+  policy : int array;
+  lam : float array;
+  pot : float array;
+  state : int array;
+  path : int array;
+}
+
+let work n =
+  {
+    alive = Array.make n true;
+    out_deg = Array.make n 0;
+    kill = Array.make n 0;
+    policy = Array.make n (-1);
+    lam = Array.make n neg_infinity;
+    pot = Array.make n 0.;
+    state = Array.make n 0;
+    path = Array.make n 0;
+  }
+
+(* Keep only nodes that can lie on a cycle: repeatedly discard nodes with
+   no live outgoing arc (a node whose every path leaves the graph never
+   constrains the steady state).  Returns the number discarded. *)
+let prune n c w =
+  let { alive; out_deg; kill; _ } = w in
   let tail = ref 0 in
   let doom v =
     kill.(!tail) <- v;
     incr tail
   in
   for v = 0 to n - 1 do
+    alive.(v) <- true;
+    out_deg.(v) <- c.last.(v) - c.first.(v);
     if out_deg.(v) = 0 then doom v
   done;
   (* In a netlist's event graph every consumer acknowledges its producers,
      so only isolated gates lack an out-arc; the predecessor rows are built
      only when some node needs discarding. *)
   if !tail > 0 then begin
-    let in_off, in_ids = rows n g.arc_dst in
+    let in_off = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      for k = c.first.(u) to c.last.(u) - 1 do
+        in_off.(c.dst.(k) + 1) <- in_off.(c.dst.(k) + 1) + 1
+      done
+    done;
+    for v = 1 to n do
+      in_off.(v) <- in_off.(v) + in_off.(v - 1)
+    done;
+    let pred = Array.make in_off.(n) 0 and fill = Array.sub in_off 0 n in
+    for u = 0 to n - 1 do
+      for k = c.first.(u) to c.last.(u) - 1 do
+        let v = c.dst.(k) in
+        pred.(fill.(v)) <- u;
+        fill.(v) <- fill.(v) + 1
+      done
+    done;
     let head = ref 0 in
     while !head < !tail do
       let v = kill.(!head) in
       incr head;
       alive.(v) <- false;
       for k = in_off.(v) to in_off.(v + 1) - 1 do
-        let u = g.arc_src.(in_ids.(k)) in
+        let u = pred.(k) in
         if alive.(u) then begin
           out_deg.(u) <- out_deg.(u) - 1;
           if out_deg.(u) = 0 then doom u
@@ -138,9 +193,22 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
       done
     done
   end;
-  if !tail = n then None
+  !tail
+
+(* Converged policy iteration over the first [n] nodes of [c], with [w]'s
+   arrays: [w.alive] and [w.policy] (each live node's policy arc, a CSR
+   position) are left as converged; returns a node of maximal cycle ratio
+   and that ratio, or [None] when no node lies on or leads to a cycle.
+   [scale] is the graph's largest weight magnitude, at least 1.  With
+   [cutoff], the iteration stops at the first policy cycle whose ratio
+   exceeds [cutoff] by more than twice the tolerance; the node returned is
+   that cycle's root and the ratio returned is the cycle's less the
+   tolerance. *)
+let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) ~scale n c w =
+  if prune n c w = n then None
   else begin
-    let scale = weight_scale g in
+    let { first; last; dst; weight; tokens; _ } = c in
+    let { alive; policy; lam; pot; state; path; _ } = w in
     let eps = eps *. scale in
     (* Every policy cycle is a cycle of the graph, so its ratio is a lower
        bound on the maximum.  The same cycle summed from another root may
@@ -152,27 +220,25 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
     let stopped = ref (-1) in
     (* Initial policy: the hinted successor when a live arc reaches it,
        otherwise the node's first live arc. *)
-    let policy = Array.make n (-1) in
     for v = 0 to n - 1 do
+      policy.(v) <- -1;
+      lam.(v) <- neg_infinity;
+      pot.(v) <- 0.;
       if alive.(v) then begin
         let want =
           match hint with Some h when v < Array.length h -> h.(v) | _ -> -1
         in
-        let first = ref (-1) and hinted = ref (-1) in
-        for k = off.(v + 1) - 1 downto off.(v) do
+        let first_live = ref (-1) and hinted = ref (-1) in
+        for k = last.(v) - 1 downto first.(v) do
           if alive.(dst.(k)) then begin
-            first := k;
+            first_live := k;
             if dst.(k) = want then hinted := k
           end
         done;
-        policy.(v) <- (if !hinted >= 0 then !hinted else !first)
+        policy.(v) <- (if !hinted >= 0 then !hinted else !first_live)
       end
     done;
-    let lam = Array.make n neg_infinity in
-    let pot = Array.make n 0. in
     (* 0 = unvisited, 1 = on the current sigma-walk, 2 = evaluated *)
-    let state = Array.make n 0 in
-    let path = Array.make n 0 in
     let sigma v = dst.(policy.(v)) in
     let evaluate () =
       Array.fill state 0 n 0;
@@ -234,7 +300,7 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
       for u = 0 to n - 1 do
         if alive.(u) then begin
           let best = ref policy.(u) in
-          for k = off.(u) to off.(u + 1) - 1 do
+          for k = first.(u) to last.(u) - 1 do
             if alive.(dst.(k)) && lam.(dst.(k)) > lam.(dst.(!best)) +. eps then best := k
           done;
           if lam.(dst.(!best)) > lam.(u) +. eps then begin
@@ -252,7 +318,7 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
             and best_v =
               ref (weight.(k0) -. (lam.(u) *. float_of_int tokens.(k0)) +. pot.(dst.(k0)))
             in
-            for k = off.(u) to off.(u + 1) - 1 do
+            for k = first.(u) to last.(u) - 1 do
               let d = dst.(k) in
               if alive.(d) && Float.abs (lam.(d) -. lam.(u)) <= eps then begin
                 let v = weight.(k) -. (lam.(u) *. float_of_int tokens.(k)) +. pot.(d) in
@@ -278,28 +344,114 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) (g : Timed_graph.t) =
         failwith "Mcr.solve: policy iteration failed to converge";
       evaluate ()
     done;
-    if !stopped >= 0 then Some (c, alive, policy, !stopped, lam.(!stopped) -. eps)
+    if !stopped >= 0 then Some (!stopped, lam.(!stopped) -. eps)
     else begin
       (* The first node of maximal ratio. *)
       let best = ref (-1) in
       for v = 0 to n - 1 do
         if alive.(v) && (!best < 0 || lam.(v) > lam.(!best)) then best := v
       done;
-      Some (c, alive, policy, !best, lam.(!best))
+      Some (!best, lam.(!best))
     end
   end
 
-let lambda ?eps ?hint ?cutoff g =
-  Option.map (fun (_, _, _, _, lambda) -> lambda) (howard ?eps ?hint ?cutoff g)
+(* ------------------------------------------------------------------ *)
+(* Compiled graphs and spliced trials                                  *)
+(* ------------------------------------------------------------------ *)
 
-let solve ?eps ?hint g =
-  match howard ?eps ?hint g with
+(* A trial's working storage, kept across the trials of one context.
+   Node arrays hold [cap] entries; [dst], [weight] and [tokens] start
+   with a copy of the base rows, and the changed rows of the current
+   trial follow from the base arc count on. *)
+type scratch = {
+  cap : int;
+  first : int array;
+  last : int array;
+  mutable dst : int array;
+  mutable weight : float array;
+  mutable tokens : int array;
+  dropped : int array;  (* per base arc: the stamp of the trial dropping it *)
+  row_stamp : int array;  (* per node: the stamp of the trial rebuilding its row *)
+  rows : int array;  (* the rebuilt rows *)
+  mark : int array;  (* per node: the stamp of the trial whose check reached it *)
+  region : int array;
+  indeg : int array;
+  queue : int array;
+  w : work;
+  mutable stamp : int;
+}
+
+type context = {
+  graph : Timed_graph.t;
+  csr : csr;
+  top : float;  (* the largest weight magnitude *)
+  at_top : int;  (* arcs of that magnitude *)
+  mutable scratch : scratch option;
+}
+
+let context (g : Timed_graph.t) =
+  let c = csr_of g in
+  check_graph g.nodes c;
+  let top, at_top = weight_top g.arc_weight in
+  { graph = g; csr = c; top; at_top; scratch = None }
+
+(* The context's scratch, with room for [nodes] nodes. *)
+let scratch ctx ~nodes =
+  match ctx.scratch with
+  | Some s when s.cap >= nodes -> s
+  | previous ->
+      let cap = max nodes (ctx.graph.nodes + 2) and base = Array.length ctx.csr.dst in
+      let s =
+        {
+          cap;
+          first = Array.make cap 0;
+          last = Array.make cap 0;
+          dst = ctx.csr.dst;
+          weight = ctx.csr.weight;
+          tokens = ctx.csr.tokens;
+          dropped = (match previous with Some p -> p.dropped | None -> Array.make base 0);
+          row_stamp = Array.make cap 0;
+          rows = Array.make cap 0;
+          mark = Array.make cap 0;
+          region = Array.make cap 0;
+          indeg = Array.make cap 0;
+          queue = Array.make cap 0;
+          w = work cap;
+          stamp = (match previous with Some p -> p.stamp | None -> 0);
+        }
+      in
+      ctx.scratch <- Some s;
+      s
+
+(* Room for [arcs] entries after the base rows. *)
+let reserve ctx s ~arcs =
+  let base = Array.length ctx.csr.dst and size = Array.length s.dst in
+  if size < base + arcs then begin
+    let size = max (base + arcs) (base + (2 * (size - base)) + 64) in
+    let extend a fill =
+      let b = Array.make size fill in
+      Array.blit a 0 b 0 base;
+      b
+    in
+    s.dst <- extend s.dst 0;
+    s.weight <- extend s.weight 0.;
+    s.tokens <- extend s.tokens 0
+  end
+
+let lambda ?eps ?hint ?cutoff g =
+  let ctx = context g in
+  howard ?eps ?hint ?cutoff ~scale:(Float.max 1. ctx.top) g.nodes ctx.csr (work g.nodes)
+  |> Option.map snd
+
+let solve_in ?eps ?hint ctx =
+  let n = ctx.graph.nodes and c = ctx.csr in
+  let w = work n in
+  match howard ?eps ?hint ~scale:(Float.max 1. ctx.top) n c w with
   | None -> None
-  | Some (c, alive, policy, best, lambda) ->
+  | Some (best, lambda) ->
       (* Extract a critical cycle: walk sigma from the ratio-maximizing
          node until it closes. *)
-      let n = g.Timed_graph.nodes in
-      let sigma v = c.dst.(policy.(v)) in
+      let sigma v = c.dst.(w.policy.(v)) in
       let mark = Array.make n false in
       let v = ref best in
       while not mark.(!v) do
@@ -312,7 +464,7 @@ let solve ?eps ?hint g =
       let continue = ref true in
       while !continue do
         cycle := !u :: !cycle;
-        cycle_arcs := c.id.(policy.(!u)) :: !cycle_arcs;
+        cycle_arcs := c.id.(w.policy.(!u)) :: !cycle_arcs;
         u := sigma !u;
         if !u = root then continue := false
       done;
@@ -321,8 +473,129 @@ let solve ?eps ?hint g =
           lambda;
           cycle = List.rev !cycle;
           cycle_arcs = List.rev !cycle_arcs;
-          policy = Array.init n (fun v -> if alive.(v) then sigma v else -1);
+          policy = Array.init n (fun v -> if w.alive.(v) then sigma v else -1);
         }
+
+let solve ?eps ?hint g = solve_in ?eps ?hint (context g)
+
+let splice_lambda ?eps ?hint ?cutoff ctx (d : Timed_graph.delta) =
+  let g = ctx.graph and b = ctx.csr and a = d.add in
+  let n0 = g.nodes and n = d.nodes and adds = Timed_graph.arc_count a in
+  if n < n0 || a.nodes <> n then
+    invalid_arg "Mcr.splice_lambda: the delta does not extend the graph";
+  let s = scratch ctx ~nodes:n in
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp in
+  let first = s.first and last = s.last in
+  Array.blit b.first 0 first 0 n0;
+  Array.blit b.last 0 last 0 n0;
+  Array.fill first n0 (n - n0) 0;
+  Array.fill last n0 (n - n0) 0;
+  (* The rows to rebuild are the tails of the dropped and the added arcs;
+     [first] counts each one's entries for now. *)
+  let touched = ref 0 in
+  let touch v =
+    if s.row_stamp.(v) <> stamp then begin
+      s.row_stamp.(v) <- stamp;
+      s.rows.(!touched) <- v;
+      incr touched;
+      first.(v) <- 0
+    end
+  in
+  let dropped_top = ref 0 in
+  Array.iter
+    (fun k ->
+      s.dropped.(k) <- stamp;
+      if Float.abs g.arc_weight.(k) = ctx.top then incr dropped_top;
+      touch g.arc_src.(k))
+    d.drop;
+  let top = ref 0. in
+  for k = 0 to adds - 1 do
+    let v = a.arc_src.(k) in
+    touch v;
+    first.(v) <- first.(v) + 1;
+    top := Float.max !top (Float.abs a.arc_weight.(k))
+  done;
+  let entries = ref adds in
+  for r = 0 to !touched - 1 do
+    let v = s.rows.(r) in
+    if v < n0 then
+      for k = b.first.(v) to b.last.(v) - 1 do
+        if s.dropped.(b.id.(k)) <> stamp then begin
+          first.(v) <- first.(v) + 1;
+          incr entries
+        end
+      done
+  done;
+  reserve ctx s ~arcs:!entries;
+  let dst = s.dst and weight = s.weight and tokens = s.tokens in
+  (* Untouched rows are the base's; the rebuilt ones follow the base rows
+     and hold, as in [csr_of] of the spliced graph, their added arcs in
+     descending index, then their surviving base arcs in base order. *)
+  let pos = ref (Array.length b.dst) in
+  for r = 0 to !touched - 1 do
+    let v = s.rows.(r) in
+    let len = first.(v) in
+    first.(v) <- !pos;
+    last.(v) <- !pos;
+    pos := !pos + len
+  done;
+  let[@inline] put v dst' weight' tokens' =
+    let p = last.(v) in
+    dst.(p) <- dst';
+    weight.(p) <- weight';
+    tokens.(p) <- tokens';
+    last.(v) <- p + 1
+  in
+  for k = adds - 1 downto 0 do
+    put a.arc_src.(k) a.arc_dst.(k) a.arc_weight.(k) a.arc_tokens.(k)
+  done;
+  for r = 0 to !touched - 1 do
+    let v = s.rows.(r) in
+    if v < n0 then
+      for k = b.first.(v) to b.last.(v) - 1 do
+        if s.dropped.(b.id.(k)) <> stamp then put v b.dst.(k) b.weight.(k) b.tokens.(k)
+      done
+  done;
+  let c = { first; last; dst; weight; tokens; id = [||] } in
+  (* The base has no token-free cycle, so one in the trial runs through an
+     added token-free arc and lies among the nodes token-free paths reach
+     from the heads of those arcs. *)
+  let len = ref 0 in
+  let visit v =
+    if s.mark.(v) <> stamp then begin
+      s.mark.(v) <- stamp;
+      s.region.(!len) <- v;
+      incr len
+    end
+  in
+  for k = 0 to adds - 1 do
+    if a.arc_tokens.(k) = 0 then visit a.arc_dst.(k)
+  done;
+  let head = ref 0 in
+  while !head < !len do
+    let u = s.region.(!head) in
+    incr head;
+    for k = first.(u) to last.(u) - 1 do
+      if tokens.(k) = 0 then visit dst.(k)
+    done
+  done;
+  check_token_free_cycles c ~len:!len ~region:(Some s.region) ~indeg:s.indeg ~queue:s.queue;
+  (* The spliced graph's largest weight: the base's, unless the trial
+     drops every arc reaching it. *)
+  let top =
+    if !dropped_top < ctx.at_top || ctx.top <= 1. then Float.max ctx.top !top
+    else begin
+      let t = ref !top in
+      for v = 0 to n - 1 do
+        for k = first.(v) to last.(v) - 1 do
+          t := Float.max !t (Float.abs weight.(k))
+        done
+      done;
+      !t
+    end
+  in
+  howard ?eps ?hint ?cutoff ~scale:(Float.max 1. top) n c s.w |> Option.map snd
 
 (* ------------------------------------------------------------------ *)
 (* Karp's algorithm on the token-level unfolding (independent check)   *)
@@ -386,7 +659,7 @@ let scc_ids nodes (out : (int * float) list array) =
   (ids, !comps)
 
 let karp (g : Timed_graph.t) =
-  check_token_free_cycles g.nodes (csr_of g);
+  check_graph g.nodes (csr_of g);
   (* Expand multi-token arcs into unit-token chains through fresh nodes so
      that one level of the unfolding consumes exactly one token. *)
   let extra =
@@ -526,11 +799,9 @@ let karp (g : Timed_graph.t) =
 (* Potentials and slack                                                *)
 (* ------------------------------------------------------------------ *)
 
-let potentials (g : Timed_graph.t) ~lambda =
-  let n = g.nodes in
+let potentials_of n ({ first; last; dst; weight; tokens; _ } : csr) ~scale ~lambda =
   let d = Array.make n 0. in
-  let { off; dst; weight; tokens; _ } = csr_of g in
-  let eps = 1e-9 *. weight_scale g in
+  let eps = 1e-9 *. scale in
   let in_queue = Array.make n true in
   let bumps = Array.make n 0 in
   let q = Queue.create () in
@@ -540,7 +811,7 @@ let potentials (g : Timed_graph.t) ~lambda =
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     in_queue.(u) <- false;
-    for k = off.(u) to off.(u + 1) - 1 do
+    for k = first.(u) to last.(u) - 1 do
       let v = dst.(k) in
       let nv = d.(u) +. weight.(k) -. (lambda *. float_of_int tokens.(k)) in
       if nv > d.(v) +. eps then begin
@@ -557,8 +828,16 @@ let potentials (g : Timed_graph.t) ~lambda =
   done;
   d
 
-let arc_slacks (g : Timed_graph.t) ~lambda =
-  let d = potentials g ~lambda in
+let potentials (g : Timed_graph.t) ~lambda =
+  potentials_of g.nodes (csr_of g) ~scale:(weight_scale g) ~lambda
+
+let slacks (g : Timed_graph.t) d ~lambda =
   Array.init (Timed_graph.arc_count g) (fun k ->
       d.(g.arc_dst.(k)) -. d.(g.arc_src.(k)) -. g.arc_weight.(k)
       +. (lambda *. float_of_int g.arc_tokens.(k)))
+
+let arc_slacks g ~lambda = slacks g (potentials g ~lambda) ~lambda
+
+let arc_slacks_in ctx ~lambda =
+  let g = ctx.graph in
+  slacks g (potentials_of g.nodes ctx.csr ~scale:(Float.max 1. ctx.top) ~lambda) ~lambda

@@ -74,6 +74,46 @@ val lambda :
     is yes, while a trial that is sure to lose stops early.  The default,
     [infinity], never stops. *)
 
+(** {2 Solver contexts and spliced trials}
+
+    A selection round solves one base graph and then many trials, each the
+    base with a few arcs changed ({!Timed_graph.delta}).  A context
+    compiles the base once: its rows, and the check that it has no
+    token-free cycle.  A trial then rebuilds only the rows whose arcs
+    change, into scratch arrays the context keeps from trial to trial. *)
+
+type context
+(** A compiled graph.  Its trial scratch is reused by every
+    {!splice_lambda} on it, so a context must not be shared between
+    domains. *)
+
+val context : Timed_graph.t -> context
+(** Compile the graph's rows and check it.  Raises {!Not_live} on a
+    token-free cycle. *)
+
+val solve_in : ?eps:float -> ?hint:int array -> context -> result option
+(** [solve] on the context's graph; [solve g] is [solve_in (context g)]. *)
+
+val splice_lambda :
+  ?eps:float ->
+  ?hint:int array ->
+  ?cutoff:float ->
+  context ->
+  Timed_graph.delta ->
+  float option
+(** [lambda ?eps ?hint ?cutoff (Timed_graph.splice g d)] for the context's
+    graph [g], bit for bit, including the cutoff contract and the
+    iteration count, without building the spliced graph: its rows are laid
+    out as [lambda] would lay them out.  The token-free check runs on the
+    nodes reachable from the added token-free arcs (the base is known
+    clean, so a token-free cycle must use one of them) and raises
+    {!Not_live} as the full check would.  [hint] indexes the trial's
+    nodes, so the base's converged [policy] can be passed as it is: the
+    base events keep their numbers, and appended nodes, having no entry,
+    start on their first live arc.  Raises [Invalid_argument] when the
+    delta has fewer nodes than the graph or [add] is over another node
+    count. *)
+
 val karp : Timed_graph.t -> float option
 (** Independent cross-check: per strongly-connected component, unfold the
     graph into token levels (token arcs advance one level, token-free arcs
@@ -95,3 +135,6 @@ val arc_slacks : Timed_graph.t -> lambda:float -> float array
     cycle, or on a tight chain feeding one) iff its slack is 0; in general
     the slack is a lower bound on how much the arc's weight may grow before
     the period degrades. *)
+
+val arc_slacks_in : context -> lambda:float -> float array
+(** [arc_slacks] on the context's graph, from the rows it already holds. *)

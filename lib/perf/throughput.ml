@@ -21,14 +21,41 @@ let gate_name pl i =
   | Pl.Trigger _ -> Printf.sprintf "trig%d" i
   | Pl.Sink nm -> "out:" ^ nm
 
-let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
-  let m = Timed_graph.of_pl ?gate_delay ?ee_overhead ?delays ?mode pl in
+(* Event cycle -> gate cycle: collapse the output/completion events of a
+   split master into one entry. *)
+let critical_gates (m : Timed_graph.mapping) cycle =
+  let gates =
+    List.fold_left
+      (fun acc ev ->
+        let gate = m.Timed_graph.event_gate.(ev) in
+        match acc with prev :: _ when prev = gate -> acc | _ -> gate :: acc)
+      [] cycle
+    |> List.rev
+  in
+  (* The collapse above can leave the closing gate duplicated at the front
+     and back of the cycle. *)
+  match gates with
+  | first :: _ ->
+      let rec drop_last = function
+        | [ last ] when last = first -> []
+        | [] -> []
+        | x :: tl -> x :: drop_last tl
+      in
+      if List.length gates > 1 then drop_last gates else gates
+  | [] -> []
+
+let critical_string pl = function
+  | [] -> "-"
+  | first :: _ as gates -> String.concat ">" (List.map (gate_name pl) (gates @ [ first ]))
+
+(* The report of [pl] from its event graph [m], compiled as [ctx]. *)
+let report pl (m : Timed_graph.mapping) ctx =
   let g = m.Timed_graph.graph in
   let n_gates = Array.length (Pl.gates pl) in
   let policy succ =
     { event_gate = m.Timed_graph.event_gate; event_early = m.Timed_graph.event_early; succ }
   in
-  match Mcr.solve g with
+  match Mcr.solve_in ctx with
   | None ->
       {
         lambda = 0.;
@@ -40,43 +67,11 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
         policy = policy [||];
       }
   | Some { Mcr.lambda; cycle; policy = succ; _ } ->
-      (* Event cycle -> gate cycle: collapse the output/completion events
-         of a split master into one entry. *)
-      let critical_gates =
-        List.fold_left
-          (fun acc ev ->
-            let gate = m.Timed_graph.event_gate.(ev) in
-            match acc with
-            | prev :: _ when prev = gate -> acc
-            | _ -> gate :: acc)
-          [] cycle
-        |> List.rev
-      in
-      let critical_gates =
-        (* The collapse above can leave the closing gate duplicated at the
-           front and back of the cycle. *)
-        match critical_gates with
-        | first :: _ ->
-            let rec drop_last = function
-              | [ last ] when last = first -> []
-              | [] -> []
-              | x :: tl -> x :: drop_last tl
-            in
-            if List.length critical_gates > 1 then drop_last critical_gates
-            else critical_gates
-        | [] -> []
-      in
-      let critical_string =
-        match critical_gates with
-        | [] -> "-"
-        | first :: _ ->
-            String.concat ">"
-              (List.map (gate_name pl) (critical_gates @ [ first ]))
-      in
+      let critical_gates = critical_gates m cycle in
       (* Gate slack: a gate's latency appears as the weight of every arc
          into its events, so the margin before it disturbs the period is at
          least the smallest slack among those arcs. *)
-      let slacks = Mcr.arc_slacks g ~lambda in
+      let slacks = Mcr.arc_slacks_in ctx ~lambda in
       let gate_slack = Array.make n_gates infinity in
       Array.iteri
         (fun ai dst ->
@@ -87,11 +82,35 @@ let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
         lambda;
         throughput = (if lambda > 0. then 1. /. lambda else 0.);
         critical_gates;
-        critical_string;
+        critical_string = critical_string pl critical_gates;
         gate_slack;
         events = g.Timed_graph.nodes;
         policy = policy succ;
       }
+
+let analyze ?gate_delay ?ee_overhead ?delays ?mode pl =
+  let m = Timed_graph.of_pl ?gate_delay ?ee_overhead ?delays ?mode pl in
+  report pl m (Mcr.context m.Timed_graph.graph)
+
+let critical_cycle ?gate_delay ?ee_overhead pl =
+  let m = Timed_graph.of_pl ?gate_delay ?ee_overhead pl in
+  match Mcr.solve m.Timed_graph.graph with
+  | None -> "-"
+  | Some r -> critical_string pl (critical_gates m r.Mcr.cycle)
+
+type round = { base : Timed_graph.base; context : Mcr.context; succ : int array }
+
+let round ?gate_delay ?ee_overhead pl =
+  let base = Timed_graph.compile ?gate_delay ?ee_overhead pl in
+  let m = Timed_graph.mapping base in
+  let context = Mcr.context m.Timed_graph.graph in
+  let a = report pl m context in
+  (a, { base; context; succ = a.policy.succ })
+
+let trial_lambda ?cutoff r master req =
+  Timed_graph.trial r.base master req
+  |> Mcr.splice_lambda ~hint:r.succ ?cutoff r.context
+  |> Option.value ~default:0.
 
 let hint a (m : Timed_graph.mapping) =
   let p = a.policy in

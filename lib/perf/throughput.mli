@@ -54,6 +54,36 @@ val lambda :
     when it is at most [cutoff], and otherwise only guaranteed to lie in
     [(cutoff, lambda]] — enough to reject a trial that cannot win. *)
 
+val critical_cycle : ?gate_delay:float -> ?ee_overhead:float -> Ee_phased.Pl.t -> string
+(** [(analyze pl).critical_string] from one {!Mcr.solve}, without the
+    potentials, the arc slacks or the per-gate arrays. *)
+
+(** {2 Selection rounds}
+
+    A selection round analyses one netlist and then tries many single EE
+    pairs on it.  {!round} compiles the netlist's event graph once
+    ({!Timed_graph.compile}, {!Mcr.context}); {!trial_lambda} then solves
+    each trial as a {!Timed_graph.delta} on it, building no trial netlist
+    and no trial event graph. *)
+
+type round
+
+val round :
+  ?gate_delay:float -> ?ee_overhead:float -> Ee_phased.Pl.t -> analysis * round
+(** [analyze pl], field for field, and the round its trials run in.
+    Raises [Mcr.Not_live] as {!analyze} does. *)
+
+val trial_lambda :
+  ?cutoff:float -> round -> int -> Ee_phased.Pl.ee_info_request -> float
+(** [trial_lambda r master req]: [lambda ?cutoff (Pl.with_ee pl [(master,
+    req)])] under the round's timing model, warm-started from the round's
+    converged policy with no {!hint} remap.  It is exact, bit for bit,
+    whenever it is at most [cutoff] (by the dyadic weights, λ does not
+    depend on event numbering; the test suite holds this on every ITC99
+    trial), and otherwise lies in [(cutoff, lambda]], as {!Mcr.lambda}'s
+    cutoff contract says.  Raises [Invalid_argument] as
+    {!Timed_graph.trial} does. *)
+
 val hint : analysis -> Timed_graph.mapping -> int array
 (** The analysis's policy re-keyed onto the events of [m], a netlist that
     keeps the analysed one's gate ids (such as the analysed netlist with

@@ -84,6 +84,62 @@ val of_pl :
     [Invalid_argument "Timed_graph.of_pl: ..."] on a netlist
     {!Ee_phased.Flat.of_pl} refuses. *)
 
+(** {2 Trials as deltas}
+
+    A selection trial attaches one trigger to one master.  Instead of
+    building the trial netlist and its event graph, {!trial} names the
+    arcs that change.  The firing rule is written once: {!of_pl} and
+    {!trial} emit each (producer, consumer) slot's arcs through the same
+    per-slot emitter, so a trial graph carries exactly the arcs {!of_pl}
+    would give the trial netlist. *)
+
+type base
+(** A netlist compiled for trials: its event graph (as {!of_pl} builds it),
+    its flat form and, per consumer gate, the range of arcs its slots
+    own. *)
+
+val compile : ?gate_delay:float -> ?ee_overhead:float -> Ee_phased.Pl.t -> base
+(** Parameters as in {!of_pl}, under the default [Expected] mode; per-gate
+    [delays] are not supported, since a trial's trigger would have none.
+    Raises [Invalid_argument "Timed_graph.compile: ..."] on a malformed
+    netlist. *)
+
+val mapping : base -> mapping
+(** [mapping (compile pl)] is [of_pl pl] under the same parameters. *)
+
+(** The event graph of the base netlist with one more EE pair, as a change
+    to the base graph.  The trial graph has [nodes] nodes: the base's
+    events keep their numbers, then come the master's new output event
+    and the trigger's event.  Its arcs are the base arcs not listed in
+    [drop], then those of [add].  The dropped arcs are every arc owned by
+    the master and by its consumers; [add] re-emits them under the
+    master's new timing, with the master's new trigger slot, and adds the
+    trigger's own arcs. *)
+type delta = {
+  nodes : int;
+  output : int;  (** The master's output event ([nodes - 2] from {!trial}). *)
+  trigger : int;  (** The trigger's event ([nodes - 1] from {!trial}). *)
+  drop : int array;  (** Base arc indices, ascending. *)
+  add : t;  (** Over [nodes] nodes. *)
+}
+
+val trial : base -> int -> Ee_phased.Pl.ee_info_request -> delta
+(** [trial b master req]: the graph of [Pl.with_ee pl [(master, req)]],
+    up to event numbering.  Its arc multiset is [of_pl]'s on that netlist
+    with each base event renamed to the same gate's event there, [output]
+    to the master's output event and [trigger] to the trigger's.  The
+    master's trigger fires with probability [req_coverage / 100], and the
+    trigger takes [gate_delay].  Builds no netlist: the cost is that of
+    the master's, its consumers' and the trigger's slots.  Raises [Invalid_argument] when [master] is not a
+    combinational gate without a trigger or [req_support] names a position
+    outside its fanin. *)
+
+val splice : t -> delta -> t
+(** The trial graph itself: [g]'s arcs not in [drop], in order, then
+    [add]'s.  For tests and diagnostics; {!Mcr.splice_lambda} solves a
+    delta without building it.  Raises [Invalid_argument] when the delta
+    has fewer nodes than [g] or [add] is over another node count. *)
+
 val coverage_probability : Ee_phased.Pl.t -> int -> float
 (** The default [Expected] probability: the master's trigger coverage as a
     fraction (clamped to [0..1]), i.e. the chance a uniform random minterm

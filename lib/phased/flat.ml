@@ -88,7 +88,8 @@ let of_pl ~caller pl =
   let trim a = if !count = bound then a else Array.sub a 0 !count in
   { pl; code; arg; func; support; fstart; fanin; pstart; producer = trim producer; pmask = trim pmask }
 
-let token f j = match f.code.(f.producer.(j)) with Register | Const -> 1 | _ -> 0
+let token_from f g = match f.code.(g) with Register | Const -> 1 | _ -> 0
+let token f j = token_from f f.producer.(j)
 
 type consumers = { cstart : int array; cslot : int array; owner : int array }
 

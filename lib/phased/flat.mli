@@ -45,6 +45,10 @@ val token : t -> int -> int
     producer is a register or a constant source and 0 otherwise.  Computed
     on each call, so a compiled netlist stores no marking. *)
 
+val token_from : t -> int -> int
+(** [token_from f g]: the initial tokens on every data arc gate [g]
+    produces, [token f j] for any slot [j] whose producer is [g]. *)
+
 (** The slots read from the producer side: gate [g] is the producer of
     slots [cslot.(cstart.(g) .. cstart.(g+1)-1)], ascending (so their
     consumers ascend too), and slot [j] belongs to consumer [owner.(j)]. *)

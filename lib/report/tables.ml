@@ -76,9 +76,8 @@ let row ?(vectors = 100) ?(seed = 2002) ?(config = Ee_sim.Sim.default_config) ~i
   let delay_no_ee = base.Ee_sim.Sim.avg_settle_time in
   let delay_ee = ee.Ee_sim.Sim.avg_settle_time in
   let critical_cycle =
-    (Ee_perf.Throughput.analyze ~gate_delay:config.Ee_sim.Sim.gate_delay
-       ~ee_overhead:config.Ee_sim.Sim.ee_overhead pl_ee)
-      .Ee_perf.Throughput.critical_string
+    Ee_perf.Throughput.critical_cycle ~gate_delay:config.Ee_sim.Sim.gate_delay
+      ~ee_overhead:config.Ee_sim.Sim.ee_overhead pl_ee
   in
   {
     id;

@@ -32,7 +32,8 @@ type row = {
   delay_decrease : float;  (** percent *)
   critical_cycle : string;
       (** The EE netlist's throughput-critical cycle (from
-          {!Ee_perf.Throughput.analyze}), e.g. ["reg3>g12>out:u"] — makes
+          {!Ee_perf.Throughput.critical_cycle}: one cycle-ratio solve, no
+          slack pass), e.g. ["reg3>g12>out:u"] — makes
           bottlenecks greppable straight from suite CSV output. *)
 }
 

@@ -579,10 +579,13 @@ type entry =
     }
 
 type conn = {
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* non-blocking *)
   inbuf : Buffer.t; (* bytes read and not yet framed into lines *)
   queue : entry Queue.t;
   mutable alive : bool;
+  mutable out : Bytes.t; (* replies not yet written: [out_start, out_stop) *)
+  mutable out_start : int;
+  mutable out_stop : int;
 }
 
 let now () = Unix.gettimeofday ()
@@ -605,16 +608,44 @@ let listen_socket ~backlog = function
       Unix.listen fd backlog;
       fd
 
-let write_all conn line =
+let pending conn = conn.out_stop - conn.out_start
+
+(* Write as much pending output as the socket takes now. *)
+let flush conn =
   if conn.alive then
-    let data = Bytes.of_string (line ^ "\n") in
-    let len = Bytes.length data in
-    let off = ref 0 in
     try
-      while !off < len do
-        off := !off + Unix.write conn.fd data !off (len - !off)
+      while pending conn > 0 do
+        let k = Unix.single_write conn.fd conn.out conn.out_start (pending conn) in
+        conn.out_start <- conn.out_start + k
       done
-    with Unix.Unix_error _ -> conn.alive <- false
+    with
+    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | Unix.Unix_error _ -> conn.alive <- false
+
+(* Queue a reply line behind the connection's pending output and write what
+   the socket takes; the shard loop writes the rest when the socket is
+   writable.  So a client that does not read its replies never blocks the
+   loop, and one that leaves more than [max_request_bytes] unread is
+   disconnected. *)
+let send conn line =
+  if conn.alive then begin
+    let len = String.length line + 1 and live = pending conn in
+    if conn.out_stop + len > Bytes.length conn.out then begin
+      let b =
+        if live + len <= Bytes.length conn.out then conn.out
+        else Bytes.create (max (live + len) (2 * Bytes.length conn.out))
+      in
+      Bytes.blit conn.out conn.out_start b 0 live;
+      conn.out <- b;
+      conn.out_start <- 0;
+      conn.out_stop <- live
+    end;
+    Bytes.blit_string line 0 conn.out conn.out_stop (len - 1);
+    Bytes.set conn.out (conn.out_stop + len - 1) '\n';
+    conn.out_stop <- conn.out_stop + len;
+    flush conn;
+    if pending conn > max_request_bytes then conn.alive <- false
+  end
 
 let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
   let throttle, shed = tier_thresholds cfg in
@@ -626,7 +657,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
      immediately ask for stats) must already be visible in the counter. *)
   let respond conn line =
     Atomic.incr sh.handled;
-    write_all conn line
+    send conn line
   in
 
   (* -- classification: one queue entry per request line; an admitted
@@ -791,7 +822,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     end;
     if !lines <> [] then handle_batch conn (List.rev !lines);
     if Buffer.length b > max_request_bytes then begin
-      write_all conn
+      send conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"
            (Printf.sprintf "request exceeds %d bytes" max_request_bytes));
       conn.alive <- false
@@ -893,8 +924,20 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     Mutex.unlock sh.incoming_lock;
     List.iter
       (fun fd ->
+        let alive =
+          match Unix.set_nonblock fd with () -> true | exception Unix.Unix_error _ -> false
+        in
         conns :=
-          { fd; inbuf = Buffer.create 4096; queue = Queue.create (); alive = true } :: !conns)
+          {
+            fd;
+            inbuf = Buffer.create 4096;
+            queue = Queue.create ();
+            alive;
+            out = Bytes.empty;
+            out_start = 0;
+            out_stop = 0;
+          }
+          :: !conns)
       fresh;
     (* Drop closed connections. *)
     conns :=
@@ -912,7 +955,9 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     List.iter pump !conns;
     let stopping = Atomic.get stop in
     if stopping && !stop_at = None then stop_at := Some (now ());
-    let drained = List.for_all (fun c -> Queue.is_empty c.queue) !conns in
+    let drained =
+      List.for_all (fun c -> Queue.is_empty c.queue && (pending c = 0 || not c.alive)) !conns
+    in
     let grace_over =
       match !stop_at with Some t -> now () -. t > cfg.shutdown_grace_s | None -> false
     in
@@ -921,13 +966,15 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     end
     else begin
       let fds = sh.wake_r :: List.map (fun c -> c.fd) !conns in
-      let readable, _, _ =
-        match Unix.select fds [] [] (select_timeout ~stopping) with
+      let wfds = List.filter_map (fun c -> if pending c > 0 then Some c.fd else None) !conns in
+      let readable, writable, _ =
+        match Unix.select fds wfds [] (select_timeout ~stopping) with
         | r -> r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
       in
       if List.mem sh.wake_r readable then drain_wake sh;
+      List.iter (fun c -> if List.mem c.fd writable then flush c) !conns;
       List.iter (fun c -> if c.alive && List.mem c.fd readable then read_chunk c) !conns;
       List.iter pump !conns;
       loop ()

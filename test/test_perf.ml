@@ -255,6 +255,28 @@ let test_critical_cycle_names_gates () =
         (List.mem g0 a.Throughput.critical_gates)
   | [] -> Alcotest.fail "no bottlenecks reported"
 
+(* On every b01-b13 netlist, with and without EE, [Throughput.critical_cycle]
+   is the full analysis's string, and [Throughput.round]'s analysis is
+   [analyze]'s. *)
+let test_critical_cycle_alone () =
+  List.iter
+    (fun id ->
+      let pl, pl_ee = build id in
+      List.iter
+        (fun (tag, pl) ->
+          let a = Throughput.analyze pl in
+          Alcotest.(check string) (id ^ tag) a.Throughput.critical_string
+            (Throughput.critical_cycle pl);
+          let a', _ = Throughput.round pl in
+          if
+            not
+              (Int64.bits_of_float a.Throughput.lambda = Int64.bits_of_float a'.Throughput.lambda
+              && a.Throughput.critical_gates = a'.Throughput.critical_gates
+              && a.Throughput.gate_slack = a'.Throughput.gate_slack)
+          then Alcotest.failf "%s%s: the round's analysis differs" id tag)
+        [ ("", pl); (" EE", pl_ee) ])
+    [ "b01"; "b02"; "b03"; "b04"; "b05"; "b06"; "b07"; "b08"; "b09"; "b10"; "b11"; "b12"; "b13" ]
+
 let test_mcr_selection () =
   (* b12 is loop-bound (EE demonstrably helps it); the MCR-driven policy
      must find gains there with no more triggers than Eq. 1 spends. *)
@@ -417,6 +439,123 @@ let test_hint_ignores_bad_nodes () =
   Alcotest.(check int) "dead node has no policy" (-1) cold.Mcr.policy.(3);
   Alcotest.(check int) "dead-end node has no policy" (-1) cold.Mcr.policy.(2)
 
+(* ---------------------------------------------------------------- *)
+(* Spliced trials                                                    *)
+(* ---------------------------------------------------------------- *)
+
+let outcome f = match f () with r -> Ok r | exception Mcr.Not_live msg -> Error msg
+
+let show = function
+  | Ok (Some l) -> Printf.sprintf "%h" l
+  | Ok None -> "acyclic"
+  | Error msg -> "Not_live: " ^ msg
+
+(* Equal periods bit for bit, or the same [Not_live] message: the
+   token-free check's own, naming as many nodes as the full check. *)
+let same a b =
+  match (a, b) with
+  | Ok (Some x), Ok (Some y) -> bits_equal x y
+  | Ok None, Ok None -> true
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+(* [Mcr.splice_lambda] on [ctx], the context of [g], must be [Mcr.lambda]
+   on the spliced graph, bit for bit and under every cutoff, or raise
+   [Not_live] when it does.  Returns the uncut outcome. *)
+let check_splice what ?hint ctx g (d : Tg.delta) =
+  let whole = Tg.splice g d in
+  let uncut = outcome (fun () -> Mcr.lambda ?hint whole) in
+  let cutoffs =
+    match uncut with
+    | Ok (Some l) -> [ infinity; l; Float.pred l; l *. (1. -. 1e-6); l /. 2.; neg_infinity ]
+    | _ -> [ infinity ]
+  in
+  List.iter
+    (fun cutoff ->
+      let spliced = outcome (fun () -> Mcr.splice_lambda ?hint ~cutoff ctx d)
+      and rebuilt = outcome (fun () -> Mcr.lambda ?hint ~cutoff whole) in
+      if not (same spliced rebuilt) then
+        Alcotest.failf "%s: cutoff %h: spliced %s, rebuilt %s" what cutoff (show spliced)
+          (show rebuilt))
+    cutoffs;
+  uncut
+
+(* Random deltas on random live graphs, several on each context so that
+   the scratch is reused: drops (sometimes of every heaviest arc, so the
+   weight scale changes), new nodes (some left without an out-arc, so
+   pruning runs) and added arcs (some token-free, so some trials close a
+   token-free cycle). *)
+let test_splice_random () =
+  let open Ee_util in
+  let rng = Prng.create 5150 and policies = Prng.create 77 in
+  let live = ref 0 and not_live = ref 0 in
+  for i = 1 to 300 do
+    let g = random_live_graph rng in
+    let ctx = Mcr.context g in
+    let hint = random_policy policies g in
+    let m = Tg.arc_count g in
+    let heaviest = Array.fold_left Float.max 0. g.Tg.arc_weight in
+    for t = 1 to 4 do
+      let nodes = g.Tg.nodes + Prng.int rng 3 in
+      let drop = Array.make m false in
+      for _ = 1 to Prng.int rng 5 do
+        drop.(Prng.int rng m) <- true
+      done;
+      if Prng.int rng 4 = 0 then
+        Array.iteri (fun k w -> if w = heaviest then drop.(k) <- true) g.Tg.arc_weight;
+      let drop = List.filter (fun k -> drop.(k)) (List.init m Fun.id) in
+      let arcs =
+        List.init (Prng.int rng 7) (fun _ ->
+            arc (Prng.int rng nodes) (Prng.int rng nodes)
+              (float_of_int (Prng.int rng 1200) /. 100.)
+              (if Prng.int rng 6 = 0 then 0 else 1))
+      in
+      let d =
+        {
+          Tg.nodes;
+          output = nodes - 1;
+          trigger = nodes - 1;
+          drop = Array.of_list drop;
+          add = Tg.make ~nodes ~arcs;
+        }
+      in
+      match check_splice (Printf.sprintf "graph %d delta %d" i t) ~hint ctx g d with
+      | Error _ -> incr not_live
+      | Ok _ -> incr live
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live and %d not-live deltas" !live !not_live)
+    true
+    (!live > 100 && !not_live > 10)
+
+let test_splice_not_live () =
+  (* The ring 0 -> 1 -> 2 -> 0 with its token on the closing arc. *)
+  let g = Tg.make ~nodes:3 ~arcs:[ arc 0 1 1.0 0; arc 1 2 1.0 0; arc 2 0 1.0 1 ] in
+  let ctx = Mcr.context g in
+  let detour tokens =
+    {
+      Tg.nodes = 4;
+      output = 3;
+      trigger = 3;
+      drop = [| 2 |];
+      add = Tg.make ~nodes:4 ~arcs:[ arc 2 3 0.5 0; arc 3 0 0.5 tokens ];
+    }
+  in
+  (* Re-routing the closing arc through a new node without its token
+     closes a token-free cycle. *)
+  let d = detour 0 in
+  let spliced = outcome (fun () -> Mcr.splice_lambda ctx d)
+  and rebuilt = outcome (fun () -> Mcr.lambda (Tg.splice g d)) in
+  (match rebuilt with Error _ -> () | r -> Alcotest.failf "rebuilt: %s" (show r));
+  if not (same spliced rebuilt) then
+    Alcotest.failf "spliced: %s, rebuilt: %s" (show spliced) (show rebuilt);
+  (* With its token the detour is live, and the context still serves. *)
+  Alcotest.(check (option (float 0.))) "live detour" (Some 3.) (Mcr.splice_lambda ctx (detour 1));
+  Alcotest.(check (option (float 0.)))
+    "base unchanged" (Some 3.)
+    (Option.map (fun r -> r.Mcr.lambda) (Mcr.solve_in ctx))
+
 (* The greedy MCR planner as it was before trials became λ-only and
    warm-started: every trial is a cold, full [Throughput.analyze].  The
    differential test holds [Mcr_select.plan] to it; [on_trial] sees each
@@ -450,9 +589,10 @@ module Reference_plan = struct
              else None)
 
   (* Masters ascending, and each round's chosen pair with the λ it was
-     trialled at, in insertion order.  [on_trial] sees the round's base
-     analysis, the trial's master and the trial netlist. *)
-  let plan ?(on_trial = fun _ _ _ -> ()) (o : Ms.options) pl =
+     trialled at, in insertion order.  [on_trial] sees the round's netlist
+     and base analysis, the trial's master and request, and the trial
+     netlist. *)
+  let plan ?(on_trial = fun _ _ _ _ _ -> ()) (o : Ms.options) pl =
     let gates = Pl.gates pl in
     let rounds = ref [] in
     let budget_left inserted =
@@ -478,11 +618,9 @@ module Reference_plan = struct
           (fun (master, func, fanin) ->
             List.iter
               (fun choice ->
-                let trial =
-                  Pl.with_ee pl_cur
-                    [ (master, Ms.request_of choice.Synth.chosen choice.Synth.cost) ]
-                in
-                on_trial a master trial;
+                let req = Ms.request_of choice.Synth.chosen choice.Synth.cost in
+                let trial = Pl.with_ee pl_cur [ (master, req) ] in
+                on_trial pl_cur a master req trial;
                 let lambda' = (analyze o trial).Throughput.lambda in
                 let beats =
                   match !best with
@@ -537,31 +675,93 @@ type reference_pass = {
   trials : int;
   off_cycle : int;  (** Trials whose master is off the base critical cycle. *)
   stopped : int;  (** Cut solves that stopped before converging. *)
+  spliced : int;  (** Trials checked as deltas on their round's graph. *)
 }
+
+(* The spliced trial [d] of [master] on [b], the compiled [pl_cur], renamed
+   onto the events of [m], the rebuilt trial graph, has [m]'s arcs: the
+   same multiset of (source, destination, weight, tokens). *)
+let check_spliced_arcs what pl_cur b master (d : Tg.delta) (m : Tg.mapping) =
+  let bm = Tg.mapping b in
+  let base_nodes = bm.Tg.graph.Tg.nodes and trigger = Array.length (Pl.gates pl_cur) in
+  let rename e =
+    if e = d.Tg.trigger then m.Tg.complete_event.(trigger)
+    else if e >= base_nodes then m.Tg.output_event.(master)
+    else
+      let gate = bm.Tg.event_gate.(e) in
+      if bm.Tg.event_early.(e) then m.Tg.output_event.(gate) else m.Tg.complete_event.(gate)
+  in
+  let arcs (g : Tg.t) f =
+    List.sort compare
+      (List.init (Tg.arc_count g) (fun k ->
+           ( f g.Tg.arc_src.(k),
+             f g.Tg.arc_dst.(k),
+             Int64.bits_of_float g.Tg.arc_weight.(k),
+             g.Tg.arc_tokens.(k) )))
+  in
+  let whole = Tg.splice bm.Tg.graph d in
+  if whole.Tg.nodes <> m.Tg.graph.Tg.nodes then
+    Alcotest.failf "%s: %d spliced events, %d rebuilt" what whole.Tg.nodes m.Tg.graph.Tg.nodes;
+  if arcs whole rename <> arcs m.Tg.graph Fun.id then
+    Alcotest.failf "%s: the spliced arcs differ from the rebuilt graph's" what
 
 (* The reference plans of b01-b13, checking every trial graph on the way:
    the warm λ-only oracle, and Howard from the mapped base policy or from
    a random policy, all give the cold λ bit for bit; Karp agrees on every
    16th trial; the cut solve keeps its contract; and a trial whose master
    is off the base analysis's critical cycle never lowers λ, the
-   certificate by which [Mcr_select.plan] skips such trials.  Shared by
-   the next four tests. *)
+   certificate by which [Mcr_select.plan] skips such trials.  The spliced
+   trial ([Tg.trial] on the round's compiled graph) carries the rebuilt
+   trial graph's arcs under the event renaming, and its λ, with and
+   without a cutoff, is the cold λ.  Shared by the next five tests. *)
 let itc99_reference_plans =
   lazy
     (let module Ms = Ee_core.Mcr_select in
      let o = Ms.default_options in
      let policies = Ee_util.Prng.create 99 in
-     let trials = ref 0 and off_cycle = ref 0 and stopped = ref 0 in
-     let on_trial name a master trial =
+     let trials = ref 0 and off_cycle = ref 0 and stopped = ref 0 and spliced = ref 0 in
+     let round =
+       let last = ref None in
+       fun a pl_cur ->
+         match !last with
+         | Some (a', r) when a' == a -> r
+         | _ ->
+             let b = Tg.compile ~gate_delay:o.Ms.gate_delay ~ee_overhead:o.Ms.ee_overhead pl_cur in
+             let ctx = Mcr.context (Tg.mapping b).Tg.graph in
+             let succ = (Option.get (Mcr.solve_in ctx)).Mcr.policy in
+             let r = (b, ctx, succ, snd (Throughput.round pl_cur)) in
+             last := Some (a, r);
+             r
+     in
+     let on_trial name pl_cur a master req trial =
        incr trials;
        let what = Printf.sprintf "%s trial %d" name !trials in
        let m = Tg.of_pl ~gate_delay:o.Ms.gate_delay ~ee_overhead:o.Ms.ee_overhead trial in
        let g = m.Tg.graph in
+       let cold = (Reference_plan.analyze o trial).Throughput.lambda in
+       let b, ctx, succ, r = round a pl_cur in
+       let d = Tg.trial b master req in
+       check_spliced_arcs what pl_cur b master d m;
+       if not (bits_equal cold (Throughput.trial_lambda r master req)) then
+         Alcotest.failf "%s: spliced lambda %h, cold %h" what
+           (Throughput.trial_lambda r master req) cold;
+       List.iter
+         (fun cutoff ->
+           let x = Throughput.trial_lambda ~cutoff r master req in
+           if cold <= cutoff then begin
+             if not (bits_equal x cold) then
+               Alcotest.failf "%s: cutoff %h: spliced lambda %h, cold %h" what cutoff x cold
+           end
+           else if not (cutoff < x && x <= cold) then
+             Alcotest.failf "%s: cutoff %h below cold %h, spliced %h" what cutoff cold x)
+         [ a.Throughput.lambda *. (1. -. 1e-3); cold; Float.pred cold ];
+       if not (same (Ok (Some cold)) (Ok (Mcr.splice_lambda ~hint:succ ctx d)))
+       then Alcotest.failf "%s: splice_lambda differs from the cold lambda" what;
+       incr spliced;
        let hint = Throughput.hint a m in
        check_hints ~karp:(!trials mod 16 = 0) what g
          [ ("mapped base", hint); ("random", random_policy policies g) ];
        stopped := !stopped + check_cutoffs what ~hint g;
-       let cold = (Reference_plan.analyze o trial).Throughput.lambda in
        if not (bits_equal cold (Ms.lambda ~warm:a o trial)) then
          Alcotest.failf "%s: Mcr_select.lambda differs from the full analysis" what;
        if not (List.mem master a.Throughput.critical_gates) then begin
@@ -576,11 +776,15 @@ let itc99_reference_plans =
          (fun (name, pl) -> (name, pl, Reference_plan.plan ~on_trial:(on_trial name) o pl))
          (itc99_netlists ())
      in
-     { plans; trials = !trials; off_cycle = !off_cycle; stopped = !stopped })
+     { plans; trials = !trials; off_cycle = !off_cycle; stopped = !stopped; spliced = !spliced })
 
 let test_warm_start_trials () =
   let { trials; _ } = Lazy.force itc99_reference_plans in
   Alcotest.(check bool) (Printf.sprintf "%d trials checked" trials) true (trials > 5000)
+
+let test_spliced_trials () =
+  let { trials; spliced; _ } = Lazy.force itc99_reference_plans in
+  Alcotest.(check int) "every trial spliced" trials spliced
 
 let test_certificate_sound () =
   let { trials; off_cycle; _ } = Lazy.force itc99_reference_plans in
@@ -697,6 +901,27 @@ let test_search_matches_reference () =
           r.Ss.lambda r.Ss.trials (List.length r.Ss.shared_groups))
     netlists search_reference
 
+(* The first zero-slack gate of [pl]'s analysis [a] with a trigger
+   candidate, and that candidate. *)
+let first_trial pl (a : Throughput.analysis) =
+  let found = ref None in
+  Array.iteri
+    (fun i g ->
+      match g.Pl.kind with
+      | Pl.Gate func when !found = None && a.Throughput.gate_slack.(i) <= 1e-7 *. a.Throughput.lambda
+        -> (
+          match Ee_core.Trigger.candidates func with c :: _ -> found := Some (i, c) | [] -> ())
+      | _ -> ())
+    (Pl.gates pl);
+  Option.get !found
+
+(* Words [f ()] allocates, minor and directly major. *)
+let allocated f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor = Gc.minor_words () -. minor0 and _, promoted1, major1 = Gc.counters () in
+  (minor, minor +. (major1 -. major0 -. (promoted1 -. promoted0)))
+
 (* One λ-only trial allocates a few words per event and arc: no per-node
    lists, no slack pass.  The cold full analysis it replaced allocated
    about 150 minor words per event and arc here. *)
@@ -705,32 +930,34 @@ let test_trial_allocation () =
   let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (Ee_bench_circuits.Itc99.b12 ())) in
   let o = Ms.default_options in
   let a = Ms.analyze o pl in
-  let master, choice =
-    let found = ref None in
-    Array.iteri
-      (fun i g ->
-        match g.Pl.kind with
-        | Pl.Gate func when !found = None && a.Throughput.gate_slack.(i) <= 1e-7 *. a.Throughput.lambda
-          -> (
-            match Ee_core.Trigger.candidates func with c :: _ -> found := Some (i, c) | [] -> ())
-        | _ -> ())
-      (Pl.gates pl);
-    Option.get !found
-  in
+  let master, choice = first_trial pl a in
   let trial () = Pl.with_ee pl [ (master, Ms.request_of choice 0.) ] in
   let g = (Tg.of_pl (trial ())).Tg.graph in
   let size = g.Tg.nodes + Tg.arc_count g in
   ignore (Ms.lambda ~warm:a o (trial ()));
-  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-  ignore (Sys.opaque_identity (Ms.lambda ~warm:a o (trial ())));
-  let minor = Gc.minor_words () -. minor0 and _, promoted1, major1 = Gc.counters () in
-  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let minor, words = allocated (fun () -> Ms.lambda ~warm:a o (trial ())) in
   if minor > float_of_int (24 * size) then
     Alcotest.failf "one trial allocated %.0f minor words (bound %d = 24 x %d events and arcs)"
       minor (24 * size) size;
-  if minor +. direct_major > float_of_int (32 * size) then
-    Alcotest.failf "one trial allocated %.0f words in all (bound %d)" (minor +. direct_major)
-      (32 * size)
+  if words > float_of_int (32 * size) then
+    Alcotest.failf "one trial allocated %.0f words in all (bound %d)" words (32 * size)
+
+(* A spliced trial allocates for its delta alone, however large the
+   netlist: the round's context keeps its rows and Howard's arrays from
+   trial to trial. *)
+let test_spliced_allocation () =
+  List.iter
+    (fun (id, build) ->
+      let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (build ())) in
+      let a, r = Throughput.round pl in
+      let master, choice = first_trial pl a in
+      let req = Ee_core.Mcr_select.request_of choice 0. in
+      ignore (Throughput.trial_lambda r master req);
+      let _, words = allocated (fun () -> Throughput.trial_lambda r master req) in
+      if words > 1024. then
+        Alcotest.failf "%s: one spliced trial allocated %.0f words (bound 1024; %d events)" id
+          words a.Throughput.events)
+    Ee_bench_circuits.Itc99.[ ("b12", b12); ("b14", b14); ("b15", b15) ]
 
 let suite =
   ( "perf",
@@ -751,12 +978,18 @@ let suite =
         test_jittered_delays_agree;
       Alcotest.test_case "critical cycle names gates" `Quick
         test_critical_cycle_names_gates;
+      Alcotest.test_case "critical cycle without slacks" `Slow test_critical_cycle_alone;
       Alcotest.test_case "MCR-driven selection works" `Slow test_mcr_selection;
       Alcotest.test_case "warm start exact on 200 random graphs" `Quick test_warm_start_random;
       Alcotest.test_case "cutoff contract on 200 random graphs" `Quick test_cutoff_random;
       Alcotest.test_case "hint ignores dead and out-of-range nodes" `Quick
         test_hint_ignores_bad_nodes;
+      Alcotest.test_case "spliced trial = rebuilt trial on random deltas" `Quick
+        test_splice_random;
+      Alcotest.test_case "spliced trial closing a token-free cycle" `Quick test_splice_not_live;
       Alcotest.test_case "warm start exact on every b01-b13 trial" `Slow test_warm_start_trials;
+      Alcotest.test_case "spliced arcs and lambda on every b01-b13 trial" `Slow
+        test_spliced_trials;
       Alcotest.test_case "cutoff contract on every b01-b13 trial" `Slow test_cutoff_trials;
       Alcotest.test_case "off-cycle trials never lower lambda" `Slow test_certificate_sound;
       Alcotest.test_case "MCR plan matches the reference planner" `Slow
@@ -765,4 +998,5 @@ let suite =
         test_plan_threshold_edges;
       Alcotest.test_case "search reports unchanged" `Slow test_search_matches_reference;
       Alcotest.test_case "one trial's allocation bounded" `Quick test_trial_allocation;
+      Alcotest.test_case "one spliced trial's allocation bounded" `Quick test_spliced_allocation;
     ] )

@@ -551,6 +551,49 @@ let test_e2e_chunked_framing () =
       | Error e -> Alcotest.failf "bad response: %s" e);
       Alcotest.(check bool) "server closed the connection" true closed)
 
+(* A client that pipelines requests and never reads its replies must not
+   stall its shard: on a one-shard server a second client's ping is
+   answered within a second while the first one's replies sit unread.  A
+   client that leaves more than the 8 MiB bound unread is disconnected. *)
+let test_e2e_unread_replies () =
+  with_server ~shards:1 (fun sock ->
+      check_status (send sock "{\"cmd\":\"ping\"}") "ok";
+      let flood n =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        let data = Bytes.of_string (String.concat "" (List.init n (fun _ -> "{\"cmd\":\"ping\"}\n"))) in
+        let off = ref 0 in
+        (try
+           while !off < Bytes.length data do
+             off := !off + Unix.write fd data !off (Bytes.length data - !off)
+           done
+         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+        fd
+      in
+      (* About 2 MiB of replies: far more than the socket buffers hold. *)
+      let a = flood 30_000 in
+      let t0 = Unix.gettimeofday () in
+      let b = Client.connect ~retries:100 ~recv_timeout_s:1. (`Unix sock) in
+      let reply = Client.request_line b "{\"cmd\":\"ping\"}" in
+      let dt = Unix.gettimeofday () -. t0 in
+      Client.close b;
+      (match Json.parse reply with
+      | Ok j -> check_status j "ok"
+      | Error e -> Alcotest.failf "bad response: %s" e);
+      Alcotest.(check bool) (Printf.sprintf "ping answered in %.3f s" dt) true (dt < 1.);
+      Unix.close a;
+      (* Over 12 MiB of replies: the server hangs up past the bound. *)
+      let n = 170_000 in
+      let a = flood n in
+      let ic = Unix.in_channel_of_descr a in
+      let rec drain k =
+        match input_line ic with _ -> drain (k + 1) | exception (End_of_file | Sys_error _) -> k
+      in
+      let got = drain 0 in
+      Unix.close a;
+      Alcotest.(check bool) (Printf.sprintf "disconnected after %d of %d replies" got n) true (got < n);
+      check_status (send sock "{\"cmd\":\"ping\"}") "ok")
+
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
       check_error (send sock "{\"cmd\":\"synth\",\"bench\":\"b99\"}") "not_found";
@@ -1203,6 +1246,8 @@ let suite =
       Alcotest.test_case "e2e: perf, faults, import repeats cached" `Quick
         test_e2e_cached_kinds;
       Alcotest.test_case "e2e: oversized line refused, closed" `Quick test_e2e_request_bound;
+      Alcotest.test_case "e2e: unread replies do not stall the shard" `Quick
+        test_e2e_unread_replies;
       Alcotest.test_case "e2e: bad_request echoes cmd and id" `Quick test_e2e_bad_request_echo;
       Alcotest.test_case "e2e: 64 KiB chunks framed into lines" `Quick test_e2e_chunked_framing;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
