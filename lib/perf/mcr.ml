@@ -360,9 +360,10 @@ let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) ~scale n c w =
 (* ------------------------------------------------------------------ *)
 
 (* A trial's working storage, kept across the trials of one context.
-   Node arrays hold [cap] entries; [dst], [weight] and [tokens] start
-   with a copy of the base rows, and the changed rows of the current
-   trial follow from the base arc count on. *)
+   Node arrays hold [cap] entries.  [dst], [weight] and [tokens] hold the
+   base rows, then, from the base arc count on, the changed rows of the
+   current trial; they are the base's own arrays until [reserve] first
+   grows them into copies. *)
 type scratch = {
   cap : int;
   first : int array;
@@ -399,7 +400,7 @@ let context (g : Timed_graph.t) =
 let scratch ctx ~nodes =
   match ctx.scratch with
   | Some s when s.cap >= nodes -> s
-  | previous ->
+  | _ ->
       let cap = max nodes (ctx.graph.nodes + 2) and base = Array.length ctx.csr.dst in
       let s =
         {
@@ -409,7 +410,7 @@ let scratch ctx ~nodes =
           dst = ctx.csr.dst;
           weight = ctx.csr.weight;
           tokens = ctx.csr.tokens;
-          dropped = (match previous with Some p -> p.dropped | None -> Array.make base 0);
+          dropped = Array.make base 0;
           row_stamp = Array.make cap 0;
           rows = Array.make cap 0;
           mark = Array.make cap 0;
@@ -417,7 +418,7 @@ let scratch ctx ~nodes =
           indeg = Array.make cap 0;
           queue = Array.make cap 0;
           w = work cap;
-          stamp = (match previous with Some p -> p.stamp | None -> 0);
+          stamp = 0;
         }
       in
       ctx.scratch <- Some s;
