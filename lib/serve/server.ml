@@ -583,6 +583,9 @@ type conn = {
   inbuf : Buffer.t; (* bytes read and not yet framed into lines *)
   queue : entry Queue.t;
   mutable alive : bool;
+  mutable reading : bool;
+      (* input still open: cleared at its end or on a refused line, after
+         which the connection closes once its written replies are sent *)
   mutable out : Bytes.t; (* replies not yet written: [out_start, out_stop) *)
   mutable out_start : int;
   mutable out_stop : int;
@@ -825,14 +828,15 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       send conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"
            (Printf.sprintf "request exceeds %d bytes" max_request_bytes));
-      conn.alive <- false
+      Buffer.reset b;
+      conn.reading <- false
     end
   in
 
   let chunk = Bytes.create 65536 in
   let read_chunk conn =
     match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> conn.alive <- false
+    | 0 -> conn.reading <- false
     | k ->
         let from = Buffer.length conn.inbuf in
         Buffer.add_subbytes conn.inbuf chunk 0 k;
@@ -933,17 +937,19 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
             inbuf = Buffer.create 4096;
             queue = Queue.create ();
             alive;
+            reading = true;
             out = Bytes.empty;
             out_start = 0;
             out_stop = 0;
           }
           :: !conns)
       fresh;
-    (* Drop closed connections. *)
+    (* Drop closed connections, and those whose input has ended once their
+       written replies are sent. *)
     conns :=
       List.filter
         (fun c ->
-          if c.alive then true
+          if c.alive && (c.reading || pending c > 0) then true
           else begin
             Queue.iter
               (function Running _ -> Atomic.decr sh.depth | Ready _ -> ())
@@ -965,7 +971,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       if not drained then List.iter flush_shutting_down !conns
     end
     else begin
-      let fds = sh.wake_r :: List.map (fun c -> c.fd) !conns in
+      let fds = sh.wake_r :: List.filter_map (fun c -> if c.reading then Some c.fd else None) !conns in
       let wfds = List.filter_map (fun c -> if pending c > 0 then Some c.fd else None) !conns in
       let readable, writable, _ =
         match Unix.select fds wfds [] (select_timeout ~stopping) with
@@ -975,7 +981,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       in
       if List.mem sh.wake_r readable then drain_wake sh;
       List.iter (fun c -> if List.mem c.fd writable then flush c) !conns;
-      List.iter (fun c -> if c.alive && List.mem c.fd readable then read_chunk c) !conns;
+      List.iter (fun c -> if c.alive && c.reading && List.mem c.fd readable then read_chunk c) !conns;
       List.iter pump !conns;
       loop ()
     end

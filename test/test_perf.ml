@@ -978,18 +978,12 @@ let suite =
         test_jittered_delays_agree;
       Alcotest.test_case "critical cycle names gates" `Quick
         test_critical_cycle_names_gates;
-      Alcotest.test_case "critical cycle without slacks" `Slow test_critical_cycle_alone;
       Alcotest.test_case "MCR-driven selection works" `Slow test_mcr_selection;
       Alcotest.test_case "warm start exact on 200 random graphs" `Quick test_warm_start_random;
       Alcotest.test_case "cutoff contract on 200 random graphs" `Quick test_cutoff_random;
       Alcotest.test_case "hint ignores dead and out-of-range nodes" `Quick
         test_hint_ignores_bad_nodes;
-      Alcotest.test_case "spliced trial = rebuilt trial on random deltas" `Quick
-        test_splice_random;
-      Alcotest.test_case "spliced trial closing a token-free cycle" `Quick test_splice_not_live;
       Alcotest.test_case "warm start exact on every b01-b13 trial" `Slow test_warm_start_trials;
-      Alcotest.test_case "spliced arcs and lambda on every b01-b13 trial" `Slow
-        test_spliced_trials;
       Alcotest.test_case "cutoff contract on every b01-b13 trial" `Slow test_cutoff_trials;
       Alcotest.test_case "off-cycle trials never lower lambda" `Slow test_certificate_sound;
       Alcotest.test_case "MCR plan matches the reference planner" `Slow
@@ -998,5 +992,11 @@ let suite =
         test_plan_threshold_edges;
       Alcotest.test_case "search reports unchanged" `Slow test_search_matches_reference;
       Alcotest.test_case "one trial's allocation bounded" `Quick test_trial_allocation;
+      Alcotest.test_case "critical cycle without slacks" `Slow test_critical_cycle_alone;
+      Alcotest.test_case "spliced trial = rebuilt trial on random deltas" `Quick
+        test_splice_random;
+      Alcotest.test_case "spliced trial closing a token-free cycle" `Quick test_splice_not_live;
+      Alcotest.test_case "spliced arcs and lambda on every b01-b13 trial" `Slow
+        test_spliced_trials;
       Alcotest.test_case "one spliced trial's allocation bounded" `Quick test_spliced_allocation;
     ] )

@@ -594,6 +594,50 @@ let test_e2e_unread_replies () =
       Alcotest.(check bool) (Printf.sprintf "disconnected after %d of %d replies" got n) true (got < n);
       check_status (send sock "{\"cmd\":\"ping\"}") "ok")
 
+(* A client that sends its batch, ends its input and only then starts
+   reading still gets every reply: about 2 MiB of them, far more than the
+   socket buffers hold, are still unwritten when the server reads the end
+   of input, and the connection closes only once they are sent. *)
+let test_e2e_half_close_flushes () =
+  with_server (fun sock ->
+      check_status (send sock "{\"cmd\":\"ping\"}") "ok";
+      let n = 30_000 in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let data =
+        Bytes.of_string
+          (String.concat ""
+             (List.init n (fun i -> Printf.sprintf "{\"cmd\":\"ping\",\"id\":%d}\n" i)))
+      in
+      let off = ref 0 in
+      while !off < Bytes.length data do
+        off := !off + Unix.write fd data !off (Bytes.length data - !off)
+      done;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      Unix.sleepf 0.2;
+      let ic = Unix.in_channel_of_descr fd in
+      let rec read_all acc =
+        match input_line ic with
+        | line -> read_all (line :: acc)
+        | exception (End_of_file | Sys_error _) -> List.rev acc
+      in
+      let replies = read_all [] in
+      Unix.close fd;
+      Alcotest.(check int) "every reply before the close" n (List.length replies);
+      let ids =
+        List.map
+          (fun line ->
+            match Json.parse line with
+            | Ok j -> (
+                check_status j "ok";
+                match Option.bind (Json.member "id" j) Json.to_int with
+                | Some id -> id
+                | None -> Alcotest.fail "response without id")
+            | Error e -> Alcotest.failf "bad response: %s" e)
+          replies
+      in
+      Alcotest.(check bool) "in send order" true (ids = List.init n Fun.id))
+
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
       check_error (send sock "{\"cmd\":\"synth\",\"bench\":\"b99\"}") "not_found";
@@ -1246,8 +1290,6 @@ let suite =
       Alcotest.test_case "e2e: perf, faults, import repeats cached" `Quick
         test_e2e_cached_kinds;
       Alcotest.test_case "e2e: oversized line refused, closed" `Quick test_e2e_request_bound;
-      Alcotest.test_case "e2e: unread replies do not stall the shard" `Quick
-        test_e2e_unread_replies;
       Alcotest.test_case "e2e: bad_request echoes cmd and id" `Quick test_e2e_bad_request_echo;
       Alcotest.test_case "e2e: 64 KiB chunks framed into lines" `Quick test_e2e_chunked_framing;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
@@ -1284,4 +1326,8 @@ let suite =
         test_supervisor_wedge_kill;
       Alcotest.test_case "supervisor: drain escalates SIGTERM to SIGKILL" `Quick
         test_supervisor_drain_escalates;
+      Alcotest.test_case "e2e: unread replies do not stall the shard" `Quick
+        test_e2e_unread_replies;
+      Alcotest.test_case "e2e: replies flushed after the client's end of input" `Quick
+        test_e2e_half_close_flushes;
     ] )
