@@ -85,6 +85,8 @@ type work = {
   mutable next : int array; (* candidates of the following round *)
   fire : int array; (* firings of the round: gate lsl 2 lor early lsl 1 lor value *)
   latched : int array; (* per gate latched this wave: (round + 1) lsl 1 lor early *)
+  mutable stall_stamp : int;
+  unfired_at : int array; (* stall stamp: the gate is unfired in the stall being diagnosed *)
 }
 
 (* A list of gate ids, ascending, that one step of a wave walks. *)
@@ -121,8 +123,12 @@ type net = {
 (* Gate state at a wave boundary. *)
 type state = { s_rails : int array; s_phase : int array; s_reg : bool array }
 
-(* A recorded fault-free unit-delay run, and the scratch of the
-   differential waves forked from it. *)
+(* A recorded fault-free unit-delay run, and the state and scratch of the
+   differential waves forked from it.  The forks of a trace run one at a
+   time in its state triple ([rails], [phase], [reg]): there a gate's entry
+   is its own only while it is a member of the current fork's last wave
+   ([member] holds [dstamp]); every other gate is in the trace's state at
+   the same wave boundary. *)
 type trace = {
   tnet : net;
   base : int; (* wave number of [states.(0)] *)
@@ -137,15 +143,18 @@ type trace = {
   feeders : int array; (* [(round + 1) * n + gate], ascending *)
   mutable nfeed : int;
   mutable fed : int; (* feeders replayed so far *)
-  saved_rails : int array; (* divergent gates' state across the merge *)
-  saved_phase : int array;
-  saved_reg : bool array;
+  dirty : int array; (* members whose state differs from the trace's after the last wave *)
+  mutable ndirty : int;
+  rails : int array; (* the current fork's state *)
+  phase : int array;
+  reg : bool array;
+  mutable forks : int; (* forks made so far; the last one is current *)
 }
 
 (* What a differential simulator needs besides its state: its trace, the
-   gate its hooks act on and their last wave, and the gates whose state
-   differs from the trace's at the current wave boundary. *)
-type fork = { trace : trace; site : int; last : int; mutable dirty : int array }
+   gate its hooks act on and their last wave, and which fork of the trace
+   it is. *)
+type fork = { trace : trace; site : int; last : int; id : int }
 
 type t = {
   net : net;
@@ -155,9 +164,9 @@ type t = {
   drop_hook : bool;
   extra_hook : bool;
   trigger_hook : bool;
-  rails : int array; (* output rail pair per gate *)
-  gate_phase : int array;
-  reg_state : bool array;
+  mutable rails : int array; (* output rail pair per gate; a fork's are its trace's *)
+  mutable gate_phase : int array;
+  mutable reg_state : bool array;
   mutable wave_phase : int; (* phase carried by the NEXT wave's tokens *)
   mutable wave_no : int; (* waves applied so far; the hooks' wave index *)
   mutable tape : trace option; (* recording this simulator's waves *)
@@ -245,6 +254,8 @@ let compile ~delays pl =
       next = Array.make n 0;
       fire = Array.make n 0;
       latched = Array.make n 0;
+      stall_stamp = 0;
+      unfired_at = Array.make n 0;
     }
   in
   {
@@ -306,6 +317,13 @@ let create ?(hooks = no_hooks) ?delays pl =
 
 let reset t =
   let f = t.net.flat in
+  (* A fork's arrays are its trace's: a reset one takes arrays of its own. *)
+  if t.fork <> None then begin
+    let n = Array.length t.rails in
+    t.rails <- Array.make n 0;
+    t.gate_phase <- Array.make n 0;
+    t.reg_state <- Array.make n false
+  end;
   for i = 0 to Array.length t.rails - 1 do
     t.reg_state.(i) <- f.code.(i) = Register && f.arg.(i) = 1;
     t.rails.(i) <- 0;
@@ -316,16 +334,50 @@ let reset t =
   t.tape <- None;
   t.fork <- None
 
+let current fn d = if d.id <> d.trace.forks then invalid_arg (fn ^ ": superseded fork")
+
+(* A fork holds the state of its last wave's members; every other gate is
+   in the trace's state at the wave boundary in question, [held]. *)
+let[@inline] own t g =
+  match t.fork with None -> true | Some d -> d.trace.member.(g) = d.trace.dstamp
+
+let no_state = { s_rails = [||]; s_phase = [||]; s_reg = [||] }
+
+(* The trace state at the start of wave [wave]; [held t ~wave:(t.wave_no + 1)]
+   during a wave, [held t ~wave:t.wave_no] between waves. *)
+let held t ~wave =
+  match t.fork with None -> no_state | Some d -> d.trace.states.(wave - d.trace.base)
+
+let[@inline] rails_in t held g = if own t g then t.rails.(g) else held.s_rails.(g)
+let[@inline] phase_in t held g = if own t g then t.gate_phase.(g) else held.s_phase.(g)
+
+(* The whole-netlist state between waves: a simulator's own arrays, or for
+   a fork fresh ones, its members' state merged into the trace's. *)
+let view fn t =
+  match t.fork with
+  | None -> (t.rails, t.gate_phase, t.reg_state)
+  | Some d ->
+      current fn d;
+      let s = held t ~wave:t.wave_no in
+      let pick mine theirs = Array.mapi (fun g x -> if own t g then x else theirs.(g)) mine in
+      (pick t.rails s.s_rails, pick t.gate_phase s.s_phase, pick t.reg_state s.s_reg)
+
 let copy t ~hooks =
-  with_hooks t.net hooks ~rails:(Array.copy t.rails) ~gate_phase:(Array.copy t.gate_phase)
-    ~reg_state:(Array.copy t.reg_state) ~wave_phase:t.wave_phase ~wave_no:t.wave_no ~fork:None
+  let rails, gate_phase, reg_state = view "Rail_sim.copy" t in
+  with_hooks t.net hooks ~rails:(Array.copy rails) ~gate_phase:(Array.copy gate_phase)
+    ~reg_state:(Array.copy reg_state) ~wave_phase:t.wave_phase ~wave_no:t.wave_no ~fork:None
 
 let same_state a b =
-  a.wave_no = b.wave_no && a.wave_phase = b.wave_phase && a.rails = b.rails
-  && a.gate_phase = b.gate_phase && a.reg_state = b.reg_state
+  let va = view "Rail_sim.same_state" a and vb = view "Rail_sim.same_state" b in
+  a.wave_no = b.wave_no && a.wave_phase = b.wave_phase && va = vb
 
-let rails t = Array.map (fun c -> rails_of_code.(c)) t.rails
-let phases t = Array.map (fun p -> if p = 1 then Ledr.Odd else Ledr.Even) t.gate_phase
+let rails t =
+  let r, _, _ = view "Rail_sim.rails" t in
+  Array.map (fun c -> rails_of_code.(c)) r
+
+let phases t =
+  let _, p, _ = view "Rail_sim.phases" t in
+  Array.map (fun p -> if p = 1 then Ledr.Odd else Ledr.Even) p
 
 let snapshot t =
   {
@@ -339,6 +391,7 @@ let trace t =
     invalid_arg "Rail_sim.trace: simulator has hooks";
   if Array.exists (fun d -> d <> 0) t.net.delays then
     invalid_arg "Rail_sim.trace: simulator has round delays";
+  if t.fork <> None then invalid_arg "Rail_sim.trace: forked simulator";
   let n = Array.length t.rails in
   let dset = Array.make n 0 in
   let tr =
@@ -364,9 +417,12 @@ let trace t =
       feeders = Array.make n 0;
       nfeed = 0;
       fed = 0;
-      saved_rails = Array.make n 0;
-      saved_phase = Array.make n 0;
-      saved_reg = Array.make n false;
+      dirty = Array.make n 0;
+      ndirty = 0;
+      rails = Array.make n 0;
+      phase = Array.make n 0;
+      reg = Array.make n false;
+      forks = 0;
     }
   in
   t.tape <- Some tr;
@@ -390,14 +446,19 @@ let fork tr ~wave ~site ~last ~hooks =
   let k = wave - tr.base in
   if k < 0 || k >= tr.recorded then invalid_arg "Rail_sim.fork: wave outside the trace";
   if site < 0 || site >= Array.length tr.member then invalid_arg "Rail_sim.fork: site out of range";
-  let s = tr.states.(k) in
-  with_hooks tr.tnet hooks ~rails:(Array.copy s.s_rails) ~gate_phase:(Array.copy s.s_phase)
-    ~reg_state:(Array.copy s.s_reg) ~wave_phase:(1 - (wave land 1)) ~wave_no:wave
-    ~fork:(Some { trace = tr; site; last; dirty = [||] })
+  (* No gate is a member yet, so every gate reads as the trace's. *)
+  tr.forks <- tr.forks + 1;
+  tr.dstamp <- tr.dstamp + 2;
+  tr.ndirty <- 0;
+  with_hooks tr.tnet hooks ~rails:tr.rails ~gate_phase:tr.phase ~reg_state:tr.reg
+    ~wave_phase:(1 - (wave land 1)) ~wave_no:wave
+    ~fork:(Some { trace = tr; site; last; id = tr.forks })
 
 let diverged t =
   match t.fork with
-  | Some d -> Array.length d.dirty > 0
+  | Some d ->
+      current "Rail_sim.diverged" d;
+      d.trace.ndirty > 0
   | None -> invalid_arg "Rail_sim.diverged: not a forked simulator"
 
 let traced_rails tr ~wave gate =
@@ -497,12 +558,13 @@ let probe t i =
    The search is [Marked_graph.token_free_cycle]'s depth-first search
    (roots ascending, out-arcs in descending arc order, the first arc that
    closes a cycle on the path wins), run iteratively on stamped scratch
-   arrays. *)
-let blamed_cycle t f =
+   arrays.  A fork's gates outside its divergent set are read in the
+   trace's end-of-wave state [held]. *)
+let blamed_cycle t f ~held =
   let code = t.net.flat.code and wave = t.wave_phase in
   let fired i =
     match code.(i) with
-    | Lut | Master | Trigger -> t.gate_phase.(i) = wave
+    | Lut | Master | Trigger -> phase_in t held i = wave
     | Sink -> false
     | Source | Const | Register -> true
   in
@@ -510,7 +572,7 @@ let blamed_cycle t f =
     let s = f.arc_src.(a) and d = f.arc_dst.(a) in
     match f.role.(a) with
     | Self_loop -> f.arc_tok.(a) = 0
-    | Data -> not (fired s && phase_bit t.rails.(s) = wave && not (fired d))
+    | Data -> not (fired s && phase_bit (rails_in t held s) = wave && not (fired d))
     | Feedback -> (not (fired s)) && fired d
   in
   f.search_stamp <- f.search_stamp + 1;
@@ -560,10 +622,13 @@ let blamed_cycle t f =
   done;
   !cycle
 
-let diagnose_stall t ~unfired =
-  let net = t.net and wave = t.wave_phase in
-  let n = Array.length t.rails in
-  let stale i = phase_bit t.rails.(i) <> wave in
+(* The stall of the wave in progress.  A fork's gates outside its divergent
+   set hold the trace's end-of-wave state, where nothing is stale or
+   unfired, so the scans cover the wave's gates [scan] alone. *)
+let diagnose_stall t ~unfired ~scan =
+  let net = t.net and wave = t.wave_phase and s = t.net.work in
+  let held = held t ~wave:(t.wave_no + 1) in
+  let stale i = phase_bit (rails_in t held i) <> wave in
   let deps i =
     let f = net.flat in
     let first = f.fstart.(i) in
@@ -571,18 +636,20 @@ let diagnose_stall t ~unfired =
     if f.code.(i) = Master then f.arg.(i) :: fanins else fanins
   in
   let waiting_on = List.map (fun i -> (i, List.filter stale (deps i))) unfired in
-  let is_unfired = Array.make n false in
-  List.iter (fun i -> is_unfired.(i) <- true) unfired;
+  s.stall_stamp <- s.stall_stamp + 1;
+  let st = s.stall_stamp in
+  List.iter (fun i -> s.unfired_at.(i) <- st) unfired;
   (* A root stalls without any stale input of its own: the gate a fault
      stopped from firing, rather than a downstream victim. *)
   let roots =
     List.filter_map
       (fun (i, stale_deps) ->
-        if List.for_all (fun d -> not is_unfired.(d)) stale_deps then Some i else None)
+        if List.for_all (fun d -> s.unfired_at.(d) <> st) stale_deps then Some i else None)
       waiting_on
   in
   let stale_sources = ref [] in
-  for i = n - 1 downto 0 do
+  for k = scan.len - 1 downto 0 do
+    let i = scan.ids.(k) in
     let fired_stale =
       match net.flat.code.(i) with
       | Lut | Master | Trigger -> t.gate_phase.(i) = wave && stale i
@@ -597,7 +664,7 @@ let diagnose_stall t ~unfired =
     waiting_on;
     roots;
     stale_sources = !stale_sources;
-    blamed_cycle = blamed_cycle t (Lazy.force net.forensics);
+    blamed_cycle = blamed_cycle t (Lazy.force net.forensics) ~held;
   }
 
 (* Queue the combinational consumers of gate [i] for the next round; with
@@ -663,14 +730,19 @@ let push sp g =
    that a member merely feeds emits the trace's token this wave.  Fills
    [trace.part] and [trace.feeders]: the non-members producing for a
    combinational member, in the order of the rounds in which the trace
-   latched them. *)
+   latched them.
+
+   Only the dirty gates, members of the last wave, hold their own state:
+   every other member, and every feeder's rails, are loaded from the
+   trace's state at the wave's start. *)
 let divergent_set t d =
   let tr = d.trace and f = t.net.flat in
   let code = f.code and n = Array.length t.rails and p = tr.part in
+  let now = tr.states.(t.wave_no - tr.base) in
   tr.dstamp <- tr.dstamp + 2;
   p.scan.len <- 0;
-  for k = 0 to Array.length d.dirty - 1 do
-    enlist tr d.dirty.(k)
+  for k = 0 to tr.ndirty - 1 do
+    enlist tr tr.dirty.(k)
   done;
   if t.wave_no <= d.last then enlist tr d.site;
   let seeds = p.scan.len and k = ref 0 in
@@ -681,6 +753,11 @@ let divergent_set t d =
       for j = t.net.cstart.(g) to t.net.cstart.(g + 1) - 1 do
         enlist tr t.net.consumer.(j)
       done;
+    if !k >= tr.ndirty then begin
+      t.rails.(g) <- now.s_rails.(g);
+      t.gate_phase.(g) <- now.s_phase.(g);
+      t.reg_state.(g) <- now.s_reg.(g)
+    end;
     incr k
   done;
   sort_prefix tr.dset p.scan.len;
@@ -708,6 +785,7 @@ let divergent_set t d =
           let q = f.producer.(j) in
           if tr.member.(q) <> ds && tr.member.(q) <> ds + 1 then begin
             tr.member.(q) <- ds + 1;
+            t.rails.(q) <- now.s_rails.(q);
             tr.feeders.(tr.nfeed) <- ((latched.(q) lsr 1) * n) + q;
             tr.nfeed <- tr.nfeed + 1
           end
@@ -729,28 +807,6 @@ let replay t d ~round ~nnext =
   done;
   !k
 
-(* The end of a differential wave's round loop: every gate outside the
-   divergent set takes the trace's end-of-wave state, the members keep
-   their own. *)
-let merge t tr ~next =
-  let m = tr.part.scan in
-  for k = 0 to m.len - 1 do
-    let g = m.ids.(k) in
-    tr.saved_rails.(k) <- t.rails.(g);
-    tr.saved_phase.(k) <- t.gate_phase.(g);
-    tr.saved_reg.(k) <- t.reg_state.(g)
-  done;
-  let n = Array.length t.rails in
-  Array.blit next.s_rails 0 t.rails 0 n;
-  Array.blit next.s_phase 0 t.gate_phase 0 n;
-  Array.blit next.s_reg 0 t.reg_state 0 n;
-  for k = 0 to m.len - 1 do
-    let g = m.ids.(k) in
-    t.rails.(g) <- tr.saved_rails.(k);
-    t.gate_phase.(g) <- tr.saved_phase.(k);
-    t.reg_state.(g) <- tr.saved_reg.(k)
-  done
-
 let apply t vector =
   let net = t.net and s = t.net.work in
   if Array.length vector <> Array.length (Pl.source_ids net.flat.pl) then
@@ -764,6 +820,7 @@ let apply t vector =
     match t.fork with
     | None -> net.full
     | Some d ->
+        current "Rail_sim.apply" d;
         if wave_no - d.trace.base >= d.trace.recorded then
           invalid_arg "Rail_sim.apply: forked simulator past its trace";
         divergent_set t d;
@@ -903,9 +960,6 @@ let apply t vector =
     ncands := !nnext;
     incr round
   done;
-  (match t.fork with
-  | Some d -> merge t d.trace ~next:d.trace.states.(wave_no - d.trace.base + 1)
-  | None -> ());
   (* Every combinational gate must have fired exactly once; a quiescent
      state with unfired gates is a deadlock, diagnosed in marked-graph
      terms. *)
@@ -914,7 +968,7 @@ let apply t vector =
     let i = comb.ids.(k) in
     if gate_phase.(i) <> wave then unfired := i :: !unfired
   done;
-  if !unfired <> [] then raise (Stalled (diagnose_stall t ~unfired:!unfired));
+  if !unfired <> [] then raise (Stalled (diagnose_stall t ~unfired:!unfired ~scan));
   (* Late inputs have all arrived now: re-evaluate the early-fired masters
      and confirm the latched value was correct (the paper's don't-care
      argument made executable). *)
@@ -924,12 +978,14 @@ let apply t vector =
     if s.early_wave.(i) = ws && eval_gate t i <> s.early_value.(i) then
       violation "gate %d: early value contradicted by late inputs" i
   done;
-  (* Registers capture their D inputs; sinks observe. *)
+  (* Registers capture their D inputs; sinks observe.  A fork reads a
+     producer outside its divergent set in the trace's end-of-wave state. *)
+  let held = held t ~wave:(wave_no + 1) in
   let settles = act.settles in
   for k = 0 to settles.len - 1 do
     let i = settles.ids.(k) in
     if code.(i) = Register then begin
-      let d = rails.(net.flat.fanin.(net.flat.fstart.(i))) in
+      let d = rails_in t held net.flat.fanin.(net.flat.fstart.(i)) in
       if phase_bit d <> wave then violation "register %d: stale D input" i;
       t.reg_state.(i) <- d land 1 = 1
     end
@@ -937,7 +993,7 @@ let apply t vector =
   done;
   let outputs = Array.make (Array.length net.sink_fanin) false in
   for k = 0 to Array.length outputs - 1 do
-    outputs.(k) <- rails.(net.sink_fanin.(k)) land 1 = 1
+    outputs.(k) <- rails_in t held net.sink_fanin.(k) land 1 = 1
   done;
   (* A differential wave counts the trace's early firings outside its
      divergent set, and notes which members now differ from the trace. *)
@@ -945,26 +1001,23 @@ let apply t vector =
     match t.fork with
     | Some d ->
         let tr = d.trace in
-        let next = tr.states.(wave_no - tr.base + 1) in
         let latched = tr.latched.(wave_no - tr.base) in
         let e = ref (tr.early.(wave_no - tr.base) + !early) in
         for k = 0 to masters.len - 1 do
           e := !e - (latched.(masters.ids.(k)) land 1)
         done;
-        (* The feeders are replayed: their slots hold the dirty gates. *)
-        let m = tr.part.scan and ndirty = ref 0 in
-        for k = 0 to m.len - 1 do
-          let g = m.ids.(k) in
+        tr.ndirty <- 0;
+        for k = 0 to scan.len - 1 do
+          let g = scan.ids.(k) in
           if
-            rails.(g) <> next.s_rails.(g)
-            || gate_phase.(g) <> next.s_phase.(g)
-            || t.reg_state.(g) <> next.s_reg.(g)
+            rails.(g) <> held.s_rails.(g)
+            || gate_phase.(g) <> held.s_phase.(g)
+            || t.reg_state.(g) <> held.s_reg.(g)
           then begin
-            tr.feeders.(!ndirty) <- g;
-            incr ndirty
+            tr.dirty.(tr.ndirty) <- g;
+            tr.ndirty <- tr.ndirty + 1
           end
         done;
-        d.dirty <- Array.sub tr.feeders 0 !ndirty;
         !e
     | None -> !early
   in

@@ -96,15 +96,23 @@ val create : ?hooks:hooks -> ?delays:int array -> Pl.t -> t
 
 val reset : t -> unit
 (** Back to the initial state.  A reset simulator no longer records a
-    {!trace}, and one {!fork} made runs whole-netlist waves from then on. *)
+    {!trace}, and one {!fork} made runs whole-netlist waves from then on,
+    in state arrays of its own (a superseded fork may be reset too). *)
 
 val copy : t -> hooks:hooks -> t
 (** [copy t ~hooks] is a simulator in [t]'s current state (rails, gate
     phases, register state and wave count) that injects [hooks] from then
-    on, and runs whole-netlist waves even when [t] is a {!fork}.  It shares [t]'s compiled netlist, delays, deadlock-forensics
+    on, and runs whole-netlist waves even when [t] is a {!fork} (whose
+    state it takes from the merged view, see {!section-differential}).  It
+    shares [t]'s compiled netlist, delays, deadlock-forensics
     cache and per-wave working storage: [t] and its copies are
     independent between waves, but must not run {!apply} concurrently
     from different domains. *)
+
+(** {!copy}, {!rails}, {!phases} and {!same_state} inspect a simulator
+    between waves; on a fork they read the merged view and take time in
+    proportion to the netlist, and on a superseded fork they raise
+    [Invalid_argument]. *)
 
 val rails : t -> Ledr.rails array
 (** The output rail pair of every gate, by gate id (a copy). *)
@@ -188,16 +196,36 @@ val apply : t -> bool array -> bool array * int
     and sinks they feed.  Every other gate has the trace's fanin history,
     so under unit delay it latches in the round the trace recorded, with
     the trace's rails: the wave replays those latches for the gates that
-    feed the set, runs the round loop of {!apply} over the set, and takes
-    the trace's end-of-wave state for the gates outside it.  Outputs,
-    exceptions, early counts and the resulting state are those of a full
-    wave of {!copy} with the same hooks. *)
+    feed the set, runs the round loop of {!apply} over the set, and reads
+    a register's D input or a sink's fanin outside the set in the trace's
+    end-of-wave state.  Outputs, exceptions, early counts and the
+    resulting state are those of a full wave of {!copy} with the same
+    hooks.
+
+    {b State ownership.}  A trace owns one state triple (rails, gate
+    phases, register state), and its forks work in it one at a time: a
+    fork copies nothing, and a new fork of the trace supersedes the
+    previous one, which then raises [Invalid_argument] from {!apply},
+    {!diverged} and the inspection calls.  In the triple, a gate's entry
+    is its own only while the gate is a member of the fork's last wave;
+    every other gate is, by construction, in the trace's state at the
+    same wave boundary.  A wave loads its other members' state, and its
+    feeders' rails, from the trace's wave-start state, and keeps its
+    members' end state where it is: no step of {!fork} or of a
+    differential wave touches a gate outside the divergent set and its
+    feeders, so both cost time and allocation in proportion to those
+    alone (plus the sinks, for the outputs).  The fork's {e merged view}
+    (members from the triple, every other gate from the trace) is what
+    {!copy}, {!rails}, {!phases} and {!same_state} see, and what stall
+    forensics read: outside the set nothing is stale or unfired, so the
+    stall's gate lists are found among the members. *)
 
 type trace
 
 val trace : t -> trace
 (** [trace t] records every wave [t] completes from now on, until {!reset}.
-    Raises [Invalid_argument] when [t] has hooks or round delays. *)
+    Raises [Invalid_argument] when [t] has hooks or round delays, or is a
+    fork. *)
 
 val traced_rails : trace -> wave:int -> int -> Ledr.rails
 (** [traced_rails tr ~wave g]: the rails gate [g] latched in recorded wave
@@ -207,15 +235,17 @@ val fork : trace -> wave:int -> site:int -> last:int -> hooks:hooks -> t
 (** A simulator in the traced state at the start of wave [wave], injecting
     [hooks], whose waves are differential.  The hooks must act only on gate
     [site] and only up to wave [last]: elsewhere each must behave as in
-    {!no_hooks}.  It shares the trace's compiled netlist and scratch (see
-    {!copy}), and can apply only recorded waves ([Invalid_argument]
-    otherwise).  Raises [Invalid_argument] when [wave] is not a recorded
-    wave. *)
+    {!no_hooks}.  It works in the trace's state and supersedes the
+    trace's previous fork (see above), shares the trace's compiled netlist
+    and scratch (see {!copy}), and can apply only recorded waves
+    ([Invalid_argument] otherwise).  Raises [Invalid_argument] when [wave]
+    is not a recorded wave. *)
 
 val diverged : t -> bool
 (** Whether a forked simulator's state differs from the trace's at the
     same wave boundary ({!same_state} with the trace's simulator then).
-    Raises [Invalid_argument] on a simulator {!fork} did not make. *)
+    Raises [Invalid_argument] on a simulator {!fork} did not make, or on a
+    superseded fork. *)
 
 val run_check : Pl.t -> Ee_netlist.Netlist.t -> vectors:int -> seed:int -> bool
 (** Cross-check rail-level simulation against the synchronous golden model

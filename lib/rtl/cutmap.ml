@@ -7,52 +7,10 @@ let is_leaf = function
   | Gates.Gconst _ | Gates.Ginput _ | Gates.Greg _ -> true
   | Gates.Gnot _ | Gates.Gand _ | Gates.Gor _ | Gates.Gxor _ | Gates.Gmux _ -> false
 
-let gate_fanins = function
-  | Gates.Gconst _ | Gates.Ginput _ | Gates.Greg _ -> []
-  | Gates.Gnot x -> [ x ]
-  | Gates.Gand (x, y) | Gates.Gor (x, y) | Gates.Gxor (x, y) -> [ x; y ]
-  | Gates.Gmux (s, f0, f1) -> [ s; f0; f1 ]
-
-(* Evaluate the cone of [root] with boolean [assignment] on the cut leaves
-   (an association list; every path from the primary leaves to [root]
-   crosses it). *)
-let eval_cone gates root assignment =
-  let memo = Hashtbl.create 16 in
-  let rec ev i =
-    match List.assoc_opt i assignment with
-    | Some v -> v
-    | None -> (
-        match Hashtbl.find_opt memo i with
-        | Some v -> v
-        | None ->
-            let v =
-              match gates.(i) with
-              | Gates.Gconst v -> v
-              | Gates.Ginput _ | Gates.Greg _ -> assert false
-              | Gates.Gnot x -> not (ev x)
-              | Gates.Gand (x, y) -> ev x && ev y
-              | Gates.Gor (x, y) -> ev x || ev y
-              | Gates.Gxor (x, y) -> ev x <> ev y
-              | Gates.Gmux (s, f0, f1) -> if ev s then ev f1 else ev f0
-            in
-            Hashtbl.replace memo i v;
-            v
-    )
-  in
-  ev root
-
-let cut_truthtab gates root cut =
-  let k = List.length cut in
-  Ee_logic.Truthtab.of_fun k (fun m ->
-      let assignment = List.mapi (fun j l -> (l, (m lsr j) land 1 = 1)) cut in
-      eval_cone gates root assignment)
-
-let cut_function gates root cut = Lut4.of_truthtab (cut_truthtab gates root cut)
-
 (* Expected arrival of a cut under early evaluation, in level units with a
    uniform-input trigger-rate model (see Ee_core.Analysis). *)
 let ee_expected_arrival ?memo gates root cut leaf_arrival =
-  let f = cut_function gates root cut in
+  let f = Gates.cone_lut4 gates ~root ~leaves:cut in
   let arrivals = Array.of_list (List.map leaf_arrival cut) in
   let support = Lut4.support f in
   let m_max =
@@ -87,7 +45,7 @@ let label_cuts ~cap ~mode ~cuts_per_node ?memo (c : Gates.circuit) =
      Interface roots (outputs, register next-state bits) count as one
      reference each. *)
   let refs = Array.make n 0 in
-  Array.iter (fun g -> List.iter (fun f -> refs.(f) <- refs.(f) + 1) (gate_fanins g)) gates;
+  Array.iter (fun g -> List.iter (fun f -> refs.(f) <- refs.(f) + 1) (Gates.fanins g)) gates;
   List.iter
     (fun (_, bits) -> Array.iter (fun g -> refs.(g) <- refs.(g) + 1) bits)
     c.Gates.reg_next;
@@ -120,7 +78,7 @@ let label_cuts ~cap ~mode ~cuts_per_node ?memo (c : Gates.circuit) =
       best_cut.(i) <- [ i ]
     end
     else begin
-      let fanins = gate_fanins gates.(i) in
+      let fanins = Gates.fanins gates.(i) in
       let options = List.map (fun f -> cut_lists.(f)) fanins in
       let merged = List.sort_uniq compare (merge_cuts options) in
       (* Depth pre-score to bound the expensive EE scoring. *)
@@ -228,7 +186,7 @@ let run ?(mode = Depth) ?(cuts_per_node = 8) ?memo ?(flat_ports = false)
         | Gates.Greg (nm, k) -> Hashtbl.find reg_ids (nm, k)
         | _ ->
             let cut = best_cut.(i) in
-            let func = cut_function gates i cut in
+            let func = Gates.cone_lut4 gates ~root:i ~leaves:cut in
             let fanin = Array.of_list (List.map emit cut) in
             Netlist.add_lut b func fanin
       in
@@ -271,7 +229,8 @@ let wide_covers ?(lut_k = 6) ?(cuts_per_node = 8) (c : Gates.circuit) =
     if not (visited.(i) || is_leaf gates.(i)) then begin
       visited.(i) <- true;
       let cut = best_cut.(i) in
-      covers := { wroot = i; wleaves = cut; wfunc = cut_truthtab gates i cut } :: !covers;
+      let wfunc = Gates.cone_function gates ~root:i ~leaves:cut in
+      covers := { wroot = i; wleaves = cut; wfunc } :: !covers;
       List.iter walk cut
     end
   in

@@ -142,6 +142,12 @@ let finalize b =
 
 let gate_count c = Array.length c.gates
 
+let fanins = function
+  | Gconst _ | Ginput _ | Greg _ -> []
+  | Gnot x -> [ x ]
+  | Gand (x, y) | Gor (x, y) | Gxor (x, y) -> [ x; y ]
+  | Gmux (s, f0, f1) -> [ s; f0; f1 ]
+
 let eval c ~env ~regs =
   let values = Array.make (Array.length c.gates) false in
   Array.iteri
@@ -158,3 +164,57 @@ let eval c ~env ~regs =
         | Gmux (s, f0, f1) -> if values.(s) then values.(f1) else values.(f0)))
     c.gates;
   values
+
+(* A cone's truth table over [arity] variables (leaf [j] is variable [j]),
+   32 minterms per machine word: word [c] holds minterms [32c .. 32c + 31].
+   Variable [j]'s pattern in word [c] is [chunk_var.(j)] for [j < 5], and
+   all ones or all zeros by bit [j - 5] of [c] above that.  Each word
+   evaluates the cone once, memoised along the way. *)
+let chunk_var = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000 |]
+
+let cone_words gates ~root ~leaves ~arity =
+  assert (List.length leaves <= arity && arity <= 8);
+  let mask = if arity >= 5 then 0xFFFFFFFF else (1 lsl (1 lsl arity)) - 1 in
+  let rec find i = function
+    | [] -> -1
+    | (g, v) :: rest -> if g = i then v else find i rest
+  in
+  Array.init
+    (max 1 ((1 lsl arity) lsr 5))
+    (fun c ->
+      let pattern j =
+        if j < 5 then chunk_var.(j) land mask else if (c lsr (j - 5)) land 1 = 1 then mask else 0
+      in
+      let memo = ref (List.mapi (fun j l -> (l, pattern j)) leaves) in
+      let rec ev i =
+        let v = find i !memo in
+        if v >= 0 then v
+        else begin
+          let v =
+            match gates.(i) with
+            | Gconst b -> if b then mask else 0
+            | Ginput _ | Greg _ ->
+                assert false (* every path from them to [root] crosses [leaves] *)
+            | Gnot x -> lnot (ev x) land mask
+            | Gand (x, y) -> ev x land ev y
+            | Gor (x, y) -> ev x lor ev y
+            | Gxor (x, y) -> ev x lxor ev y
+            | Gmux (s, f0, f1) ->
+                let s = ev s in
+                (s land ev f1) lor (lnot s land ev f0)
+          in
+          memo := (i, v) :: !memo;
+          v
+        end
+      in
+      ev root)
+
+let cone_function gates ~root ~leaves =
+  let arity = List.length leaves in
+  let w = cone_words gates ~root ~leaves ~arity in
+  Ee_logic.Truthtab.of_fun arity (fun m -> (w.(m lsr 5) lsr (m land 31)) land 1 = 1)
+
+(* Over four variables the unused ones replicate the table, as
+   [Lut4.of_truthtab] pads it. *)
+let cone_lut4 gates ~root ~leaves =
+  Ee_logic.Lut4.of_int (cone_words gates ~root ~leaves ~arity:4).(0)

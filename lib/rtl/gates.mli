@@ -57,5 +57,19 @@ val finalize : builder -> circuit
 
 val gate_count : circuit -> int
 
+val fanins : gate -> int list
+(** The gates a gate reads, in operand order ([Gmux]: select, [f0], [f1]);
+    none for a constant, an input or a register. *)
+
 val eval : circuit -> env:(string * int -> bool) -> regs:(string * int -> bool) -> bool array
 (** Evaluate every gate; [env] supplies input bits, [regs] register bits. *)
+
+val cone_function : gate array -> root:int -> leaves:int list -> Ee_logic.Truthtab.t
+(** The function of the cone of gate [root] over its [leaves] (at most 8;
+    leaf [j] is variable [j]): every path from an input or register to
+    [root] must cross [leaves].  The cone is evaluated on 32 minterms at a
+    time, once per 32. *)
+
+val cone_lut4 : gate array -> root:int -> leaves:int list -> Ee_logic.Lut4.t
+(** [Lut4.of_truthtab (cone_function gates ~root ~leaves)] for at most 4
+    leaves, evaluated once. *)

@@ -1,5 +1,4 @@
 module Netlist = Ee_netlist.Netlist
-module Lut4 = Ee_logic.Lut4
 
 let bit_name name k = Printf.sprintf "%s[%d]" name k
 
@@ -7,17 +6,11 @@ let is_comb = function
   | Gates.Gnot _ | Gates.Gand _ | Gates.Gor _ | Gates.Gxor _ | Gates.Gmux _ -> true
   | Gates.Gconst _ | Gates.Ginput _ | Gates.Greg _ -> false
 
-let gate_fanins = function
-  | Gates.Gconst _ | Gates.Ginput _ | Gates.Greg _ -> []
-  | Gates.Gnot x -> [ x ]
-  | Gates.Gand (x, y) | Gates.Gor (x, y) | Gates.Gxor (x, y) -> [ x; y ]
-  | Gates.Gmux (s, f0, f1) -> [ s; f0; f1 ]
-
 let run (c : Gates.circuit) =
   let n = Gates.gate_count c in
   let fanout = Array.make n 0 in
   Array.iter
-    (fun g -> List.iter (fun x -> fanout.(x) <- fanout.(x) + 1) (gate_fanins g))
+    (fun g -> List.iter (fun x -> fanout.(x) <- fanout.(x) + 1) (Gates.fanins g))
     c.gates;
   let interface_used = Array.make n false in
   let mark_bits bits = Array.iter (fun x -> interface_used.(x) <- true) bits in
@@ -26,9 +19,9 @@ let run (c : Gates.circuit) =
   (* A gate can be absorbed into its (unique) user's cone when it is
      combinational, drives nothing else and is not read by the interface. *)
   let absorbable i = is_comb c.gates.(i) && (not interface_used.(i)) && fanout.(i) = 1 in
-  let cluster root =
+  let grow_cluster root =
     (* Leaves of the cone rooted at [root], grown greedily while <= 4. *)
-    let leaves = ref (gate_fanins c.gates.(root)) in
+    let leaves = ref (Gates.fanins c.gates.(root)) in
     let dedup l = List.sort_uniq compare l in
     leaves := dedup !leaves;
     let progress = ref true in
@@ -36,7 +29,7 @@ let run (c : Gates.circuit) =
       progress := false;
       let try_absorb l =
         if absorbable l then begin
-          let expanded = dedup (List.filter (fun x -> x <> l) !leaves @ gate_fanins c.gates.(l)) in
+          let expanded = dedup (List.filter (fun x -> x <> l) !leaves @ Gates.fanins c.gates.(l)) in
           if List.length expanded <= 4 then begin
             leaves := expanded;
             true
@@ -50,6 +43,15 @@ let run (c : Gates.circuit) =
       | None -> ()
     done;
     !leaves
+  in
+  let clusters = Array.make n None in
+  let cluster i =
+    match clusters.(i) with
+    | Some l -> l
+    | None ->
+        let l = grow_cluster i in
+        clusters.(i) <- Some l;
+        l
   in
   (* Pass 1: decide which combinational gates become LUT roots. *)
   let root = Array.make n false in
@@ -67,7 +69,7 @@ let run (c : Gates.circuit) =
     if not live.(i) then begin
       live.(i) <- true;
       if is_comb c.gates.(i) then
-        if root.(i) then List.iter reach (cluster i) else List.iter reach (gate_fanins c.gates.(i))
+        if root.(i) then List.iter reach (cluster i) else List.iter reach (Gates.fanins c.gates.(i))
     end
   in
   List.iter (fun (_, bits) -> Array.iter reach bits) c.reg_next;
@@ -107,46 +109,12 @@ let run (c : Gates.circuit) =
         assert (node_of.(i) >= 0);
         node_of.(i)
   in
-  (* Evaluate the cone of [root] on one assignment of its leaves. *)
-  let eval_cone rootg leaves assignment =
-    let memo = Hashtbl.create 16 in
-    let rec ev i =
-      match Hashtbl.find_opt memo i with
-      | Some v -> v
-      | None ->
-          let v =
-            match List.assoc_opt i assignment with
-            | Some v -> v
-            | None -> (
-                match c.gates.(i) with
-                | Gates.Gconst v -> v
-                | Gates.Ginput _ | Gates.Greg _ ->
-                    assert false (* leaf types always appear in [assignment] *)
-                | Gates.Gnot x -> not (ev x)
-                | Gates.Gand (x, y) -> ev x && ev y
-                | Gates.Gor (x, y) -> ev x || ev y
-                | Gates.Gxor (x, y) -> ev x <> ev y
-                | Gates.Gmux (s, f0, f1) -> if ev s then ev f1 else ev f0)
-          in
-          Hashtbl.replace memo i v;
-          v
-    in
-    ignore leaves;
-    ev rootg
-  in
   for i = 0 to n - 1 do
     if live.(i) && root.(i) then begin
       let leaves = cluster i in
       let k = List.length leaves in
       assert (k >= 1 && k <= 4);
-      let func =
-        Lut4.of_truthtab
-          (Ee_logic.Truthtab.of_fun k (fun m ->
-               let assignment =
-                 List.mapi (fun pos l -> (l, (m lsr pos) land 1 = 1)) leaves
-               in
-               eval_cone i leaves assignment))
-      in
+      let func = Gates.cone_lut4 c.gates ~root:i ~leaves in
       let fanin = Array.of_list (List.map map_leaf leaves) in
       node_of.(i) <- Netlist.add_lut b func fanin
     end

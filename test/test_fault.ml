@@ -260,7 +260,7 @@ let test_forked_matches_cold () =
                 ~expected r)
             [ 2002; 7 ])
         [ ("ee", a.Ee_report.Pipeline.pl_ee); ("no-ee", a.Ee_report.Pipeline.pl) ])
-    [ "b01"; "b03"; "b06"; "b08"; "b09" ]
+    [ "b01"; "b03"; "b05"; "b06"; "b08"; "b09"; "b12" ]
 
 let report_md5 id =
   let a = artifact id in
@@ -387,6 +387,151 @@ let test_fault_windows () =
       | _ -> Alcotest.(check bool) "a transient acts in its wave" true (first = 4 && last = 4))
     (Fault.enumerate pl ~waves:9)
 
+(* The fault-free run of [pl] over [vectors], traced. *)
+let traced pl vectors =
+  let base = Rail_sim.create pl in
+  let trace = Rail_sim.trace base in
+  Array.iter (fun v -> ignore (Rail_sim.apply base v)) vectors;
+  trace
+
+let step sim v =
+  match Rail_sim.apply sim v with
+  | r -> `Wave r
+  | exception Rail_sim.Protocol_violation m -> `Violation m
+  | exception Rail_sim.Stalled s -> `Stall s
+
+(* A fork keeps only its divergent set's state, yet after every wave its
+   whole-netlist view is that of a full wave: [Rail_sim.copy] of the
+   fault-free run at the fork's wave, with the same hooks, gives the same
+   outcomes, rails, phases and state wave by wave. *)
+let test_fork_state_view () =
+  List.iter
+    (fun id ->
+      let a = artifact id in
+      let pl = a.Ee_report.Pipeline.pl_ee and waves = 12 in
+      let width = Array.length (Pl.source_ids pl) in
+      let vectors =
+        Array.of_list
+          (fst (vectors_and_golden a.Ee_report.Pipeline.netlist ~width ~waves ~seed:2002))
+      in
+      let trace = traced pl vectors in
+      let faults = Fault.enumerate pl ~waves in
+      let stride = max 1 (List.length faults / 60) in
+      List.iteri
+        (fun k fault ->
+          let first, last = Fault.window fault in
+          if k mod stride = 0 && first < waves then begin
+            let hooks = Fault.hooks fault in
+            let fork = Rail_sim.fork trace ~wave:first ~site:(Fault.site fault) ~last ~hooks in
+            let full = Rail_sim.create pl in
+            for w = 0 to first - 1 do
+              ignore (Rail_sim.apply full vectors.(w))
+            done;
+            let full = Rail_sim.copy full ~hooks in
+            let rec go w =
+              if w < waves then begin
+                let label what =
+                  Printf.sprintf "%s %s wave %d: %s" id (Fault.to_string fault) w what
+                in
+                let forked = step fork vectors.(w) in
+                if forked <> step full vectors.(w) then Alcotest.fail (label "outcome");
+                match forked with
+                | `Wave _ ->
+                    if Rail_sim.rails fork <> Rail_sim.rails full then
+                      Alcotest.fail (label "rails");
+                    if Rail_sim.phases fork <> Rail_sim.phases full then
+                      Alcotest.fail (label "phases");
+                    if not (Rail_sim.same_state fork full) then Alcotest.fail (label "same_state");
+                    if not (Rail_sim.same_state (Rail_sim.copy fork ~hooks) full) then
+                      Alcotest.fail (label "copy");
+                    go (w + 1)
+                | _ -> ()
+              end
+            in
+            go first
+          end)
+        faults)
+    [ "b01"; "b05"; "b12" ]
+
+(* Words [f ()] allocates, minor and directly major. *)
+let allocated f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor = Gc.minor_words () -. minor0 and _, promoted1, major1 = Gc.counters () in
+  minor +. (major1 -. major0 -. (promoted1 -. promoted0))
+
+(* A fork and one differential wave of a fault at one gate allocate a few
+   words on b15 as on b01: the fork works in its trace's state, and the
+   wave touches its divergent set and the sinks alone. *)
+let test_fork_allocation () =
+  List.iter
+    (fun (id, build) ->
+      let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (build ())) in
+      let rng = Ee_util.Prng.create 5 in
+      let width = Array.length (Pl.source_ids pl) in
+      let vectors = Array.init 3 (fun _ -> Ee_util.Prng.bool_vector rng width) in
+      let trace = traced pl vectors in
+      let gates = Pl.gates pl in
+      let luts =
+        List.filter
+          (fun i -> match gates.(i).Pl.kind with Pl.Gate _ -> true | _ -> false)
+          (List.init (Array.length gates) Fun.id)
+      in
+      let gate = List.nth luts (List.length luts / 2) in
+      (* Pinned to the value the gate drives on it in wave 1: the hook runs
+         on every latch of the gate and changes none. *)
+      let value = (Rail_sim.traced_rails trace ~wave:1 gate).Ee_phased.Ledr.v in
+      let hooks = Fault.hooks (Fault.Stuck_rail { gate; rail = Fault.V; value }) in
+      let once () =
+        let sim = Rail_sim.fork trace ~wave:1 ~site:gate ~last:max_int ~hooks in
+        Rail_sim.apply sim vectors.(1)
+      in
+      ignore (once ());
+      let words = allocated once in
+      if words > 256. then
+        Alcotest.failf "%s (%d gates): fork and one wave allocated %.0f words (bound 256)" id
+          (Array.length gates) words)
+    Ee_bench_circuits.Itc99.[ ("b01", b01); ("b05", b05); ("b15", b15) ]
+
+(* Forks of one trace share its state: a newer fork supersedes an older
+   one, which then refuses every call but [reset]. *)
+let test_superseded_fork () =
+  let a = artifact "b01" in
+  let pl = a.Ee_report.Pipeline.pl_ee in
+  let width = Array.length (Pl.source_ids pl) in
+  let vectors =
+    Array.of_list (fst (vectors_and_golden a.Ee_report.Pipeline.netlist ~width ~waves:4 ~seed:1))
+  in
+  let trace = traced pl vectors in
+  let fork () = Rail_sim.fork trace ~wave:1 ~site:0 ~last:1 ~hooks:Rail_sim.no_hooks in
+  let old = fork () in
+  ignore (Rail_sim.apply old vectors.(1));
+  let current = fork () in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s on a superseded fork was accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("apply", fun () -> ignore (Rail_sim.apply old vectors.(2)));
+      ("diverged", fun () -> ignore (Rail_sim.diverged old));
+      ("rails", fun () -> ignore (Rail_sim.rails old));
+      ("phases", fun () -> ignore (Rail_sim.phases old));
+      ("copy", fun () -> ignore (Rail_sim.copy old ~hooks:Rail_sim.no_hooks));
+      ("same_state", fun () -> ignore (Rail_sim.same_state old current));
+    ];
+  ignore (Rail_sim.apply current vectors.(1));
+  Alcotest.(check bool) "the current fork runs" false (Rail_sim.diverged current);
+  (* A reset fork is a whole-netlist simulator with state of its own. *)
+  Rail_sim.reset old;
+  let fresh = Rail_sim.create pl in
+  Alcotest.(check bool) "reset superseded fork is in the initial state" true
+    (Rail_sim.same_state old fresh);
+  ignore (Rail_sim.apply old vectors.(0));
+  ignore (Rail_sim.apply current vectors.(2));
+  ignore (Rail_sim.apply fresh vectors.(0));
+  Alcotest.(check bool) "and runs apart from the current fork" true (Rail_sim.same_state old fresh)
+
 let suite =
   ( "fault",
     [
@@ -408,4 +553,7 @@ let suite =
         test_campaign_without_checkpoints;
       Alcotest.test_case "token audit rejects max_arcs < 1" `Quick test_token_audit_bounds;
       Alcotest.test_case "fault wave windows" `Quick test_fault_windows;
+      Alcotest.test_case "fork state = full wave of a copy" `Quick test_fork_state_view;
+      Alcotest.test_case "fork and wave allocation bounded" `Quick test_fork_allocation;
+      Alcotest.test_case "superseded fork refused" `Quick test_superseded_fork;
     ] )

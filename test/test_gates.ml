@@ -107,6 +107,50 @@ let test_structural_sharing_in_elaboration () =
     (Gates.gate_count (Ee_rtl.Elaborate.run d2))
     (Gates.gate_count (Ee_rtl.Elaborate.run d1))
 
+(* The bit-parallel cone evaluator against per-minterm evaluation with
+   [Gates.eval]: random gates over [k] inputs (k = 1 .. 8), the last one the
+   root, its leaves the inputs in declaration order. *)
+let test_cone_function () =
+  let rng = Ee_util.Prng.create 11 in
+  for trial = 0 to 199 do
+    let k = 1 + (trial mod 8) in
+    let b = Gates.builder () in
+    let inputs = Array.init k (fun j -> Gates.input b "i" j) in
+    let pool = ref (Array.to_list inputs) in
+    let pick () = List.nth !pool (Ee_util.Prng.int rng (List.length !pool)) in
+    let root = ref inputs.(0) in
+    for _ = 1 to 12 do
+      let g =
+        match Ee_util.Prng.int rng 6 with
+        | 0 -> Gates.gnot b (pick ())
+        | 1 -> Gates.gand b (pick ()) (pick ())
+        | 2 -> Gates.gor b (pick ()) (pick ())
+        | 3 -> Gates.gxor b (pick ()) (pick ())
+        | 4 -> Gates.gmux b ~sel:(pick ()) ~f0:(pick ()) ~f1:(Gates.const b true)
+        | _ -> Gates.gmux b ~sel:(pick ()) ~f0:(pick ()) ~f1:(pick ())
+      in
+      pool := g :: !pool;
+      root := g
+    done;
+    Gates.declare_input b "i" k;
+    Gates.set_output b "o" [| !root |];
+    let c = Gates.finalize b in
+    let leaves = Array.to_list inputs in
+    let expected =
+      Ee_logic.Truthtab.of_fun k (fun m ->
+          (Gates.eval c ~env:(fun (_, j) -> (m lsr j) land 1 = 1) ~regs:(fun _ -> false)).(!root))
+    in
+    let got = Gates.cone_function c.Gates.gates ~root:!root ~leaves in
+    if not (Ee_logic.Truthtab.equal expected got) then
+      Alcotest.failf "trial %d (%d leaves): cone %s, per-minterm %s" trial k
+        (Ee_logic.Truthtab.to_string got) (Ee_logic.Truthtab.to_string expected);
+    if k <= 4 then
+      Alcotest.(check int)
+        (Printf.sprintf "trial %d: LUT4 padding" trial)
+        (Ee_logic.Lut4.to_int (Ee_logic.Lut4.of_truthtab expected))
+        (Ee_logic.Lut4.to_int (Gates.cone_lut4 c.Gates.gates ~root:!root ~leaves))
+  done
+
 let suite =
   ( "gates",
     [
@@ -119,4 +163,5 @@ let suite =
       Alcotest.test_case "eval" `Quick test_eval;
       Alcotest.test_case "elaborate shapes" `Quick test_elaborate_shapes;
       Alcotest.test_case "sharing in elaboration" `Quick test_structural_sharing_in_elaboration;
+      Alcotest.test_case "cone function = per-minterm eval" `Quick test_cone_function;
     ] )
