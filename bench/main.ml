@@ -763,7 +763,7 @@ let print_serve ~clients () =
       Array.init per_driver (fun _ ->
           let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX sock);
-          (fd, ref "", (Q.create () : (int * float) Q.t)))
+          (fd, Buffer.create 4096, (Q.create () : (int * float) Q.t)))
     in
     let warm = ref [] and cold = ref [] and sleeps = ref [] in
     let errs = Hashtbl.create 8 in
@@ -787,24 +787,17 @@ let print_serve ~clients () =
             (1 + Option.value ~default:0 (Hashtbl.find_opt errs code))
       | None -> ()
     in
+    let chunk = Bytes.create 65536 in
     let read_conn (fd, rbuf, pending) =
-      let buf = Bytes.create 65536 in
-      match Unix.read fd buf 0 (Bytes.length buf) with
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
       | 0 -> ()
       | n ->
-          rbuf := !rbuf ^ Bytes.sub_string buf 0 n;
-          let rec split () =
-            match String.index_opt !rbuf '\n' with
-            | None -> ()
-            | Some i ->
-                let line = String.sub !rbuf 0 i in
-                rbuf := String.sub !rbuf (i + 1) (String.length !rbuf - i - 1);
-                (match Q.take_opt pending with
-                | Some tag -> on_line line tag
-                | None -> ());
-                split ()
-          in
-          split ()
+          let from = Buffer.length rbuf in
+          Buffer.add_subbytes rbuf chunk 0 n;
+          List.iter
+            (fun line ->
+              match Q.take_opt pending with Some tag -> on_line line tag | None -> ())
+            (Ee_serve.Protocol.take_lines rbuf ~from)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
           ()

@@ -3,26 +3,42 @@ type t = {
   srcs : int array;
   dsts : int array;
   toks : int array;
-  out_arcs : int list array; (* arcs leaving each node *)
-  in_arcs : int list array;
+  (* CSR arc tables: node [v]'s out-arcs are [out_arc.(out_start.(v)) ..
+     out_arc.(out_start.(v + 1) - 1)], in descending arc index; likewise
+     its in-arcs. *)
+  out_start : int array;
+  out_arc : int array;
+  in_start : int array;
+  in_arc : int array;
 }
 
+(* Arcs grouped by the node [ends.(a)], each group in descending arc index. *)
+let csr nodes ends =
+  let start = Array.make (nodes + 1) 0 in
+  Array.iter (fun v -> start.(v + 1) <- start.(v + 1) + 1) ends;
+  for v = 0 to nodes - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 nodes and arc = Array.make (Array.length ends) 0 in
+  for a = Array.length ends - 1 downto 0 do
+    let v = ends.(a) in
+    arc.(fill.(v)) <- a;
+    fill.(v) <- fill.(v) + 1
+  done;
+  (start, arc)
+
 let make ~nodes ~arcs =
-  let n = List.length arcs in
-  let srcs = Array.make n 0 and dsts = Array.make n 0 and toks = Array.make n 0 in
-  let out_arcs = Array.make nodes [] and in_arcs = Array.make nodes [] in
-  List.iteri
-    (fun i (s, d, k) ->
+  let arcs = Array.of_list arcs in
+  Array.iter
+    (fun (s, d, k) ->
       if s < 0 || s >= nodes || d < 0 || d >= nodes then
         invalid_arg "Marked_graph.make: arc endpoint out of range";
-      if k < 0 then invalid_arg "Marked_graph.make: negative token count";
-      srcs.(i) <- s;
-      dsts.(i) <- d;
-      toks.(i) <- k;
-      out_arcs.(s) <- i :: out_arcs.(s);
-      in_arcs.(d) <- i :: in_arcs.(d))
+      if k < 0 then invalid_arg "Marked_graph.make: negative token count")
     arcs;
-  { nodes; srcs; dsts; toks; out_arcs; in_arcs }
+  let srcs = Array.map (fun (s, _, _) -> s) arcs and dsts = Array.map (fun (_, d, _) -> d) arcs in
+  let out_start, out_arc = csr nodes srcs and in_start, in_arc = csr nodes dsts in
+  let toks = Array.map (fun (_, _, k) -> k) arcs in
+  { nodes; srcs; dsts; toks; out_start; out_arc; in_start; in_arc }
 
 let node_count t = t.nodes
 
@@ -30,30 +46,78 @@ let arc_count t = Array.length t.srcs
 
 let arcs t = Array.init (arc_count t) (fun i -> (t.srcs.(i), t.dsts.(i), t.toks.(i)))
 
-(* Acyclicity of the sub-graph formed by arcs satisfying [keep], via
-   recursive DFS (depth bounded by node count). *)
-let subgraph_acyclic t keep =
-  let state = Array.make t.nodes 0 in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let cyclic = ref false in
-  let rec visit v =
-    if state.(v) = 0 then begin
-      state.(v) <- 1;
-      List.iter
-        (fun a ->
-          if keep a then
-            let w = t.dsts.(a) in
-            if state.(w) = 1 then cyclic := true else if state.(w) = 0 then visit w)
-        t.out_arcs.(v);
-      state.(v) <- 2
-    end
-  in
-  for v = 0 to t.nodes - 1 do
-    if not !cyclic then visit v
-  done;
-  not !cyclic
+type scratch = {
+  mutable stamp : int;
+  visited : int array; (* stamp: reached by the search *)
+  finished : int array; (* stamp: all its out-arcs explored *)
+  parent_arc : int array;
+  stack : int array; (* depth-first path, as nodes *)
+  cursor : int array; (* per path entry, the next out-arc slot to try *)
+}
 
-let tokens_on_cycles_ok t = subgraph_acyclic t (fun a -> t.toks.(a) = 0)
+let scratch t =
+  let n = t.nodes in
+  {
+    stamp = 0;
+    visited = Array.make n 0;
+    finished = Array.make n 0;
+    parent_arc = Array.make n 0;
+    stack = Array.make n 0;
+    cursor = Array.make n 0;
+  }
+
+(* The path from [w] to [u] along parent arcs, ending [acc]. *)
+let rec path_back t s w u acc =
+  if u = w then acc
+  else
+    let p = t.srcs.(s.parent_arc.(u)) in
+    path_back t s w p (p :: acc)
+
+(* Depth-first search over the [free] arcs: roots ascending, each node's
+   out-arcs in descending arc index, and the first arc that closes a cycle
+   on the current path wins.  Allocates nothing but the cycle. *)
+let free_cycle t s ~free =
+  s.stamp <- s.stamp + 1;
+  let st = s.stamp in
+  let cycle = ref [] and searching = ref true and root = ref 0 in
+  while !searching && !root < t.nodes do
+    let r = !root in
+    if s.visited.(r) <> st then begin
+      s.visited.(r) <- st;
+      s.stack.(0) <- r;
+      s.cursor.(0) <- t.out_start.(r);
+      let sp = ref 1 in
+      while !searching && !sp > 0 do
+        let v = s.stack.(!sp - 1) and c = s.cursor.(!sp - 1) in
+        if c = t.out_start.(v + 1) then begin
+          s.finished.(v) <- st;
+          decr sp
+        end
+        else begin
+          s.cursor.(!sp - 1) <- c + 1;
+          let a = t.out_arc.(c) in
+          if free a then begin
+            let w = t.dsts.(a) in
+            if s.visited.(w) <> st then begin
+              s.visited.(w) <- st;
+              s.parent_arc.(w) <- a;
+              s.stack.(!sp) <- w;
+              s.cursor.(!sp) <- t.out_start.(w);
+              incr sp
+            end
+            else if s.finished.(w) <> st then begin
+              cycle := path_back t s w v [ v ];
+              searching := false
+            end
+          end
+        end
+      done
+    end;
+    incr root
+  done;
+  !cycle
+
+let tokens_on_cycles_ok t = free_cycle t (scratch t) ~free:(fun a -> t.toks.(a) = 0) = []
 
 (* Tarjan strongly-connected components. *)
 let scc_ids t =
@@ -70,15 +134,14 @@ let scc_ids t =
     incr counter;
     stack := v :: !stack;
     on_stack.(v) <- true;
-    List.iter
-      (fun a ->
-        let w = t.dsts.(a) in
-        if index.(w) = -1 then begin
-          strong w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      t.out_arcs.(v);
+    for c = t.out_start.(v) to t.out_start.(v + 1) - 1 do
+      let w = t.dsts.(t.out_arc.(c)) in
+      if index.(w) = -1 then begin
+        strong w;
+        low.(v) <- min low.(v) low.(w)
+      end
+      else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
+    done;
     if low.(v) = index.(v) then begin
       let rec pop () =
         match !stack with
@@ -110,54 +173,80 @@ let all_arcs_on_cycles t =
 
 let is_live t = tokens_on_cycles_ok t && all_arcs_on_cycles t
 
-(* Dijkstra from [src]: minimum token weight to every node. *)
-module Pq = Set.Make (struct
-  type t = int * int (* dist, node *)
-
-  let compare = compare
-end)
-
-let dijkstra t src =
-  let dist = Array.make t.nodes max_int in
-  dist.(src) <- 0;
-  let pq = ref (Pq.singleton (0, src)) in
-  while not (Pq.is_empty !pq) do
-    let ((d, v) as el) = Pq.min_elt !pq in
-    pq := Pq.remove el !pq;
-    if d = dist.(v) then
-      List.iter
-        (fun a ->
-          let w = t.dsts.(a) in
-          let nd = d + t.toks.(a) in
-          if nd < dist.(w) then begin
-            dist.(w) <- nd;
-            pq := Pq.add (nd, w) !pq
-          end)
-        t.out_arcs.(v)
-  done;
-  dist
-
-let min_cycle_tokens t a =
-  let dist = dijkstra t t.dsts.(a) in
-  if dist.(t.srcs.(a)) = max_int then None else Some (t.toks.(a) + dist.(t.srcs.(a)))
-
-(* The first arc, scanning destinations in ascending order with one
-   Dijkstra per destination, that lies on no cycle of exactly one token. *)
+(* The first arc that lies on no cycle of at most one token, scanning
+   destinations ascending and, per destination [d], its in-arcs from the
+   highest index down.  Arc [(s, d, k)] is safe when [k] plus the fewest
+   tokens on a path [d ->* s] is at most one.  Most arcs need no search: a
+   self-loop is its own cycle, and a partner arc [(d, s, k')] with
+   [k + k' <= 1] closes a one-token 2-cycle (the C-element rendezvous of a
+   data arc and its acknowledge).  For the rest, one search per
+   destination, run when first needed, marks every node within one token
+   of [d]: the closure over token-free arcs, then one-token arcs out of it
+   and their token-free closure. *)
 let unsafe_arc t =
-  let by_dst = Array.make t.nodes [] in
-  for a = 0 to arc_count t - 1 do
-    by_dst.(t.dsts.(a)) <- a :: by_dst.(t.dsts.(a))
-  done;
-  let rec scan v =
-    if v = t.nodes then None
-    else if by_dst.(v) = [] then scan (v + 1)
-    else
-      let dist = dijkstra t v in
-      let unsafe a =
-        let back = dist.(t.srcs.(a)) in
-        back = max_int || t.toks.(a) + back > 1
+  let n = t.nodes in
+  let partner = Array.make n (-1) (* = d: some arc d -> v, fewest tokens [partner_toks] *)
+  and partner_toks = Array.make n 0 in
+  let reached = Array.make n (-1) (* = d: within one token of d, fewest [level] *)
+  and level = Array.make n 0
+  and queue = Array.make n 0 in
+  let search d =
+    let tail = ref 0 in
+    let push v l =
+      reached.(v) <- d;
+      level.(v) <- l;
+      queue.(!tail) <- v;
+      incr tail
+    in
+    (* Push the unreached heads of queue entry [i]'s [k]-token arcs. *)
+    let expand i k l =
+      let v = queue.(i) in
+      for c = t.out_start.(v) to t.out_start.(v + 1) - 1 do
+        let a = t.out_arc.(c) in
+        if t.toks.(a) = k && reached.(t.dsts.(a)) <> d then push t.dsts.(a) l
+      done
+    in
+    push d 0;
+    let i = ref 0 in
+    while !i < !tail do
+      expand !i 0 0;
+      incr i
+    done;
+    for j = 0 to !i - 1 do
+      expand j 1 1
+    done;
+    while !i < !tail do
+      expand !i 0 1;
+      incr i
+    done
+  in
+  let rec scan d =
+    if d = n then None
+    else begin
+      for c = t.out_start.(d) to t.out_start.(d + 1) - 1 do
+        let a = t.out_arc.(c) in
+        let w = t.dsts.(a) in
+        if partner.(w) <> d || t.toks.(a) < partner_toks.(w) then begin
+          partner.(w) <- d;
+          partner_toks.(w) <- t.toks.(a)
+        end
+      done;
+      let safe a =
+        let s = t.srcs.(a) and k = t.toks.(a) in
+        if s = d then k <= 1
+        else if partner.(s) = d && k + partner_toks.(s) <= 1 then true
+        else begin
+          if reached.(d) <> d then search d;
+          reached.(s) = d && k + level.(s) <= 1
+        end
       in
-      match List.find_opt unsafe by_dst.(v) with Some a -> Some a | None -> scan (v + 1)
+      let rec first c =
+        if c = t.in_start.(d + 1) then scan (d + 1)
+        else if safe t.in_arc.(c) then first (c + 1)
+        else Some t.in_arc.(c)
+      in
+      first t.in_start.(d)
+    end
   in
   scan 0
 
@@ -203,12 +292,18 @@ let adjust_tokens m ~arc ~delta =
       (Printf.sprintf "Marked_graph.adjust_tokens: arc %d would hold %d tokens" arc next);
   m.(arc) <- next
 
-let enabled t m v = List.for_all (fun a -> m.(a) > 0) t.in_arcs.(v)
+let rec marked t m c stop = c = stop || (m.(t.in_arc.(c)) > 0 && marked t m (c + 1) stop)
+
+let enabled t m v = marked t m t.in_start.(v) t.in_start.(v + 1)
 
 let fire t m v =
   if not (enabled t m v) then invalid_arg "Marked_graph.fire: node not enabled";
-  List.iter (fun a -> m.(a) <- m.(a) - 1) t.in_arcs.(v);
-  List.iter (fun a -> m.(a) <- m.(a) + 1) t.out_arcs.(v)
+  for c = t.in_start.(v) to t.in_start.(v + 1) - 1 do
+    m.(t.in_arc.(c)) <- m.(t.in_arc.(c)) - 1
+  done;
+  for c = t.out_start.(v) to t.out_start.(v + 1) - 1 do
+    m.(t.out_arc.(c)) <- m.(t.out_arc.(c)) + 1
+  done
 
 let enabled_nodes t m =
   let out = ref [] in
@@ -219,39 +314,9 @@ let enabled_nodes t m =
 
 (* A directed cycle all of whose arcs are token-free under [m]: the
    structural cause of a deadlock (the nodes on it wait on each other
-   forever).  DFS over the token-free sub-graph, reconstructing the cycle
-   from the recursion stack. *)
+   forever). *)
 let token_free_cycle t m =
-  let state = Array.make t.nodes 0 in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let parent_arc = Array.make t.nodes (-1) in
-  let found = ref None in
-  let rec visit v =
-    state.(v) <- 1;
-    List.iter
-      (fun a ->
-        if !found = None && m.(a) = 0 then begin
-          let w = t.dsts.(a) in
-          if state.(w) = 1 then begin
-            (* Walk back from v to w along parent arcs. *)
-            let rec back u acc = if u = w then acc else
-              let pa = parent_arc.(u) in
-              back t.srcs.(pa) (t.srcs.(pa) :: acc)
-            in
-            found := Some (back v [ v ])
-          end
-          else if state.(w) = 0 then begin
-            parent_arc.(w) <- a;
-            visit w
-          end
-        end)
-      t.out_arcs.(v);
-    state.(v) <- 2
-  in
-  for v = 0 to t.nodes - 1 do
-    if !found = None && state.(v) = 0 then visit v
-  done;
-  !found
+  match free_cycle t (scratch t) ~free:(fun a -> m.(a) = 0) with [] -> None | c -> Some c
 
 type deadlock = {
   dead_marking : int array;  (** Tokens per arc when the game stalled. *)

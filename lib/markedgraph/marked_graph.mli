@@ -14,7 +14,12 @@
     - live ⇔ the sub-graph of token-free arcs is acyclic, and every arc lies
       in some directed cycle;
     - safe (given live) ⇔ every arc lies on a directed cycle whose total
-      token count is exactly one. *)
+      token count is exactly one.
+
+    Out-arcs and in-arcs are CSR arrays, each node's arcs in descending arc
+    index.  One depth-first search, {!free_cycle}, serves liveness,
+    {!token_free_cycle} and [Ee_phased.Rail_sim]'s stall forensics; safety
+    is decided by a linear certificate (see {!is_safe}). *)
 
 type t
 
@@ -40,17 +45,18 @@ val all_arcs_on_cycles : t -> bool
 val is_live : t -> bool
 (** [tokens_on_cycles_ok && all_arcs_on_cycles]. *)
 
-val min_cycle_tokens : t -> int -> int option
-(** Minimum total token count over directed cycles through the given arc
-    index; [None] when the arc is on no cycle.  Dijkstra over token
-    weights. *)
-
 val is_safe : t -> bool
-(** Every arc lies on a cycle with total token count exactly 1 (requires
-    {!is_live} for the bound to be reachable; cost O(V·E·log V)). *)
+(** Every arc [(s, d, k)] lies on a cycle of at most one token (exactly one
+    on a live graph).  A self-loop with [k <= 1] is certified, and so is an
+    arc with a partner [(d, s, k')], [k + k' <= 1]: the one-token 2-cycle a
+    PL data arc forms with its acknowledge.  The other arcs into [d] share
+    one breadth-first search from [d], bounded at one token.  Every arc of
+    [Flat.marked_graph] is certified, so there the check is linear. *)
 
 val check_live_safe : t -> (unit, string) result
-(** Human-readable diagnosis naming the first offending arc. *)
+(** Human-readable diagnosis naming the first offending arc: liveness
+    first, then the first unsafe arc scanning destinations ascending and,
+    per destination, in-arcs from the highest index down. *)
 
 (** {1 Token game} *)
 
@@ -100,10 +106,23 @@ val run_token_game_from : t -> marking -> steps:int -> rng:Ee_util.Prng.t ->
 
 (** {1 Deadlock forensics} *)
 
+type scratch
+(** Stamped working storage for {!free_cycle}, sized to one graph; reusing
+    it makes a search allocate nothing but the cycle it returns. *)
+
+val scratch : t -> scratch
+
+val free_cycle : t -> scratch -> free:(int -> bool) -> int list
+(** A directed cycle (as a node list, in order) of arcs satisfying [free]
+    (given by arc index), [[]] when there is none.  Depth-first search with
+    roots ascending and each node's out-arcs in descending arc index; the
+    first arc that closes a cycle on the current path wins.  Iterative, so
+    its depth is not bounded by the stack. *)
+
 val token_free_cycle : t -> marking -> int list option
-(** A directed cycle (as a node list, in order) all of whose arcs carry
-    zero tokens under the marking — the structural reason no token can ever
-    return to those nodes.  [None] when every cycle still holds a token. *)
+(** {!free_cycle} over the arcs holding zero tokens under the marking — the
+    structural reason no token can ever return to those nodes.  [None] when
+    every cycle still holds a token. *)
 
 type deadlock = {
   dead_marking : int array;  (** Tokens per arc when the game stalled. *)

@@ -51,23 +51,13 @@ let code_of_rails (r : Ledr.rails) = Bool.to_int r.Ledr.v lor (Bool.to_int r.Led
 type role = Self_loop | Data | Feedback
 
 (* The PL marked graph as the stall diagnosis reads it, built on the first
-   stall: per arc its endpoints, initial tokens and role, and per node its
-   out-arcs in descending arc order (the order
-   [Marked_graph.token_free_cycle] visits them in).  The rest is scratch for
-   the cycle search, valid while its stamp is the current one. *)
+   stall: the graph, its arcs [(src, dst, initial tokens)] and their roles,
+   and the cycle search's scratch. *)
 type forensics = {
-  arc_src : int array;
-  arc_dst : int array;
-  arc_tok : int array;
+  graph : Marked_graph.t;
+  search : Marked_graph.scratch;
+  arcs : (int * int * int) array;
   role : role array;
-  out_start : int array; (* node [v]'s out-arcs are [out_arc.(out_start.(v) ..)] *)
-  out_arc : int array;
-  mutable search_stamp : int;
-  visited : int array; (* stamp: reached by the search *)
-  finished : int array; (* stamp: all its out-arcs explored *)
-  parent_arc : int array;
-  stack : int array; (* depth-first path, as nodes *)
-  cursor : int array; (* per path entry, the next out-arc slot to try *)
 }
 
 (* Per-wave working storage.  Entries are valid only while their stamp
@@ -176,10 +166,8 @@ type t = {
 let violation fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
 
 let build_forensics (f : Flat.t) =
-  let arcs = Marked_graph.arcs (Flat.marked_graph f) in
-  let arc_src = Array.map (fun (s, _, _) -> s) arcs in
-  let arc_dst = Array.map (fun (_, d, _) -> d) arcs in
-  let arc_tok = Array.map (fun (_, _, k) -> k) arcs in
+  let graph = Flat.marked_graph f in
+  let arcs = Marked_graph.arcs graph in
   let dep_of d s =
     let found = ref false in
     for j = f.pstart.(d) to f.pstart.(d + 1) - 1 do
@@ -187,36 +175,14 @@ let build_forensics (f : Flat.t) =
     done;
     !found
   in
-  let role =
-    Array.map
-      (fun (s, d, _) -> if s = d then Self_loop else if dep_of d s then Data else Feedback)
-      arcs
-  in
-  let nodes = Array.length f.code in
-  let out_start = Array.make (nodes + 1) 0 in
-  Array.iter (fun s -> out_start.(s + 1) <- out_start.(s + 1) + 1) arc_src;
-  for v = 0 to nodes - 1 do
-    out_start.(v + 1) <- out_start.(v + 1) + out_start.(v)
-  done;
-  let fill = Array.sub out_start 0 nodes and out_arc = Array.make (Array.length arcs) 0 in
-  for a = Array.length arcs - 1 downto 0 do
-    let s = arc_src.(a) in
-    out_arc.(fill.(s)) <- a;
-    fill.(s) <- fill.(s) + 1
-  done;
   {
-    arc_src;
-    arc_dst;
-    arc_tok;
-    role;
-    out_start;
-    out_arc;
-    search_stamp = 0;
-    visited = Array.make nodes 0;
-    finished = Array.make nodes 0;
-    parent_arc = Array.make nodes 0;
-    stack = Array.make nodes 0;
-    cursor = Array.make nodes 0;
+    graph;
+    search = Marked_graph.scratch graph;
+    arcs;
+    role =
+      Array.map
+        (fun (s, d, _) -> if s = d then Self_loop else if dep_of d s then Data else Feedback)
+        arcs;
   }
 
 let span ids = { ids; len = Array.length ids }
@@ -555,11 +521,9 @@ let probe t i =
    Sources, constants and registers have emitted; a stalled wave never
    reaches the step where sinks observe, so no sink has fired.
 
-   The search is [Marked_graph.token_free_cycle]'s depth-first search
-   (roots ascending, out-arcs in descending arc order, the first arc that
-   closes a cycle on the path wins), run iteratively on stamped scratch
-   arrays.  A fork's gates outside its divergent set are read in the
-   trace's end-of-wave state [held]. *)
+   The search is [Marked_graph.free_cycle] on the forensics' scratch.  A
+   fork's gates outside its divergent set are read in the trace's
+   end-of-wave state [held]. *)
 let blamed_cycle t f ~held =
   let code = t.net.flat.code and wave = t.wave_phase in
   let fired i =
@@ -569,58 +533,13 @@ let blamed_cycle t f ~held =
     | Source | Const | Register -> true
   in
   let token_free a =
-    let s = f.arc_src.(a) and d = f.arc_dst.(a) in
+    let s, d, k = f.arcs.(a) in
     match f.role.(a) with
-    | Self_loop -> f.arc_tok.(a) = 0
+    | Self_loop -> k = 0
     | Data -> not (fired s && phase_bit (rails_in t held s) = wave && not (fired d))
     | Feedback -> (not (fired s)) && fired d
   in
-  f.search_stamp <- f.search_stamp + 1;
-  let st = f.search_stamp in
-  let cycle = ref [] and searching = ref true in
-  let rec back w u acc =
-    if u = w then acc
-    else
-      let p = f.arc_src.(f.parent_arc.(u)) in
-      back w p (p :: acc)
-  in
-  let v0 = ref 0 and nodes = Array.length f.visited in
-  while !searching && !v0 < nodes do
-    let root = !v0 in
-    if f.visited.(root) <> st then begin
-      f.visited.(root) <- st;
-      f.stack.(0) <- root;
-      f.cursor.(0) <- f.out_start.(root);
-      let sp = ref 1 in
-      while !searching && !sp > 0 do
-        let v = f.stack.(!sp - 1) and c = f.cursor.(!sp - 1) in
-        if c = f.out_start.(v + 1) then begin
-          f.finished.(v) <- st;
-          decr sp
-        end
-        else begin
-          f.cursor.(!sp - 1) <- c + 1;
-          let a = f.out_arc.(c) in
-          if token_free a then begin
-            let w = f.arc_dst.(a) in
-            if f.visited.(w) <> st then begin
-              f.visited.(w) <- st;
-              f.parent_arc.(w) <- a;
-              f.stack.(!sp) <- w;
-              f.cursor.(!sp) <- f.out_start.(w);
-              incr sp
-            end
-            else if f.finished.(w) <> st then begin
-              cycle := back w v [ v ];
-              searching := false
-            end
-          end
-        end
-      done
-    end;
-    incr v0
-  done;
-  !cycle
+  Marked_graph.free_cycle f.graph f.search ~free:token_free
 
 (* The stall of the wave in progress.  A fork's gates outside its divergent
    set hold the trace's end-of-wave state, where nothing is stale or

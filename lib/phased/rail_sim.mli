@@ -141,15 +141,15 @@ exception Protocol_violation of string
 
 (** {1 Deadlock forensics}
 
-    The arcs of the PL marked graph ({!Flat.marked_graph}), the role of
-    each and a CSR table of each node's out-arcs are built on a simulator's
+    The PL marked graph ({!Flat.marked_graph}), the role of each arc and
+    the scratch of the graph's cycle search are built on a simulator's
     first stall and shared with its copies, so diagnosing a stall is a few
-    passes over arrays plus one iterative search for a token-free cycle,
-    which reads each arc's token off the rails and phases through its role
-    and visits arcs in {!Ee_markedgraph.Marked_graph.token_free_cycle}'s
-    order.  An arc is a register self-loop when it starts and ends at one
-    gate, data when its source is a producer of its destination, and
-    feedback otherwise. *)
+    passes over arrays plus one {!Ee_markedgraph.Marked_graph.free_cycle}
+    — the search {!Ee_markedgraph.Marked_graph.token_free_cycle} runs —
+    whose arc predicate reads each arc's token off the rails and phases
+    through its role.  An arc is a register self-loop when it starts and
+    ends at one gate, data when its source is a producer of its
+    destination, and feedback otherwise. *)
 
 type stall = {
   stall_wave : int;  (** Wave index (0-based) at which the wave stalled. *)

@@ -29,9 +29,6 @@ let build_staged ?(options = Ee_core.Synth.default_options) ?memo ?plan
 
 let build ?options b = build_staged ?options b
 
-let build_all ?options () =
-  List.map (fun b -> build ?options b) Ee_bench_circuits.Itc99.all
-
 let check_live_safe a =
   let check tag pl =
     let module Flat = Ee_phased.Flat in

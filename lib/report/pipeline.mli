@@ -4,8 +4,9 @@
     RTL → bit-blast → LUT4 map → PL map → EE post-processing.
 
     The staged entry point {!build_staged} lets a caller wrap every stage
-    (the hook {!Ee_engine.Trace} uses for per-stage spans); {!build} and
-    {!build_all} are thin wrappers kept for source compatibility. *)
+    (the hook {!Ee_engine.Trace} uses for per-stage spans); {!build} is the
+    pipeline with no hook.  A whole Table 3 suite, simulated, is
+    [Ee_engine.Engine.run_suite]. *)
 
 type artifact = {
   id : string;
@@ -43,13 +44,9 @@ val build_staged :
     threads into [Synth.run]. *)
 
 val build : ?options:Ee_core.Synth.options -> Ee_bench_circuits.Itc99.benchmark -> artifact
-(** @deprecated New code should go through [Ee_engine.Engine.run], which
-    adds specs, tracing and parallel suites; [build] remains as the
-    un-instrumented core used by the engine itself. *)
-
-val build_all : ?options:Ee_core.Synth.options -> unit -> artifact list
-(** All fifteen Table 3 benchmarks, sequentially.
-    @deprecated Use [Ee_engine.Engine.run_suite] (parallel, instrumented). *)
+(** [build_staged ?options b] with no stage hook and the default Eq. 1
+    "ee-plan" stage: one benchmark's netlist and both PL netlists, without
+    simulation.  The daemon, the CLI and the benchmarks build through it. *)
 
 val check_live_safe : artifact -> (unit, string) result
 (** Marked-graph liveness and safety of both PL netlists. *)

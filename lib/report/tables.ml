@@ -96,16 +96,6 @@ let row_of_artifact ?vectors ?seed ?config (a : Pipeline.artifact) =
   row ?vectors ?seed ?config ~id:a.Pipeline.id ~description:a.Pipeline.description
     a.Pipeline.synth_report a.Pipeline.pl a.Pipeline.pl_ee
 
-let run_table3 ?vectors ?seed ?config ?options () =
-  let artifacts = Pipeline.build_all ?options () in
-  let rows = List.map (fun a -> row_of_artifact ?vectors ?seed ?config a) artifacts in
-  let n = float_of_int (List.length rows) in
-  {
-    rows;
-    avg_area_increase = List.fold_left (fun acc r -> acc +. r.area_increase) 0. rows /. n;
-    avg_delay_decrease = List.fold_left (fun acc r -> acc +. r.delay_decrease) 0. rows /. n;
-  }
-
 let table3_to_table ?(cycles = false) t3 =
   let headers =
     [

@@ -43,16 +43,6 @@ type table3 = {
   avg_delay_decrease : float;
 }
 
-val run_table3 :
-  ?vectors:int ->
-  ?seed:int ->
-  ?config:Ee_sim.Sim.config ->
-  ?options:Ee_core.Synth.options ->
-  unit ->
-  table3
-(** Default 100 random vectors per circuit (the paper's protocol),
-    seed 2002. *)
-
 val table3_to_table : ?cycles:bool -> table3 -> Ee_util.Table.t
 (** [cycles] (default false) appends the per-row critical-cycle column
     (used by [ee_synth suite --csv]). *)

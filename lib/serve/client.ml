@@ -4,7 +4,9 @@ exception Timeout
 
 type t = {
   fd : Unix.file_descr;
-  mutable inbuf : string;
+  chunk : Bytes.t; (* one read's bytes *)
+  inbuf : Buffer.t; (* bytes read and not yet framed into lines *)
+  mutable lines : string list; (* framed lines not yet returned *)
   recv_timeout_s : float option;
 }
 
@@ -28,7 +30,8 @@ let connect ?(retries = 0) ?(retry_delay_s = 0.1) ?recv_timeout_s address =
             (* Pipelined single-line requests lose to Nagle otherwise. *)
             try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
         | `Unix _ -> ());
-        { fd; inbuf = ""; recv_timeout_s }
+        let chunk = Bytes.create 65536 in
+        { fd; chunk; inbuf = Buffer.create 4096; lines = []; recv_timeout_s }
     | exception Unix.Unix_error _ when left > 0 ->
         Unix.close fd;
         Unix.sleepf retry_delay_s;
@@ -51,16 +54,12 @@ let recv_line t =
   (* One deadline per line, not per read: a server trickling bytes cannot
      stretch the wait past [recv_timeout_s]. *)
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.recv_timeout_s in
-  let buf = Bytes.create 65536 in
   let rec take () =
-    match String.index_opt t.inbuf '\n' with
-    | Some i ->
-        let line = String.sub t.inbuf 0 i in
-        t.inbuf <- String.sub t.inbuf (i + 1) (String.length t.inbuf - i - 1);
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-    | None ->
+    match t.lines with
+    | line :: rest ->
+        t.lines <- rest;
+        line
+    | [] ->
         (match deadline with
         | Some d -> (
             let left = d -. Unix.gettimeofday () in
@@ -70,9 +69,12 @@ let recv_line t =
             | _ -> ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
         | None -> ());
-        (match Unix.read t.fd buf 0 (Bytes.length buf) with
+        (match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
         | 0 -> raise End_of_file
-        | n -> t.inbuf <- t.inbuf ^ Bytes.sub_string buf 0 n
+        | n ->
+            let from = Buffer.length t.inbuf in
+            Buffer.add_subbytes t.inbuf t.chunk 0 n;
+            t.lines <- Protocol.take_lines t.inbuf ~from
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->
             ());

@@ -26,9 +26,10 @@ val send_line : t -> string -> unit
     via {!recv_line}. *)
 
 val recv_line : t -> string
-(** Block for the next response line.  Raises [End_of_file] if the server
-    closes the connection first, {!Timeout} if the receive timeout
-    expires first. *)
+(** Block for the next response line (framed by {!Protocol.take_lines}:
+    a trailing ['\r'] is stripped and empty lines are skipped).  Raises
+    [End_of_file] if the server closes the connection first, {!Timeout} if
+    the receive timeout expires first. *)
 
 val request_line : t -> string -> string
 (** Send one raw request line (no trailing newline) and block for the one

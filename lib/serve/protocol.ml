@@ -325,6 +325,24 @@ let envelope_to_json env =
   in
   Json.Obj (base @ id @ deadline @ body)
 
+let take_lines b ~from =
+  let len = Buffer.length b in
+  let lines = ref [] and start = ref 0 in
+  for i = from to len - 1 do
+    if Buffer.nth b i = '\n' then begin
+      let stop = if i > !start && Buffer.nth b (i - 1) = '\r' then i - 1 else i in
+      if stop > !start then lines := Buffer.sub b !start (stop - !start) :: !lines;
+      start := i + 1
+    end
+  done;
+  if !start = len then Buffer.reset b
+  else if !start > 0 then begin
+    let rest = Buffer.sub b !start (len - !start) in
+    Buffer.clear b;
+    Buffer.add_string b rest
+  end;
+  List.rev !lines
+
 let ok_response ~id ~cmd ~cached ~elapsed_ms result =
   Json.to_string
     (Json.Obj

@@ -114,6 +114,14 @@ val rejected_echo : string -> string * Ee_export.Json.t
     names a request (["?"] otherwise) and its ["id"] ([Null] when absent);
     ["?"] and [Null] for any other line. *)
 
+val take_lines : Buffer.t -> from:int -> string list
+(** [take_lines b ~from] removes every complete line from the front of [b]
+    and returns them in order, a trailing ['\r'] stripped and empty lines
+    dropped; the unfinished tail stays in [b].  Only bytes from [from] on
+    are scanned for newlines: a reader that appends each chunk it reads
+    passes the length [b] had before the chunk, so framing a stream costs
+    time linear in its length.  Both ends of a connection frame with it. *)
+
 val envelope_to_json : envelope -> Ee_export.Json.t
 (** Encode a request (the client side).  Spec knobs that equal the default
     spec's are omitted. *)

@@ -802,28 +802,12 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
   in
 
   (* Frame the complete lines of a connection's input, of which the bytes
-     before [from] hold no newline.  Only the rest is searched, and the
-     unframed tail is moved to the front once per call, so a long line or
-     a deep pipelined batch arriving in many reads costs time linear in its
-     length. *)
+     before [from] hold no newline, and refuse an oversized unfinished
+     line. *)
   let process_input conn ~from =
     let b = conn.inbuf in
-    let len = Buffer.length b in
-    let lines = ref [] and start = ref 0 in
-    for i = from to len - 1 do
-      if Buffer.nth b i = '\n' then begin
-        let stop = if i > !start && Buffer.nth b (i - 1) = '\r' then i - 1 else i in
-        if stop > !start then lines := Buffer.sub b !start (stop - !start) :: !lines;
-        start := i + 1
-      end
-    done;
-    if !start = len then Buffer.reset b
-    else if !start > 0 then begin
-      let rest = Buffer.sub b !start (len - !start) in
-      Buffer.clear b;
-      Buffer.add_string b rest
-    end;
-    if !lines <> [] then handle_batch conn (List.rev !lines);
+    let lines = Protocol.take_lines b ~from in
+    if lines <> [] then handle_batch conn lines;
     if Buffer.length b > max_request_bytes then begin
       send conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"

@@ -68,14 +68,16 @@ let test_run_vectors_explicit () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on empty run"
 
-let test_pipeline_build_all () =
-  let artifacts = Ee_report.Pipeline.build_all () in
-  Alcotest.(check int) "fifteen artifacts" 15 (List.length artifacts);
+let test_engine_suite_artifacts () =
+  let module Engine = Ee_engine.Engine in
+  let suite = Engine.run_suite ~spec:(Engine.with_vectors 3 Engine.default_spec) () in
+  let results = Engine.ok_results suite in
+  Alcotest.(check int) "fifteen artifacts" 15 (List.length results);
   List.iter
-    (fun a ->
+    (fun r ->
       Alcotest.(check bool) "baseline has no triggers" true
-        (Ee_phased.Pl.ee_gate_count a.Ee_report.Pipeline.pl = 0))
-    artifacts
+        (Ee_phased.Pl.ee_gate_count r.Engine.artifact.Ee_report.Pipeline.pl = 0))
+    results
 
 let test_marked_graph_arcs_accessor () =
   let g = Ee_markedgraph.Marked_graph.make ~nodes:2 ~arcs:[ (0, 1, 1); (1, 0, 0) ] in
@@ -107,7 +109,7 @@ let suite =
       Alcotest.test_case "pretty-printers" `Quick test_pp_smoke;
       Alcotest.test_case "stats strings" `Quick test_stats_strings;
       Alcotest.test_case "run_vectors explicit" `Quick test_run_vectors_explicit;
-      Alcotest.test_case "pipeline build_all" `Quick test_pipeline_build_all;
+      Alcotest.test_case "engine suite artifacts" `Quick test_engine_suite_artifacts;
       Alcotest.test_case "marked graph arcs" `Quick test_marked_graph_arcs_accessor;
       Alcotest.test_case "truthtab arity bounds" `Quick test_truthtab_arity_bounds;
       Alcotest.test_case "bdd node counts" `Quick test_bdd_node_count_const;

@@ -33,9 +33,15 @@ let test_row_determinism () =
   Alcotest.(check bool) "documented fields" true
     (r3.Tables.pl_gates = r1.Tables.pl_gates && r3.Tables.ee_gates = r1.Tables.ee_gates)
 
+(* Table 3 as [ee_synth suite] assembles it. *)
+let table3 ~vectors ~seed =
+  let module Engine = Ee_engine.Engine in
+  let spec = Engine.default_spec |> Engine.with_vectors vectors |> Engine.with_seed seed in
+  (Engine.run_suite ~spec ()).Engine.table3
+
 let test_table3_shape () =
   (* Few vectors to keep the suite fast; the shape claims must still hold. *)
-  let t3 = Tables.run_table3 ~vectors:30 ~seed:2002 () in
+  let t3 = table3 ~vectors:30 ~seed:2002 in
   Alcotest.(check int) "fifteen rows" 15 (List.length t3.Tables.rows);
   Alcotest.(check bool) "average speedup double digit" true
     (t3.Tables.avg_delay_decrease > 10.);
@@ -74,7 +80,7 @@ let golden_table3 =
   ]
 
 let test_table3_golden () =
-  let t3 = Tables.run_table3 ~vectors:100 ~seed:2002 () in
+  let t3 = table3 ~vectors:100 ~seed:2002 in
   let got =
     List.map (fun r -> (r.Tables.id, r.Tables.delay_no_ee, r.Tables.delay_ee)) t3.Tables.rows
   in
@@ -102,7 +108,7 @@ let test_ablation_rows () =
   Alcotest.(check int) "fifteen rows" 15 (List.length rows)
 
 let test_table3_rendering () =
-  let t3 = Tables.run_table3 ~vectors:10 ~seed:1 () in
+  let t3 = table3 ~vectors:10 ~seed:1 in
   let rendered = Ee_util.Table.render (Tables.table3_to_table t3) in
   Alcotest.(check bool) "has average row" true (Astring_contains.contains rendered "average");
   Alcotest.(check bool) "mentions the Viper row" true

@@ -1273,6 +1273,35 @@ let test_supervisor_drain_escalates () =
     | Supervisor.Spawned _ :: rest -> List.mem Supervisor.Draining rest
     | _ -> false)
 
+(* [Client.recv_line] frames replies through one read buffer per
+   connection: reading 30 000 pipelined ping replies (about 2 MiB) costs a
+   few dozen words per reply, the reply string and its list cell.  A fresh
+   64 KiB read buffer per call, or a copy of the unread tail per line,
+   costs thousands. *)
+let test_e2e_client_framing_alloc () =
+  with_server (fun sock ->
+      let n = 30_000 in
+      let c = Client.connect ~retries:100 (`Unix sock) in
+      for i = 0 to n - 1 do
+        Client.send_line c (Printf.sprintf "{\"cmd\":\"ping\",\"id\":%d}" i)
+      done;
+      let a0 = Gc.allocated_bytes () in
+      let last = ref "" in
+      for _ = 1 to n do
+        last := Client.recv_line c
+      done;
+      let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+      Client.close c;
+      (match Json.parse !last with
+      | Ok j ->
+          check_status j "ok";
+          Alcotest.(check (option int)) "last reply" (Some (n - 1))
+            (Option.bind (Json.member "id" j) Json.to_int)
+      | Error e -> Alcotest.failf "bad response: %s" e);
+      let per_reply = words /. float_of_int n in
+      Alcotest.(check bool) (Printf.sprintf "%.1f words per reply" per_reply) true
+        (per_reply < 64.))
+
 let suite =
   ( "serve",
     [
@@ -1330,4 +1359,6 @@ let suite =
         test_e2e_unread_replies;
       Alcotest.test_case "e2e: replies flushed after the client's end of input" `Quick
         test_e2e_half_close_flushes;
+      Alcotest.test_case "e2e: client frames pipelined replies in linear allocation" `Quick
+        test_e2e_client_framing_alloc;
     ] )
