@@ -70,10 +70,25 @@ let unescape_name s =
 (* Export                                                               *)
 (* -------------------------------------------------------------------- *)
 
-let node_name nl i =
+(* Internal nodes are named [<prefix><id>].  The prefix is ["n"] unless
+   some port is named ["n<digits>"] (the readers unescape every token, so
+   escaping the port could not keep the two apart); then it is the
+   shortest run of ['n']s no port name extends by digits alone. *)
+let node_prefix nl =
+  let digits_after p s =
+    let k = String.length p and n = String.length s in
+    n > k
+    && String.sub s 0 k = p
+    && String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub s k (n - k))
+  in
+  let ports = Array.append (Netlist.inputs nl) (Netlist.outputs nl) in
+  let rec go p = if Array.exists (fun (name, _) -> digits_after p name) ports then go (p ^ "n") else p in
+  go "n"
+
+let node_name nl prefix i =
   match Netlist.node nl i with
   | Netlist.Input name -> escape_name name
-  | _ -> Printf.sprintf "n%d" i
+  | _ -> prefix ^ string_of_int i
 
 (* Cube line with the first column corresponding to fanin 0 (BLIF column
    order follows the .names input list). *)
@@ -88,6 +103,7 @@ let cube_line nvars cube value =
 
 let to_blif ?(model = "netlist") nl =
   let buf = Buffer.create 4096 in
+  let node_name = node_name nl (node_prefix nl) in
   Buffer.add_string buf (Printf.sprintf ".model %s\n" model);
   let port_names f =
     String.concat " " (Array.to_list (Array.map (fun (n, _) -> escape_name n) (f nl)))
@@ -98,16 +114,16 @@ let to_blif ?(model = "netlist") nl =
     match Netlist.node nl i with
     | Netlist.Input _ -> ()
     | Netlist.Const v ->
-        Buffer.add_string buf (Printf.sprintf ".names %s\n" (node_name nl i));
+        Buffer.add_string buf (Printf.sprintf ".names %s\n" (node_name i));
         if v then Buffer.add_string buf "1\n"
     | Netlist.Dff { d; init } ->
         Buffer.add_string buf
-          (Printf.sprintf ".latch %s %s re NIL %d\n" (node_name nl d) (node_name nl i)
+          (Printf.sprintf ".latch %s %s re NIL %d\n" (node_name d) (node_name i)
              (if init then 1 else 0))
     | Netlist.Lut { func; fanin } ->
         let k = Array.length fanin in
-        let names = String.concat " " (Array.to_list (Array.map (node_name nl) fanin)) in
-        Buffer.add_string buf (Printf.sprintf ".names %s %s\n" names (node_name nl i));
+        let names = String.concat " " (Array.to_list (Array.map node_name fanin)) in
+        Buffer.add_string buf (Printf.sprintf ".names %s %s\n" names (node_name i));
         let tt = Tt.of_fun k (fun m -> Lut4.eval_bits func m) in
         let on = Ee_logic.Isop.cover tt in
         let off = Ee_logic.Isop.cover (Tt.lognot tt) in
@@ -121,9 +137,9 @@ let to_blif ?(model = "netlist") nl =
   (* Output aliases where the port name differs from the driver's name. *)
   Array.iter
     (fun (name, id) ->
-      if escape_name name <> node_name nl id then begin
+      if escape_name name <> node_name id then begin
         Buffer.add_string buf
-          (Printf.sprintf ".names %s %s\n" (node_name nl id) (escape_name name));
+          (Printf.sprintf ".names %s %s\n" (node_name id) (escape_name name));
         Buffer.add_string buf "1 1\n"
       end)
     (Netlist.outputs nl);

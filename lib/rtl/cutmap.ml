@@ -140,6 +140,9 @@ let label_cuts ~cap ~mode ~cuts_per_node ?memo (c : Gates.circuit) =
   done;
   best_cut
 
+let best_cuts ~cap ~mode ~cuts_per_node ?memo c =
+  Array.map Array.of_list (label_cuts ~cap ~mode ~cuts_per_node ?memo c)
+
 let run ?(mode = Depth) ?(cuts_per_node = 8) ?memo ?(flat_ports = false)
     (c : Gates.circuit) =
   let gates = c.Gates.gates in

@@ -45,6 +45,20 @@ val run :
     imported netlist whose port names must survive for equivalence
     checking. *)
 
+val best_cuts :
+  cap:int ->
+  mode:mode ->
+  cuts_per_node:int ->
+  ?memo:Ee_core.Trigger.Memo.t ->
+  Gates.circuit ->
+  int array array
+(** The priority-cuts labeler behind {!run} ([cap = 4]) and {!wide_covers}
+    ([cap = lut_k]): per gate of the circuit, the cut of at most [cap]
+    leaves (gate indices, ascending) that {!run} would cover it with; a
+    constant, input or register gate is its own cut.  Raises
+    [Invalid_argument] when some gate has no feasible cut ([cap] below a
+    gate's fanin count). *)
+
 val run_rtl :
   ?mode:mode ->
   ?cuts_per_node:int ->

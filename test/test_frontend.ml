@@ -386,6 +386,87 @@ let test_protocol_import () =
   | Ok _ -> Alcotest.fail "wrong request"
   | Error m -> Alcotest.fail m
 
+(* ------------------------------------------------------------------ *)
+(* The import path's outputs, pinned                                  *)
+(* ------------------------------------------------------------------ *)
+
+let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let itc99_design id = (Ee_bench_circuits.Itc99.find id).Ee_bench_circuits.Itc99.build ()
+
+(* The 31 import texts of the perfbench [serve_mix] workload: seven ITC99
+   netlists as ASCII AIGER, binary AIGER and BLIF, then ten corpus
+   entries. *)
+let serve_mix_texts =
+  lazy
+    (List.concat_map
+       (fun id ->
+         let nl = Ee_rtl.Techmap.run_rtl (itc99_design id) in
+         [ Aiger.to_ascii nl; Aiger.to_binary nl; Blif.to_blif ~model:id nl ])
+       [ "b01"; "b02"; "b03"; "b06"; "b08"; "b09"; "b10" ]
+    @ List.map (fun e -> e.Corpus.e_text) (Corpus.generate ~seed:2002 ~n:10))
+
+let test_import_outputs_pinned () =
+  let corpus60 = List.map (fun e -> e.Corpus.e_text) (Corpus.generate ~seed:2002 ~n:60) in
+  List.iter
+    (fun (group, texts, expected) ->
+      let nls = List.map (fun t -> Frontend.parse_exn t) texts in
+      Alcotest.(check (list string)) group expected
+        [
+          md5 texts;
+          md5 (List.map Remap.to_gates nls);
+          md5 (List.map (fun nl -> Remap.run nl) nls);
+          md5 (List.map (fun nl -> Blif.to_blif nl) nls);
+        ])
+    [
+      ( "serve_mix texts: text, to_gates, run, to_blif",
+        Lazy.force serve_mix_texts,
+        [
+          "abba213f15bc473d63c20ff0bf7d0e97"; "dd8cf3d3d0fb2b264ee8fc4e3031ffdd";
+          "a103af9bb7cd4b46f9fbfc8e62c38c3a"; "d8679bfb78cf7d015c89134dfebbe1e1";
+        ] );
+      ( "corpus 2002/60: text, to_gates, run, to_blif",
+        corpus60,
+        [
+          "2bcb1ae5a0c5f69c05469c49b0c45242"; "0dd83d704b4f4add2fee45db1e186779";
+          "bf8959d0e5e5a220e6977af5bfabd919"; "ce87080a64731459ad96679dfd66225d";
+        ] );
+    ]
+
+let test_aiger_texts_pinned () =
+  let nls = List.init 15 (fun i -> Ee_rtl.Techmap.run_rtl (itc99_design (Printf.sprintf "b%02d" (i + 1)))) in
+  Alcotest.(check string) "AIGER ascii and binary, b01-b15" "7902a1e7f3e8a948910107c9b080b092"
+    (md5 (List.map (fun nl -> (Aiger.to_ascii nl, Aiger.to_binary nl)) nls))
+
+(* [Remap.run] of b10 as ASCII AIGER allocates at most 0.875 M minor
+   words (half of the list-based labeler's 1.75 M). *)
+let test_remap_allocation () =
+  let nl = Frontend.parse_exn (List.nth (Lazy.force serve_mix_texts) 18) in
+  ignore (Remap.run nl);
+  let w0 = Gc.minor_words () in
+  ignore (Remap.run nl);
+  let words = Gc.minor_words () -. w0 in
+  if words > 875_000. then Alcotest.failf "Remap.run b10 allocates %.0f words" words
+
+(* Port names of the form [n<digits>] share the exporter's internal-node
+   namespace.  Two inequivalent netlists whose only difference is the
+   fanin order of [y] must export to different texts, each reading back
+   as itself. *)
+let port_clash_a = ".model m\n.inputs n2 b\n.outputs y\n.names n2 b x\n11 1\n.names x n2 y\n10 1\n.end\n"
+let port_clash_b = ".model m\n.inputs n2 b\n.outputs y\n.names n2 b x\n11 1\n.names n2 x y\n10 1\n.end\n"
+
+let test_blif_port_clash () =
+  let a = Frontend.parse_exn port_clash_a and b = Frontend.parse_exn port_clash_b in
+  Alcotest.(check bool) "the two netlists differ" true (Equiv.check a b <> Equiv.Equivalent);
+  List.iter
+    (fun (what, nl) ->
+      let text = Blif.to_blif nl in
+      check_equiv (what ^ " round trip") nl (Frontend.parse_exn text);
+      check_equiv (what ^ " AIGER round trip") nl (Frontend.parse_exn (Aiger.to_ascii nl)))
+    [ ("a", a); ("b", b) ];
+  Alcotest.(check bool) "canonical texts differ" true (Blif.to_blif a <> Blif.to_blif b);
+  Alcotest.(check bool) "internal nodes renamed past the ports" true
+    (Astring_contains.contains (Blif.to_blif b) ".names n2 nn2 nn3\n")
+
 let suite =
   ( "frontend",
     [
@@ -405,4 +486,8 @@ let suite =
       Alcotest.test_case "base64" `Quick test_base64;
       Alcotest.test_case "name escaping" `Quick test_name_escaping;
       Alcotest.test_case "protocol import wire format" `Quick test_protocol_import;
+      Alcotest.test_case "import outputs pinned" `Quick test_import_outputs_pinned;
+      Alcotest.test_case "aiger texts pinned" `Quick test_aiger_texts_pinned;
+      Alcotest.test_case "remap allocation bound" `Quick test_remap_allocation;
+      Alcotest.test_case "blif port names clash with node names" `Quick test_blif_port_clash;
     ] )

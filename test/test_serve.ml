@@ -1302,6 +1302,50 @@ let test_e2e_client_framing_alloc () =
       Alcotest.(check bool) (Printf.sprintf "%.1f words per reply" per_reply) true
         (per_reply < 64.))
 
+(* Two inequivalent netlists whose ports are named like the canonical
+   BLIF's internal nodes ([n2]) must not share an import cache key: the
+   second import is computed, and its row is the one an in-process run of
+   the same netlist gives. *)
+let test_e2e_import_port_clash () =
+  let text_a = ".model m\n.inputs n2 b\n.outputs y\n.names n2 b x\n11 1\n.names x n2 y\n10 1\n.end\n" in
+  let text_b = ".model m\n.inputs n2 b\n.outputs y\n.names n2 b x\n11 1\n.names n2 x y\n10 1\n.end\n" in
+  let import text =
+    Json.to_string
+      (Json.Obj
+         [
+           ("cmd", Json.String "import"); ("text", Json.String text); ("vectors", Json.Int 16);
+         ])
+  in
+  with_server (fun sock ->
+      let ra = send sock (import text_a) in
+      check_status ra "ok";
+      let rb = send sock (import text_b) in
+      check_status rb "ok";
+      Alcotest.(check (option bool)) "B is not served A's entry" (Some false)
+        (Option.bind (Json.member "cached" rb) Json.to_bool);
+      let spec = Engine.with_vectors 16 Engine.default_spec in
+      let nl = Ee_frontend.Remap.run (Ee_frontend.Frontend.parse_exn text_b) in
+      let pl = Ee_phased.Pl.of_netlist nl in
+      let pl_ee, report = Engine.plan spec pl in
+      let row =
+        Ee_report.Tables.row ~vectors:16 ~seed:spec.Engine.seed
+          ~config:(Engine.sim_config spec) ~id:"netlist" ~description:"" report pl pl_ee
+      in
+      let field k = get rb [ "result"; "synth"; k ] in
+      Alcotest.(check (option int)) "pl_gates" (Some row.Ee_report.Tables.pl_gates)
+        (Option.bind (field "pl_gates") Json.to_int);
+      Alcotest.(check (option int)) "ee_gates" (Some row.Ee_report.Tables.ee_gates)
+        (Option.bind (field "ee_gates") Json.to_int);
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check (option (float 0.))) k (Some v) (Option.bind (field k) Json.to_float))
+        [
+          ("delay_no_ee", row.Ee_report.Tables.delay_no_ee);
+          ("delay_ee", row.Ee_report.Tables.delay_ee);
+        ];
+      Alcotest.(check (option string)) "critical cycle" (Some row.Ee_report.Tables.critical_cycle)
+        (Option.bind (field "critical_cycle") Json.to_string_opt))
+
 let suite =
   ( "serve",
     [
@@ -1361,4 +1405,6 @@ let suite =
         test_e2e_half_close_flushes;
       Alcotest.test_case "e2e: client frames pipelined replies in linear allocation" `Quick
         test_e2e_client_framing_alloc;
+      Alcotest.test_case "e2e: n<digits> port names do not share a cache key" `Quick
+        test_e2e_import_port_clash;
     ] )
