@@ -651,6 +651,58 @@ let extract_error line =
         (fun e -> String.sub line s (e - s))
         (String.index_from_opt line s '"'))
 
+(* The import path layer by layer, over the 31 import texts of the
+   perfbench [serve_mix] workload (b01, b02, b03, b06, b08, b09 and b10 as
+   ASCII AIGER, binary AIGER and BLIF, then ten corpus entries of seed
+   2002): parse, the canonical BLIF of the cache key, the remapper's
+   lowering to gates, cut labeling plus emission in [Delay] mode, and the
+   Eq. 1 plan plus Table 3 row at 100 vectors.  Per layer, wall ms and
+   minor words per text, the best of five passes. *)
+let import_vectors = 100
+
+let import_texts () =
+  List.concat_map
+    (fun id ->
+      let nl = Ee_rtl.Techmap.run_rtl ((Ee_bench_circuits.Itc99.find id).Ee_bench_circuits.Itc99.build ()) in
+      [
+        Ee_frontend.Aiger.to_ascii nl;
+        Ee_frontend.Aiger.to_binary nl;
+        Ee_export.Blif.to_blif ~model:id nl;
+      ])
+    [ "b01"; "b02"; "b03"; "b06"; "b08"; "b09"; "b10" ]
+  @ List.map (fun e -> e.Ee_frontend.Corpus.e_text) (Ee_frontend.Corpus.generate ~seed ~n:10)
+
+let import_layers texts =
+  let module Remap = Ee_frontend.Remap in
+  let texts = Array.of_list texts in
+  let parsed = Array.map (fun t -> Ee_frontend.Frontend.parse_exn t) texts in
+  let lowered = Array.map Remap.to_gates parsed in
+  let mapped = Array.map (fun nl -> Remap.run nl) parsed in
+  let spec = suite_spec () |> Engine.with_vectors import_vectors in
+  let layer name inputs f =
+    let n = float_of_int (Array.length inputs) in
+    let best = ref infinity and words = ref 0. in
+    for _ = 1 to 5 do
+      let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) inputs;
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      words := Gc.minor_words () -. w0
+    done;
+    (name, !best *. 1000. /. n, !words /. n)
+  in
+  [
+    layer "parse" texts (fun t -> Ee_frontend.Frontend.parse_exn t);
+    layer "canonical_blif" parsed (fun nl -> Ee_export.Blif.to_blif nl);
+    layer "lowering" parsed Remap.to_gates;
+    layer "cut_labeling_emission" lowered (fun g ->
+        Ee_rtl.Cutmap.run ~mode:Ee_rtl.Cutmap.Delay ~flat_ports:true g);
+    layer "plan_row" mapped (fun nl ->
+        let pl = Ee_phased.Pl.of_netlist nl in
+        let pl_ee, report = Engine.plan spec pl in
+        Ee_report.Tables.row ~vectors:import_vectors ~seed ~config:(Engine.sim_config spec)
+          ~id:"netlist" ~description:"" report pl pl_ee);
+  ]
+
 let print_serve ~clients () =
   section "Serve: sharded ee_synthd cold/warm latency and load test";
   let module Server = Ee_serve.Server in
@@ -666,6 +718,10 @@ let print_serve ~clients () =
     end
     else max 4 clients
   in
+  (* The import layers are timed before the server's domains start, so
+     no other domain shares the minor collections. *)
+  let texts = import_texts () in
+  let layers = import_layers texts in
   let stop = Atomic.make false in
   let shards = 2 in
   let cfg =
@@ -712,6 +768,36 @@ let print_serve ~clients () =
       benches
   in
   Ee_util.Table.print t;
+  (* Cold imports: each of the 31 texts once, with a seed no earlier
+     request used. *)
+  let import_cold =
+    Array.of_list
+      (List.mapi
+         (fun k text ->
+           let body =
+             if Ee_frontend.Frontend.detect text = Ee_frontend.Frontend.Aiger_binary then
+               [ ("text", Json.String (Ee_util.Base64.encode text)); ("encoding", Json.String "base64") ]
+             else [ ("text", Json.String text) ]
+           in
+           time_request c
+             (Json.to_string
+                (Json.Obj
+                   ((("cmd", Json.String "import") :: body)
+                   @ [ ("vectors", Json.Int import_vectors); ("seed", Json.Int (seed + 1 + k)) ]))))
+         texts)
+  in
+  let t =
+    Ee_util.Table.create ~headers:[ "Import layer"; "ms per text"; "minor words per text" ]
+  in
+  List.iter
+    (fun (name, ms, words) ->
+      Ee_util.Table.add_row t [ name; Printf.sprintf "%.3f" ms; Printf.sprintf "%.0f" words ])
+    layers;
+  Ee_util.Table.print t;
+  Printf.printf "cold import through the daemon: p50 %.2f ms, p90 %.2f ms (%d texts)\n"
+    (Ee_util.Stats.percentile import_cold 50.)
+    (Ee_util.Stats.percentile import_cold 90.)
+    (Array.length import_cold);
   (* Phase A — closed-loop warm throughput: a few drivers each keep a
      pipeline of warm requests outstanding on one connection. *)
   let drivers = 4 in
@@ -980,6 +1066,32 @@ let print_serve ~clients () =
                    ])
                latency_rows) );
         ("min_warm_speedup", Json.Float min_speedup);
+        ( "import",
+          Json.Obj
+            [
+              ("texts", Json.Int (Array.length import_cold));
+              ("vectors", Json.Int import_vectors);
+              ( "layers",
+                Json.List
+                  (List.map
+                     (fun (name, ms, words) ->
+                       Json.Obj
+                         [
+                           ("layer", Json.String name);
+                           ("ms", Json.Float ms);
+                           ("minor_words", Json.Float words);
+                         ])
+                     layers) );
+              ( "layers_total_ms",
+                Json.Float (List.fold_left (fun acc (_, ms, _) -> acc +. ms) 0. layers) );
+              ( "cold_ms",
+                Json.Obj
+                  [
+                    ("p50", Json.Float (Ee_util.Stats.percentile import_cold 50.));
+                    ("p90", Json.Float (Ee_util.Stats.percentile import_cold 90.));
+                    ("max", Json.Float (Array.fold_left Float.max 0. import_cold));
+                  ] );
+            ] );
         ("concurrent_clients", Json.Int drivers);
         ("warm_requests_per_s", Json.Float rps);
         ( "closed_loop",

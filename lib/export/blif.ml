@@ -104,6 +104,26 @@ let cube_line nvars cube value =
 let to_blif ?(model = "netlist") nl =
   let buf = Buffer.create 4096 in
   let node_name = node_name nl (node_prefix nl) in
+  (* The [.names] body of each distinct (arity, function), rendered once.
+     An empty cube list means constant 0 in BLIF, so a constant 1 is the
+     universe cube and the OFF form is used only when it is non-empty
+     (never for a constant). *)
+  let bodies = Hashtbl.create 16 in
+  let cover_lines func k =
+    let key = (Lut4.to_int func lsl 3) lor k in
+    match Hashtbl.find_opt bodies key with
+    | Some lines -> lines
+    | None ->
+        let cubes, value =
+          match Ee_logic.Isop.choose (Tt.of_fun k (fun m -> Lut4.eval_bits func m)) with
+          | Ee_logic.Isop.Const v -> ((if v then [ Ee_logic.Cube.universe ] else []), true)
+          | Ee_logic.Isop.On on -> (on, true)
+          | Ee_logic.Isop.Off off -> (off, false)
+        in
+        let lines = String.concat "" (List.map (fun c -> cube_line k c value ^ "\n") cubes) in
+        Hashtbl.add bodies key lines;
+        lines
+  in
   Buffer.add_string buf (Printf.sprintf ".model %s\n" model);
   let port_names f =
     String.concat " " (Array.to_list (Array.map (fun (n, _) -> escape_name n) (f nl)))
@@ -124,15 +144,7 @@ let to_blif ?(model = "netlist") nl =
         let k = Array.length fanin in
         let names = String.concat " " (Array.to_list (Array.map node_name fanin)) in
         Buffer.add_string buf (Printf.sprintf ".names %s %s\n" names (node_name i));
-        let tt = Tt.of_fun k (fun m -> Lut4.eval_bits func m) in
-        let on = Ee_logic.Isop.cover tt in
-        let off = Ee_logic.Isop.cover (Tt.lognot tt) in
-        (* An empty cube list means constant 0 in BLIF, so the OFF form is
-           only usable when the OFF cover is non-empty. *)
-        if off <> [] && List.length off < List.length on then
-          List.iter (fun c -> Buffer.add_string buf (cube_line k c false ^ "\n")) off
-        else
-          List.iter (fun c -> Buffer.add_string buf (cube_line k c true ^ "\n")) on
+        Buffer.add_string buf (cover_lines func k)
   done;
   (* Output aliases where the port name differs from the driver's name. *)
   Array.iter

@@ -349,28 +349,25 @@ let aig_of_netlist nl =
   let not_lit a = a lxor 1 in
   let or_lit a0 a1 = not_lit (and_lit (not_lit a0) (not_lit a1)) in
   let lit_of_tt tt fanin_lits =
-    match Tt.is_const tt with
-    | Some v -> if v then 1 else 0
-    | None ->
-        let cover_lit cubes =
-          List.fold_left
-            (fun acc cube ->
-              let care = Cube.care cube and value = Cube.value cube in
-              let cube_lit = ref 1 in
-              Array.iteri
-                (fun j flit ->
-                  if (care lsr j) land 1 = 1 then
-                    cube_lit :=
-                      and_lit !cube_lit
-                        (if (value lsr j) land 1 = 1 then flit else not_lit flit))
-                fanin_lits;
-              or_lit acc !cube_lit)
-            0 cubes
-        in
-        let on = Ee_logic.Isop.cover tt in
-        let off = Ee_logic.Isop.cover (Tt.lognot tt) in
-        if List.length off < List.length on then not_lit (cover_lit off)
-        else cover_lit on
+    let cover_lit cubes =
+      List.fold_left
+        (fun acc cube ->
+          let care = Cube.care cube and value = Cube.value cube in
+          let cube_lit = ref 1 in
+          Array.iteri
+            (fun j flit ->
+              if (care lsr j) land 1 = 1 then
+                cube_lit :=
+                  and_lit !cube_lit
+                    (if (value lsr j) land 1 = 1 then flit else not_lit flit))
+            fanin_lits;
+          or_lit acc !cube_lit)
+        0 cubes
+    in
+    match Ee_logic.Isop.choose tt with
+    | Ee_logic.Isop.Const v -> if v then 1 else 0
+    | Ee_logic.Isop.On on -> cover_lit on
+    | Ee_logic.Isop.Off off -> not_lit (cover_lit off)
   in
   let lit_of_node = Hashtbl.create 256 in
   List.iter

@@ -18,39 +18,46 @@ let to_gates nl =
   let reg_index = Hashtbl.create 16 in
   Array.iteri (fun k id -> Hashtbl.replace reg_index id k) dffs;
   let gate_of = Hashtbl.create 256 in
+  (* The cover choice of each distinct (arity, function) of this netlist,
+     computed once. *)
+  let choices = Hashtbl.create 16 in
+  let choice func k =
+    let key = (Lut4.to_int func lsl 3) lor k in
+    match Hashtbl.find_opt choices key with
+    | Some c -> c
+    | None ->
+        let c = Ee_logic.Isop.choose (Tt.of_fun k (fun m -> Lut4.eval_bits func m)) in
+        Hashtbl.add choices key c;
+        c
+  in
   let lut_gate func fanin_gates =
     let k = Array.length fanin_gates in
-    let tt = Tt.of_fun k (fun m -> Lut4.eval_bits func m) in
-    match Tt.is_const tt with
-    | Some v -> Gates.const b v
-    | None ->
-        let cube_gate cube =
-          let care = Cube.care cube and value = Cube.value cube in
-          let g = ref None in
-          for j = 0 to k - 1 do
-            if (care lsr j) land 1 = 1 then begin
-              let lit =
-                if (value lsr j) land 1 = 1 then fanin_gates.(j)
-                else Gates.gnot b fanin_gates.(j)
-              in
-              g := Some (match !g with None -> lit | Some acc -> Gates.gand b acc lit)
-            end
-          done;
-          match !g with None -> Gates.const b true | Some g -> g
-        in
-        let cover_gate cubes =
-          List.fold_left
-            (fun acc cube ->
-              match acc with
-              | None -> Some (cube_gate cube)
-              | Some acc -> Some (Gates.gor b acc (cube_gate cube)))
-            None cubes
-          |> Option.get
-        in
-        let on = Ee_logic.Isop.cover tt in
-        let off = Ee_logic.Isop.cover (Tt.lognot tt) in
-        if List.length off < List.length on then Gates.gnot b (cover_gate off)
-        else cover_gate on
+    let cube_gate cube =
+      let care = Cube.care cube and value = Cube.value cube in
+      let g = ref None in
+      for j = 0 to k - 1 do
+        if (care lsr j) land 1 = 1 then begin
+          let lit =
+            if (value lsr j) land 1 = 1 then fanin_gates.(j) else Gates.gnot b fanin_gates.(j)
+          in
+          g := Some (match !g with None -> lit | Some acc -> Gates.gand b acc lit)
+        end
+      done;
+      match !g with None -> Gates.const b true | Some g -> g
+    in
+    let cover_gate cubes =
+      List.fold_left
+        (fun acc cube ->
+          match acc with
+          | None -> Some (cube_gate cube)
+          | Some acc -> Some (Gates.gor b acc (cube_gate cube)))
+        None cubes
+      |> Option.get
+    in
+    match choice func k with
+    | Ee_logic.Isop.Const v -> Gates.const b v
+    | Ee_logic.Isop.On on -> cover_gate on
+    | Ee_logic.Isop.Off off -> Gates.gnot b (cover_gate off)
   in
   List.iter
     (fun id ->

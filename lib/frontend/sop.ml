@@ -86,13 +86,9 @@ let of_cover b ~nvars ~fanin ~complement cubes =
 let of_truthtab b tt fanin =
   let k = Tt.arity tt in
   match Tt.is_const tt with
-  | Some v -> Netlist.add_const b v
-  | None ->
-      if k <= 4 then Netlist.add_lut b (Lut4.of_truthtab tt) (Array.sub fanin 0 k)
-      else begin
-        let on = Ee_logic.Isop.cover tt in
-        let off = Ee_logic.Isop.cover (Tt.lognot tt) in
-        if List.length off < List.length on then
-          of_cover b ~nvars:k ~fanin ~complement:true off
-        else of_cover b ~nvars:k ~fanin ~complement:false on
-      end
+  | None when k <= 4 -> Netlist.add_lut b (Lut4.of_truthtab tt) (Array.sub fanin 0 k)
+  | _ -> (
+      match Ee_logic.Isop.choose tt with
+      | Ee_logic.Isop.Const v -> Netlist.add_const b v
+      | Ee_logic.Isop.On on -> of_cover b ~nvars:k ~fanin ~complement:false on
+      | Ee_logic.Isop.Off off -> of_cover b ~nvars:k ~fanin ~complement:true off)

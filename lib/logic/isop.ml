@@ -45,6 +45,15 @@ let cover tt =
   assert (Truthtab.equal covered tt);
   List.sort Cube.compare cubes
 
+type choice = Const of bool | On of Cube.t list | Off of Cube.t list
+
+let choose tt =
+  match Truthtab.is_const tt with
+  | Some v -> Const v
+  | None ->
+      let on = cover tt and off = cover (Truthtab.lognot tt) in
+      if List.length off < List.length on then Off off else On on
+
 let is_irredundant tt cubes =
   let nvars = Truthtab.arity tt in
   let union cs = Qm.cubes_to_truthtab ~nvars cs in
