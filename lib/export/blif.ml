@@ -82,7 +82,9 @@ let node_prefix nl =
     && String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub s k (n - k))
   in
   let ports = Array.append (Netlist.inputs nl) (Netlist.outputs nl) in
-  let rec go p = if Array.exists (fun (name, _) -> digits_after p name) ports then go (p ^ "n") else p in
+  let rec go p =
+    if Array.exists (fun (name, _) -> digits_after p name) ports then go (p ^ "n") else p
+  in
   go "n"
 
 let node_name nl prefix i =

@@ -60,6 +60,17 @@ let test_is_irredundant_detects_redundancy () =
   Alcotest.(check bool) "good" true (Isop.is_irredundant f good);
   Alcotest.(check bool) "bad" false (Isop.is_irredundant f bad)
 
+(* [choose]: the constant of a constant function, else the shorter cover
+   of the ON-set or the OFF-set (the ON-set on a tie), never an empty OFF
+   cover. *)
+let prop_choose =
+  qtest "choose: constant, or the shorter of ON and OFF covers" (tt_gen 2) (fun f ->
+      let on = Isop.cover f and off = Isop.cover (Tt.lognot f) in
+      match Isop.choose f with
+      | Isop.Const v -> Tt.is_const f = Some v
+      | Isop.On c -> Tt.is_const f = None && c = on && List.length on <= List.length off
+      | Isop.Off c -> Tt.is_const f = None && c = off && c <> [] && List.length off < List.length on)
+
 let suite =
   ( "isop",
     [
@@ -70,4 +81,5 @@ let suite =
       prop_implicants;
       prop_irredundant;
       prop_no_bigger_than_qm;
+      prop_choose;
     ] )
