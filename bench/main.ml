@@ -18,7 +18,8 @@
                               (writes BENCH_faults.json)
      main.exe --selection-timeout S   per-benchmark budget for the --perf
                               MCR-greedy selection sweep (default 120 s)
-     main.exe --serve         ee_synthd cold/warm latency (writes BENCH_serve.json)
+     main.exe --serve         ee_synthd cold/warm latency and the import path per
+                              layer (writes BENCH_serve.json)
      main.exe --chaos         supervised ee_fleet under SIGKILL/corruption load
                               (merges a "chaos" section into BENCH_serve.json;
                               exits non-zero on any wrong or dropped reply, a
@@ -620,7 +621,8 @@ let print_perf ?(selection_timeout = 120.) () =
    test — many simulated clients multiplexed from a few driver domains,
    mixed warm/cold/non-cacheable traffic at a fixed arrival rate —
    recording cold/warm p50/p90/p99, per-tier rejection counts and shard
-   balance.  Writes BENCH_serve.json; fails the run if the warm path is
+   balance, plus the import path per layer and cold import latency.
+   Writes BENCH_serve.json; fails the run if the warm path is
    less than 10x faster than cold, and (on multi-core machines) if warm
    p99 under load blows past the p50-relative gate or a shard starves. *)
 
@@ -663,7 +665,8 @@ let import_vectors = 100
 let import_texts () =
   List.concat_map
     (fun id ->
-      let nl = Ee_rtl.Techmap.run_rtl ((Ee_bench_circuits.Itc99.find id).Ee_bench_circuits.Itc99.build ()) in
+      let b = Ee_bench_circuits.Itc99.find id in
+      let nl = Ee_rtl.Techmap.run_rtl (b.Ee_bench_circuits.Itc99.build ()) in
       [
         Ee_frontend.Aiger.to_ascii nl;
         Ee_frontend.Aiger.to_binary nl;
@@ -776,7 +779,10 @@ let print_serve ~clients () =
          (fun k text ->
            let body =
              if Ee_frontend.Frontend.detect text = Ee_frontend.Frontend.Aiger_binary then
-               [ ("text", Json.String (Ee_util.Base64.encode text)); ("encoding", Json.String "base64") ]
+               [
+                 ("text", Json.String (Ee_util.Base64.encode text));
+                 ("encoding", Json.String "base64");
+               ]
              else [ ("text", Json.String text) ]
            in
            time_request c
