@@ -78,7 +78,7 @@ let node_prefix nl =
   let digits_after p s =
     let k = String.length p and n = String.length s in
     n > k
-    && String.sub s 0 k = p
+    && String.starts_with ~prefix:p s
     && String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub s k (n - k))
   in
   let ports = Array.append (Netlist.inputs nl) (Netlist.outputs nl) in
