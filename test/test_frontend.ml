@@ -440,7 +440,7 @@ let test_aiger_texts_pinned () =
 (* [Remap.run] of b10 as ASCII AIGER allocates at most 0.875 M minor
    words (half of the list-based labeler's 1.75 M). *)
 let test_remap_allocation () =
-  let nl = Frontend.parse_exn (List.nth (Lazy.force serve_mix_texts) 18) in
+  let nl = Frontend.parse_exn (Aiger.to_ascii (Ee_rtl.Techmap.run_rtl (itc99_design "b10"))) in
   ignore (Remap.run nl);
   let w0 = Gc.minor_words () in
   ignore (Remap.run nl);
