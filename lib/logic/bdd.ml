@@ -1,22 +1,64 @@
 type t = Leaf of bool | Node of { id : int; var : int; lo : t; hi : t }
 
-(* Cache keys are packed into a single immediate int — (var, lo, hi) and
-   (c, a, b) triples both fit 21 bits per component — so the hot hash
-   tables never allocate or hash a tuple.  2^21 nodes is far beyond any
-   truth-table-sized BDD (arity <= 16); [mk] checks the bound. *)
-let key_bits = 21
+(* The unique table and the ite cache are open-addressing tables keyed by
+   an int triple — (var, lo id, hi id) and (c, a, b) ids — stored flat in
+   [keys] beside the node in [vals], so a lookup neither allocates nor
+   hashes a tuple, and ids are full-width ints: a manager has no node
+   ceiling but memory.  [absent] marks an empty slot; a table stays at
+   most three-quarters full. *)
+type table = { mutable keys : int array; mutable vals : t array; mutable size : int }
 
-let key_limit = 1 lsl key_bits
+let absent = Node { id = -1; var = -1; lo = Leaf false; hi = Leaf false }
 
-let pack a b c = ((a lsl key_bits) lor b) lsl key_bits lor c
+let table () = { keys = Array.make (3 * 256) (-1); vals = Array.make 256 absent; size = 0 }
+
+(* The slot holding (a, b, c), or the empty slot where it belongs.  The
+   probe is a loop, not a local closure, so it allocates nothing. *)
+let slot keys a b c =
+  let k = 0x1E3779B97F4A7C15 in
+  let h = ((((a * k) + b) * k) + c) * k in
+  let mask = (Array.length keys / 3) - 1 in
+  let s = ref ((h lxor (h lsr 31)) land mask) in
+  while
+    let i = 3 * !s in
+    keys.(i) >= 0 && not (keys.(i) = a && keys.(i + 1) = b && keys.(i + 2) = c)
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+(* Store (a, b, c) -> v in slot [s], which [slot] has just found empty;
+   a table about to pass three-quarters full doubles first. *)
+let rec add tbl s a b c v =
+  let keys = tbl.keys and vals = tbl.vals in
+  if 4 * (tbl.size + 1) > 3 * Array.length vals then begin
+    tbl.keys <- Array.make (2 * Array.length keys) (-1);
+    tbl.vals <- Array.make (2 * Array.length vals) absent;
+    tbl.size <- 0;
+    Array.iteri
+      (fun i w ->
+        if w != absent then begin
+          let a = keys.(3 * i) and b = keys.((3 * i) + 1) and c = keys.((3 * i) + 2) in
+          add tbl (slot tbl.keys a b c) a b c w
+        end)
+      vals;
+    add tbl (slot tbl.keys a b c) a b c v
+  end
+  else begin
+    keys.(3 * s) <- a;
+    keys.((3 * s) + 1) <- b;
+    keys.((3 * s) + 2) <- c;
+    vals.(s) <- v;
+    tbl.size <- tbl.size + 1
+  end
 
 type manager = {
-  unique : (int, t) Hashtbl.t; (* pack(var, lo_id, hi_id) -> node *)
-  ite_cache : (int, t) Hashtbl.t;
+  unique : table; (* (var, lo id, hi id) -> node *)
+  ite_cache : table; (* (c id, a id, b id) -> ite c a b *)
   mutable next_id : int;
 }
 
-let manager () = { unique = Hashtbl.create 1024; ite_cache = Hashtbl.create 1024; next_id = 2 }
+let manager () = { unique = table (); ite_cache = table (); next_id = 2 }
 
 let id = function Leaf false -> 0 | Leaf true -> 1 | Node n -> n.id
 
@@ -26,17 +68,16 @@ let one _ = Leaf true
 
 let mk m var lo hi =
   if id lo = id hi then lo
-  else begin
-    if m.next_id >= key_limit then failwith "Bdd: node limit exceeded";
-    let key = pack var (id lo) (id hi) in
-    match Hashtbl.find_opt m.unique key with
-    | Some n -> n
-    | None ->
-        let n = Node { id = m.next_id; var; lo; hi } in
-        m.next_id <- m.next_id + 1;
-        Hashtbl.add m.unique key n;
-        n
-  end
+  else
+    let s = slot m.unique.keys var (id lo) (id hi) in
+    let n = m.unique.vals.(s) in
+    if n != absent then n
+    else begin
+      let n = Node { id = m.next_id; var; lo; hi } in
+      m.next_id <- m.next_id + 1;
+      add m.unique s var (id lo) (id hi) n;
+      n
+    end
 
 let var m i =
   if i < 0 then invalid_arg "Bdd.var: negative index";
@@ -56,17 +97,17 @@ let rec ite m c a b =
   | _ ->
       if id a = id b then a
       else
-        let key = pack (id c) (id a) (id b) in
-        (match Hashtbl.find_opt m.ite_cache key with
-        | Some r -> r
-        | None ->
-            let v = min (top_var c) (min (top_var a) (top_var b)) in
-            let c0, c1 = cofactors c v in
-            let a0, a1 = cofactors a v in
-            let b0, b1 = cofactors b v in
-            let r = mk m v (ite m c0 a0 b0) (ite m c1 a1 b1) in
-            Hashtbl.add m.ite_cache key r;
-            r)
+        let r = m.ite_cache.vals.(slot m.ite_cache.keys (id c) (id a) (id b)) in
+        if r != absent then r
+        else
+          let v = Int.min (top_var c) (Int.min (top_var a) (top_var b)) in
+          let c0, c1 = cofactors c v in
+          let a0, a1 = cofactors a v in
+          let b0, b1 = cofactors b v in
+          let r = mk m v (ite m c0 a0 b0) (ite m c1 a1 b1) in
+          (* The recursion may have moved this key's empty slot. *)
+          add m.ite_cache (slot m.ite_cache.keys (id c) (id a) (id b)) (id c) (id a) (id b) r;
+          r
 
 let lognot m a = ite m a (Leaf false) (Leaf true)
 

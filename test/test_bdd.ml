@@ -87,6 +87,32 @@ let test_reduction () =
   let f = Bdd.logor m (Bdd.logand m x y) (Bdd.logand m x (Bdd.lognot m y)) in
   Alcotest.(check bool) "reduces to x" true (Bdd.equal f x)
 
+(* One manager past 2^21 nodes: the projections of 2^21 variables above
+   x_0..x_19 come first, so every node and ite result of a < b and a > b
+   (a = x_0..x_9, b = x_10..x_19, least significant bit first) has an id
+   past 2^21.  The manager's cache keys once packed ids and variables into
+   21 bits each and raised [Failure] at 2^21 nodes. *)
+let test_past_2_21_nodes () =
+  let m = Bdd.manager () in
+  for v = 20 to 20 + (1 lsl 21) do
+    ignore (Bdd.var m v)
+  done;
+  (* Where a and b differ at bit i, the comparison is b_i (or a_i) unless a
+     higher bit differs too. *)
+  let compare_by pick =
+    List.fold_left
+      (fun acc i ->
+        let a = Bdd.var m i and b = Bdd.var m (10 + i) in
+        Bdd.ite m (Bdd.logxor m a b) (pick a b) acc)
+      (Bdd.zero m) (List.init 10 Fun.id)
+  in
+  let lt = compare_by (fun _ b -> b) and gt = compare_by (fun a _ -> a) in
+  Alcotest.(check int) "a < b" (1024 * 1023 / 2) (Bdd.sat_count m lt ~nvars:20);
+  Alcotest.(check int) "a > b" (1024 * 1023 / 2) (Bdd.sat_count m gt ~nvars:20);
+  Alcotest.(check int) "a <> b" ((1024 * 1024) - 1024)
+    (Bdd.sat_count m (Bdd.logor m lt gt) ~nvars:20);
+  Alcotest.(check bool) "a < b and a > b" true (Bdd.equal (Bdd.logand m lt gt) (Bdd.zero m))
+
 let suite =
   ( "bdd",
     [
@@ -100,4 +126,5 @@ let suite =
       prop_sat_count;
       prop_restrict;
       prop_support;
+      Alcotest.test_case "past 2^21 nodes" `Quick test_past_2_21_nodes;
     ] )
