@@ -551,6 +551,13 @@ let restart_s ~pid_of pid =
   in
   poll ()
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let print_chaos () =
   section "Chaos: supervised ee_fleet under SIGKILL + tier-corruption load";
   (* A write to a killed child is EPIPE for the failover client, not a kill. *)
@@ -572,6 +579,9 @@ let print_chaos () =
   in
   let mkdir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> () in
   mkdir dir;
+  (* [fail] exits, so the directory (tier entries, sockets, fleet.log) goes
+     at exit: after a pass, a failed gate or an exception alike. *)
+  at_exit (fun () -> if Sys.file_exists dir then remove_tree dir);
   let tier = Filename.concat dir "tier" in
   mkdir tier;
   let prefix = Filename.concat dir "s" in
@@ -591,6 +601,32 @@ let print_chaos () =
   Unix.close log_fd;
   Printf.printf "fleet: %s -n 2 --tier %s (supervisor pid %d, log %s)\n" exe tier
     fleet_pid fleet_log;
+  (* SIGTERM the supervisor and wait for it: [true] on a clean exit within
+     15 s.  Runs once; a run that ends before its drain drains at exit. *)
+  let drained = ref None in
+  let drain () =
+    match !drained with
+    | Some clean -> clean
+    | None ->
+        (try Unix.kill fleet_pid Sys.sigterm with Unix.Unix_error _ -> ());
+        let deadline = Unix.gettimeofday () +. 15. in
+        let rec wait () =
+          match Unix.waitpid [ Unix.WNOHANG ] fleet_pid with
+          | 0, _ ->
+              if Unix.gettimeofday () > deadline then false
+              else begin
+                Unix.sleepf 0.05;
+                wait ()
+              end
+          | _, Unix.WEXITED 0 -> true
+          | _, _ -> false
+          | exception Unix.Unix_error _ -> false
+        in
+        let clean = wait () in
+        drained := Some clean;
+        clean
+  in
+  at_exit (fun () -> ignore (drain ()));
   let health_of addr =
     match Client.connect ~recv_timeout_s:2. addr with
     | exception _ -> None
@@ -791,23 +827,7 @@ let print_chaos () =
     "corruption: child 0 restarted in %.2f s, quarantined %d entries, %d wrong post-restart replies\n"
     recovery3 quarantined (List.length post_wrong);
   (* Drain the fleet and wait for a clean supervisor exit. *)
-  (try Unix.kill fleet_pid Sys.sigterm with Unix.Unix_error _ -> ());
-  let clean_exit =
-    let deadline = Unix.gettimeofday () +. 15. in
-    let rec wait () =
-      match Unix.waitpid [ Unix.WNOHANG ] fleet_pid with
-      | 0, _ ->
-          if Unix.gettimeofday () > deadline then false
-          else begin
-            Unix.sleepf 0.05;
-            wait ()
-          end
-      | _, Unix.WEXITED 0 -> true
-      | _, _ -> false
-      | exception Unix.Unix_error _ -> false
-    in
-    wait ()
-  in
+  let clean_exit = drain () in
   Printf.printf "drain: supervisor exit %s\n" (if clean_exit then "clean" else "DIRTY");
   let cores = cores () and gate_enforced = gate_enforced () in
   let availability_floor = 0.95 in

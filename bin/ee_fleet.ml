@@ -20,34 +20,6 @@ let address_of_slot ~socket_prefix ~tcp slot =
   | None -> `Unix (Printf.sprintf "%s.%d" socket_prefix slot)
   | Some (host, port) -> `Tcp (host, port + slot)
 
-let parse_tcp = function
-  | None -> Ok None
-  | Some spec -> (
-      match String.rindex_opt spec ':' with
-      | None -> Error (`Msg "expected HOST:PORT for --tcp")
-      | Some i -> (
-          let host = String.sub spec 0 i in
-          let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-          match int_of_string_opt port with
-          | Some p when p > 0 && p < 65536 -> Ok (Some (host, p))
-          | _ -> Error (`Msg (Printf.sprintf "bad port %S in --tcp" port))))
-
-(* Runs in the forked child; never returns.  The child ignores SIGINT (a
-   terminal Ctrl-C reaches the whole process group — the supervisor turns
-   it into an orderly SIGTERM drain) and treats SIGTERM as graceful stop,
-   exactly like a standalone ee_synthd. *)
-let child_main ~cfg ~tier =
-  let stop = Atomic.make false in
-  ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)));
-  ignore (Sys.signal Sys.sigint Sys.Signal_ignore);
-  (match tier with
-  | None -> Server.serve ~stop cfg
-  | Some _ ->
-      let cache = Server.cache_of_config cfg in
-      ignore (Ee_cache.Cache.preload cache);
-      Server.serve ~cache ~stop cfg);
-  exit 0
-
 let probe_timeout_s = 2.0
 
 (* A health round-trip on a fresh connection: only a live event loop can
@@ -57,44 +29,38 @@ let probe addr =
   | exception _ -> false
   | c ->
       let healthy =
-        match Client.request_line c {|{"cmd":"health"}|} with
-        | line -> (
-            match Json.parse line with
-            | Ok j -> (
-                match Json.member "status" j with
-                | Some (Json.String "ok") -> true
-                | _ -> false)
-            | Error _ -> false)
-        | exception _ -> false
+        match Json.parse (Client.request_line c {|{"cmd":"health"}|}) with
+        | Ok j -> Json.member "status" j = Some (Json.String "ok")
+        | Error _ | exception _ -> false
       in
       Client.close c;
       healthy
 
 let run n socket_prefix tcp jobs shards queue deadline cache_mb tier probe_interval
     probe_misses backoff_base backoff_cap stable grace quiet =
-  match parse_tcp tcp with
-  | Error (`Msg m) ->
+  match
+    Option.fold ~none:(Ok None) ~some:(fun s -> Result.map Option.some (Server.host_port s)) tcp
+  with
+  | Error m ->
       prerr_endline ("ee_fleet: " ^ m);
       exit 2
   | Ok tcp ->
       let n = max 1 n in
       let log = if quiet then ignore else fun m -> prerr_endline ("ee_fleet: " ^ m) in
-      let d = Server.default_config in
-      let domains = match jobs with Some j -> max 1 j | None -> d.Server.domains in
-      let cfg_of_slot slot =
-        {
-          d with
-          Server.address = address_of_slot ~socket_prefix ~tcp slot;
-          shards = (match shards with Some s -> max 1 s | None -> d.Server.shards);
-          domains;
-          max_pending = (match queue with Some q -> max 1 q | None -> 4 * domains);
-          default_deadline_s = deadline;
-          cache_max_bytes = cache_mb * 1024 * 1024;
-          cache_dir = tier;
-          log =
+      (* Runs in the forked child; never returns.  The child ignores SIGINT
+         (a terminal Ctrl-C reaches the whole process group — the
+         supervisor turns it into an orderly SIGTERM drain) and treats
+         SIGTERM as graceful stop, exactly like a standalone ee_synthd. *)
+      let child_main slot =
+        let stop = Atomic.make false in
+        ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)));
+        ignore (Sys.signal Sys.sigint Sys.Signal_ignore);
+        Server.daemon ?jobs ?shards ?queue ?deadline ?tier ~cache_mb ~stop
+          ~log:
             (if quiet then ignore
-             else fun m -> prerr_endline (Printf.sprintf "ee_synthd[%d]: %s" slot m));
-        }
+             else fun m -> prerr_endline (Printf.sprintf "ee_synthd[%d]: %s" slot m))
+          (address_of_slot ~socket_prefix ~tcp slot);
+        exit 0
       in
       let stop = Atomic.make false in
       let request_stop _ = Atomic.set stop true in
@@ -108,7 +74,7 @@ let run n socket_prefix tcp jobs shards queue deadline cache_mb tier probe_inter
                  here is safe; the child brings up its own domains. *)
               match Unix.fork () with
               | 0 -> (
-                  try child_main ~cfg:(cfg_of_slot slot) ~tier
+                  try child_main slot
                   with e ->
                     prerr_endline
                       (Printf.sprintf "ee_fleet: child %d died at startup: %s" slot

@@ -589,14 +589,7 @@ let client_cmd =
     let address =
       match tcp with
       | None -> Ok (`Unix socket)
-      | Some spec -> (
-          match String.rindex_opt spec ':' with
-          | None -> Error "expected HOST:PORT for --tcp"
-          | Some i -> (
-              let host = String.sub spec 0 i in
-              match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
-              | Some p when p > 0 && p < 65536 -> Ok (`Tcp (host, p))
-              | _ -> Error "bad port in --tcp"))
+      | Some spec -> Result.map (fun hp -> `Tcp hp) (Ee_serve.Server.host_port spec)
     in
     let spec =
       let base = spec_of threshold coverage_only vectors seed in

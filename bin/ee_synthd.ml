@@ -7,61 +7,25 @@
 open Cmdliner
 module Server = Ee_serve.Server
 
-let address_of ~socket ~tcp =
-  match tcp with
-  | None -> Ok (`Unix socket)
-  | Some spec -> (
-      match String.rindex_opt spec ':' with
-      | None -> Error (`Msg "expected HOST:PORT for --tcp")
-      | Some i -> (
-          let host = String.sub spec 0 i in
-          let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-          match int_of_string_opt port with
-          | Some p when p > 0 && p < 65536 -> Ok (`Tcp (host, p))
-          | _ -> Error (`Msg (Printf.sprintf "bad port %S in --tcp" port))))
-
 let run socket tcp jobs shards queue backlog deadline cache_mb cache_dir tier quiet =
-  (match (cache_dir, tier) with
-  | Some _, Some _ ->
-      prerr_endline "ee_synthd: give either --tier or --cache-dir, not both";
-      exit 2
-  | _ -> ());
-  match address_of ~socket ~tcp with
-  | Error (`Msg m) ->
-      prerr_endline ("ee_synthd: " ^ m);
-      exit 2
-  | Ok address ->
-      let d = Server.default_config in
-      let log = if quiet then ignore else fun m -> prerr_endline ("ee_synthd: " ^ m) in
-      let domains = match jobs with Some j -> max 1 j | None -> d.Server.domains in
-      let cfg =
-        {
-          d with
-          Server.address;
-          shards = (match shards with Some s -> max 1 s | None -> d.Server.shards);
-          domains;
-          max_pending = (match queue with Some q -> max 1 q | None -> 4 * domains);
-          backlog;
-          default_deadline_s = deadline;
-          cache_max_bytes = cache_mb * 1024 * 1024;
-          cache_dir = (match tier with Some _ -> tier | None -> cache_dir);
-          log;
-        }
-      in
-      let stop = Atomic.make false in
-      let request_stop _ = Atomic.set stop true in
-      ignore (Sys.signal Sys.sigint (Sys.Signal_handle request_stop));
-      ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request_stop));
-      (* --tier differs from --cache-dir only in startup behaviour: the
-         shared directory is preloaded into the memory LRU, so a restarted
-         or second daemon starts warm instead of paying disk hits. *)
-      match tier with
-      | None -> Server.serve ~stop cfg
-      | Some dir ->
-          let cache = Server.cache_of_config cfg in
-          let n = Ee_cache.Cache.preload cache in
-          log (Printf.sprintf "tier %s: preloaded %d entries" dir n);
-          Server.serve ~cache ~stop cfg
+  let fail m =
+    prerr_endline ("ee_synthd: " ^ m);
+    exit 2
+  in
+  if cache_dir <> None && tier <> None then fail "give either --tier or --cache-dir, not both";
+  let address =
+    match Option.map Server.host_port tcp with
+    | None -> `Unix socket
+    | Some (Ok host_port) -> `Tcp host_port
+    | Some (Error m) -> fail m
+  in
+  let stop = Atomic.make false in
+  let request_stop _ = Atomic.set stop true in
+  ignore (Sys.signal Sys.sigint (Sys.Signal_handle request_stop));
+  ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request_stop));
+  Server.daemon ?jobs ?shards ?queue ?backlog ?deadline ?cache_dir ?tier ~cache_mb ~stop
+    ~log:(if quiet then ignore else fun m -> prerr_endline ("ee_synthd: " ^ m))
+    address
 
 let socket_t =
   Arg.(

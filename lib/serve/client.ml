@@ -10,26 +10,15 @@ type t = {
   recv_timeout_s : float option;
 }
 
-let sockaddr = function
-  | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  | `Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      (Unix.PF_INET, Unix.ADDR_INET (addr, port))
-
 let connect ?(retries = 0) ?(retry_delay_s = 0.1) ?recv_timeout_s address =
-  let domain, addr = sockaddr address in
+  let domain, addr = Server.sockaddr address in
   let rec attempt left =
     let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () ->
-        (match address with
-        | `Tcp _ -> (
-            (* Pipelined single-line requests lose to Nagle otherwise. *)
-            try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-        | `Unix _ -> ());
+        (* Pipelined single-line requests lose to Nagle otherwise. *)
+        if domain = Unix.PF_INET then (
+          try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         let chunk = Bytes.create 65536 in
         { fd; chunk; inbuf = Buffer.create 4096; lines = []; recv_timeout_s }
     | exception Unix.Unix_error _ when left > 0 ->
@@ -85,8 +74,5 @@ let recv_line t =
 let request_line t line =
   send_line t line;
   recv_line t
-
-let request t env =
-  Json.parse (request_line t (Json.to_string (Protocol.envelope_to_json env)))
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -36,8 +36,4 @@ val request_line : t -> string -> string
     response line.  Raises [End_of_file] if the server closes the
     connection first, {!Timeout} on receive timeout. *)
 
-val request : t -> Protocol.envelope -> (Ee_export.Json.t, string) result
-(** Encode, send, and decode.  [Error] carries the parse failure if the
-    response line is not valid JSON. *)
-
 val close : t -> unit

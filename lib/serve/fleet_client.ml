@@ -172,6 +172,3 @@ let request_line t line =
               attempt (n + 1) (`Io (Unix.error_message e)))
   in
   attempt 1 (`Io "not attempted")
-
-let request t env =
-  Json.parse (request_line t (Json.to_string (Protocol.envelope_to_json env)))

@@ -63,10 +63,6 @@ val request_line : t -> string -> string
     return the first response the policy does not consume.  Raises
     {!Failed} when the attempt budget is exhausted. *)
 
-val request : t -> Protocol.envelope -> (Ee_export.Json.t, string) result
-(** Encode, send with the policy, decode.  Raises {!Failed} like
-    {!request_line}. *)
-
 val close : t -> unit
 (** Close the current connection, if any.  The handle stays usable — the
     next request reconnects. *)

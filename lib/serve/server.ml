@@ -23,19 +23,25 @@ type config = {
   log : string -> unit;
 }
 
-let default_config =
+(* A configuration from the daemon command-line values, each defaulted
+   when absent. *)
+let make_config ?jobs ?(shards = 1) ?queue ?backlog ?deadline ?cache_dir ?(cache_mb = 64)
+    ?(log = ignore) address =
+  let domains = match jobs with Some j -> max 1 j | None -> Domain.recommended_domain_count () in
   {
-    address = `Unix "ee_synthd.sock";
-    shards = 1;
-    domains = Domain.recommended_domain_count ();
-    max_pending = 4 * Domain.recommended_domain_count ();
-    backlog = None;
-    default_deadline_s = None;
-    cache_max_bytes = 64 * 1024 * 1024;
-    cache_dir = None;
+    address;
+    shards;
+    domains;
+    max_pending = (match queue with Some q -> max 1 q | None -> 4 * domains);
+    backlog;
+    default_deadline_s = deadline;
+    cache_max_bytes = cache_mb * 1024 * 1024;
+    cache_dir;
     shutdown_grace_s = 5.;
-    log = ignore;
+    log;
   }
+
+let default_config = make_config (`Unix "ee_synthd.sock")
 
 (* Watermarks of the graded admission ladder: half and three quarters of
    [max_pending], with 1 <= throttle <= shed. *)
@@ -301,14 +307,6 @@ let compute ~cache (req : Protocol.request) =
           (Json.Obj [ ("slept_s", Json.Float s) ], false)
       | _ -> invalid_arg "Server.compute: inline command" (* handled by the event loop *))
 
-(* Is the computation's result cacheable?  Cacheable work is never
-   throttled or shed below the hard bound: rejecting it forfeits a cache
-   fill that would absorb the repeat traffic causing the load. *)
-let cacheable_req = function
-  | Protocol.Synth _ | Protocol.Import _ | Protocol.Perf _ | Protocol.Faults _ -> true
-  | Protocol.Sleep _ -> false
-  | Protocol.Stats | Protocol.Health | Protocol.Ping | Protocol.Shutdown -> false
-
 (* -------------------------------------------------------------------- *)
 (* Metrics (shared across shards and workers; one small mutex)          *)
 (* -------------------------------------------------------------------- *)
@@ -400,7 +398,6 @@ let retry_after_hint m ~inflight ~workers =
    pool workers write a wake byte when a result slot fills, so the loop
    never needs a short poll tick to notice completions. *)
 type shard = {
-  sh_index : int;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   incoming_lock : Mutex.t;
@@ -561,27 +558,10 @@ let health_json m ~inflight ~cfg ~cache ~shards =
 (* Per-shard event loop                                                 *)
 (* -------------------------------------------------------------------- *)
 
-(* A worker fills the slot, then wakes the owning shard.  The shard polls
-   slots without any pool round-trip, so one slow element of a batch
-   slice never delays the delivery of its finished siblings. *)
-type slot = (Json.t * bool, exn) result option Atomic.t
-
-(* A request line on its connection's queue, in arrival order: answered
-   already, or admitted and waiting for its slot or its deadline. *)
-type entry =
-  | Ready of { line : string; cmd : string; outcome : [ `Ok | `Error of string ]; t0 : float }
-  | Running of {
-      slot : slot;
-      cmd : string;
-      id : Json.t;
-      t0 : float;
-      deadline : float option;  (* absolute *)
-    }
-
 type conn = {
   fd : Unix.file_descr;  (* non-blocking *)
   inbuf : Buffer.t; (* bytes read and not yet framed into lines *)
-  queue : entry Queue.t;
+  queue : Lifecycle.entry Queue.t;
   mutable alive : bool;
   mutable reading : bool;
       (* input still open: cleared at its end or on a refused line, after
@@ -593,23 +573,32 @@ type conn = {
 
 let now () = Unix.gettimeofday ()
 
-let listen_socket ~backlog = function
-  | `Unix path ->
-      if Sys.file_exists path then Unix.unlink path;
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd backlog;
-      fd
+let host_port spec =
+  match String.rindex_opt spec ':' with
+  | None -> Error "expected HOST:PORT for --tcp"
+  | Some i -> (
+      let port = String.sub spec (i + 1) (String.length spec - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p > 0 && p < 65536 -> Ok (String.sub spec 0 i, p)
+      | _ -> Error (Printf.sprintf "bad port %S in --tcp" port))
+
+let sockaddr = function
+  | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   | `Tcp (host, port) ->
       let addr =
         try Unix.inet_addr_of_string host
         with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
       in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd backlog;
-      fd
+      (Unix.PF_INET, Unix.ADDR_INET (addr, port))
+
+let listen_socket ~backlog address =
+  let domain, addr = sockaddr address in
+  (match addr with Unix.ADDR_UNIX path when Sys.file_exists path -> Unix.unlink path | _ -> ());
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd addr;
+  Unix.listen fd backlog;
+  fd
 
 let pending conn = conn.out_stop - conn.out_start
 
@@ -651,119 +640,14 @@ let send conn line =
   end
 
 let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
-  let throttle, shed = tier_thresholds cfg in
   let workers = Pool.size pool in
   let conns : conn list ref = ref [] in
   let stop_at = ref None in
 
-  (* Count before writing: a client that has read its response (and may
-     immediately ask for stats) must already be visible in the counter. *)
-  let respond conn line =
-    Atomic.incr sh.handled;
-    send conn line
-  in
-
-  (* -- classification: one queue entry per request line; an admitted
-        line also joins [admits] with the slot its worker will fill -- *)
-  let classify ~admits line =
-    let t0 = now () in
-    let answer ~cmd ~outcome line = Ready { line; cmd; outcome; t0 } in
-    match Protocol.parse_line line with
-    | Error msg ->
-        let cmd, id = Protocol.rejected_echo line in
-        answer ~cmd ~outcome:(`Error "bad_request")
-          (Protocol.error_response ~id ~cmd ~code:"bad_request" msg)
-    | Ok env -> (
-        let cmd = Protocol.cmd_name env.Protocol.req in
-        let id = env.Protocol.id in
-        if Atomic.get stop then
-          answer ~cmd ~outcome:(`Error "shutting_down")
-            (Protocol.error_response ~id ~cmd ~code:"shutting_down"
-               "server is shutting down")
-        else
-          match env.Protocol.req with
-          | Protocol.Stats ->
-              answer ~cmd ~outcome:`Ok
-                (Protocol.ok_response ~id ~cmd ~cached:false
-                   ~elapsed_ms:((now () -. t0) *. 1000.)
-                   (metrics_json metrics ~inflight:(Atomic.get inflight) ~cfg ~cache
-                      ~shards))
-          | Protocol.Health ->
-              answer ~cmd ~outcome:`Ok
-                (Protocol.ok_response ~id ~cmd ~cached:false
-                   ~elapsed_ms:((now () -. t0) *. 1000.)
-                   (health_json metrics ~inflight:(Atomic.get inflight) ~cfg ~cache
-                      ~shards))
-          | Protocol.Ping ->
-              answer ~cmd ~outcome:`Ok
-                (Protocol.ok_response ~id ~cmd ~cached:false ~elapsed_ms:0. (Json.Obj []))
-          | Protocol.Shutdown ->
-              cfg.log "shutdown requested";
-              Atomic.set stop true;
-              answer ~cmd ~outcome:`Ok
-                (Protocol.ok_response ~id ~cmd ~cached:false ~elapsed_ms:0.
-                   (Json.Obj [ ("stopping", Json.Bool true) ]))
-          | ( Protocol.Synth _ | Protocol.Import _ | Protocol.Perf _ | Protocol.Faults _
-            | Protocol.Sleep _ ) as req -> (
-              (* Fast path: a repeat of a benchmark request whose canonical
-                 BLIF is memoized can be answered from the cache inline,
-                 without occupying a worker or waiting for a wake-up. *)
-              match Option.bind (probe_key req) (Cache.find cache) with
-              | Some payload ->
-                  answer ~cmd ~outcome:`Ok
-                    (Protocol.ok_response ~id ~cmd ~cached:true
-                       ~elapsed_ms:((now () -. t0) *. 1000.)
-                       (Json.Raw payload))
-              | None ->
-                  (* Graded admission.  [admits] holds the lines admitted
-                     earlier in this same batch, whose slices are not yet
-                     submitted — without them a pipelined batch would be
-                     classified against a stale in-flight count. *)
-                  let eff = Atomic.get inflight + Queue.length admits in
-                  let reject tier detail =
-                    bump_tier metrics tier;
-                    let retry_after_s =
-                      retry_after_hint metrics ~inflight:eff ~workers
-                    in
-                    answer ~cmd ~outcome:(`Error tier)
-                      (Protocol.error_response ~retry_after_s ~id ~cmd ~code:tier
-                         detail)
-                  in
-                  let admit () =
-                    bump_tier metrics "ok";
-                    let deadline =
-                      match (env.Protocol.deadline_s, cfg.default_deadline_s) with
-                      | Some d, _ | None, Some d -> Some (t0 +. d)
-                      | None, None -> None
-                    in
-                    let slot = Atomic.make None in
-                    Queue.add (req, slot) admits;
-                    Running { slot; cmd; id; t0; deadline }
-                  in
-                  if eff >= cfg.max_pending then
-                    reject "overloaded"
-                      (Printf.sprintf "admission queue full (%d in flight)"
-                         cfg.max_pending)
-                  else if cacheable_req req then admit ()
-                  else if eff >= shed then
-                    reject "shed"
-                      (Printf.sprintf
-                         "load shedding non-cacheable work (%d in flight >= shed \
-                          watermark %d)"
-                         eff shed)
-                  else if eff >= throttle then
-                    reject "throttled"
-                      (Printf.sprintf
-                         "past throttle watermark (%d in flight >= %d); retry after \
-                          the hint"
-                         eff throttle)
-                  else admit ()))
-  in
-
   (* -- batch slice submission: the admitted lines of one read, chunked
         map_chunked-style into at most two slices per worker, one pool
         submission per slice -- *)
-  let submit_batch (admits : (Protocol.request * slot) array) =
+  let submit_batch (admits : (Protocol.request * Lifecycle.slot) array) =
     let n = Array.length admits in
     let chunk = max 1 ((n + (2 * workers) - 1) / (2 * workers)) in
     let i = ref 0 in
@@ -778,7 +662,11 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
             for j = lo to hi - 1 do
               let req, slot = admits.(j) in
               let t_start = now () in
-              let res = try Ok (compute ~cache req) with e -> Error e in
+              let res =
+                try Ok (compute ~cache req) with
+                | Reject (code, msg) -> Error (code, msg)
+                | e -> Error ("internal", Printexc.to_string e)
+              in
               Atomic.decr inflight;
               note_work metrics (now () -. t_start);
               Atomic.set slot (Some res);
@@ -789,16 +677,54 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       | exception e ->
           ignore (Atomic.fetch_and_add inflight (-count));
           for j = lo to hi - 1 do
-            Atomic.set (snd admits.(j)) (Some (Error e))
+            Atomic.set (snd admits.(j)) (Some (Error ("internal", Printexc.to_string e)))
           done
     done
   in
-
-  let handle_batch conn lines =
-    let admits = Queue.create () in
-    List.iter (fun line -> Queue.add (classify ~admits line) conn.queue) lines;
-    ignore (Atomic.fetch_and_add sh.depth (Queue.length admits));
-    submit_batch (Array.of_seq (Queue.to_seq admits))
+  let throttle, shed = tier_thresholds cfg in
+  let lc =
+    {
+      Lifecycle.ops =
+        {
+          now;
+          inline =
+            (function
+            | Protocol.Stats ->
+                metrics_json metrics ~inflight:(Atomic.get inflight) ~cfg ~cache ~shards
+            | Protocol.Health ->
+                health_json metrics ~inflight:(Atomic.get inflight) ~cfg ~cache ~shards
+            | Protocol.Shutdown ->
+                cfg.log "shutdown requested";
+                Atomic.set stop true;
+                Json.Obj [ ("stopping", Json.Bool true) ]
+            | _ -> Json.Obj [] (* ping *));
+          cached = (fun req -> Option.bind (probe_key req) (Cache.find cache));
+          submit = submit_batch;
+          send =
+            (fun conn line ->
+              (* Count before writing: a client that has read its response
+                 (and may immediately ask for stats) must already be
+                 visible in the counter. *)
+              Atomic.incr sh.handled;
+              send conn line;
+              conn.alive);
+          tier = bump_tier metrics;
+          retry_after = retry_after_hint metrics ~workers;
+          record = record metrics;
+        };
+      max_pending = cfg.max_pending;
+      throttle;
+      shed;
+      default_deadline_s = cfg.default_deadline_s;
+      stop;
+      inflight;
+      depth = sh.depth;
+    }
+  in
+  let pump c = if c.alive then Lifecycle.pump lc c c.queue in
+  let close c =
+    Lifecycle.drop lc c.queue;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
 
   (* Frame the complete lines of a connection's input, of which the bytes
@@ -807,7 +733,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
   let process_input conn ~from =
     let b = conn.inbuf in
     let lines = Protocol.take_lines b ~from in
-    if lines <> [] then handle_batch conn lines;
+    if lines <> [] then Lifecycle.batch lc conn.queue lines;
     if Buffer.length b > max_request_bytes then begin
       send conn
         (Protocol.error_response ~id:Json.Null ~cmd:"?" ~code:"bad_request"
@@ -829,79 +755,15 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     | exception Unix.Unix_error _ -> conn.alive <- false
   in
 
-  (* The reply a queue head can give now: its ready line, its filled slot
-     or its passed deadline. *)
-  let reply_of = function
-    | Ready { line; cmd; outcome; t0 } -> Some (line, cmd, outcome, t0)
-    | Running { slot; cmd; id; t0; deadline } -> (
-        let reply outcome line = Some (line, cmd, outcome, t0) in
-        let error code msg = reply (`Error code) (Protocol.error_response ~id ~cmd ~code msg) in
-        match Atomic.get slot with
-        | Some (Ok (payload, cached)) ->
-            reply `Ok
-              (Protocol.ok_response ~id ~cmd ~cached ~elapsed_ms:((now () -. t0) *. 1000.)
-                 payload)
-        | Some (Error (Reject (code, msg))) -> error code msg
-        | Some (Error e) -> error "internal" (Printexc.to_string e)
-        | None -> (
-            match deadline with
-            | Some d when now () >= d ->
-                error "deadline_exceeded"
-                  (Printf.sprintf
-                     "no result within %.3fs; the computation continues and will warm \
-                      the cache"
-                     (d -. t0))
-            | _ -> None))
-  in
-
-  (* The one completion step: pop the head, release its admission, answer
-     it and record its latency. *)
-  let finish conn (line, cmd, outcome, t0) =
-    (match Queue.pop conn.queue with Running _ -> Atomic.decr sh.depth | Ready _ -> ());
-    respond conn line;
-    record metrics ~cmd ~outcome ~lat_ms:((now () -. t0) *. 1000.)
-  in
-
-  (* Deliver responses in request order: only the queue head may answer. *)
-  let rec pump conn =
-    if conn.alive && not (Queue.is_empty conn.queue) then
-      match reply_of (Queue.peek conn.queue) with
-      | Some reply ->
-          finish conn reply;
-          pump conn
-      | None -> ()
-  in
-
-  let flush_shutting_down conn =
-    Queue.iter
-      (function
-        | Running { cmd; id; _ } ->
-            Atomic.decr sh.depth;
-            respond conn
-              (Protocol.error_response ~id ~cmd ~code:"shutting_down"
-                 "server stopped before the computation finished")
-        | Ready { line; _ } -> respond conn line)
-      conn.queue;
-    Queue.clear conn.queue
-  in
-
   (* The select timeout only has to cover what the wake pipe cannot:
      pending deadlines and the stop flag.  Worker completions and new
      connections both arrive as wake bytes. *)
   let select_timeout ~stopping =
-    let base = if stopping then 0.01 else 0.05 in
-    let nearest =
-      List.fold_left
-        (fun acc c ->
-          match Queue.peek_opt c.queue with
-          | Some (Running { deadline = Some d; _ }) -> (
-              match acc with None -> Some d | Some a -> Some (Float.min a d))
-          | _ -> acc)
-        None !conns
+    let t = now () in
+    let nearest until c =
+      Option.fold ~none:until ~some:(Float.min until) (Lifecycle.deadline c.queue)
     in
-    match nearest with
-    | Some d -> Float.max 0. (Float.min base (d -. now ()))
-    | None -> base
+    Float.max 0. (List.fold_left nearest (t +. if stopping then 0.01 else 0.05) !conns -. t)
   in
 
   let rec loop () =
@@ -930,18 +792,9 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       fresh;
     (* Drop closed connections, and those whose input has ended once their
        written replies are sent. *)
-    conns :=
-      List.filter
-        (fun c ->
-          if c.alive && (c.reading || pending c > 0) then true
-          else begin
-            Queue.iter
-              (function Running _ -> Atomic.decr sh.depth | Ready _ -> ())
-              c.queue;
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end)
-        !conns;
+    let live, dead = List.partition (fun c -> c.alive && (c.reading || pending c > 0)) !conns in
+    List.iter close dead;
+    conns := live;
     List.iter pump !conns;
     let stopping = Atomic.get stop in
     if stopping && !stop_at = None then stop_at := Some (now ());
@@ -952,7 +805,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
       match !stop_at with Some t -> now () -. t > cfg.shutdown_grace_s | None -> false
     in
     if stopping && (drained || grace_over) then begin
-      if not drained then List.iter flush_shutting_down !conns
+      if not drained then List.iter (fun c -> if c.alive then Lifecycle.flush lc c c.queue) !conns
     end
     else begin
       let fds = sh.wake_r :: List.filter_map (fun c -> if c.reading then Some c.fd else None) !conns in
@@ -971,7 +824,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
     end
   in
   loop ();
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns
+  List.iter close !conns
 
 (* -------------------------------------------------------------------- *)
 (* Acceptor + lifecycle                                                 *)
@@ -1025,12 +878,11 @@ let serve ?cache ?stop cfg =
   let metrics = metrics_create () in
   let nshards = max 1 (min 64 cfg.shards) in
   let shards =
-    Array.init nshards (fun i ->
+    Array.init nshards (fun _ ->
         let wake_r, wake_w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock wake_r;
         Unix.set_nonblock wake_w;
         {
-          sh_index = i;
           wake_r;
           wake_w;
           incoming_lock = Mutex.create ();
@@ -1091,3 +943,15 @@ let serve ?cache ?stop cfg =
      else
        Printf.sprintf "stopped after %d requests (%d abandoned in flight)" total
          leftover)
+
+let daemon ?jobs ?shards ?queue ?backlog ?deadline ?cache_dir ?tier ~cache_mb ~log ~stop address =
+  let cache_dir = if tier = None then cache_dir else tier in
+  let cfg = make_config ?jobs ?shards ?queue ?backlog ?deadline ?cache_dir ~cache_mb ~log address in
+  (* A tier differs from a plain cache directory only at start-up: it is
+     preloaded into the memory LRU, so a restarted or second daemon starts
+     warm instead of paying disk hits. *)
+  let cache = cache_of_config cfg in
+  Option.iter
+    (fun dir -> log (Printf.sprintf "tier %s: preloaded %d entries" dir (Cache.preload cache)))
+    tier;
+  serve ~cache ~stop cfg

@@ -13,32 +13,29 @@
     - requests are NDJSON lines ({!Protocol}); a connection whose
       unfinished line grows past 8 MiB is answered [bad_request] and
       closed.  All complete lines of one read are classified as a batch
-      and the admitted ones submitted to the pool as slices ([map_chunked]-style, at most two slices per
-      worker), each element with its own result slot so one slow element
-      never delays a finished sibling;
-    - admission is graded, not binary.  With [i] requests in flight
-      (batch-locally adjusted): cacheable work
-      ([synth]/[import]/[perf]/[faults]) is admitted until [i >= max_pending] ([overloaded]); non-cacheable
-      work ([sleep]) is admitted below the throttle watermark (half of
-      [max_pending]), answered [throttled] from there, [shed] from the
-      shed watermark (three quarters), and
-      [overloaded] at the hard bound.  Every rejection carries a
-      ["retry_after_s"] hint derived from an EWMA of worker occupancy;
-    - each admitted request may carry a deadline (its own ["deadline_s"],
-      else [default_deadline_s]); when it expires the client gets a
-      [deadline_exceeded] error while the computation finishes in the
-      background and still populates the cache (OCaml domains cannot be
-      cancelled);
+      and the admitted ones submitted to the pool as slices
+      ([map_chunked]-style, at most two slices per worker), each element
+      with its own result slot so one slow element never delays a
+      finished sibling;
+    - what happens to a line between its read and its reply — inline
+      commands and cache hits, the graded admission ladder (see
+      {!tier_thresholds}; rejections carry a ["retry_after_s"] hint from
+      an EWMA of worker occupancy), deadlines (a request's own
+      ["deadline_s"], else [default_deadline_s]), in-order delivery and
+      the shutdown flush — is {!Lifecycle}, which reaches the clock, the
+      pool, the sockets and the metrics only through its [ops] record.
+      An expired deadline answers [deadline_exceeded] while the
+      computation finishes in the background and still fills the cache
+      (OCaml domains cannot be cancelled);
     - results are cached under a digest of (request kind, canonical BLIF
       of the netlist, {!Ee_engine.Engine.spec_fingerprint}, run
       parameters).  The shards share one [Cache.t]; computation happens
       outside its lock.  With [cache_dir] the directory is a
       cross-instance tier (see {!Ee_cache.Cache}): two daemons on one
       host can share it safely;
-    - [stats]/[health]/[ping]/[shutdown] are answered inline by the owning shard;
-      [stats] reports per-tier admission counts, per-shard request counts
-      and balance, and disk-tier size alongside the existing per-command
-      latency percentiles.
+    - [stats] reports per-tier admission counts, per-shard request counts
+      and balance, and disk-tier size alongside the per-command latency
+      percentiles.
 
     Responses on one connection are delivered in request order; concurrency
     comes from pipelining on a connection and from multiple connections
@@ -80,10 +77,13 @@ val tier_thresholds : config -> int * int
 val backlog_of : config -> int
 (** The listen backlog after defaulting. *)
 
-val cache_of_config : config -> Ee_cache.Cache.t
-(** The cache [serve] would create — exposed so tests and benches can
-    inspect a shared instance by building it first and passing it via
-    {!serve}'s [?cache]. *)
+val host_port : string -> (string * int, string) result
+(** Parse a [--tcp] value [HOST:PORT] (port 1..65535); [Error] is the
+    message a command line prints. *)
+
+val sockaddr : address -> Unix.socket_domain * Unix.sockaddr
+(** Resolve an address: a TCP host is a numeric address or, failing
+    that, looked up by name.  Raises [Not_found] for an unknown host. *)
 
 val serve : ?cache:Ee_cache.Cache.t -> ?stop:bool Atomic.t -> config -> unit
 (** Run the service until a [shutdown] request arrives or [stop] (checked
@@ -91,3 +91,12 @@ val serve : ?cache:Ee_cache.Cache.t -> ?stop:bool Atomic.t -> config -> unit
     the socket, owns it for the duration, spawns and joins the shard
     domains, and removes a Unix socket file on exit.  Raises
     [Unix.Unix_error] if the address cannot be bound. *)
+
+val daemon :
+  ?jobs:int -> ?shards:int -> ?queue:int -> ?backlog:int -> ?deadline:float ->
+  ?cache_dir:string -> ?tier:string -> cache_mb:int -> log:(string -> unit) ->
+  stop:bool Atomic.t -> address -> unit
+(** What both daemon command lines run: {!serve} on [default_config] with
+    [jobs] worker domains (at least 1), [queue] as [max_pending] (default
+    4× the domains), [cache_mb] MiB of memory cache, and [tier], when
+    given, as the cache directory preloaded into memory before serving. *)

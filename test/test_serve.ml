@@ -1346,6 +1346,190 @@ let test_e2e_import_port_clash () =
       Alcotest.(check (option string)) "critical cycle" (Some row.Ee_report.Tables.critical_cycle)
         (Option.bind (field "critical_cycle") Json.to_string_opt))
 
+(* ---------------- Request lifecycle on a fake clock ---------------- *)
+
+module Lifecycle = Ee_serve.Lifecycle
+
+(* One shard's lifecycle with no sockets and no workers: the clock is a
+   field, the pool holds every submitted slot until a test fills it, and
+   replies are collected in order. *)
+type fake_shard = {
+  mutable fake_now : float;
+  held : (Protocol.request * Lifecycle.slot) Queue.t;
+  mutable sent : string list;  (* newest first *)
+  tiers : (string, int) Hashtbl.t;
+}
+
+let fake_lifecycle ?(max_pending = 8) ?default_deadline_s () =
+  let f = { fake_now = 100.; held = Queue.create (); sent = []; tiers = Hashtbl.create 4 } in
+  let throttle, shed = Server.tier_thresholds { Server.default_config with Server.max_pending } in
+  let ops =
+    {
+      Lifecycle.now = (fun () -> f.fake_now);
+      inline = (fun _ -> Json.Obj []);
+      cached = (fun _ -> None);
+      submit = Array.iter (fun a -> Queue.add a f.held);
+      send =
+        (fun () line ->
+          f.sent <- line :: f.sent;
+          true);
+      tier =
+        (fun t ->
+          Hashtbl.replace f.tiers t (1 + Option.value ~default:0 (Hashtbl.find_opt f.tiers t)));
+      retry_after = (fun ~inflight:_ -> 0.25);
+      record = (fun ~cmd:_ ~outcome:_ ~lat_ms:_ -> ());
+    }
+  in
+  let stop = Atomic.make false and inflight = Atomic.make 0 and depth = Atomic.make 0 in
+  (f, { Lifecycle.ops; max_pending; throttle; shed; default_deadline_s; stop; inflight; depth })
+
+(* The replies sent since the last call, oldest first. *)
+let take_sent f =
+  let r = List.rev_map (fun l -> match Json.parse l with Ok j -> j | Error e -> Alcotest.fail e) f.sent in
+  f.sent <- [];
+  r
+
+let reply_code j =
+  match Option.bind (Json.member "error" j) Json.to_string_opt with
+  | Some code -> code
+  | None -> Option.value ~default:"?" (Option.bind (Json.member "status" j) Json.to_string_opt)
+
+let reply_ids = List.map (fun j -> Option.value ~default:(-1) (Option.bind (Json.member "id" j) Json.to_int))
+
+let fill (_, (slot : Lifecycle.slot)) result = Atomic.set slot (Some result)
+
+let test_lifecycle_ladder () =
+  (* The e2e ladder as one batch, with max_pending 3 (watermarks 1 and 2)
+     and a pool that runs nothing, so only the batch's own admissions
+     count as in flight. *)
+  let f, lc = fake_lifecycle ~max_pending:3 () in
+  let q = Queue.create () in
+  Lifecycle.batch lc q
+    [
+      "{\"cmd\":\"sleep\",\"seconds\":0.6,\"id\":0}";
+      "{\"cmd\":\"sleep\",\"seconds\":0.1,\"id\":1}";
+      "{\"cmd\":\"synth\",\"bench\":\"b02\",\"vectors\":5,\"id\":2}";
+      "{\"cmd\":\"sleep\",\"seconds\":0.1,\"id\":3}";
+      "{\"cmd\":\"synth\",\"bench\":\"b03\",\"vectors\":5,\"id\":4}";
+      "{\"cmd\":\"synth\",\"bench\":\"b04\",\"vectors\":5,\"id\":5}";
+      "{\"cmd\":\"ping\",\"id\":6}";
+    ];
+  Alcotest.(check int) "three admitted, one submission" 3 (Queue.length f.held);
+  Alcotest.(check int) "shard depth" 3 (Atomic.get lc.Lifecycle.depth);
+  Lifecycle.pump lc () q;
+  Alcotest.(check int) "the head holds every reply behind it" 0 (List.length (take_sent f));
+  Queue.iter (fun a -> fill a (Ok (Json.Obj [], false))) f.held;
+  Lifecycle.pump lc () q;
+  let replies = take_sent f in
+  Alcotest.(check (list string)) "ladder"
+    [ "ok"; "throttled"; "ok"; "shed"; "ok"; "overloaded"; "ok" ]
+    (List.map reply_code replies);
+  Alcotest.(check (list int)) "request order" [ 0; 1; 2; 3; 4; 5; 6 ] (reply_ids replies);
+  Alcotest.(check bool) "throttled carries retry_after_s > 0" true
+    (match Option.bind (Json.member "retry_after_s" (List.nth replies 1)) Json.to_float with
+    | Some s -> s > 0.
+    | None -> false);
+  Alcotest.(check int) "depth released" 0 (Atomic.get lc.Lifecycle.depth);
+  Alcotest.(check (list (pair string int))) "tier counts"
+    [ ("ok", 3); ("overloaded", 1); ("shed", 1); ("throttled", 1) ]
+    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.tiers []))
+
+let test_lifecycle_deadline () =
+  (* Its own deadline_s, and the server default when it has none. *)
+  List.iter
+    (fun (default_deadline_s, line, d) ->
+      let f, lc = fake_lifecycle ?default_deadline_s () in
+      let q = Queue.create () in
+      Lifecycle.batch lc q [ line ];
+      let due = 100. +. d in
+      Alcotest.(check (option (float 0.))) "absolute deadline" (Some due) (Lifecycle.deadline q);
+      f.fake_now <- Float.pred due;
+      Lifecycle.pump lc () q;
+      Alcotest.(check int) "not one tick early" 0 (List.length (take_sent f));
+      f.fake_now <- due;
+      Lifecycle.pump lc () q;
+      Alcotest.(check (list string)) "fires at t0 + d" [ "deadline_exceeded" ]
+        (List.map reply_code (take_sent f));
+      Alcotest.(check int) "depth released" 0 (Atomic.get lc.Lifecycle.depth))
+    [
+      (None, "{\"cmd\":\"sleep\",\"seconds\":9,\"deadline_s\":0.3}", 0.3);
+      (Some 0.7, "{\"cmd\":\"sleep\",\"seconds\":9}", 0.7);
+      (Some 0.7, "{\"cmd\":\"sleep\",\"seconds\":9,\"deadline_s\":0.3}", 0.3);
+    ]
+
+let test_lifecycle_in_order () =
+  let f, lc = fake_lifecycle () in
+  let q = Queue.create () in
+  Lifecycle.batch lc q
+    (List.map
+       (Printf.sprintf "{\"cmd\":\"synth\",\"bench\":\"b01\",\"vectors\":%d,\"id\":%d}" 5)
+       [ 1; 2; 3 ]);
+  let first, second, third =
+    match List.of_seq (Queue.to_seq f.held) with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "three submissions"
+  in
+  fill third (Error ("not_found", "no such bench"));
+  fill second (Ok (Json.Obj [ ("n", Json.Int 2) ], true));
+  Lifecycle.pump lc () q;
+  Alcotest.(check int) "later slots wait for the head" 0 (List.length (take_sent f));
+  fill first (Ok (Json.Obj [], false));
+  Lifecycle.pump lc () q;
+  let replies = take_sent f in
+  Alcotest.(check (list int)) "request order" [ 1; 2; 3 ] (reply_ids replies);
+  Alcotest.(check (list string)) "each its own slot's reply" [ "ok"; "ok"; "not_found" ]
+    (List.map reply_code replies);
+  Alcotest.(check (option bool)) "cached flag from the slot" (Some true)
+    (Option.bind (Json.member "cached" (List.nth replies 1)) Json.to_bool);
+  Alcotest.(check bool) "queue empty" true (Queue.is_empty q)
+
+let test_lifecycle_shutdown_flush () =
+  let f, lc = fake_lifecycle () in
+  let q = Queue.create () in
+  Lifecycle.batch lc q
+    [
+      "{\"cmd\":\"sleep\",\"seconds\":9,\"id\":1}";
+      "{\"cmd\":\"ping\",\"id\":2}";
+      "{\"cmd\":\"synth\",\"bench\":\"b01\",\"id\":3}";
+    ];
+  (* A filled slot behind a running head is flushed too. *)
+  fill (List.nth (List.of_seq (Queue.to_seq f.held)) 1) (Ok (Json.Obj [], false));
+  Atomic.set lc.Lifecycle.stop true;
+  Lifecycle.batch lc q [ "{\"cmd\":\"ping\",\"id\":4}" ];
+  Alcotest.(check int) "depth before the flush" 2 (Atomic.get lc.Lifecycle.depth);
+  Lifecycle.pump lc () q;
+  Alcotest.(check int) "the running head still waits" 0 (List.length (take_sent f));
+  Lifecycle.flush lc () q;
+  let replies = take_sent f in
+  Alcotest.(check (list int)) "request order" [ 1; 2; 3; 4 ] (reply_ids replies);
+  Alcotest.(check (list string)) "running entries answered shutting_down"
+    [ "shutting_down"; "ok"; "shutting_down"; "shutting_down" ]
+    (List.map reply_code replies);
+  Alcotest.(check (option string)) "flush message"
+    (Some "server stopped before the computation finished")
+    (Option.bind (Json.member "message" (List.hd replies)) Json.to_string_opt);
+  Alcotest.(check bool) "queue empty" true (Queue.is_empty q);
+  Alcotest.(check int) "depth back to 0" 0 (Atomic.get lc.Lifecycle.depth)
+
+let test_host_port () =
+  List.iter
+    (fun (spec, expected) ->
+      Alcotest.(check (result (pair string int) string)) spec expected (Server.host_port spec))
+    [
+      ("127.0.0.1:7421", Ok ("127.0.0.1", 7421));
+      ("nohost", Error "expected HOST:PORT for --tcp");
+      ("h:0", Error "bad port \"0\" in --tcp");
+      ("h:65536", Error "bad port \"65536\" in --tcp");
+      ("h:http", Error "bad port \"http\" in --tcp");
+    ];
+  (match Server.sockaddr (`Tcp ("127.0.0.1", 7421)) with
+  | Unix.PF_INET, Unix.ADDR_INET (a, 7421) ->
+      Alcotest.(check string) "numeric host" "127.0.0.1" (Unix.string_of_inet_addr a)
+  | _ -> Alcotest.fail "127.0.0.1:7421 resolves to an inet address");
+  match Server.sockaddr (`Unix "s.sock") with
+  | Unix.PF_UNIX, Unix.ADDR_UNIX "s.sock" -> ()
+  | _ -> Alcotest.fail "a Unix address resolves to itself"
+
 let suite =
   ( "serve",
     [
@@ -1407,4 +1591,12 @@ let suite =
         test_e2e_client_framing_alloc;
       Alcotest.test_case "e2e: n<digits> port names do not share a cache key" `Quick
         test_e2e_import_port_clash;
+      Alcotest.test_case "lifecycle: admission ladder in one batch (fake pool)" `Quick
+        test_lifecycle_ladder;
+      Alcotest.test_case "lifecycle: deadline fires at t0 + d (fake clock)" `Quick
+        test_lifecycle_deadline;
+      Alcotest.test_case "lifecycle: replies in request order" `Quick test_lifecycle_in_order;
+      Alcotest.test_case "lifecycle: shutdown flush releases every admission" `Quick
+        test_lifecycle_shutdown_flush;
+      Alcotest.test_case "HOST:PORT parser and address resolver" `Quick test_host_port;
     ] )
