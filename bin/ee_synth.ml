@@ -51,8 +51,9 @@ let spec_of threshold coverage_only vectors seed =
   |> Engine.with_vectors vectors
   |> Engine.with_seed seed
 
-let options_of threshold coverage_only =
-  Engine.synth_options (spec_of threshold coverage_only 100 2002)
+(* The artifact of a subcommand that plans but does not simulate. *)
+let build bench threshold coverage_only =
+  Engine.build (spec_of threshold coverage_only 100 2002) bench
 
 let list_cmd =
   let doc = "List the benchmark circuits." in
@@ -161,8 +162,7 @@ let inspect_cmd =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write the EE PL netlist as Graphviz DOT.")
   in
   let run bench threshold coverage_only dot =
-    let options = options_of threshold coverage_only in
-    let a = Ee_report.Pipeline.build ~options bench in
+    let a = build bench threshold coverage_only in
     Printf.printf "%s: %s\n" a.Ee_report.Pipeline.id a.Ee_report.Pipeline.description;
     Printf.printf "  netlist: %s\n" (Ee_netlist.Netlist.stats_string a.Ee_report.Pipeline.netlist);
     Printf.printf "  PL (no EE): %s\n" (Ee_phased.Pl.stats_string a.Ee_report.Pipeline.pl);
@@ -197,8 +197,7 @@ let export_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
   let run bench threshold coverage_only format out =
-    let options = options_of threshold coverage_only in
-    let a = Ee_report.Pipeline.build ~options bench in
+    let a = build bench threshold coverage_only in
     let text =
       match format with
       | `Blif -> Ee_export.Blif.to_blif ~model:a.Ee_report.Pipeline.id a.Ee_report.Pipeline.netlist
@@ -222,8 +221,7 @@ let export_cmd =
 let analyze_cmd =
   let doc = "Analytical delay prediction (no simulation) for a benchmark." in
   let run bench threshold coverage_only vectors seed =
-    let options = options_of threshold coverage_only in
-    let a = Ee_report.Pipeline.build ~options bench in
+    let a = build bench threshold coverage_only in
     let pred_base = Ee_core.Analysis.predict a.Ee_report.Pipeline.pl in
     let pred_ee = Ee_core.Analysis.predict a.Ee_report.Pipeline.pl_ee in
     Printf.printf "%s: predicted settle %.2f -> %.2f (%.1f%% speedup predicted)\n"
@@ -269,8 +267,7 @@ let faults_cmd =
     Printf.printf "wrote %s\n" file
   in
   let run bench threshold coverage_only waves seed json csv audit =
-    let options = options_of threshold coverage_only in
-    let a = Ee_report.Pipeline.build ~options bench in
+    let a = build bench threshold coverage_only in
     let pl = a.Ee_report.Pipeline.pl_ee and nl = a.Ee_report.Pipeline.netlist in
     let r = Ee_fault.Campaign.run ~waves ~seed ~bench:a.Ee_report.Pipeline.id pl nl in
     print_endline (Ee_fault.Campaign.summary_string r);
@@ -337,10 +334,11 @@ let perf_cmd =
           ~doc:"Also compare MCR-greedy EE selection against the Equation-1 policy.")
   in
   let run bench threshold coverage_only waves seed tolerance json selection =
-    let options = options_of threshold coverage_only in
-    let r = Ee_report.Perf_report.analyze_bench ~options ~waves ~seed bench in
+    let spec = spec_of threshold coverage_only 100 2002 in
+    let r = Ee_report.Perf_report.analyze_bench ~waves ~seed (Engine.build spec bench) in
     let sel =
-      if selection then [ Ee_report.Perf_report.compare_selection ~options bench ]
+      if selection then
+        [ Ee_report.Perf_report.compare_selection ~options:(Engine.synth_options spec) bench ]
       else []
     in
     let report = { Ee_report.Perf_report.rows = [ r ]; selection = sel } in
@@ -435,7 +433,7 @@ let search_cmd =
     let module Cutmap = Ee_rtl.Cutmap in
     let module Driver = Ee_search.Driver in
     let module Select = Ee_search.Search_select in
-    let a = Ee_report.Pipeline.build bench in
+    let a = Engine.build Engine.default_spec bench in
     let nl = a.Ee_report.Pipeline.netlist in
     Printf.printf "%s: %s\n" a.Ee_report.Pipeline.id a.Ee_report.Pipeline.description;
     let covers = Cutmap.wide_covers ~lut_k (Ee_frontend.Remap.to_gates nl) in
@@ -552,7 +550,7 @@ let search_cmd =
 let check_cmd =
   let doc = "Verify marked-graph liveness and safety of the PL mapping (with and without EE)." in
   let run bench =
-    let a = Ee_report.Pipeline.build bench in
+    let a = Engine.build Engine.default_spec bench in
     match Ee_report.Pipeline.check_live_safe a with
     | Ok () ->
         Printf.printf "%s: marked graph is live and safe (with and without EE)\n"
@@ -620,23 +618,10 @@ let client_cmd =
                     match In_channel.with_open_bin path In_channel.input_all with
                     | exception Sys_error m -> Error m
                     | text -> (
-                        let format =
-                          match format_name with
-                          | None | Some "auto" -> Ok None
-                          | Some s -> (
-                              match Ee_frontend.Frontend.format_of_string s with
-                              | Some f -> Ok (Some f)
-                              | None ->
-                                  Error
-                                    (Printf.sprintf
-                                       "unknown --format %S (auto, blif, aag, aig)" s))
-                        in
-                        match format with
-                        | Error m -> Error m
-                        | Ok format ->
-                            Ok
-                              (Protocol.Import
-                                 { text; format; remap = not no_remap; search; spec }))))
+                        Result.map
+                          (fun format ->
+                            Protocol.Import { text; format; remap = not no_remap; search; spec })
+                          (Protocol.import_format format_name))))
             | "perf" ->
                 Result.map
                   (fun b -> Protocol.Perf { bench = b; spec; waves = Option.value waves ~default:240 })

@@ -1,5 +1,3 @@
-module Pl = Ee_phased.Pl
-
 let select ?options pl ~budget =
   if budget < 0 then invalid_arg "Budget.select: negative budget";
   let choices = Synth.plan ?options pl in
@@ -21,38 +19,7 @@ let select ?options pl ~budget =
     (fun (a : Synth.gate_choice) b -> compare a.Synth.master b.Synth.master)
     (take budget ranked)
 
-let run ?options pl ~budget =
-  let choices = select ?options pl ~budget in
-  let requests =
-    List.map
-      (fun (c : Synth.gate_choice) ->
-        ( c.Synth.master,
-          {
-            Pl.req_support = c.Synth.chosen.Trigger.subset;
-            req_func = c.Synth.chosen.Trigger.func;
-            req_coverage = c.Synth.chosen.Trigger.coverage;
-            req_cost = c.Synth.cost;
-          } ))
-      choices
-  in
-  let pl' = Pl.with_ee pl requests in
-  let eligible =
-    Array.fold_left
-      (fun acc g -> match g.Pl.kind with Pl.Gate _ -> acc + 1 | _ -> acc)
-      0 (Pl.gates pl)
-  in
-  let pl_gates = Pl.pl_gate_count pl' in
-  let ee_gates = Pl.ee_gate_count pl' in
-  ( pl',
-    {
-      Synth.eligible_gates = eligible;
-      inserted = choices;
-      pl_gates;
-      ee_gates;
-      area_increase_percent =
-        Ee_util.Stats.ratio_percent ~part:(float_of_int ee_gates)
-          ~whole:(float_of_int pl_gates);
-    } )
+let run ?options pl ~budget = Synth.attach ~share:false pl (select ?options pl ~budget)
 
 let pareto ?options ?(vectors = 100) ?(seed = 2002) pl ~budgets =
   List.map

@@ -12,6 +12,8 @@ val select : ?options:Synth.options -> Ee_phased.Pl.t -> budget:int -> Synth.gat
     by master id for determinism). *)
 
 val run : ?options:Synth.options -> Ee_phased.Pl.t -> budget:int -> Ee_phased.Pl.t * Synth.report
+(** [select], then {!Synth.attach} without sharing ([share_triggers] does
+    not apply to a budgeted plan). *)
 
 val pareto :
   ?options:Synth.options ->

@@ -19,14 +19,6 @@ let default_options =
     ee_overhead = Ee_phased.Timing.default.ee_overhead;
   }
 
-let request_of (c : Trigger.candidate) cost =
-  {
-    Pl.req_support = c.Trigger.subset;
-    req_func = c.Trigger.func;
-    req_coverage = c.Trigger.coverage;
-    req_cost = cost;
-  }
-
 (* Candidates that could help at all, with the Eq. 1 bookkeeping Synth
    records (arrival-weighted cost, Mmax/Tmax) for comparability. *)
 let viable_choices options ?memo pl master func fanin =
@@ -113,7 +105,7 @@ let plan ?(options = default_options) ?memo pl =
                 if on_cycle.(master) || period *. (1. -. 1e-9) <= threshold then begin
                   let lambda' =
                     Throughput.trial_lambda ~cutoff:threshold r master
-                      (request_of choice.Synth.chosen choice.Synth.cost)
+                      (Synth.request choice.Synth.chosen choice.Synth.cost)
                   in
                   let beats =
                     if Option.is_none !best then lambda' <= threshold else lambda' < threshold
@@ -129,7 +121,7 @@ let plan ?(options = default_options) ?memo pl =
         | Some (choice, _) ->
             let pl_next =
               Pl.with_ee pl_cur
-                [ (choice.Synth.master, request_of choice.Synth.chosen choice.Synth.cost) ]
+                [ (choice.Synth.master, Synth.request choice.Synth.chosen choice.Synth.cost) ]
             in
             round pl_next (choice :: inserted)
       end
@@ -138,28 +130,4 @@ let plan ?(options = default_options) ?memo pl =
   round pl [] |> List.sort (fun a b -> compare a.Synth.master b.Synth.master)
 
 let run ?(options = default_options) ?memo pl =
-  let gates = Pl.gates pl in
-  let eligible =
-    Array.fold_left
-      (fun acc g -> match g.Pl.kind with Pl.Gate _ -> acc + 1 | _ -> acc)
-      0 gates
-  in
-  let choices = plan ~options ?memo pl in
-  let requests =
-    List.map
-      (fun c -> (c.Synth.master, request_of c.Synth.chosen c.Synth.cost))
-      choices
-  in
-  let pl' = Pl.with_ee pl requests in
-  let pl_gates = Pl.pl_gate_count pl' in
-  let ee_gates = Pl.ee_gate_count pl' in
-  ( pl',
-    {
-      Synth.eligible_gates = eligible;
-      inserted = choices;
-      pl_gates;
-      ee_gates;
-      area_increase_percent =
-        Ee_util.Stats.ratio_percent ~part:(float_of_int ee_gates)
-          ~whole:(float_of_int pl_gates);
-    } )
+  Synth.attach ~share:false pl (plan ~options ?memo pl)

@@ -27,11 +27,6 @@ type options = {
 
 val default_options : options
 
-val request_of : Trigger.candidate -> float -> Ee_phased.Pl.ee_info_request
-(** Package a chosen candidate (plus its recorded Eq. 1 cost) as the
-    [Pl.with_ee] attachment request.  Exported for selection policies that
-    extend this one (e.g. [Ee_search.Search_select]). *)
-
 val analyze : options -> Ee_phased.Pl.t -> Ee_perf.Throughput.analysis
 (** {!Ee_perf.Throughput.analyze} under the options' timing model. *)
 
@@ -90,6 +85,5 @@ val run :
   ?memo:Trigger.Memo.t ->
   Ee_phased.Pl.t ->
   Ee_phased.Pl.t * Synth.report
-(** [plan], then attach the pairs with [Pl.with_ee]; the report counts
-    eligible gates and area exactly like {!Synth.run} so rows from either
-    policy are directly comparable. *)
+(** [plan], then {!Synth.attach} without sharing: the report is
+    {!Synth.run}'s, so rows from either policy are directly comparable. *)

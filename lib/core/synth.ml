@@ -76,39 +76,36 @@ let plan ?(options = default_options) ?memo pl =
     gates;
   List.rev !out
 
-let run ?(options = default_options) ?memo pl =
-  let gates = Pl.gates pl in
-  let eligible =
+let request (c : Trigger.candidate) cost =
+  {
+    Pl.req_support = c.Trigger.subset;
+    req_func = c.Trigger.func;
+    req_coverage = c.Trigger.coverage;
+    req_cost = cost;
+  }
+
+let make_report pl pl' choices =
+  let eligible_gates =
     Array.fold_left
       (fun acc g -> match g.Pl.kind with Pl.Gate _ -> acc + 1 | _ -> acc)
-      0 gates
-  in
-  let choices = plan ~options ?memo pl in
-  let requests =
-    List.map
-      (fun c ->
-        ( c.master,
-          {
-            Pl.req_support = c.chosen.Trigger.subset;
-            req_func = c.chosen.Trigger.func;
-            req_coverage = c.chosen.Trigger.coverage;
-            req_cost = c.cost;
-          } ))
-      choices
-  in
-  let pl' =
-    if options.share_triggers then Pl.with_ee_shared pl requests
-    else Pl.with_ee pl requests
+      0 (Pl.gates pl)
   in
   let pl_gates = Pl.pl_gate_count pl' in
   let ee_gates = Pl.ee_gate_count pl' in
-  ( pl',
-    {
-      eligible_gates = eligible;
-      inserted = choices;
-      pl_gates;
-      ee_gates;
-      area_increase_percent =
-        Ee_util.Stats.ratio_percent ~part:(float_of_int ee_gates)
-          ~whole:(float_of_int pl_gates);
-    } )
+  {
+    eligible_gates;
+    inserted = choices;
+    pl_gates;
+    ee_gates;
+    area_increase_percent =
+      Ee_util.Stats.ratio_percent ~part:(float_of_int ee_gates)
+        ~whole:(float_of_int pl_gates);
+  }
+
+let attach ~share pl choices =
+  let requests = List.map (fun c -> (c.master, request c.chosen c.cost)) choices in
+  let pl' = (if share then Pl.with_ee_shared else Pl.with_ee) pl requests in
+  (pl', make_report pl pl' choices)
+
+let run ?(options = default_options) ?memo pl =
+  attach ~share:options.share_triggers pl (plan ~options ?memo pl)

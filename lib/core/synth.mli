@@ -46,9 +46,32 @@ val plan :
     {!Trigger.Memo.domain_default}); it affects time only, never the
     plan. *)
 
+(** {2 The attach-and-report step}
+
+    Every selection policy ({!run}, [Budget.run], [Mcr_select.run],
+    [Ee_search.Search_select.run]) ends the same way: package its choices
+    as attachment requests, attach them, and count the result.  These
+    three functions are that step, written once. *)
+
+val request : Trigger.candidate -> float -> Ee_phased.Pl.ee_info_request
+(** A chosen candidate (support, function, coverage) and its recorded
+    cost, as a {!Ee_phased.Pl.with_ee} attachment request. *)
+
+val make_report : Ee_phased.Pl.t -> Ee_phased.Pl.t -> gate_choice list -> report
+(** [make_report pl pl' choices]: the report of a policy that chose
+    [choices] on [pl] and produced the attached netlist [pl'].  Eligible
+    gates are counted on [pl], PL and EE gates on [pl'].
+    [Ee_search.Search_select] calls it directly, since its final netlist
+    merges shared triggers. *)
+
+val attach :
+  share:bool -> Ee_phased.Pl.t -> gate_choice list -> Ee_phased.Pl.t * report
+(** Attach the choices with {!Ee_phased.Pl.with_ee}, or
+    {!Ee_phased.Pl.with_ee_shared} when [share], and report. *)
+
 val run :
   ?options:options ->
   ?memo:Trigger.Memo.t ->
   Ee_phased.Pl.t ->
   Ee_phased.Pl.t * report
-(** [plan] then attach the pairs with {!Ee_phased.Pl.with_ee}. *)
+(** [plan], then {!attach} with [share = options.share_triggers]. *)

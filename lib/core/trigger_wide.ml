@@ -17,11 +17,12 @@ let rec take k = function
 
 (* The shared selection rule: best coverage first, ties toward the
    numerically smallest subset, then back to subset order.  The search
-   driver must implement exactly this rule for its pruned output to match
-   the brute-force reference, so it lives here and is exported. *)
-let prune ?(min_coverage = 0.) ?top_k cands =
+   driver must apply exactly this rule for its pruned output to match the
+   brute-force reference, so it is written once, over accessors, and
+   [Driver.prune] calls it on its own records. *)
+let prune_by ~subset ~coverage_count ~coverage ?(min_coverage = 0.) ?top_k cands =
   let kept =
-    List.filter (fun c -> c.coverage_count > 0 && c.coverage >= min_coverage) cands
+    List.filter (fun c -> coverage_count c > 0 && coverage c >= min_coverage) cands
   in
   let kept =
     match top_k with
@@ -30,13 +31,20 @@ let prune ?(min_coverage = 0.) ?top_k cands =
         if k < 0 then invalid_arg "Trigger_wide.prune: top_k must be >= 0";
         List.stable_sort
           (fun a b ->
-            match compare b.coverage_count a.coverage_count with
-            | 0 -> compare a.subset b.subset
+            match compare (coverage_count b) (coverage_count a) with
+            | 0 -> compare (subset a) (subset b)
             | x -> x)
           kept
         |> take k
   in
-  List.sort (fun a b -> compare a.subset b.subset) kept
+  List.sort (fun a b -> compare (subset a) (subset b)) kept
+
+let prune ?min_coverage ?top_k cands =
+  prune_by
+    ~subset:(fun c -> c.subset)
+    ~coverage_count:(fun c -> c.coverage_count)
+    ~coverage:(fun c -> c.coverage)
+    ?min_coverage ?top_k cands
 
 let candidates ?(min_coverage = 0.) ?top_k tt =
   let support = Tt.support tt in

@@ -31,6 +31,19 @@ val prune : ?min_coverage:float -> ?top_k:int -> candidate list -> candidate lis
     ascending), keep the first [top_k], and return in subset order.
     Raises [Invalid_argument] on a negative [top_k]. *)
 
+val prune_by :
+  subset:('a -> int) ->
+  coverage_count:('a -> int) ->
+  coverage:('a -> float) ->
+  ?min_coverage:float ->
+  ?top_k:int ->
+  'a list ->
+  'a list
+(** {!prune} over any candidate record, read through the three accessors;
+    the kept elements are the input's own (physically).  The one
+    implementation of the rule: [Ee_search.Driver.prune] is this on the
+    driver's records. *)
+
 val agrees_with_lut4 : Ee_logic.Lut4.t -> bool
 (** Cross-check: at arity 4 this module computes exactly what
     {!Trigger.candidates} computes. *)

@@ -124,6 +124,8 @@ let plan ?memo spec pl =
       let pl', r = Ee_search.Search_select.run ~options:(search_options spec) ?memo pl in
       (pl', r.Ee_search.Search_select.synth)
 
+let build spec b = Pipeline.build_staged ~plan:(plan spec) b
+
 let run ?(spec = default_spec) ?trace ?memo (b : Itc99.benchmark) =
   let instrument =
     match trace with

@@ -111,6 +111,13 @@ val plan :
     {!Ee_search.Search_select.run}, each given its slice of [spec].
     [?memo] is as in {!run}. *)
 
+val build : spec -> Ee_bench_circuits.Itc99.benchmark -> Ee_report.Pipeline.artifact
+(** The benchmark's netlist and both PL netlists, planned by {!plan}
+    under [spec], without simulation: [Pipeline.build_staged ~plan:(plan
+    spec)].  The daemon's [perf] and [faults] and the [ee_synth]
+    subcommands build through it, so every consumer of a spec plans under
+    its [selection]. *)
+
 type result = {
   artifact : Ee_report.Pipeline.artifact;
   row : Ee_report.Tables.row;  (** The benchmark's Table 3 row. *)

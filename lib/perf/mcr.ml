@@ -195,6 +195,10 @@ let prune n c w =
   end;
   !tail
 
+(* Ratio and potential improvements below [eps_unit] times the graph's
+   largest weight magnitude are float noise to the solver. *)
+let eps_unit = 1e-12
+
 (* Converged policy iteration over the first [n] nodes of [c], with [w]'s
    arrays: [w.alive] and [w.policy] (each live node's policy arc, a CSR
    position) are left as converged; returns a node of maximal cycle ratio
@@ -204,12 +208,12 @@ let prune n c w =
    exceeds [cutoff] by more than twice the tolerance; the node returned is
    that cycle's root and the ratio returned is the cycle's less the
    tolerance. *)
-let howard ?(eps = 1e-12) ?hint ?(cutoff = infinity) ~scale n c w =
+let howard ?hint ?(cutoff = infinity) ~scale n c w =
   if prune n c w = n then None
   else begin
     let { first; last; dst; weight; tokens; _ } = c in
     let { alive; policy; lam; pot; state; path; _ } = w in
-    let eps = eps *. scale in
+    let eps = eps_unit *. scale in
     (* Every policy cycle is a cycle of the graph, so its ratio is a lower
        bound on the maximum.  The same cycle summed from another root may
        differ in the last bits, so the bound reported is the ratio less
@@ -439,15 +443,15 @@ let reserve ctx s ~arcs =
     s.tokens <- extend s.tokens 0
   end
 
-let lambda ?eps ?hint ?cutoff g =
+let lambda ?hint ?cutoff g =
   let ctx = context g in
-  howard ?eps ?hint ?cutoff ~scale:(Float.max 1. ctx.top) g.nodes ctx.csr (work g.nodes)
+  howard ?hint ?cutoff ~scale:(Float.max 1. ctx.top) g.nodes ctx.csr (work g.nodes)
   |> Option.map snd
 
-let solve_in ?eps ?hint ctx =
+let solve_in ?hint ctx =
   let n = ctx.graph.nodes and c = ctx.csr in
   let w = work n in
-  match howard ?eps ?hint ~scale:(Float.max 1. ctx.top) n c w with
+  match howard ?hint ~scale:(Float.max 1. ctx.top) n c w with
   | None -> None
   | Some (best, lambda) ->
       (* Extract a critical cycle: walk sigma from the ratio-maximizing
@@ -477,9 +481,9 @@ let solve_in ?eps ?hint ctx =
           policy = Array.init n (fun v -> if w.alive.(v) then sigma v else -1);
         }
 
-let solve ?eps ?hint g = solve_in ?eps ?hint (context g)
+let solve ?hint g = solve_in ?hint (context g)
 
-let splice_lambda ?eps ?hint ?cutoff ctx (d : Timed_graph.delta) =
+let splice_lambda ?hint ?cutoff ctx (d : Timed_graph.delta) =
   let g = ctx.graph and b = ctx.csr and a = d.add in
   let n0 = g.nodes and n = d.nodes and adds = Timed_graph.arc_count a in
   if n < n0 || a.nodes <> n then
@@ -596,7 +600,7 @@ let splice_lambda ?eps ?hint ?cutoff ctx (d : Timed_graph.delta) =
       !t
     end
   in
-  howard ?eps ?hint ?cutoff ~scale:(Float.max 1. top) n c s.w |> Option.map snd
+  howard ?hint ?cutoff ~scale:(Float.max 1. top) n c s.w |> Option.map snd
 
 (* ------------------------------------------------------------------ *)
 (* Karp's algorithm on the token-level unfolding (independent check)   *)

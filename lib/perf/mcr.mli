@@ -49,15 +49,14 @@ type result = {
     previous solution — the policy of a netlist the graph extends by one
     EE pair — a hint saves most of the iterations. *)
 
-val solve : ?eps:float -> ?hint:int array -> Timed_graph.t -> result option
+val solve : ?hint:int array -> Timed_graph.t -> result option
 (** Howard's policy iteration, then a critical cycle and the policy.
     [None] when the graph has no directed cycle at all (then every schedule
-    is a one-shot and the period is 0).  [eps] (default 1e-12, scaled by
-    the largest weight) separates ratio and potential improvements from
-    float noise. *)
+    is a one-shot and the period is 0).  A fixed tolerance, [eps] = 1e-12
+    scaled by the largest weight, separates ratio and potential
+    improvements from float noise. *)
 
-val lambda :
-  ?eps:float -> ?hint:int array -> ?cutoff:float -> Timed_graph.t -> float option
+val lambda : ?hint:int array -> ?cutoff:float -> Timed_graph.t -> float option
 (** [solve]'s [lambda] alone, without extracting a cycle or building the
     policy array: the cheap oracle for trial re-analysis.
 
@@ -91,17 +90,16 @@ val context : Timed_graph.t -> context
 (** Compile the graph's rows and check it.  Raises {!Not_live} on a
     token-free cycle. *)
 
-val solve_in : ?eps:float -> ?hint:int array -> context -> result option
+val solve_in : ?hint:int array -> context -> result option
 (** [solve] on the context's graph; [solve g] is [solve_in (context g)]. *)
 
 val splice_lambda :
-  ?eps:float ->
   ?hint:int array ->
   ?cutoff:float ->
   context ->
   Timed_graph.delta ->
   float option
-(** [lambda ?eps ?hint ?cutoff (Timed_graph.splice g d)] for the context's
+(** [lambda ?hint ?cutoff (Timed_graph.splice g d)] for the context's
     graph [g], bit for bit, including the cutoff contract and the
     iteration count, without building the spliced graph: its rows are laid
     out as [lambda] would lay them out.  The token-free check runs on the

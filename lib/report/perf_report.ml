@@ -25,10 +25,9 @@ type bench_row = {
 
 let rel_err ~reference x = Float.abs (x -. reference) /. reference *. 100.
 
-let analyze_bench ?options ?(config = Ss.default_config) ?(waves = 240) ?(seed = 11)
-    (b : Itc99.benchmark) =
+let analyze_bench ?(config = Ss.default_config) ?(waves = 240) ?(seed = 11)
+    (a : Pipeline.artifact) =
   let gate_delay = config.Ss.gate_delay and ee_overhead = config.Ss.ee_overhead in
-  let a = Pipeline.build_staged ?options b in
   let pl = a.Pipeline.pl and pl_ee = a.Pipeline.pl_ee in
   let base = Throughput.analyze ~gate_delay ~ee_overhead pl in
   let karp_gap =
@@ -107,7 +106,10 @@ type t = {
 let run ?options ?config ?waves ?seed ?(benchmarks = Itc99.all)
     ?(selection_benchmarks = Itc99.all) () =
   {
-    rows = List.map (fun b -> analyze_bench ?options ?config ?waves ?seed b) benchmarks;
+    rows =
+      List.map
+        (fun b -> analyze_bench ?config ?waves ?seed (Pipeline.build ?options b))
+        benchmarks;
     selection =
       List.map (fun b -> compare_selection ?options ?config b) selection_benchmarks;
   }

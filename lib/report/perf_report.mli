@@ -24,13 +24,10 @@ type bench_row = {
 }
 
 val analyze_bench :
-  ?options:Ee_core.Synth.options ->
-  ?config:Ee_sim.Stream_sim.config ->
-  ?waves:int ->
-  ?seed:int ->
-  Ee_bench_circuits.Itc99.benchmark ->
-  bench_row
-(** Full pipeline + analysis + 240-wave (default) stream measurement. *)
+  ?config:Ee_sim.Stream_sim.config -> ?waves:int -> ?seed:int -> Pipeline.artifact -> bench_row
+(** Analysis of a built artifact (its [pl] and [pl_ee], planned by
+    whatever policy built it) plus a 240-wave (default) stream
+    measurement. *)
 
 type selection_row = {
   sel_id : string;

@@ -46,7 +46,9 @@ val build_staged :
 val build : ?options:Ee_core.Synth.options -> Ee_bench_circuits.Itc99.benchmark -> artifact
 (** [build_staged ?options b] with no stage hook and the default Eq. 1
     "ee-plan" stage: one benchmark's netlist and both PL netlists, without
-    simulation.  The daemon, the CLI and the benchmarks build through it. *)
+    simulation.  The bench tables build through it; a caller holding an
+    [Ee_engine.Engine.spec] builds with [Engine.build], which plans under
+    the spec's selection. *)
 
 val check_live_safe : artifact -> (unit, string) result
 (** Marked-graph liveness and safety of both PL netlists. *)

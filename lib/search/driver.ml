@@ -20,31 +20,12 @@ type stats = {
   iterations : int;
 }
 
-let rec take k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: r -> x :: take (k - 1) r
-
-(* Same selection rule as {!Trigger_wide.prune}, preserving the extra
-   fields. *)
-let prune ?(min_coverage = 0.) ?top_k cands =
-  let kept =
-    List.filter (fun c -> c.coverage_count > 0 && c.coverage >= min_coverage) cands
-  in
-  let kept =
-    match top_k with
-    | None -> kept
-    | Some k ->
-        if k < 0 then invalid_arg "Driver.prune: top_k must be >= 0";
-        List.stable_sort
-          (fun a b ->
-            match compare b.coverage_count a.coverage_count with
-            | 0 -> compare a.subset b.subset
-            | x -> x)
-          kept
-        |> take k
-  in
-  List.sort (fun a b -> compare a.subset b.subset) kept
+let prune ?min_coverage ?top_k cands =
+  Trigger_wide.prune_by
+    ~subset:(fun c -> c.subset)
+    ~coverage_count:(fun c -> c.coverage_count)
+    ~coverage:(fun c -> c.coverage)
+    ?min_coverage ?top_k cands
 
 let search ?(min_coverage = 0.) ?top_k ?max_cubes tt =
   let support = Tt.support tt in

@@ -57,7 +57,8 @@ val candidates :
   candidate list
 
 val prune : ?min_coverage:float -> ?top_k:int -> candidate list -> candidate list
-(** Same rule as {!Ee_core.Trigger_wide.prune}, preserving cube lists. *)
+(** {!Ee_core.Trigger_wide.prune_by} on the driver's records (the one
+    implementation of the rule), preserving cube lists. *)
 
 val agrees_with_brute :
   ?min_coverage:float -> ?top_k:int -> Ee_logic.Truthtab.t -> bool

@@ -109,9 +109,7 @@ let run ?(options = default_options) ?memo pl =
      floor the λ gate is measured against. *)
   let choices = Mcr_select.plan ~options:base ?memo pl in
   let base_requests =
-    List.map
-      (fun c -> (c.Synth.master, Mcr_select.request_of c.Synth.chosen c.Synth.cost))
-      choices
+    List.map (fun c -> (c.Synth.master, Synth.request c.Synth.chosen c.Synth.cost)) choices
   in
   let pl_mcr = Pl.with_ee pl base_requests in
   let a_mcr = Mcr_select.analyze base pl_mcr in
@@ -247,25 +245,9 @@ let run ?(options = default_options) ?memo pl =
   let final_pl, final_lambda =
     if fell_back then (pl_mcr, lambda_mcr) else (!current_pl, !current_lambda)
   in
-  let eligible =
-    Array.fold_left
-      (fun acc g -> match g.Pl.kind with Pl.Gate _ -> acc + 1 | _ -> acc)
-      0 gates
-  in
-  let pl_gates = Pl.pl_gate_count final_pl in
-  let ee_gates = Pl.ee_gate_count final_pl in
   ( final_pl,
     {
-      synth =
-        {
-          Synth.eligible_gates = eligible;
-          inserted = choices;
-          pl_gates;
-          ee_gates;
-          area_increase_percent =
-            Ee_util.Stats.ratio_percent ~part:(float_of_int ee_gates)
-              ~whole:(float_of_int pl_gates);
-        };
+      synth = Synth.make_report pl final_pl choices;
       lambda_no_ee;
       lambda_mcr;
       lambda = final_lambda;

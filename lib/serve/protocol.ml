@@ -168,6 +168,15 @@ let bench_of_json j =
   | Some b -> Ok b
   | None -> Error "missing \"bench\" field"
 
+let import_format = function
+  | None | Some "auto" -> Ok None
+  | Some s -> (
+      match Ee_frontend.Frontend.format_of_string s with
+      | Some f -> Ok (Some f)
+      | None ->
+          Error
+            (Printf.sprintf "unknown format %S (use \"auto\", \"blif\", \"aag\" or \"aig\")" s))
+
 let request_of_json j =
   let* cmd =
     match Json.member "cmd" j with
@@ -204,17 +213,7 @@ let request_of_json j =
         | Some e -> Error (Printf.sprintf "unknown encoding %S (use \"base64\")" e)
       in
       let* fmt_name = field_string j "format" in
-      let* format =
-        match fmt_name with
-        | None | Some "auto" -> Ok None
-        | Some s -> (
-            match Ee_frontend.Frontend.format_of_string s with
-            | Some f -> Ok (Some f)
-            | None ->
-                Error
-                  (Printf.sprintf
-                     "unknown format %S (use \"auto\", \"blif\", \"aag\" or \"aig\")" s))
-      in
+      let* format = import_format fmt_name in
       let* remap = field_bool j "remap" in
       let* search = field_bool j "search" in
       let search = Option.value search ~default:false in

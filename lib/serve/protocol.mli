@@ -31,6 +31,11 @@
     also take ["waves"] (defaults 240 and 16), which must lie in 1..2400.
     Any other value is a [bad_request].
 
+    [perf] and [faults] build the benchmark's EE netlist under the whole
+    spec ({!Ee_engine.Engine.build}), [selection] included: with
+    ["selection":"mcr"] they analyze and inject faults into the MCR plan's
+    netlist, as [synth] measures it.
+
     [synth] measures the ITC99 benchmark named by ["bench"].  It takes no
     netlist text: a request with a ["blif"] field is a [bad_request] that
     points at [import].
@@ -104,6 +109,13 @@ type envelope = {
 }
 
 val cmd_name : request -> string
+
+val import_format : string option -> (Ee_frontend.Frontend.format option, string) result
+(** An [import]'s ["format"] field, and [ee_synth client --format]: absent
+    or ["auto"] is [None] (auto-detect), a name
+    {!Ee_frontend.Frontend.format_of_string} accepts is that format, and
+    anything else is the error [unknown format "x" (use "auto", "blif",
+    "aag" or "aig")]. *)
 
 val parse_line : string -> (envelope, string) result
 (** Decode one request line. *)

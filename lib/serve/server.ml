@@ -187,17 +187,15 @@ let synth_netlist_json ~search ~spec nl =
   with_search ~spec ~search nl (row_json row report spec)
 
 let perf_json ~spec ~waves b =
-  let options = Engine.synth_options spec in
   let r =
-    Ee_report.Perf_report.analyze_bench ~options ~config:(Engine.sim_config spec) ~waves
-      ~seed:spec.Engine.seed b
+    Ee_report.Perf_report.analyze_bench ~config:(Engine.sim_config spec) ~waves
+      ~seed:spec.Engine.seed (Engine.build spec b)
   in
   Json.raw_compact
     (Ee_report.Perf_report.to_json { Ee_report.Perf_report.rows = [ r ]; selection = [] })
 
 let faults_json ~spec ~waves b =
-  let options = Engine.synth_options spec in
-  let a = Pipeline.build ~options b in
+  let a = Engine.build spec b in
   let r =
     Ee_fault.Campaign.run ~waves ~seed:spec.Engine.seed ~bench:a.Pipeline.id
       a.Pipeline.pl_ee a.Pipeline.netlist
@@ -248,6 +246,11 @@ let cache_key req ~blif spec extras =
 
 let search_extra search = if search then [ "search" ] else []
 
+(* In every [perf] and [faults] key.  Those replies once came from an
+   Eq. 1 plan whatever the spec's [selection]; the tag keeps such entries,
+   in a persisted tier, from being served. *)
+let planned_tag = "planned-by-selection"
+
 (* A benchmark-sourced request: its bench id, spec, cache-key extras and
    computation. *)
 let bench_job (req : Protocol.request) =
@@ -255,9 +258,9 @@ let bench_job (req : Protocol.request) =
   | Protocol.Synth { bench; spec; search } ->
       Some (bench, spec, search_extra search, synth_bench_json ~spec ~search)
   | Protocol.Perf { bench; spec; waves } ->
-      Some (bench, spec, [ string_of_int waves ], perf_json ~spec ~waves)
+      Some (bench, spec, [ planned_tag; string_of_int waves ], perf_json ~spec ~waves)
   | Protocol.Faults { bench; spec; waves } ->
-      Some (bench, spec, [ string_of_int waves ], faults_json ~spec ~waves)
+      Some (bench, spec, [ planned_tag; string_of_int waves ], faults_json ~spec ~waves)
   | Protocol.Import _ | Protocol.Stats | Protocol.Health | Protocol.Ping
   | Protocol.Sleep _ | Protocol.Shutdown ->
       None

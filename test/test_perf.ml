@@ -618,7 +618,7 @@ module Reference_plan = struct
           (fun (master, func, fanin) ->
             List.iter
               (fun choice ->
-                let req = Ms.request_of choice.Synth.chosen choice.Synth.cost in
+                let req = Ee_core.Synth.request choice.Synth.chosen choice.Synth.cost in
                 let trial = Pl.with_ee pl_cur [ (master, req) ] in
                 on_trial pl_cur a master req trial;
                 let lambda' = (analyze o trial).Throughput.lambda in
@@ -636,7 +636,7 @@ module Reference_plan = struct
             rounds := (choice, lambda') :: !rounds;
             round
               (Pl.with_ee pl_cur
-                 [ (choice.Synth.master, Ms.request_of choice.Synth.chosen choice.Synth.cost) ])
+                 [ (choice.Synth.master, Ee_core.Synth.request choice.Synth.chosen choice.Synth.cost) ])
               (choice :: inserted)
       end
     in
@@ -812,7 +812,7 @@ let check_matches_reference o (name, pl, (reference, rounds)) =
     (List.fold_left
        (fun (k, pl_cur) ((c : Synth.gate_choice), lambda_ref) ->
          let trial =
-           Pl.with_ee pl_cur [ (c.Synth.master, Ms.request_of c.Synth.chosen c.Synth.cost) ]
+           Pl.with_ee pl_cur [ (c.Synth.master, Ee_core.Synth.request c.Synth.chosen c.Synth.cost) ]
          in
          let lambda = Ms.lambda ~warm:(Ms.analyze o pl_cur) o trial in
          if not (bits_equal lambda lambda_ref) then
@@ -931,7 +931,7 @@ let test_trial_allocation () =
   let o = Ms.default_options in
   let a = Ms.analyze o pl in
   let master, choice = first_trial pl a in
-  let trial () = Pl.with_ee pl [ (master, Ms.request_of choice 0.) ] in
+  let trial () = Pl.with_ee pl [ (master, Ee_core.Synth.request choice 0.) ] in
   let g = (Tg.of_pl (trial ())).Tg.graph in
   let size = g.Tg.nodes + Tg.arc_count g in
   ignore (Ms.lambda ~warm:a o (trial ()));
@@ -951,7 +951,7 @@ let test_spliced_allocation () =
       let pl = Pl.of_netlist (Ee_rtl.Techmap.run_rtl (build ())) in
       let a, r = Throughput.round pl in
       let master, choice = first_trial pl a in
-      let req = Ee_core.Mcr_select.request_of choice 0. in
+      let req = Ee_core.Synth.request choice 0. in
       ignore (Throughput.trial_lambda r master req);
       let _, words = allocated (fun () -> Throughput.trial_lambda r master req) in
       if words > 1024. then

@@ -1530,6 +1530,32 @@ let test_host_port () =
   | Unix.PF_UNIX, Unix.ADDR_UNIX "s.sock" -> ()
   | _ -> Alcotest.fail "a Unix address resolves to itself"
 
+(* [perf] and [faults] plan under the spec's selection: with "mcr" they
+   describe the MCR plan's netlist, not the Eq. 1 one (b01: period 5.0
+   against Eq. 1's 5.25). *)
+let test_e2e_perf_faults_selection () =
+  let pl =
+    (Ee_report.Pipeline.build (Ee_bench_circuits.Itc99.find "b01")).Ee_report.Pipeline.pl
+  in
+  let pl_mcr, _ = Ee_core.Mcr_select.run pl in
+  let lambda_mcr = (Ee_perf.Throughput.analyze pl_mcr).Ee_perf.Throughput.lambda in
+  Alcotest.(check (float 0.)) "MCR plan's period" 5.0 lambda_mcr;
+  with_server (fun sock ->
+      let perf = send sock "{\"cmd\":\"perf\",\"bench\":\"b01\",\"waves\":8,\"selection\":\"mcr\"}" in
+      check_status perf "ok";
+      let lambda_expected =
+        match get perf [ "result"; "benchmarks" ] with
+        | Some (Json.List [ row ]) -> Option.bind (Json.member "lambda_expected" row) Json.to_float
+        | _ -> None
+      in
+      Alcotest.(check (option (float 1e-6))) "perf lambda_expected is the MCR period"
+        (Some lambda_mcr) lambda_expected;
+      let faults = send sock "{\"cmd\":\"faults\",\"bench\":\"b01\",\"waves\":4,\"selection\":\"mcr\"}" in
+      check_status faults "ok";
+      Alcotest.(check (option int)) "faults pl_gates is the MCR netlist's"
+        (Some (Array.length (Ee_phased.Pl.gates pl_mcr)))
+        (Option.bind (get faults [ "result"; "pl_gates" ]) Json.to_int))
+
 let suite =
   ( "serve",
     [
@@ -1599,4 +1625,6 @@ let suite =
       Alcotest.test_case "lifecycle: shutdown flush releases every admission" `Quick
         test_lifecycle_shutdown_flush;
       Alcotest.test_case "HOST:PORT parser and address resolver" `Quick test_host_port;
+      Alcotest.test_case "e2e: perf and faults plan under the spec's selection" `Quick
+        test_e2e_perf_faults_selection;
     ] )
