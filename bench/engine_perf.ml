@@ -105,7 +105,8 @@ let print_perf ?(selection_timeout = 120.) () =
         let pool = Ee_util.Pool.create ~force_spawn:true ~domains:1 () in
         let task =
           Ee_util.Pool.submit pool (fun () ->
-              Ee_report.Perf_report.compare_selection ~waves:200 ~seed:4 b)
+              Ee_report.Perf_report.compare_selection ~waves:200 ~seed:4
+                (Ee_report.Pipeline.build b))
         in
         match Ee_util.Pool.await_timeout task ~timeout_s:selection_timeout with
         | Ok row ->

@@ -46,7 +46,7 @@ let sections =
       "frontend sweep and ITC99 delay-vs-techmap gate (BENCH_corpus.json)",
       fun () -> Faults_corpus.print_corpus ?dir:!corpus_dir ~fast:!fast () );
     ( "--search",
-      "CEGIS trigger search vs brute force, shared triggers (BENCH_search.json)",
+      "trigger extractor vs the minterm scan, shared triggers (BENCH_search.json)",
       fun () -> Search.print_search ~fast:!fast () );
     ("--micro", "Bechamel micro-benchmarks", Micro.micro);
   ]

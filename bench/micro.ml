@@ -32,20 +32,19 @@ let micro () =
       Test.make ~name:"trigger-search-width-5"
         (Staged.stage
            (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 5) 5 in
-            fun () -> ignore (Ee_core.Trigger_wide.candidates f)));
+            fun () -> ignore (Ee_core.Trigger.extract f)));
       Test.make ~name:"trigger-search-width-6"
         (Staged.stage
            (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
-            fun () -> ignore (Ee_core.Trigger_wide.candidates f)));
-      Test.make ~name:"trigger-cegis-width-6"
+            fun () -> ignore (Ee_core.Trigger.extract f)));
+      Test.make ~name:"trigger-search-width-6-pruned"
         (Staged.stage
            (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
-            fun () -> ignore (Ee_search.Driver.candidates f)));
-      Test.make ~name:"trigger-cegis-width-6-pruned"
+            fun () -> ignore (Ee_core.Trigger.extract ~min_coverage:50. ~top_k:8 f)));
+      Test.make ~name:"trigger-search-width-8"
         (Staged.stage
-           (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
-            fun () ->
-              ignore (Ee_search.Driver.candidates ~min_coverage:50. ~top_k:8 f)));
+           (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 8) 8 in
+            fun () -> ignore (Ee_core.Trigger.extract f)));
       Test.make ~name:"table3:pl-wave-simulation(b04)"
         (Staged.stage (fun () ->
              ignore (Ee_sim.Sim.apply sim (Ee_util.Prng.bool_vector vec_rng width))));

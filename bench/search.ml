@@ -1,19 +1,37 @@
 open Report
 
-(* Experiment 18: the CEGIS trigger search against brute-force
-   subset enumeration, and shared multi-master triggers on the ITC99
+(* Experiment 18: the quantified trigger extractor against the minterm
+   scan it is defined by, and shared multi-master triggers on the ITC99
    suite.  Writes BENCH_search.json.
 
    Gates (exit 1):
+   - extractor and scan candidate lists must agree on every function,
+     unpruned and pruned;
    - at arity 6 under the deployed pruning configuration (coverage floor +
-     top-k ring) the CEGIS driver must beat brute force wall-clock;
-   - searched and brute candidate lists must agree on every function;
+     top-k) the extractor must beat the scan wall-clock;
    - on every ITC99 bench the shared-trigger period must not exceed the
      per-gate MCR plan's. *)
 
+(* The reference: every subset's trigger by {!Ee_core.Trigger.scan_function},
+   under the extractor's own prune rule. *)
+let scan_candidates ?min_coverage ?top_k tt =
+  let size = float_of_int (1 lsl Ee_logic.Truthtab.arity tt) in
+  List.map
+    (fun subset ->
+      let func = Ee_core.Trigger.scan_function tt ~subset in
+      let coverage_count = Ee_logic.Truthtab.count_ones func in
+      {
+        Ee_core.Trigger.subset;
+        func;
+        coverage_count;
+        coverage = 100. *. float_of_int coverage_count /. size;
+      })
+    (Ee_util.Bits.all_nonempty_proper_subsets (Ee_logic.Truthtab.support tt))
+  |> Ee_core.Trigger.prune ?min_coverage ?top_k
+
 let print_search ~fast () =
-  section "Search: CEGIS trigger synthesis vs brute force (Ext. 18)";
-  let module Driver = Ee_search.Driver in
+  section "Search: quantified trigger extraction vs the minterm scan (Ext. 18)";
+  let module Trigger = Ee_core.Trigger in
   let module Select = Ee_search.Search_select in
   let module Cutmap = Ee_rtl.Cutmap in
   let time f =
@@ -21,103 +39,82 @@ let print_search ~fast () =
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1e3)
   in
-  (* A. Crossover: random functions per arity, both engines, unpruned and
-     under the pruning the selection flow actually deploys. *)
+  (* A. Random functions per arity, both routes, unpruned and under the
+     pruning the selection flow actually deploys. *)
   let pr_min = 50. and pr_top = 8 in
   let n_funcs = if fast then 12 else 48 in
   let t =
     Ee_util.Table.create
       ~headers:
-        [ "Arity"; "Funcs"; "Brute ms"; "Search ms"; "Brute ms (pruned)"; "Search ms (pruned)"; "Agree" ]
+        [
+          "Arity"; "Funcs"; "Scan ms"; "Extract ms"; "Scan ms (pruned)"; "Extract ms (pruned)";
+          "Agree";
+        ]
   in
-  let crossover_rows = ref [] in
+  let arity_rows = ref [] in
   let disagreements = ref 0 in
-  let gate_search_ms = ref infinity and gate_brute_ms = ref 0. in
+  let gate_extract_ms = ref infinity and gate_scan_ms = ref 0. in
   List.iter
     (fun arity ->
       let fs =
         Array.init n_funcs (fun i ->
             Ee_logic.Truthtab.random (Ee_util.Prng.create (seed + (1000 * arity) + i)) arity)
       in
-      let run_all f = Array.iter (fun tt -> ignore (f tt)) fs in
+      let run_all f = Array.map f fs in
+      let scan () = run_all (fun tt -> scan_candidates tt) in
+      let extract () = run_all (fun tt -> Trigger.extract tt) in
+      let scan_pr () = run_all (scan_candidates ~min_coverage:pr_min ~top_k:pr_top) in
+      let extract_pr () = run_all (Trigger.extract ~min_coverage:pr_min ~top_k:pr_top) in
       (* One timed pass is at the mercy of CPU-frequency bursts on shared
-         runners, so: warm both engines up, then interleave repeated passes
-         and keep each engine's best — drift hits all four configurations
-         alike instead of whichever ran first. *)
-      let brute () = run_all Ee_core.Trigger_wide.candidates in
-      let search () = run_all Driver.candidates in
-      let brute_pr () =
-        run_all (Ee_core.Trigger_wide.candidates ~min_coverage:pr_min ~top_k:pr_top)
-      in
-      let search_pr () =
-        run_all (fun tt -> Driver.candidates ~min_coverage:pr_min ~top_k:pr_top tt)
-      in
-      let probed = ref 0 and bound_pruned = ref 0 in
-      (* Warmup doubles as the stats pass. *)
-      brute ();
-      search ();
-      brute_pr ();
-      Array.iter
-        (fun tt ->
-          let _, stats = Driver.search ~min_coverage:pr_min ~top_k:pr_top tt in
-          probed := !probed + stats.Driver.probed;
-          bound_pruned := !bound_pruned + stats.Driver.bound_pruned)
-        fs;
-      let brute_ms = ref infinity
-      and search_ms = ref infinity
-      and brute_pr_ms = ref infinity
-      and search_pr_ms = ref infinity in
-      for _ = 1 to 3 do
-        let (), ms = time brute in
-        brute_ms := Float.min !brute_ms ms;
-        let (), ms = time search in
-        search_ms := Float.min !search_ms ms;
-        let (), ms = time brute_pr in
-        brute_pr_ms := Float.min !brute_pr_ms ms;
-        let (), ms = time search_pr in
-        search_pr_ms := Float.min !search_pr_ms ms
-      done;
-      let brute_ms = !brute_ms
-      and search_ms = !search_ms
-      and brute_pr_ms = !brute_pr_ms
-      and search_pr_ms = !search_pr_ms in
-      let agree = Array.for_all Driver.agrees_with_brute fs in
+         runners, so the warmup pass doubles as the agreement check, then
+         repeated passes interleave and each route keeps its best — drift
+         hits all four configurations alike instead of whichever ran
+         first. *)
+      let agree = scan () = extract () && scan_pr () = extract_pr () in
       if not agree then incr disagreements;
+      let best = Array.make 4 infinity in
+      for _ = 1 to 3 do
+        List.iteri
+          (fun i f ->
+            let _, ms = time f in
+            best.(i) <- Float.min best.(i) ms)
+          [ scan; extract; scan_pr; extract_pr ]
+      done;
+      let scan_ms = best.(0) and extract_ms = best.(1) in
+      let scan_pr_ms = best.(2) and extract_pr_ms = best.(3) in
       if arity = 6 then begin
-        gate_search_ms := search_pr_ms;
-        gate_brute_ms := brute_pr_ms
+        gate_extract_ms := extract_pr_ms;
+        gate_scan_ms := scan_pr_ms
       end;
       Ee_util.Table.add_row t
         [
           string_of_int arity;
           string_of_int n_funcs;
-          Printf.sprintf "%.2f" brute_ms;
-          Printf.sprintf "%.2f" search_ms;
-          Printf.sprintf "%.2f" brute_pr_ms;
-          Printf.sprintf "%.2f" search_pr_ms;
+          Printf.sprintf "%.2f" scan_ms;
+          Printf.sprintf "%.2f" extract_ms;
+          Printf.sprintf "%.2f" scan_pr_ms;
+          Printf.sprintf "%.2f" extract_pr_ms;
           (if agree then "yes" else "NO");
         ];
-      crossover_rows :=
+      arity_rows :=
         Json.Obj
           [
             ("arity", Json.Int arity);
             ("functions", Json.Int n_funcs);
-            ("brute_ms", Json.Float brute_ms);
-            ("search_ms", Json.Float search_ms);
-            ("brute_pruned_ms", Json.Float brute_pr_ms);
-            ("search_pruned_ms", Json.Float search_pr_ms);
-            ("probed", Json.Int !probed);
-            ("bound_pruned", Json.Int !bound_pruned);
+            ("scan_ms", Json.Float scan_ms);
+            ("extract_ms", Json.Float extract_ms);
+            ("scan_pruned_ms", Json.Float scan_pr_ms);
+            ("extract_pruned_ms", Json.Float extract_pr_ms);
             ("agree", Json.Bool agree);
           ]
-        :: !crossover_rows)
-    [ 4; 5; 6 ];
+        :: !arity_rows)
+    [ 4; 5; 6; 7; 8 ];
   Ee_util.Table.print t;
-  let crossover_ok = !gate_search_ms < !gate_brute_ms in
+  let extractor_ok = !gate_extract_ms < !gate_scan_ms in
   Printf.printf
-    "arity-6 pruned crossover (floor %.0f%%, top-%d): search %.2f ms vs brute %.2f ms (%s)\n"
-    pr_min pr_top !gate_search_ms !gate_brute_ms
-    (if crossover_ok then "search wins" else "BRUTE WINS");
+    "arity-6 pruned (floor %.0f%%, top-%d): extractor %.2f ms vs scan %.2f ms (%s)\n"
+    pr_min pr_top !gate_extract_ms !gate_scan_ms
+    (if extractor_ok then "extractor wins" else "SCAN WINS");
   (* B. ITC99 shared-trigger periods against the per-gate MCR floor, plus
      the wide-cone coverage summary at LUT-6. *)
   let t =
@@ -161,8 +158,8 @@ let print_search ~fast () =
           else
             List.fold_left
               (fun acc w ->
-                match Driver.candidates ~top_k:1 w.Cutmap.wfunc with
-                | c :: _ -> acc +. c.Driver.coverage
+                match Trigger.extract ~top_k:1 w.Cutmap.wfunc with
+                | c :: _ -> acc +. c.Trigger.coverage
                 | [] -> acc)
               0. wide
             /. float_of_int (List.length wide)
@@ -202,16 +199,16 @@ let print_search ~fast () =
       [
         ("seed", Json.Int seed);
         ("fast", Json.Bool fast);
-        ("crossover", Json.List (List.rev !crossover_rows));
-        ( "crossover_gate",
+        ("arities", Json.List (List.rev !arity_rows));
+        ( "extractor_gate",
           Json.Obj
             [
               ("arity", Json.Int 6);
               ("min_coverage", Json.Float pr_min);
               ("top_k", Json.Int pr_top);
-              ("search_ms", Json.Float !gate_search_ms);
-              ("brute_ms", Json.Float !gate_brute_ms);
-              ("passed", Json.Bool crossover_ok);
+              ("extract_ms", Json.Float !gate_extract_ms);
+              ("scan_ms", Json.Float !gate_scan_ms);
+              ("passed", Json.Bool extractor_ok);
             ] );
         ("itc99", Json.List itc_rows);
         ( "plan_ms_total",
@@ -233,6 +230,6 @@ let print_search ~fast () =
   in
   write_json "BENCH_search.json" json;
   if !disagreements > 0 then
-    fail (Printf.sprintf "search/brute disagreement on %d arity group(s)" !disagreements);
-  if not crossover_ok then fail "pruned search slower than brute force at arity 6";
+    fail (Printf.sprintf "extractor/scan disagreement on %d arity group(s)" !disagreements);
+  if not extractor_ok then fail "pruned extractor slower than the scan at arity 6";
   fail_all !lambda_failures

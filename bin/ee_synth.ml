@@ -335,12 +335,9 @@ let perf_cmd =
   in
   let run bench threshold coverage_only waves seed tolerance json selection =
     let spec = spec_of threshold coverage_only 100 2002 in
-    let r = Ee_report.Perf_report.analyze_bench ~waves ~seed (Engine.build spec bench) in
-    let sel =
-      if selection then
-        [ Ee_report.Perf_report.compare_selection ~options:(Engine.synth_options spec) bench ]
-      else []
-    in
+    let a = Engine.build spec bench in
+    let r = Ee_report.Perf_report.analyze_bench ~waves ~seed a in
+    let sel = if selection then [ Ee_report.Perf_report.compare_selection a ] else [] in
     let report = { Ee_report.Perf_report.rows = [ r ]; selection = sel } in
     if json then print_string (Ee_report.Perf_report.to_json report)
     else begin
@@ -397,7 +394,7 @@ let perf_cmd =
 
 let search_cmd =
   let doc =
-    "CEGIS trigger search: wide-LUT cone analysis, shared multi-master triggers, \
+    "Trigger extraction on wide-LUT cones, shared multi-master triggers, \
      coverage/area Pareto fronts."
   in
   let man =
@@ -405,13 +402,13 @@ let search_cmd =
       `S Manpage.s_description;
       `P
         "Covers the benchmark's netlist with LUT-$(i,K) cones ($(b,--lut-k); analysis \
-         only — the emitted netlist cell stays LUT4), runs the CEGIS trigger \
-         search on every cone wider than four inputs and cross-checks it against the \
-         brute-force minterm scan.  $(b,--shared) additionally runs the shared \
-         multi-master trigger selection and prints the period table against the \
-         per-gate MCR floor; $(b,--pareto) N prints the coverage-vs-cubes front of \
-         the N widest cones.  Exits 1 on any search/brute disagreement or if the \
-         shared selection regresses the period.";
+         only — the emitted netlist cell stays LUT4) and extracts the trigger \
+         candidates of every cone wider than four inputs by word-parallel \
+         quantification (the extractor the LUT4 flow uses).  $(b,--shared) \
+         additionally runs the shared multi-master trigger selection and prints the \
+         period table against the per-gate MCR floor; $(b,--pareto) N prints the \
+         coverage-vs-cubes front of the N widest cones.  Exits 1 if the shared \
+         selection regresses the period.";
     ]
   in
   let lut_k_t =
@@ -431,7 +428,6 @@ let search_cmd =
   in
   let run bench lut_k top_k min_coverage shared pareto =
     let module Cutmap = Ee_rtl.Cutmap in
-    let module Driver = Ee_search.Driver in
     let module Select = Ee_search.Search_select in
     let a = Engine.build Engine.default_spec bench in
     let nl = a.Ee_report.Pipeline.netlist in
@@ -448,44 +444,12 @@ let search_cmd =
       (List.length covers) (List.length wide);
     Array.iteri (fun k c -> if c > 0 then Printf.printf " %d:%d" k c) hist;
     print_newline ();
-    (* Search vs brute force, cone by cone, with the driver's work accounting. *)
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, (Unix.gettimeofday () -. t0) *. 1e3)
-    in
-    let search_ms = ref 0. and brute_ms = ref 0. and mismatches = ref 0 in
-    let probed = ref 0 and bound_pruned = ref 0 in
+    let t0 = Unix.gettimeofday () in
     let analyzed =
-      List.map
-        (fun w ->
-          let (cands, stats), s_ms =
-            time (fun () -> Driver.search ~min_coverage ~top_k w.Cutmap.wfunc)
-          in
-          let brute, b_ms =
-            time (fun () -> Ee_core.Trigger_wide.candidates ~min_coverage ~top_k w.Cutmap.wfunc)
-          in
-          search_ms := !search_ms +. s_ms;
-          brute_ms := !brute_ms +. b_ms;
-          probed := !probed + stats.Driver.probed;
-          bound_pruned := !bound_pruned + stats.Driver.bound_pruned;
-          let agree =
-            List.length cands = List.length brute
-            && List.for_all2
-                 (fun (s : Driver.candidate) (b : Ee_core.Trigger_wide.candidate) ->
-                   s.Driver.subset = b.Ee_core.Trigger_wide.subset
-                   && s.Driver.coverage_count = b.Ee_core.Trigger_wide.coverage_count)
-                 cands brute
-          in
-          if not agree then incr mismatches;
-          (w, cands))
-        wide
+      List.map (fun w -> (w, Ee_core.Trigger.extract ~min_coverage ~top_k w.Cutmap.wfunc)) wide
     in
-    Printf.printf
-      "  search vs brute on the %d wide cones: %.1f ms vs %.1f ms (%d probed, %d \
-       bound-pruned, %d disagreement%s)\n"
-      (List.length wide) !search_ms !brute_ms !probed !bound_pruned !mismatches
-      (if !mismatches = 1 then "" else "s");
+    Printf.printf "  trigger extraction on the %d wide cones: %.1f ms\n" (List.length wide)
+      ((Unix.gettimeofday () -. t0) *. 1e3);
     let widest =
       List.stable_sort
         (fun (wa, _) (wb, _) ->
@@ -497,7 +461,7 @@ let search_cmd =
         if i < 10 then
           let best =
             List.fold_left
-              (fun acc (c : Driver.candidate) -> max acc c.Driver.coverage)
+              (fun acc (c : Ee_core.Trigger.wide) -> max acc c.Ee_core.Trigger.coverage)
               0. cands
           in
           Printf.printf "    cone %4d: %d inputs, %2d candidates, best coverage %.1f%%\n"
@@ -505,10 +469,6 @@ let search_cmd =
             (List.length w.Cutmap.wleaves)
             (List.length cands) best)
       widest;
-    if !mismatches > 0 then begin
-      Printf.eprintf "ee_synth search: search/brute disagreement\n";
-      exit 1
-    end;
     if shared then begin
       let _, r = Select.run (Ee_phased.Pl.of_netlist nl) in
       Printf.printf "  shared-trigger selection:\n";

@@ -1,29 +1,61 @@
-(** Candidate trigger-function extraction for a LUT4 master function
-    (paper §3).
+(** Candidate trigger-function extraction (paper §3), for LUT4 masters and
+    for wider cone functions alike.
 
     For a support subset [S] of the master's inputs, the trigger function
     is 1 on exactly the assignments of [S] under which the master function
-    is constant (the remaining inputs are don't-cares); its coverage is the
-    fraction of the master's minterms — ON and OFF sets together — decided
-    by [S] alone.  The paper derives this from the prime cube lists of the
-    master's ON and OFF sets (Table 2); {!trigger_function} computes it
-    directly from the truth table, and the two routes provably agree (the
-    test suite checks this on random functions). *)
+    is constant (the remaining, {e late}, inputs are don't-cares); its
+    coverage is the fraction of the master's minterms — ON and OFF sets
+    together — decided by [S] alone.  The paper derives this from the prime
+    cube lists of the master's ON and OFF sets (Table 2) and argues that the
+    exhaustive subset search is practical because the cell is a LUT4.  Here
+    each trigger is two word-parallel quantifications,
+    [t_S = ∀late f ∨ ∀late ¬f] ({!Ee_logic.Truthtab.forall}), so one
+    extractor serves LUT4 cells and LUT5–LUT8 cones; the test suite holds it
+    to the cube-list route and to the minterm scan {!scan_function}. *)
 
-type candidate = {
+type 'f t = {
   subset : int;  (** Bitmask of master input positions. *)
-  func : Ee_logic.Lut4.t;
+  func : 'f;
       (** Trigger function over the master's input positions; depends only
           on [subset] variables. *)
-  coverage_count : int;  (** Covered minterms, out of 16. *)
-  coverage : float;  (** Percent, [coverage_count / 16 * 100]. *)
+  coverage_count : int;  (** Covered minterms, of [2^arity]. *)
+  coverage : float;  (** Percent, [coverage_count / 2^arity * 100]. *)
 }
+(** One candidate, its function a LUT4 ({!candidate}) or a truth table of
+    the master's arity ({!wide}). *)
 
-val trigger_function : Ee_logic.Lut4.t -> subset:int -> Ee_logic.Lut4.t
+type candidate = Ee_logic.Lut4.t t
+
+type wide = Ee_logic.Truthtab.t t
+
+val trigger_function : Ee_logic.Truthtab.t -> subset:int -> Ee_logic.Truthtab.t
 (** [trigger_function f ~subset] — bit [m] is 1 iff [f] restricted to the
     [subset]-assignment in [m] is constant. *)
 
-val candidate : Ee_logic.Lut4.t -> subset:int -> candidate
+val scan_function : Ee_logic.Truthtab.t -> subset:int -> Ee_logic.Truthtab.t
+(** The same function by the definition: one
+    {!Ee_logic.Truthtab.constant_under} scan per minterm, about [4^arity]
+    steps.  The reference the tests and [bench --search] hold the extractor
+    to; nothing in the flow calls it. *)
+
+val extract : ?min_coverage:float -> ?top_k:int -> Ee_logic.Truthtab.t -> wide list
+(** All candidates over non-empty strict subsets of the master's true
+    support with positive coverage, subset ascending.  (The paper
+    enumerates all 14 subsets of the four LUT inputs; subsets touching
+    variables outside the support yield the same trigger as their
+    restriction to the support, so enumerating support subsets is
+    equivalent and never misses a candidate.)  [min_coverage] (percent,
+    default 0) drops weaker candidates as they are found; [top_k] keeps
+    only the [k] best by the {!prune} rule. *)
+
+val best : int -> 'f t list -> 'f t list
+(** The ranking every selection shares: coverage descending, then subset
+    ascending, then the first [k] ([] when [k <= 0]). *)
+
+val prune : ?min_coverage:float -> ?top_k:int -> 'f t list -> 'f t list
+(** Drop zero-coverage and sub-[min_coverage] candidates, keep the {!best}
+    [top_k], and return them in subset order.  Raises [Invalid_argument]
+    on a negative [top_k]. *)
 
 (** Memoization contexts for {!candidates}.  The candidate list depends
     only on the 16-bit master function, so synthesis over a whole netlist
@@ -63,12 +95,7 @@ module Memo : sig
 end
 
 val candidates : ?memo:Memo.t -> Ee_logic.Lut4.t -> candidate list
-(** All candidates over non-empty strict subsets of the master's true
-    support with positive coverage, in increasing subset order.  (The paper
-    enumerates all 14 subsets of the four LUT inputs; subsets touching
-    variables outside the support yield the same trigger as their
-    restriction to the support, so enumerating support subsets is
-    equivalent and never misses a candidate.)
+(** {!extract} at arity 4, read back as LUT4 functions.
 
     Results are cached in [memo] (default: the calling domain's
     {!Memo.domain_default}, so bare [candidates f] one-offs stay terse and

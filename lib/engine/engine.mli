@@ -29,7 +29,7 @@ type selection =
           repeat until no pair helps. *)
   | Search
       (** {!Ee_search.Search_select}: the MCR plan as a floor, then
-          CEGIS-searched shared multi-master triggers accepted only when the
+          shared multi-master triggers accepted only when the
           re-analyzed period does not regress — final λ is never worse than
           [Mcr]'s on the same netlist. *)
 

@@ -186,31 +186,6 @@ let sat_count _m node ~nvars =
   in
   go node 0
 
-let rec any_sat_node = function
-  | Leaf false -> None
-  | Leaf true -> Some 0
-  | Node n -> (
-      (* Prefer the hi branch so the witness mentions the top variable when
-         possible; unmentioned variables default to 0.  Reduction guarantees
-         at least one branch is satisfiable when the node is not [zero]. *)
-      match any_sat_node n.hi with
-      | Some m -> Some (m lor (1 lsl n.var))
-      | None -> any_sat_node n.lo)
-
-let any_sat _m node = any_sat_node node
-
-let exists_mask m node ~mask =
-  Ee_util.Bits.fold_bits mask
-    (fun acc v ->
-      logor m (restrict m acc ~var:v ~value:false) (restrict m acc ~var:v ~value:true))
-    node
-
-let forall_mask m node ~mask =
-  Ee_util.Bits.fold_bits mask
-    (fun acc v ->
-      logand m (restrict m acc ~var:v ~value:false) (restrict m acc ~var:v ~value:true))
-    node
-
 let node_count _m node =
   let seen = Hashtbl.create 64 in
   let rec go = function

@@ -53,18 +53,3 @@ val support : manager -> t -> int
 val node_count : manager -> t -> int
 (** Number of distinct internal nodes reachable (excluding leaves). *)
 
-val any_sat : manager -> t -> int option
-(** A satisfying minterm, if any.  Deterministic: walks toward the hi
-    branch first; variables the chosen path does not mention are 0.  The
-    CEGIS trigger search uses this to extract counterexamples without
-    enumerating minterms. *)
-
-val exists_mask : manager -> t -> mask:int -> t
-(** Existentially quantify out every variable in the bitmask. *)
-
-val forall_mask : manager -> t -> mask:int -> t
-(** Universally quantify out every variable in the bitmask.
-    [forall_mask m f ~mask] is 1 on an assignment of the remaining
-    variables iff [f] is 1 under {e every} completion of the masked ones —
-    exactly the "master is decided by the subset" predicate of the trigger
-    search. *)

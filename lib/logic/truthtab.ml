@@ -104,27 +104,6 @@ let logxor a b = map2 Int64.logxor a b
 
 let count_ones t = Array.fold_left (fun acc w -> acc + Ee_util.Bits.popcount64 w) 0 t.words
 
-(* First minterm of [a ∧ ¬b], word-wise.  The tail-mask invariant keeps the
-   unused high bits of [a] clear, so negating [b] cannot surface phantom
-   minterms. *)
-let first_diff a b =
-  if a.arity <> b.arity then invalid_arg "Truthtab: arity mismatch";
-  let n = Array.length a.words in
-  let rec word i =
-    if i = n then None
-    else
-      let w = Int64.logand a.words.(i) (Int64.lognot b.words.(i)) in
-      if Int64.equal w 0L then word (i + 1)
-      else begin
-        let bit = ref 0 in
-        while Int64.equal (Int64.logand (Int64.shift_right_logical w !bit) 1L) 0L do
-          incr bit
-        done;
-        Some ((i lsl 6) lor !bit)
-      end
-  in
-  word 0
-
 let minterms t =
   let out = ref [] in
   for m = size t - 1 downto 0 do
@@ -137,11 +116,53 @@ let is_const t =
   else if equal t (const t.arity true) then Some true
   else None
 
+(* Word-parallel cofactors.  For a variable [v < 6] both cofactors live in
+   every word, interleaved in runs of [2^v] bits: [low_half.(v)] selects the
+   runs where [v = 0], and shifting right by [2^v] brings the [v = 1] runs
+   onto them.  For [v >= 6] the cofactors are whole words [2^(v-6)] apart.
+   [combine op words v] replaces both cofactors of [v] by [op] of the two,
+   in place, so the result no longer depends on [v].  Results stay within
+   the low [2^arity] bits, which keeps the tail-mask invariant. *)
+type pair_op = Low | High | Both | Either
+
+let low_half =
+  [|
+    0x5555555555555555L; 0x3333333333333333L; 0x0F0F0F0F0F0F0F0FL;
+    0x00FF00FF00FF00FFL; 0x0000FFFF0000FFFFL; 0x00000000FFFFFFFFL;
+  |]
+
+let pair op lo hi =
+  match op with
+  | Low -> lo
+  | High -> hi
+  | Both -> Int64.logand lo hi
+  | Either -> Int64.logor lo hi
+
+let combine op words v =
+  if v < 6 then begin
+    let s = 1 lsl v and m = low_half.(v) in
+    for i = 0 to Array.length words - 1 do
+      let w = words.(i) in
+      let r = pair op (Int64.logand w m) (Int64.logand (Int64.shift_right_logical w s) m) in
+      words.(i) <- Int64.logor r (Int64.shift_left r s)
+    done
+  end
+  else begin
+    let stride = 1 lsl (v - 6) in
+    for i = 0 to Array.length words - 1 do
+      if i land stride = 0 then begin
+        let r = pair op words.(i) words.(i + stride) in
+        words.(i) <- r;
+        words.(i + stride) <- r
+      end
+    done
+  end
+
 let restrict t ~var ~value =
   if var < 0 || var >= t.arity then invalid_arg "Truthtab.restrict: bad variable";
-  of_fun t.arity (fun m ->
-      let m' = if value then m lor (1 lsl var) else m land lnot (1 lsl var) in
-      eval t m')
+  let words = Array.copy t.words in
+  combine (if value then High else Low) words var;
+  { t with words }
 
 let depends_on t i =
   not (equal (restrict t ~var:i ~value:false) (restrict t ~var:i ~value:true))
@@ -174,13 +195,17 @@ let constant_under t ~subset ~assignment =
 let cofactor_pair t ~var =
   (restrict t ~var ~value:false, restrict t ~var ~value:true)
 
-let exists t ~var =
-  let f0, f1 = cofactor_pair t ~var in
-  logor f0 f1
+let quantify op t mask =
+  if mask < 0 || mask lsr t.arity <> 0 then invalid_arg "Truthtab: quantified variable out of range";
+  let words = Array.copy t.words in
+  for v = 0 to t.arity - 1 do
+    if (mask lsr v) land 1 = 1 then combine op words v
+  done;
+  { t with words }
 
-let forall t ~var =
-  let f0, f1 = cofactor_pair t ~var in
-  logand f0 f1
+let exists t ~mask = quantify Either t mask
+
+let forall t ~mask = quantify Both t mask
 
 let permute t p =
   if Array.length p <> t.arity then invalid_arg "Truthtab.permute: bad permutation";

@@ -58,11 +58,6 @@ val logxor : t -> t -> t
 val count_ones : t -> int
 (** Number of ON-set minterms. *)
 
-val first_diff : t -> t -> int option
-(** [first_diff a b] is the smallest minterm index where [a] is 1 and [b]
-    is 0, if any — [a ∧ ¬b] without materializing the difference table.
-    The CEGIS trigger search extracts counterexamples with this. *)
-
 val minterms : t -> int list
 (** Ascending list of ON-set minterm indices. *)
 
@@ -71,7 +66,7 @@ val is_const : t -> bool option
 
 val restrict : t -> var:int -> value:bool -> t
 (** Cofactor: fix a variable to a constant.  Arity is preserved; the result
-    no longer depends on [var]. *)
+    no longer depends on [var].  Word-parallel, like {!forall}. *)
 
 val depends_on : t -> int -> bool
 (** True if the function's value changes with the given variable. *)
@@ -82,14 +77,22 @@ val support : t -> int
 val constant_under : t -> subset:int -> assignment:int -> bool option
 (** [constant_under t ~subset ~assignment] restricts every variable in the
     [subset] bitmask to its bit in [assignment] and reports [Some b] when the
-    restricted function is the constant [b], [None] otherwise.  This is the
-    semantic core of trigger-function extraction. *)
+    restricted function is the constant [b], [None] otherwise.  A scan of
+    all [2^n] minterms: the reference the quantified trigger extractor
+    ([Ee_core.Trigger]) is tested against. *)
 
-val exists : t -> var:int -> t
-(** Existential quantification of one variable. *)
+val exists : t -> mask:int -> t
+(** [exists t ~mask] quantifies every variable of the [mask] bitmask
+    existentially: 1 where some completion of the masked variables is 1.
+    Word-parallel: a shift and mask inside each word for variables 0–5, a
+    word-pair OR for the others.  Raises [Invalid_argument] when [mask]
+    names a variable at or above the arity. *)
 
-val forall : t -> var:int -> t
-(** Universal quantification of one variable. *)
+val forall : t -> mask:int -> t
+(** [forall t ~mask] quantifies every variable of [mask] universally: 1
+    where every completion of the masked variables is 1.  With [late] the
+    variables outside a support subset [S], [forall f ~mask:late] ∨
+    [forall (lognot f) ~mask:late] is the trigger function of [S]. *)
 
 val cofactor_pair : t -> var:int -> t * t
 (** [(negative, positive)] cofactors. *)

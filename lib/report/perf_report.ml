@@ -72,10 +72,9 @@ type selection_row = {
   overlap_percent : float;
 }
 
-let compare_selection ?options ?mcr_options ?(config = Ss.default_config)
-    ?(waves = 200) ?(seed = 4) (b : Itc99.benchmark) =
+let compare_selection ?mcr_options ?(config = Ss.default_config) ?(waves = 200)
+    ?(seed = 4) (a : Pipeline.artifact) =
   let gate_delay = config.Ss.gate_delay and ee_overhead = config.Ss.ee_overhead in
-  let a = Pipeline.build_staged ?options b in
   let pl = a.Pipeline.pl in
   let pl_eq1 = a.Pipeline.pl_ee and rep_eq1 = a.Pipeline.synth_report in
   let pl_mcr, rep_mcr = Ee_core.Mcr_select.run ?options:mcr_options pl in
@@ -105,13 +104,19 @@ type t = {
 
 let run ?options ?config ?waves ?seed ?(benchmarks = Itc99.all)
     ?(selection_benchmarks = Itc99.all) () =
+  (* One build per benchmark, shared by its row and its selection row. *)
+  let built = Hashtbl.create 16 in
+  let artifact (b : Itc99.benchmark) =
+    match Hashtbl.find_opt built b.Itc99.id with
+    | Some a -> a
+    | None ->
+        let a = Pipeline.build ?options b in
+        Hashtbl.add built b.Itc99.id a;
+        a
+  in
   {
-    rows =
-      List.map
-        (fun b -> analyze_bench ?config ?waves ?seed (Pipeline.build ?options b))
-        benchmarks;
-    selection =
-      List.map (fun b -> compare_selection ?options ?config b) selection_benchmarks;
+    rows = List.map (fun b -> analyze_bench ?config ?waves ?seed (artifact b)) benchmarks;
+    selection = List.map (fun b -> compare_selection ?config (artifact b)) selection_benchmarks;
   }
 
 (* Geometric means over the per-benchmark ratios; the ratios are strictly

@@ -42,13 +42,14 @@ type selection_row = {
 }
 
 val compare_selection :
-  ?options:Ee_core.Synth.options ->
   ?mcr_options:Ee_core.Mcr_select.options ->
   ?config:Ee_sim.Stream_sim.config ->
   ?waves:int ->
   ?seed:int ->
-  Ee_bench_circuits.Itc99.benchmark ->
+  Pipeline.artifact ->
   selection_row
+(** The Equation-1 plan of an artifact built under the Eq. 1 policy (its
+    [pl_ee] and [synth_report]) against an MCR-greedy plan of its [pl]. *)
 
 type t = {
   rows : bench_row list;

@@ -77,8 +77,8 @@ type wide_lut = {
 val wide_covers :
   ?lut_k:int -> ?cuts_per_node:int -> Gates.circuit -> wide_lut list
 (** A depth-oriented LUT-[k] cover of the circuit ([lut_k] in 4..8,
-    default 6), as {e analysis} input for the wide trigger search
-    ({!Ee_search.Driver}): the emitted netlist cell stays a LUT4
+    default 6), as {e analysis} input for wide trigger extraction
+    ({!Ee_core.Trigger.extract}): the emitted netlist cell stays a LUT4
     everywhere else in the flow, these records only say which LUT5/LUT6
     cone functions a wide cell library would realize.  One record per
     covered node reachable from the interface roots, root ascending.

@@ -1,5 +1,5 @@
-module Bits = Ee_util.Bits
 module Tt = Ee_logic.Truthtab
+module Trigger = Ee_core.Trigger
 
 type point = {
   pt_subset : int;
@@ -17,41 +17,66 @@ let dominates a b =
 let non_dominated pts =
   List.filter (fun p -> not (List.exists (fun q -> dominates q p) pts)) pts
 
-let front ?(max_cubes = 8) tt =
-  if max_cubes < 1 then invalid_arg "Pareto.front: max_cubes must be >= 1";
-  let ctx = Cegis.ctx tt in
-  let size = float_of_int (1 lsl Tt.arity tt) in
+(* The cube that adds the most uncovered minterms, ties to the earliest;
+   [None] once no cube adds any (so a picked cube is never picked again). *)
+let best_gain covered tables =
+  let count = Tt.count_ones covered in
+  List.fold_left
+    (fun best tbl ->
+      let gain = Tt.count_ones (Tt.logor covered tbl) - count in
+      match best with
+      | Some (_, g) when g >= gain -> best
+      | _ when gain = 0 -> best
+      | _ -> Some (tbl, gain))
+    None tables
+  |> Option.map fst
+
+(* The largest cube budget explored per subset. *)
+let max_cubes = 8
+
+let front tt =
+  let arity = Tt.arity tt in
+  let size = float_of_int (1 lsl arity) in
   let pts = ref [] in
-  let add (r : Cegis.result) =
-    let p =
-      {
-        pt_subset = r.Cegis.subset;
-        pt_cubes = List.length r.Cegis.cubes;
-        pt_coverage_count = r.Cegis.coverage_count;
-        pt_coverage = 100. *. float_of_int r.Cegis.coverage_count /. size;
-        pt_exact = r.Cegis.exact;
-      }
-    in
+  let add p =
     (* Keep one witness per (area, coverage) cell: the first subset found
        (subsets are walked ascending, so the witness is canonical). *)
     if
       not
         (List.exists
-           (fun q ->
-             q.pt_cubes = p.pt_cubes && q.pt_coverage_count = p.pt_coverage_count)
+           (fun q -> q.pt_cubes = p.pt_cubes && q.pt_coverage_count = p.pt_coverage_count)
            !pts)
     then pts := p :: !pts
   in
   List.iter
-    (fun subset ->
-      if Cegis.spec_coverage ctx ~subset > 0 then begin
-        let exact = Cegis.synthesize ctx ~subset in
-        let full = List.length exact.Cegis.cubes in
-        for b = 1 to min full max_cubes do
-          if b = full then add exact else add (Cegis.synthesize ~max_cubes:b ctx ~subset)
-        done
-      end)
-    (Bits.all_nonempty_proper_subsets (Tt.support tt));
+    (fun (c : Trigger.wide) ->
+      (* The ISOP of the trigger never mentions a variable the trigger does
+         not depend on, so every cube stays within the subset.  A budget of
+         [b] cubes keeps the first [b] greedy best-coverage picks. *)
+      let tables =
+        List.map
+          (fun cube -> Tt.of_fun arity (Ee_logic.Cube.contains_minterm cube))
+          (Ee_logic.Isop.cover c.Trigger.func)
+      in
+      let rec pick cubes covered =
+        if cubes <= max_cubes then
+          match best_gain covered tables with
+          | None -> ()
+          | Some tbl ->
+              let covered = Tt.logor covered tbl in
+              let count = Tt.count_ones covered in
+              add
+                {
+                  pt_subset = c.Trigger.subset;
+                  pt_cubes = cubes;
+                  pt_coverage_count = count;
+                  pt_coverage = 100. *. float_of_int count /. size;
+                  pt_exact = count = c.Trigger.coverage_count;
+                };
+              pick (cubes + 1) covered
+      in
+      pick 1 (Tt.create arity))
+    (Trigger.extract tt);
   non_dominated !pts
   |> List.sort (fun a b ->
          match compare a.pt_cubes b.pt_cubes with

@@ -1,14 +1,16 @@
 (** The coverage-vs-area Pareto front of one master function.
 
     A trigger's area is its cube count (each cube is a product term of the
-    SOP realization); its value is coverage.  For every support subset and
-    every cube budget up to [max_cubes], the CEGIS loop yields a sound
-    trigger — this module collects the non-dominated (cubes, coverage)
-    points, each with its witness subset.  The third axis the ISSUE's
-    report plots — the netlist period λ — depends on where the master sits
-    in a netlist, so the bench and the [ee_synth search] command assemble
-    λ points from {!Search_select} runs and join them with this
-    logic-level front. *)
+    SOP realization); its value is coverage.  For every support subset,
+    the trigger function's irredundant cover ({!Ee_logic.Isop.cover})
+    realizes the full trigger, and a cube budget [b] keeps the first [b]
+    cubes picked greedily by added coverage — a sound, possibly partial
+    trigger.  This module collects the non-dominated (cubes, coverage)
+    points over every subset and every budget up to 8 cubes, each with its
+    witness subset.  The third axis — the netlist period λ — depends on
+    where the master sits in a netlist, so the bench and the
+    [ee_synth search] command assemble λ points from {!Search_select} runs
+    and join them with this logic-level front. *)
 
 type point = {
   pt_subset : int;  (** Witness support (smallest subset achieving it). *)
@@ -18,10 +20,8 @@ type point = {
   pt_exact : bool;  (** Maximal for its subset (no budget cut). *)
 }
 
-val front : ?max_cubes:int -> Ee_logic.Truthtab.t -> point list
-(** Non-dominated points, cube count ascending.  [max_cubes] (default 8)
-    bounds the cube budgets explored.  Deterministic.  Raises
-    [Invalid_argument] if [max_cubes < 1]. *)
+val front : Ee_logic.Truthtab.t -> point list
+(** Non-dominated points, cube count ascending.  Deterministic. *)
 
 val dominates : point -> point -> bool
 (** [dominates a b]: no more cubes, no less coverage, strictly better in

@@ -39,15 +39,6 @@ let rec take k = function
   | _ when k <= 0 -> []
   | x :: r -> x :: take (k - 1) r
 
-(* The master's best [top_k] candidate subsets, by the shared prune rule. *)
-let pruned_candidates ?memo ~top_k func =
-  Trigger.candidates ?memo func
-  |> List.stable_sort (fun (a : Trigger.candidate) b ->
-         match compare b.Trigger.coverage_count a.Trigger.coverage_count with
-         | 0 -> compare a.Trigger.subset b.Trigger.subset
-         | x -> x)
-  |> take top_k
-
 (* A master's candidate trigger, re-expressed over the group's (sorted,
    distinct) signal list: variable [j] of the result is signal
    [List.nth signals j]. *)
@@ -148,11 +139,11 @@ let run ?(options = default_options) ?memo pl =
                       r
                 in
                 (* One membership per master per group: keep the best
-                   candidate (they arrive best-first from the prune). *)
+                   candidate (they arrive best-first from [Trigger.best]). *)
                 if not (List.exists (fun (m, _) -> m = i) !cell) then
                   cell := (i, cand) :: !cell
               end)
-            (pruned_candidates ?memo ~top_k:options.top_k func)
+            (Trigger.best options.top_k (Trigger.candidates ?memo func))
       | _ -> ())
     gates;
   let groups =

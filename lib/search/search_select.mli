@@ -22,11 +22,11 @@
       MCR plan.  The "never worse λ than per-gate Mcr" acceptance
       criterion therefore holds by construction.
 
-    Wide-LUT search ({!Driver} above arity 4) plugs into the analysis
-    endpoints ([ee_synth search], the daemon's [search] field, [bench
-    --search]); the netlist cell stays a LUT4, so this selector consumes
-    {!Ee_core.Trigger.candidates} — which the exhaustive LUT4 test proves
-    interchangeable with the CEGIS driver. *)
+    The netlist cell stays a LUT4, so this selector consumes
+    {!Ee_core.Trigger.candidates} (memoized) and ranks them with
+    {!Ee_core.Trigger.best}.  Wider cones reach the same extractor,
+    {!Ee_core.Trigger.extract}, only through the analysis endpoints
+    ([ee_synth search], the daemon's [search] field, [bench --search]). *)
 
 type options = {
   base : Ee_core.Mcr_select.options;  (** Phase-A selection + timing model. *)

@@ -106,7 +106,8 @@ let row_json (row : Tables.row) (rep : Ee_core.Synth.report) (spec : Engine.spec
 (* The search section: the shared-trigger λ table plus a wide-LUT cone
    summary, appended to a synth row when the request sets "search".  The
    netlist cell stays a LUT4 — [wide_covers] only reports which LUT-k cone
-   functions the CEGIS driver would analyze at [spec.lut_k]. *)
+   functions a wide cell would realize at [spec.lut_k], and
+   [Trigger.extract] their best trigger. *)
 let search_json ~spec nl =
   let pl = Ee_phased.Pl.of_netlist nl in
   let pl', r = Ee_search.Search_select.run ~options:(Engine.search_options spec) pl in
@@ -134,10 +135,8 @@ let search_json ~spec nl =
   let best_coverages =
     List.map
       (fun w ->
-        match
-          Ee_search.Driver.candidates ~top_k:1 w.Ee_rtl.Cutmap.wfunc
-        with
-        | c :: _ -> c.Ee_search.Driver.coverage
+        match Ee_core.Trigger.extract ~top_k:1 w.Ee_rtl.Cutmap.wfunc with
+        | c :: _ -> c.Ee_core.Trigger.coverage
         | [] -> 0.)
       analyzed
   in

@@ -1,16 +1,12 @@
-(* The CEGIS trigger search: equivalence with brute force,
-   pruning, budgets, the Pareto front and shared-trigger selection. *)
+(* The trigger extractor at every arity: equivalence with the minterm
+   scan, a pin on the ITC99 wide cones, pruning, the Pareto front and
+   shared-trigger selection. *)
 
 module Bits = Ee_util.Bits
 module Tt = Ee_logic.Truthtab
 module Lut4 = Ee_logic.Lut4
-module Cube = Ee_logic.Cube
-module Bdd = Ee_logic.Bdd
 module Trigger = Ee_core.Trigger
-module Trigger_wide = Ee_core.Trigger_wide
 module Mcr_select = Ee_core.Mcr_select
-module Cegis = Ee_search.Cegis
-module Driver = Ee_search.Driver
 module Pareto = Ee_search.Pareto
 module Search_select = Ee_search.Search_select
 module Pl = Ee_phased.Pl
@@ -26,113 +22,74 @@ let tt_gen arity =
        (QCheck.Gen.int_bound 1_000_000))
 
 (* ------------------------------------------------------------------ *)
-(* CEGIS                                                               *)
+(* Extractor vs the minterm scan                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference semantics: the minterm-scanning maximal trigger. *)
-let ref_trigger tt ~subset = Trigger_wide.trigger_function tt ~subset
-
-let test_cegis_exact () =
-  (* The paper's running AND example: a controlling value on one input
-     alone decides the output. *)
-  let tt = Lut4.to_truthtab (Lut4.logand (Lut4.var 0) (Lut4.var 1)) in
-  let ctx = Cegis.ctx tt in
-  let r = Cegis.synthesize ctx ~subset:0b01 in
-  Alcotest.(check bool) "exact" true r.Cegis.exact;
-  Alcotest.(check bool)
-    "matches reference" true
-    (Tt.equal r.Cegis.func (ref_trigger tt ~subset:0b01));
-  (* a=0 decides the AND: 8 of 16 minterms. *)
-  Alcotest.(check int) "coverage" 8 r.Cegis.coverage_count;
-  Alcotest.(check int) "one cube" 1 (List.length r.Cegis.cubes)
-
-let prop_cegis_matches_reference =
-  qtest "cegis func = minterm-scan trigger (arity 5)" ~count:60 (tt_gen 5)
-    (fun tt ->
-      let ctx = Cegis.ctx tt in
-      List.for_all
-        (fun subset ->
-          let r = Cegis.synthesize ctx ~subset in
-          r.Cegis.exact && Tt.equal r.Cegis.func (ref_trigger tt ~subset))
-        (Bits.all_nonempty_proper_subsets (Bits.mask 5)))
-
-let prop_cegis_budget_sound =
-  qtest "budgeted cegis is a sound monotone under-approximation" ~count:60
-    (tt_gen 5) (fun tt ->
-      let ctx = Cegis.ctx tt in
-      List.for_all
-        (fun subset ->
-          let exact = Cegis.synthesize ctx ~subset in
-          let results =
-            List.map
-              (fun b ->
-                let r = Cegis.synthesize ~max_cubes:b ctx ~subset in
-                (* Within budget, and every ON-minterm of the budgeted
-                   trigger is an ON-minterm of the exact one. *)
-                ( List.length r.Cegis.cubes <= b
-                  && Tt.equal
-                       (Tt.logand r.Cegis.func exact.Cegis.func)
-                       r.Cegis.func,
-                  r.Cegis.coverage_count ))
-              [ 1; 2; 3 ]
-          in
-          List.for_all fst results
-          &&
-          (* Greedy coverage is monotone in the budget. *)
-          let cs = List.map snd results in
-          List.sort compare cs = cs)
-        (Bits.all_nonempty_proper_subsets (Tt.support tt)))
-
-let test_cegis_parity () =
-  (* Parity is undecidable from any strict subset: every spec is empty and
-     the loop must converge on the constant-false trigger. *)
-  let tt = Tt.of_fun 4 (fun m -> Bits.popcount m mod 2 = 1) in
-  let ctx = Cegis.ctx tt in
-  List.iter
+(* Every support subset's trigger by the constant_under scan, with
+   zero-coverage subsets dropped: what [Trigger.extract] must return. *)
+let scan_candidates tt =
+  let size = float_of_int (1 lsl Tt.arity tt) in
+  List.filter_map
     (fun subset ->
-      let r = Cegis.synthesize ctx ~subset in
-      Alcotest.(check int) "no coverage" 0 r.Cegis.coverage_count;
-      Alcotest.(check bool)
-        "trigger matches reference" true
-        (Tt.equal r.Cegis.func (ref_trigger tt ~subset)))
-    (Bits.all_nonempty_proper_subsets 0b1111)
+      let func = Trigger.scan_function tt ~subset in
+      let coverage_count = Tt.count_ones func in
+      if coverage_count = 0 then None
+      else
+        Some
+          {
+            Trigger.subset;
+            func;
+            coverage_count;
+            coverage = 100. *. float_of_int coverage_count /. size;
+          })
+    (Bits.all_nonempty_proper_subsets (Tt.support tt))
 
-(* ------------------------------------------------------------------ *)
-(* Driver vs brute force                                               *)
-(* ------------------------------------------------------------------ *)
-
-let prop_driver_equals_brute arity =
-  qtest
-    (Printf.sprintf "driver = brute force (arity %d)" arity)
-    (tt_gen arity)
-    (fun tt -> Driver.agrees_with_brute tt)
-
-let prop_driver_pruned_equals_brute =
-  qtest "pruned driver = pruned brute force (arity 5)" ~count:60 (tt_gen 5)
+let prop_extract_equals_scan =
+  qtest "extractor = constant_under scan" ~count:60
+    QCheck.(
+      make
+        ~print:(fun tt -> Tt.to_string tt)
+        Gen.(
+          map2
+            (fun arity seed -> Tt.random (Ee_util.Prng.create seed) arity)
+            (int_range 5 8) (int_bound 1_000_000)))
     (fun tt ->
-      Driver.agrees_with_brute ~min_coverage:25. tt
-      && Driver.agrees_with_brute ~top_k:4 tt
-      && Driver.agrees_with_brute ~min_coverage:12.5 ~top_k:3 tt)
+      let scanned = scan_candidates tt in
+      Trigger.extract tt = scanned
+      && Trigger.extract ~min_coverage:25. tt = Trigger.prune ~min_coverage:25. scanned
+      && Trigger.extract ~top_k:4 tt = Trigger.prune ~top_k:4 scanned
+      && Trigger.extract ~min_coverage:12.5 ~top_k:3 tt
+         = Trigger.prune ~min_coverage:12.5 ~top_k:3 scanned
+      && List.for_all
+           (fun subset ->
+             Tt.equal (Trigger.trigger_function tt ~subset) (Trigger.scan_function tt ~subset))
+           [ 0b1; 0b110; 0b10101; 0b11110 ])
 
-let test_driver_exhaustive_lut4 () =
+let test_exhaustive_lut4 () =
   (* Every one of the 65 536 LUT4 functions — the paper's own enumeration
-     universe.  The search must reproduce Trigger.candidates exactly. *)
+     universe — against a trigger tabulated from Lut4.constant_under. *)
+  let memo = Trigger.Memo.create () in
   let bad = ref 0 and first = ref (-1) in
   for f = 0 to 65535 do
     let lut = Lut4.of_int f in
-    let narrow = Trigger.candidates lut in
-    let searched = Driver.candidates (Lut4.to_truthtab lut) in
-    let ok =
-      List.length searched = List.length narrow
-      && List.for_all2
-           (fun (s : Driver.candidate) (n : Trigger.candidate) ->
-             s.Driver.subset = n.Trigger.subset
-             && s.Driver.coverage_count = n.Trigger.coverage_count
-             && s.Driver.exact
-             && Tt.equal s.Driver.func (Lut4.to_truthtab n.Trigger.func))
-           searched narrow
+    let expected =
+      List.filter_map
+        (fun subset ->
+          let func =
+            Lut4.of_truthtab
+              (Tt.of_fun 4 (fun m -> Lut4.constant_under lut ~subset ~assignment:m <> None))
+          in
+          let n = Lut4.count_ones func in
+          if n = 0 then None else Some (subset, n, func))
+        (Bits.all_nonempty_proper_subsets (Lut4.support lut))
     in
-    if not ok then begin
+    let got =
+      List.map
+        (fun (c : Trigger.candidate) ->
+          (c.Trigger.subset, c.Trigger.coverage_count, c.Trigger.func))
+        (Trigger.candidates ~memo lut)
+    in
+    if got <> expected then begin
       incr bad;
       if !first < 0 then first := f
     end
@@ -141,47 +98,68 @@ let test_driver_exhaustive_lut4 () =
     (Printf.sprintf "mismatching functions (first: %d)" !first)
     0 !bad
 
-let test_driver_pruning_work () =
-  (* A 6-input single-minterm function under a 99% floor: the six arity-5
-     supports get probed (96.9% spec coverage), and their recorded bounds
-     prune every smaller support without another BDD probe. *)
-  let tt = Tt.of_fun 6 (fun m -> m = 0b101010) in
-  let cands, stats = Driver.search ~min_coverage:99. tt in
-  Alcotest.(check (list int)) "nothing passes the floor" []
-    (List.map (fun (c : Driver.candidate) -> c.Driver.subset) cands);
-  Alcotest.(check int) "only the top layer probed" 6 stats.Driver.probed;
-  Alcotest.(check bool) "pruned the rest" true (stats.Driver.bound_pruned > 0);
-  Alcotest.(check int) "accounting adds up" stats.Driver.supports
-    (stats.Driver.probed + stats.Driver.bound_pruned)
+(* A digest of (subset, coverage_count, func) over every candidate of every
+   LUT-6 cone wider than four inputs, pinned from the minterm-scan
+   extractor this one replaced. *)
+let test_wide_cones_pinned () =
+  let digest id =
+    let design = (Ee_bench_circuits.Itc99.find id).Ee_bench_circuits.Itc99.build () in
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun w ->
+        if List.length w.Ee_rtl.Cutmap.wleaves > 4 then
+          List.iter
+            (fun (c : Trigger.wide) ->
+              Printf.bprintf b "%d:%d:%s;" c.Trigger.subset c.Trigger.coverage_count
+                (Tt.to_string c.Trigger.func))
+            (Trigger.extract w.Ee_rtl.Cutmap.wfunc))
+      (Ee_rtl.Cutmap.wide_covers ~lut_k:6 (Ee_rtl.Elaborate.run design));
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check (list string))
+    "LUT-6 wide-cone candidates b01-b13"
+    [
+      "e28f3512d0d8017078385bd4c112faf1"; "0e800c04d450bbb411d0d8c0526b05be";
+      "9f9550228b246ded3932085ea27121cf"; "28a317cd47e98d559f30ff515690b2e1";
+      "5ed90ae2a3b69dea3ce7a005cdce3dde"; "d41d8cd98f00b204e9800998ecf8427e";
+      "2f142d42981af6209f6e83dee2122437"; "794926fdd9679c32a950f44f14b24026";
+      "f0f719ac5025f4119643c40251dcac7b"; "be1daa88b1776b48692e53feee059516";
+      "648da2a104bf40cee783a7c8626151bb"; "37ec0e6201e472f6dbd0e649f0a04f5e";
+      "cce46b1c42f94130af79db1a7d4d4e7f";
+    ]
+    (List.init 13 (fun i -> digest (Printf.sprintf "b%02d" (i + 1))))
 
 (* ------------------------------------------------------------------ *)
-(* Trigger_wide pruning                                                *)
+(* Pruning                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_wide_prune () =
   let tt = Lut4.to_truthtab (Lut4.of_int 0b1000_0000_0000_0000) in
-  let all = Trigger_wide.candidates tt in
-  let top2 = Trigger_wide.candidates ~top_k:2 tt in
+  let all = Trigger.extract tt in
+  let top2 = Trigger.extract ~top_k:2 tt in
   Alcotest.(check bool) "top2 size" true (List.length top2 <= 2);
   Alcotest.(check bool)
     "top2 from all" true
     (List.for_all (fun c -> List.mem c all) top2);
-  let via_prune = Trigger_wide.prune ~top_k:2 all in
+  let via_prune = Trigger.prune ~top_k:2 all in
   Alcotest.(check bool) "prune consistent" true (top2 = via_prune);
-  let strong = Trigger_wide.candidates ~min_coverage:80. tt in
+  let strong = Trigger.extract ~min_coverage:80. tt in
   Alcotest.(check bool)
     "floor respected" true
-    (List.for_all
-       (fun (c : Trigger_wide.candidate) -> c.Trigger_wide.coverage >= 80.)
-       strong)
+    (List.for_all (fun (c : Trigger.wide) -> c.Trigger.coverage >= 80.) strong);
+  (* AND4's four three-input subsets tie at 87.5 %: ties go to the smaller
+     subset, and [best] keeps best-first order. *)
+  let and4 = Tt.of_fun 4 (fun m -> m = 15) in
+  Alcotest.(check (list int))
+    "best 2 of AND4" [ 0b0111; 0b1011 ]
+    (List.map (fun (c : Trigger.wide) -> c.Trigger.subset) (Trigger.best 2 (Trigger.extract and4)))
 
 let prop_wide_prune_is_filter =
   qtest "candidates ?knobs = prune (candidates)" ~count:60 (tt_gen 5)
     (fun tt ->
-      let all = Trigger_wide.candidates tt in
-      Trigger_wide.candidates ~min_coverage:30. tt
-      = Trigger_wide.prune ~min_coverage:30. all
-      && Trigger_wide.candidates ~top_k:3 tt = Trigger_wide.prune ~top_k:3 all)
+      let all = Trigger.extract tt in
+      Trigger.extract ~min_coverage:30. tt = Trigger.prune ~min_coverage:30. all
+      && Trigger.extract ~top_k:3 tt = Trigger.prune ~top_k:3 all)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto                                                              *)
@@ -209,40 +187,15 @@ let prop_pareto_front =
       increasing sorted
       &&
       (* The best exact candidate appears on the front. *)
-      match Trigger_wide.candidates tt with
+      match Trigger.extract tt with
       | [] -> front = []
       | cands ->
           let best =
             List.fold_left
-              (fun acc (c : Trigger_wide.candidate) ->
-                max acc c.Trigger_wide.coverage_count)
+              (fun acc (c : Trigger.wide) -> max acc c.Trigger.coverage_count)
               0 cands
           in
           List.exists (fun p -> p.Pareto.pt_coverage_count = best) front)
-
-(* ------------------------------------------------------------------ *)
-(* Bdd additions                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let prop_bdd_any_sat =
-  qtest "any_sat finds a model iff one exists" (tt_gen 5) (fun tt ->
-      let m = Bdd.manager () in
-      let b = Bdd.of_truthtab m tt in
-      match Bdd.any_sat m b with
-      | Some w -> Tt.eval tt w
-      | None -> Tt.count_ones tt = 0)
-
-let prop_bdd_quantifiers =
-  qtest "forall_mask/exists_mask agree with Truthtab" (tt_gen 5) (fun tt ->
-      let m = Bdd.manager () in
-      let b = Bdd.of_truthtab m tt in
-      List.for_all
-        (fun mask ->
-          let fa = Bits.fold_bits mask (fun acc v -> Tt.forall acc ~var:v) tt in
-          let ex = Bits.fold_bits mask (fun acc v -> Tt.exists acc ~var:v) tt in
-          Tt.equal (Bdd.to_truthtab m (Bdd.forall_mask m b ~mask) ~arity:5) fa
-          && Tt.equal (Bdd.to_truthtab m (Bdd.exists_mask m b ~mask) ~arity:5) ex)
-        [ 0b00001; 0b10100; 0b11111; 0 ])
 
 (* ------------------------------------------------------------------ *)
 (* Shared-trigger selection                                            *)
@@ -335,24 +288,12 @@ let test_pl_canonical_merge () =
 let suite =
   ( "search",
     [
-      Alcotest.test_case "cegis exact AND" `Quick test_cegis_exact;
-      prop_cegis_matches_reference;
-      prop_cegis_budget_sound;
-      Alcotest.test_case "cegis parity" `Quick test_cegis_parity;
-      prop_driver_equals_brute 2;
-      prop_driver_equals_brute 3;
-      prop_driver_equals_brute 4;
-      prop_driver_equals_brute 5;
-      prop_driver_pruned_equals_brute;
-      Alcotest.test_case "driver exhaustive LUT4" `Slow
-        test_driver_exhaustive_lut4;
-      Alcotest.test_case "driver pruning accounting" `Quick
-        test_driver_pruning_work;
+      prop_extract_equals_scan;
+      Alcotest.test_case "exhaustive LUT4 = constant_under" `Slow test_exhaustive_lut4;
+      Alcotest.test_case "wide-cone extractor pin b01-b13" `Quick test_wide_cones_pinned;
       Alcotest.test_case "trigger_wide prune" `Quick test_wide_prune;
       prop_wide_prune_is_filter;
       prop_pareto_front;
-      prop_bdd_any_sat;
-      prop_bdd_quantifiers;
       Alcotest.test_case "select never regresses" `Quick
         test_select_never_regresses;
       Alcotest.test_case "select sharing consistency" `Quick

@@ -82,9 +82,39 @@ let prop_quantifiers =
       List.for_all
         (fun v ->
           let f0, f1 = Tt.cofactor_pair f ~var:v in
-          Tt.equal (Tt.exists f ~var:v) (Tt.logor f0 f1)
-          && Tt.equal (Tt.forall f ~var:v) (Tt.logand f0 f1))
+          Tt.equal (Tt.exists f ~mask:(1 lsl v)) (Tt.logor f0 f1)
+          && Tt.equal (Tt.forall f ~mask:(1 lsl v)) (Tt.logand f0 f1))
         [ 0; 1; 2; 3 ])
+
+(* The word-parallel cofactor paths (in-word shifts below variable 6, word
+   pairs from 6 up) against minterm-by-minterm definitions, at arities
+   that cover a partial word, a full word and several words. *)
+let prop_wordwise_cofactors =
+  qtest "word-parallel cofactors = scan" ~count:300
+    QCheck.(triple (int_range 1 9) (int_bound 1_000_000) (int_bound 511))
+    (fun (n, seed, mask) ->
+      let f = Tt.random (Ee_util.Prng.create seed) n in
+      let mask = mask land ((1 lsl n) - 1) in
+      let rec submasks d acc =
+        if d = 0 then 0 :: acc else submasks ((d - 1) land mask) (d :: acc)
+      in
+      let completions m = List.map (fun d -> m land lnot mask lor d) (submasks mask []) in
+      let by_scan all =
+        Tt.of_fun n (fun m ->
+            let vals = List.map (Tt.eval f) (completions m) in
+            if all then List.for_all Fun.id vals else List.exists Fun.id vals)
+      in
+      Tt.equal (Tt.forall f ~mask) (by_scan true)
+      && Tt.equal (Tt.exists f ~mask) (by_scan false)
+      && List.for_all
+           (fun v ->
+             List.for_all
+               (fun value ->
+                 let bit = if value then 1 lsl v else 0 in
+                 Tt.equal (Tt.restrict f ~var:v ~value)
+                   (Tt.of_fun n (fun m -> Tt.eval f (m land lnot (1 lsl v) lor bit))))
+               [ false; true ])
+           (List.init n Fun.id))
 
 let prop_constant_under_naive =
   qtest "constant_under agrees with direct scan"
@@ -148,6 +178,7 @@ let suite =
       prop_shannon;
       prop_support_restrict;
       prop_quantifiers;
+      prop_wordwise_cofactors;
       prop_constant_under_naive;
       prop_permute_involution;
     ] )
