@@ -65,6 +65,33 @@ let prop_extract_equals_scan =
              Tt.equal (Trigger.trigger_function tt ~subset) (Trigger.scan_function tt ~subset))
            [ 0b1; 0b110; 0b10101; 0b11110 ])
 
+(* The per-arity properties below keep the names they had when a separate
+   search driver and CEGIS loop produced the candidates; [Trigger.extract]
+   is that driver now, and [Trigger.trigger_function] the synthesized
+   trigger.  "Brute force" is the constant_under scan. *)
+let prop_driver_equals_brute arity =
+  qtest
+    (Printf.sprintf "driver = brute force (arity %d)" arity)
+    (tt_gen arity)
+    (fun tt -> Trigger.extract tt = scan_candidates tt)
+
+let prop_driver_pruned_equals_brute =
+  qtest "pruned driver = pruned brute force (arity 5)" ~count:60 (tt_gen 5)
+    (fun tt ->
+      let scanned = scan_candidates tt in
+      Trigger.extract ~min_coverage:25. tt = Trigger.prune ~min_coverage:25. scanned
+      && Trigger.extract ~top_k:4 tt = Trigger.prune ~top_k:4 scanned
+      && Trigger.extract ~min_coverage:12.5 ~top_k:3 tt
+         = Trigger.prune ~min_coverage:12.5 ~top_k:3 scanned)
+
+let prop_cegis_matches_reference =
+  qtest "cegis func = minterm-scan trigger (arity 5)" ~count:60 (tt_gen 5)
+    (fun tt ->
+      List.for_all
+        (fun subset ->
+          Tt.equal (Trigger.trigger_function tt ~subset) (Trigger.scan_function tt ~subset))
+        (Bits.all_nonempty_proper_subsets (Bits.mask 5)))
+
 let test_exhaustive_lut4 () =
   (* Every one of the 65 536 LUT4 functions — the paper's own enumeration
      universe — against a trigger tabulated from Lut4.constant_under. *)
@@ -289,6 +316,12 @@ let suite =
   ( "search",
     [
       prop_extract_equals_scan;
+      prop_cegis_matches_reference;
+      prop_driver_equals_brute 2;
+      prop_driver_equals_brute 3;
+      prop_driver_equals_brute 4;
+      prop_driver_equals_brute 5;
+      prop_driver_pruned_equals_brute;
       Alcotest.test_case "exhaustive LUT4 = constant_under" `Slow test_exhaustive_lut4;
       Alcotest.test_case "wide-cone extractor pin b01-b13" `Quick test_wide_cones_pinned;
       Alcotest.test_case "trigger_wide prune" `Quick test_wide_prune;
