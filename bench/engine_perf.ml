@@ -38,26 +38,35 @@ let print_engine ?domains () =
   let engine_vectors = 4 * !vectors in
   let spec = suite_spec () |> Engine.with_vectors engine_vectors in
   let benchmarks = engine_benchmarks () in
-  let trace = Trace.create () in
-  let memo = Ee_core.Trigger.Memo.create () in
-  let s1 = Engine.run_suite ~spec ~domains:1 ~benchmarks () in
-  let sn = Engine.run_suite ~spec ~trace ~domains:n ~memo ~benchmarks () in
+  (* Both runs are traced alike, so their wall-clocks compare like with
+     like and their stage profiles show what each row costs under load. *)
+  let traced domains =
+    let trace = Trace.create () in
+    (Engine.run_suite ~spec ~trace ~domains ~benchmarks (), trace)
+  in
+  let s1, trace1 = traced 1 in
+  let sn, tracen = traced n in
   let rows_match = s1.Engine.table3 = sn.Engine.table3 in
   let speedup = s1.Engine.wall_clock_s /. Float.max sn.Engine.wall_clock_s 1e-9 in
   let gate_enforced = gate_enforced () && n >= 2 in
   Printf.printf "1 domain: %.2f s   %d domains: %.2f s   speedup %.2fx   rows %s\n"
     s1.Engine.wall_clock_s n sn.Engine.wall_clock_s speedup
     (if rows_match then "identical" else "DIVERGED");
-  Printf.printf
-    "(%d benchmarks, %d vectors; %d cores on this machine; %d distinct LUT4 \
-     functions memoized)\n"
-    (List.length benchmarks) engine_vectors cores
-    (Ee_core.Trigger.Memo.entries memo);
+  Printf.printf "(%d benchmarks, %d vectors; %d cores on this machine)\n"
+    (List.length benchmarks) engine_vectors cores;
   List.iter
     (fun f -> Printf.printf "  failed: %s\n" (Engine.failure_to_string f))
     (Engine.failures sn);
-  Printf.printf "\nPer-stage profile at %d domains:\n" n;
-  Ee_util.Table.print (Trace.summary_table trace);
+  List.iter
+    (fun (domains, trace) ->
+      let stage_ms =
+        List.fold_left (fun acc st -> acc +. st.Trace.total_ms) 0. (Trace.summary trace)
+      in
+      Printf.printf "\nPer-stage profile at %d domain%s (%.1f ms of stage time):\n" domains
+        (if domains = 1 then "" else "s")
+        stage_ms;
+      Ee_util.Table.print (Trace.summary_table trace))
+    [ (1, trace1); (n, tracen) ];
   let json =
     Printf.sprintf
       "{\n  \"benchmarks\": %d,\n  \"vectors\": %d,\n  \"seed\": %d,\n\

@@ -69,8 +69,8 @@ let extract ?(min_coverage = 0.) ?top_k tt =
 (* The candidate list depends only on the 16-bit function (at most 2^16
    distinct keys), so whole-netlist synthesis memoizes it: large circuits
    reuse a few hundred distinct LUT functions.  The memo is an explicit
-   context, not a process global — each batch (or each pool worker domain)
-   owns its own table, so the per-candidate hot path never touches a lock.
+   context, not a process global — each caller, or each domain, owns its
+   own table, so the per-candidate hot path never touches a lock.
    Callers that don't thread a context get their domain's default one. *)
 module Memo = struct
   type t = (int, candidate list) Ee_util.Memo.t
@@ -83,16 +83,12 @@ module Memo = struct
 
   let misses = Ee_util.Memo.misses
 
-  let merge = Ee_util.Memo.merge
-
   let clear = Ee_util.Memo.clear
 
   let dls_key : (int, candidate list) Ee_util.Memo.Dls.key =
     Ee_util.Memo.Dls.key ~size:1024 ()
 
   let domain_default () = Ee_util.Memo.Dls.get dls_key
-
-  let install_domain_default t = Ee_util.Memo.Dls.set dls_key t
 end
 
 let candidates ?memo f =

@@ -62,11 +62,12 @@ val prune : ?min_coverage:float -> ?top_k:int -> 'f t list -> 'f t list
     (or a whole benchmark suite) reuses a few hundred distinct entries.
 
     A context is owned by one domain at a time and is completely
-    lock-free; parallel batches give each worker domain its own context
-    and either {!Memo.merge} the tables into a longer-lived one at batch
-    end or simply drop them ({!Ee_engine.Engine.run_suite} does exactly
-    this through its pool's worker hooks).  There is no process-global
-    table and no mutex on the candidate hot path. *)
+    lock-free.  Callers that thread none use their domain's
+    {!Memo.domain_default}: {!Ee_engine.Engine.run_suite} plans every row
+    that way, so each domain that runs rows warms its own table, empty on
+    a freshly spawned worker and kept from one suite to the next on the
+    calling domain.  There is no process-global table and no mutex on the
+    candidate hot path. *)
 module Memo : sig
   type t = (int, candidate list) Ee_util.Memo.t
 
@@ -78,20 +79,12 @@ module Memo : sig
 
   val misses : t -> int
 
-  val merge : into:t -> t -> unit
-  (** Copy entries absent from [into] (per-key values are identical by
-      purity, so first-wins is exact). *)
-
   val clear : t -> unit
 
   val domain_default : unit -> t
   (** The calling domain's default context — what {!candidates} uses when
       no [?memo] is passed.  One per domain, so concurrent default-context
       callers never contend or share entries. *)
-
-  val install_domain_default : t -> unit
-  (** Replace the calling domain's default context (pool worker-init hooks
-      use this to give each batch a fresh table). *)
 end
 
 val candidates : ?memo:Memo.t -> Ee_logic.Lut4.t -> candidate list

@@ -116,23 +116,23 @@ type result = {
 
 let stage_names = Pipeline.stage_names @ [ "sim" ]
 
-let plan ?memo spec pl =
+let plan spec pl =
   match spec.selection with
-  | Eq1 -> Ee_core.Synth.run ~options:(synth_options spec) ?memo pl
-  | Mcr -> Ee_core.Mcr_select.run ~options:(mcr_options spec) ?memo pl
+  | Eq1 -> Ee_core.Synth.run ~options:(synth_options spec) pl
+  | Mcr -> Ee_core.Mcr_select.run ~options:(mcr_options spec) pl
   | Search ->
-      let pl', r = Ee_search.Search_select.run ~options:(search_options spec) ?memo pl in
+      let pl', r = Ee_search.Search_select.run ~options:(search_options spec) pl in
       (pl', r.Ee_search.Search_select.synth)
 
 let build spec b = Pipeline.build_staged ~plan:(plan spec) b
 
-let run ?(spec = default_spec) ?trace ?memo (b : Itc99.benchmark) =
+let run ?(spec = default_spec) ?trace (b : Itc99.benchmark) =
   let instrument =
     match trace with
     | None -> Pipeline.no_instrument
     | Some t -> { Pipeline.wrap = (fun stage f -> Trace.with_span t ~bench:b.Itc99.id stage f) }
   in
-  let artifact = Pipeline.build_staged ~plan:(plan ?memo spec) ~instrument b in
+  let artifact = Pipeline.build_staged ~plan:(plan spec) ~instrument b in
   let row =
     instrument.Pipeline.wrap "sim" (fun () ->
         Tables.row_of_artifact ~vectors:spec.vectors ~seed:spec.seed ~config:(sim_config spec)
@@ -173,90 +173,42 @@ let ok_results suite = List.filter_map Result.to_option suite.results
 let failures suite =
   List.filter_map (function Ok _ -> None | Error f -> Some f) suite.results
 
-module Memo = Ee_core.Trigger.Memo
-
-let run_suite ?(spec = default_spec) ?trace ?(domains = 1) ?chunk ?deadline_s ?memo
+let run_suite ?(spec = default_spec) ?trace ?(domains = 1) ?deadline_s
     ?(benchmarks = benchmarks) () =
   (match deadline_s with
   | Some d when d <= 0. -> invalid_arg "Engine.run_suite: deadline_s must be positive"
   | _ -> ());
   let t0 = Unix.gettimeofday () in
-  (* Memo lifecycle: every worker domain gets its own fresh candidate
-     context (lock-free hot path), optionally warm-started from [memo];
-     at batch end each worker folds what it learned back into [memo].
-     The merge mutex is batch-boundary only — never on the hot path. *)
-  let merge_lock = Mutex.create () in
-  let worker_init _ =
-    let local = Memo.create ~size:1024 () in
-    (match memo with
-    | Some shared -> Mutex.protect merge_lock (fun () -> Memo.merge ~into:local shared)
-    | None -> ());
-    Memo.install_domain_default local
+  (* With a deadline no row may run on the awaiting domain (inline in
+     [submit], or while it awaits), or a hung one would hang the suite
+     before any await could give up. *)
+  let pool = Ee_util.Pool.create ~force_spawn:(deadline_s <> None) ~domains () in
+  (* One task per benchmark, in input order: a free worker takes the next
+     row whatever the others cost, and each row keeps its own outcome. *)
+  let tasks =
+    List.map (fun b -> (b, Ee_util.Pool.submit pool (fun () -> run ~spec ?trace b))) benchmarks
   in
-  let worker_teardown _ =
-    match memo with
-    | Some shared ->
-        let local = Memo.domain_default () in
-        Mutex.protect merge_lock (fun () -> Memo.merge ~into:shared local)
-    | None -> ()
-  in
-  (* With a deadline the tasks must run off the awaiting domain, otherwise a
-     hung benchmark hangs [submit] itself before any await can give up. *)
-  let pool =
-    Ee_util.Pool.create ~force_spawn:(deadline_s <> None) ~domains ~worker_init
-      ~worker_teardown ()
-  in
-  let results =
+  let await task =
     match deadline_s with
-    | None ->
-        (* Coarse-grained scheduling: O(domains) slice tasks, each row
-           crash-isolated inside the slice so a raising benchmark degrades
-           to its own Error row without poisoning the rest of its slice. *)
-        let run_one b =
-          match run ~spec ?trace ~memo:(Memo.domain_default ()) b with
-          | r -> Ok r
-          | exception e ->
-              Error
-                {
-                  failed_bench = b.Itc99.id;
-                  reason = Printexc.to_string e;
-                  timed_out = false;
-                }
-        in
-        let results = Ee_util.Pool.map_chunked ?chunk pool run_one benchmarks in
-        Ee_util.Pool.shutdown pool;
-        results
-    | Some timeout_s ->
-        (* Per-benchmark tasks: a deadline needs the await to give up on a
-           single hung row, which chunked slices cannot offer. *)
-        let tasks =
-          List.map
-            (fun b ->
-              ( b,
-                Ee_util.Pool.submit pool (fun () ->
-                    run ~spec ?trace ~memo:(Memo.domain_default ()) b) ))
-            benchmarks
-        in
-        let hung = ref false in
-        let results =
-          List.map
-            (fun (b, task) ->
-              let fail ~timed_out reason =
-                Error { failed_bench = b.Itc99.id; reason; timed_out }
-              in
-              match Ee_util.Pool.await_timeout task ~timeout_s with
-              | Ok r -> Ok r
-              | Error (`Failed (e, _)) -> fail ~timed_out:false (Printexc.to_string e)
-              | Error `Timed_out ->
-                  hung := true;
-                  fail ~timed_out:true
-                    (Printf.sprintf "no result within %gs deadline" timeout_s))
-            tasks
-        in
-        (* A hung worker would block [shutdown]'s join forever. *)
-        if !hung then Ee_util.Pool.abandon pool else Ee_util.Pool.shutdown pool;
-        results
+    | None -> Result.map_error (fun f -> `Failed f) (Ee_util.Pool.try_await task)
+    | Some timeout_s -> Ee_util.Pool.await_timeout task ~timeout_s
   in
+  let hung = ref false in
+  let results =
+    List.map
+      (fun (b, task) ->
+        let fail ~timed_out reason = Error { failed_bench = b.Itc99.id; reason; timed_out } in
+        match await task with
+        | Ok r -> Ok r
+        | Error (`Failed (e, _)) -> fail ~timed_out:false (Printexc.to_string e)
+        | Error `Timed_out ->
+            hung := true;
+            fail ~timed_out:true
+              (Printf.sprintf "no result within %gs deadline" (Option.get deadline_s)))
+      tasks
+  in
+  (* A hung worker would block [shutdown]'s join forever. *)
+  if !hung then Ee_util.Pool.abandon pool else Ee_util.Pool.shutdown pool;
   let wall_clock_s = Unix.gettimeofday () -. t0 in
   let suite =
     { results; table3 = table3_of_rows []; domains = max 1 (min 64 domains); wall_clock_s }

@@ -101,15 +101,13 @@ val benchmarks : Ee_bench_circuits.Itc99.benchmark list
 val find_benchmark : string -> (Ee_bench_circuits.Itc99.benchmark, string) Stdlib.result
 (** Lookup by id with a helpful error message. *)
 
-val plan :
-  ?memo:Ee_core.Trigger.Memo.t ->
-  spec ->
-  Ee_phased.Pl.t ->
-  Ee_phased.Pl.t * Ee_core.Synth.report
+val plan : spec -> Ee_phased.Pl.t -> Ee_phased.Pl.t * Ee_core.Synth.report
 (** The "ee-plan" stage of [spec.selection]: attach EE pairs to a PL
     netlist with {!Ee_core.Synth.run}, {!Ee_core.Mcr_select.run} or
     {!Ee_search.Search_select.run}, each given its slice of [spec].
-    [?memo] is as in {!run}. *)
+    Trigger candidates are memoized in the calling domain's
+    {!Ee_core.Trigger.Memo.domain_default}, which affects wall-clock,
+    never results. *)
 
 val build : spec -> Ee_bench_circuits.Itc99.benchmark -> Ee_report.Pipeline.artifact
 (** The benchmark's netlist and both PL netlists, planned by {!plan}
@@ -123,18 +121,10 @@ type result = {
   row : Ee_report.Tables.row;  (** The benchmark's Table 3 row. *)
 }
 
-val run :
-  ?spec:spec ->
-  ?trace:Trace.t ->
-  ?memo:Ee_core.Trigger.Memo.t ->
-  Ee_bench_circuits.Itc99.benchmark ->
-  result
-(** Synthesize and simulate one benchmark.  With [?trace], records one
-    span per stage ([rtl], [bit-blast], [pl-map], [ee-plan], [sim]).
-    [?memo] is the trigger-candidate context threaded into the selection
-    policy (default: the calling domain's
-    {!Ee_core.Trigger.Memo.domain_default}); it only affects wall-clock,
-    never results. *)
+val run : ?spec:spec -> ?trace:Trace.t -> Ee_bench_circuits.Itc99.benchmark -> result
+(** Synthesize and simulate one benchmark, planning through {!plan}.  With
+    [?trace], records one span per stage ([rtl], [bit-blast], [pl-map],
+    [ee-plan], [sim]). *)
 
 type failure = {
   failed_bench : string;  (** Benchmark id that failed. *)
@@ -162,42 +152,35 @@ val run_suite :
   ?spec:spec ->
   ?trace:Trace.t ->
   ?domains:int ->
-  ?chunk:int ->
   ?deadline_s:float ->
-  ?memo:Ee_core.Trigger.Memo.t ->
   ?benchmarks:Ee_bench_circuits.Itc99.benchmark list ->
   unit ->
   suite
-(** Run {!run} for every benchmark (default: all fifteen) on a pool of
-    [domains] workers (default 1 = sequential, deterministic ordering
-    either way).  A benchmark that raises becomes an [Error] row carrying
-    the exception text — it never unwinds the suite.
+(** Run {!run} for every benchmark (default: all fifteen) on an
+    {!Ee_util.Pool} of [domains] domains, the caller among them (default
+    1 = inline on the calling domain; deterministic ordering either way).
+    A benchmark that raises becomes an [Error] row carrying the exception
+    text — it never unwinds the suite.
 
-    Scheduling is coarse-grained: benchmarks are sliced into
-    O([domains]) consecutive chunks ({!Ee_util.Pool.map_chunked}), so the
-    pool queue is touched a handful of times per suite instead of once
-    per row.  [?chunk] overrides the slice size (default: two slices per
-    worker).
+    Scheduling is one pool task per benchmark, submitted in input order,
+    so a free domain takes the next row whatever the others cost, and
+    rows come back in input order.  Each row plans through its domain's
+    default {!Ee_core.Trigger.Memo}: a spawned worker's starts empty, and
+    the calling domain's, which runs rows too, stays warm from one suite
+    to the next.
 
-    Memoization is sharded: each worker domain starts with a fresh
-    {!Ee_core.Trigger.Memo} context (warm-started from [?memo] when
-    given) installed as its domain default, so the candidate hot path
-    takes no lock.  At suite end each worker merges what it learned back
-    into [?memo] (first write wins — all entries are equal by purity), so
-    a caller-held context accumulates across suites.  Without [?memo],
-    per-worker tables are simply discarded.
-
-    [?deadline_s] additionally bounds how long each benchmark may keep the
-    suite waiting: a benchmark with no result [deadline_s] seconds after
-    its await turn is reported as a [timed_out] error row and its worker
+    [?deadline_s] bounds how long each benchmark may keep the suite
+    waiting: a benchmark with no result [deadline_s] seconds after its
+    await turn is reported as a [timed_out] error row and its worker
     domain is abandoned rather than joined (OCaml domains cannot be
-    killed, so the hung computation leaks until process exit).  With a
-    deadline, scheduling reverts to one task per benchmark (a slice
-    cannot be abandoned row-by-row) and workers are spawned even for
-    [domains = 1]; prefer [domains >= 2] so one hung benchmark does not
-    stall the others' queue.  Raises [Invalid_argument] on a non-positive
-    deadline.  Note: an abandoned pool skips [worker_teardown], so
-    timed-out suites do not merge back into [?memo]. *)
+    killed, so the hung computation leaks until process exit).  That is
+    the one difference between the two paths: without a deadline each
+    row is awaited with {!Ee_util.Pool.try_await}, with one by
+    {!Ee_util.Pool.await_timeout}, and the pool spawns all [domains]
+    workers (even for [domains = 1]) so that no row runs on the caller,
+    where a hung one would hang the suite; prefer [domains >= 2] so one
+    hung benchmark does not stall the others' queue.  Raises
+    [Invalid_argument] on a non-positive deadline. *)
 
 val stage_names : string list
 (** All stages a traced run records, in order:

@@ -117,14 +117,6 @@ let logor m a b = ite m a (Leaf true) b
 
 let logxor m a b = ite m a (lognot m b) b
 
-let rec restrict m node ~var:v ~value =
-  match node with
-  | Leaf _ -> node
-  | Node n ->
-      if n.var > v then node
-      else if n.var = v then if value then n.hi else n.lo
-      else mk m n.var (restrict m n.lo ~var:v ~value) (restrict m n.hi ~var:v ~value)
-
 let equal a b = id a = id b
 
 let is_const = function Leaf b -> Some b | Node _ -> None

@@ -32,8 +32,6 @@ val logxor : manager -> t -> t -> t
 val ite : manager -> t -> t -> t -> t
 (** [ite m c a b] is [if c then a else b]. *)
 
-val restrict : manager -> t -> var:int -> value:bool -> t
-
 val equal : t -> t -> bool
 (** Constant-time canonical equality (same manager assumed). *)
 

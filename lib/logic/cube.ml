@@ -23,11 +23,6 @@ let minterms ~nvars t =
   done;
   !out
 
-let subsumes big small =
-  (* [big] must specify no variable that [small] leaves free, and agree on
-     polarity wherever both specify. *)
-  big.care land small.care = big.care && small.value land big.care = big.value
-
 let disjoint a b =
   let common = a.care land b.care in
   a.value land common <> b.value land common

@@ -36,9 +36,6 @@ val num_minterms : nvars:int -> t -> int
 val minterms : nvars:int -> t -> int list
 (** Ascending minterm indices covered. *)
 
-val subsumes : t -> t -> bool
-(** [subsumes big small]: every minterm of [small] is in [big]. *)
-
 val disjoint : t -> t -> bool
 (** True when the cubes share no minterm. *)
 

@@ -646,9 +646,10 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
   let conns : conn list ref = ref [] in
   let stop_at = ref None in
 
-  (* -- batch slice submission: the admitted lines of one read, chunked
-        map_chunked-style into at most two slices per worker, one pool
-        submission per slice -- *)
+  (* -- batch slice submission: the admitted lines of one read go to the
+        pool as consecutive slices, at most two per worker, one pool
+        submission per slice; requests are cheap, so a task per line
+        would cost more in queue round-trips than the work itself -- *)
   let submit_batch (admits : (Protocol.request * Lifecycle.slot) array) =
     let n = Array.length admits in
     let chunk = max 1 ((n + (2 * workers) - 1) / (2 * workers)) in

@@ -13,8 +13,9 @@
     - requests are NDJSON lines ({!Protocol}); a connection whose
       unfinished line grows past 8 MiB is answered [bad_request] and
       closed.  All complete lines of one read are classified as a batch
-      and the admitted ones submitted to the pool as slices
-      ([map_chunked]-style, at most two slices per worker), each element
+      and the admitted ones submitted to the pool as consecutive slices
+      (at most two per worker: requests are cheap, so a task per line
+      would cost more in queue round-trips than the work), each element
       with its own result slot so one slow element never delays a
       finished sibling;
     - what happens to a line between its read and its reply — inline

@@ -33,13 +33,6 @@ let fold_bits word f init =
 
 let indices word = List.rev (fold_bits word (fun acc i -> i :: acc) [])
 
-let subsets_of_size n k =
-  let out = ref [] in
-  for m = mask n downto 0 do
-    if popcount m = k then out := m :: !out
-  done;
-  !out
-
 let all_nonempty_proper_subsets m =
   (* Walk every sub-mask of [m] via the standard (s - 1) land m trick, then
      sort ascending and drop the empty and full masks. *)

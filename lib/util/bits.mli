@@ -24,10 +24,6 @@ val fold_bits : int -> ('a -> int -> 'a) -> 'a -> 'a
 val indices : int -> int list
 (** [indices word] lists the set-bit positions, ascending. *)
 
-val subsets_of_size : int -> int -> int list
-(** [subsets_of_size n k] enumerates all bitmasks over [n] elements with
-    exactly [k] bits set, in increasing numeric order. *)
-
 val all_nonempty_proper_subsets : int -> int list
 (** [all_nonempty_proper_subsets m] lists every non-empty strict sub-mask of
     the bitmask [m], in increasing numeric order. *)

@@ -27,26 +27,17 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-let merge ~into src =
-  Hashtbl.iter
-    (fun k v -> if not (Hashtbl.mem into.table k) then Hashtbl.replace into.table k v)
-    src.table
-
 let clear t =
   Hashtbl.reset t.table;
   t.hits <- 0;
   t.misses <- 0
 
 module Dls = struct
-  (* The DLS slot holds a mutable cell so [set] can swap the context
-     without a second DLS write (DLS reads are cheap, writes are not). *)
-  type ('k, 'v) key = ('k, 'v) t ref Domain.DLS.key
+  type ('k, 'v) key = ('k, 'v) t Domain.DLS.key
 
-  let key ?size () = Domain.DLS.new_key (fun () -> ref (create ?size ()))
+  let key ?size () = Domain.DLS.new_key (fun () -> create ?size ())
 
-  let get key = !(Domain.DLS.get key)
-
-  let set key t = Domain.DLS.get key := t
+  let get = Domain.DLS.get
 end
 
 module Shared = struct

@@ -2,26 +2,25 @@
 
     A {!t} is a plain, {e unsynchronized} key→value table owned by whoever
     created it: the owner threads it through the computations that share
-    results, and two contexts never exchange entries unless {!merge} is
-    called.  This replaces the process-global, mutex-guarded memo tables
-    that used to serialize parallel synthesis (see DESIGN.md §6): a hot
-    path holding its own context touches no lock at all.
+    results, and two contexts never exchange entries.  This replaces the
+    process-global, mutex-guarded memo tables that used to serialize
+    parallel synthesis (see DESIGN.md §6): a hot path holding its own
+    context touches no lock at all.
 
     Three flavours cover every sharing pattern in the tree:
 
-    - {!t} — single-owner context.  Created per batch / per worker domain
-      and threaded explicitly; merged into a longer-lived context (or
-      discarded) at batch end.
+    - {!t} — single-owner context, created by a caller (a benchmark
+      pass, a test) and threaded explicitly.
     - {!Dls} — one context per OCaml domain, looked up through
       [Domain.DLS].  The lock-free default when a caller does not thread a
-      context explicitly.
+      context explicitly: a suite row planned on a pool worker warms that
+      worker's table, which starts empty on every freshly spawned domain.
     - {!Shared} — a mutex-wrapped context for cross-domain tables off the
       hot path (e.g. the server's canonical-BLIF memo), where the values
       are pure so a racing recompute is merely wasted work, never wrong.
 
     Contexts only make sense for {e pure} computations: an entry, once
-    cached, is served forever, and [merge] assumes entries for the same key
-    are interchangeable. *)
+    cached, is served forever. *)
 
 type ('k, 'v) t
 
@@ -48,13 +47,6 @@ val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
 (** [find_or_add] calls that ran [compute]. *)
 
-val merge : into:('k, 'v) t -> ('k, 'v) t -> unit
-(** [merge ~into src] copies every entry of [src] that [into] does not
-    already have (first entry wins — entries are assumed interchangeable
-    per key).  [src] is unchanged; stats of [into] are unchanged.  This is
-    the batch-end step that lets per-domain contexts warm a longer-lived
-    one. *)
-
 val clear : ('k, 'v) t -> unit
 (** Drop all entries and reset the hit/miss counters. *)
 
@@ -70,10 +62,6 @@ module Dls : sig
 
   val get : ('k, 'v) key -> ('k, 'v) t
   (** The calling domain's context for this key (created on first use). *)
-
-  val set : ('k, 'v) key -> ('k, 'v) t -> unit
-  (** Replace the calling domain's context — e.g. a pool worker installing
-      the fresh per-batch context its [worker_init] hook built. *)
 end
 
 (** A mutex-guarded context for tables shared across domains.  The lock

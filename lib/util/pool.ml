@@ -3,12 +3,6 @@ type 'a state =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-type 'a task = {
-  t_mutex : Mutex.t;
-  t_cond : Condition.t;
-  mutable t_state : 'a state;
-}
-
 (* A queued closure has already been specialized to write into its own
    task cell, so the queue itself is monomorphic. *)
 type t = {
@@ -18,38 +12,36 @@ type t = {
   mutable closing : bool;
   mutable workers : unit Domain.t array;  (* empty in inline mode *)
   domains : int;
-  worker_init : int -> unit;
-  worker_teardown : int -> unit;
-  (* Inline mode runs the hooks on the calling domain; this flag keeps
-     teardown from firing twice when shutdown/abandon are both called. *)
-  mutable inline_torn_down : bool;
+  caller_helps : bool;  (* the caller is one of [domains] *)
+}
+
+type 'a task = {
+  t_mutex : Mutex.t;
+  t_cond : Condition.t;
+  mutable t_state : 'a state;
+  t_pool : t;
 }
 
 let size pool = pool.domains
 
-let worker pool index () =
-  pool.worker_init index;
-  Fun.protect
-    ~finally:(fun () -> pool.worker_teardown index)
-    (fun () ->
-      let rec loop () =
-        Mutex.lock pool.q_mutex;
-        while Queue.is_empty pool.queue && not pool.closing do
-          Condition.wait pool.q_cond pool.q_mutex
-        done;
-        match Queue.take_opt pool.queue with
-        | Some job ->
-            Mutex.unlock pool.q_mutex;
-            job ();
-            loop ()
-        | None ->
-            (* closing and drained *)
-            Mutex.unlock pool.q_mutex
-      in
-      loop ())
+let worker pool () =
+  let rec loop () =
+    Mutex.lock pool.q_mutex;
+    while Queue.is_empty pool.queue && not pool.closing do
+      Condition.wait pool.q_cond pool.q_mutex
+    done;
+    match Queue.take_opt pool.queue with
+    | Some job ->
+        Mutex.unlock pool.q_mutex;
+        job ();
+        loop ()
+    | None ->
+        (* closing and drained *)
+        Mutex.unlock pool.q_mutex
+  in
+  loop ()
 
-let create ?(force_spawn = false) ?domains ?(worker_init = fun _ -> ())
-    ?(worker_teardown = fun _ -> ()) () =
+let create ?(force_spawn = false) ?domains () =
   let domains =
     match domains with
     | Some d -> max 1 (min 64 d)
@@ -63,20 +55,28 @@ let create ?(force_spawn = false) ?domains ?(worker_init = fun _ -> ())
       closing = false;
       workers = [||];
       domains;
-      worker_init;
-      worker_teardown;
-      inline_torn_down = false;
+      caller_helps = not force_spawn;
     }
   in
-  if domains > 1 || force_spawn then
-    pool.workers <- Array.init domains (fun i -> Domain.spawn (worker pool i))
-  else worker_init 0;
+  let spawned = if force_spawn then domains else domains - 1 in
+  pool.workers <- Array.init spawned (fun _ -> Domain.spawn (worker pool));
   pool
 
 let inline_mode pool = Array.length pool.workers = 0
 
-let fresh_task () =
-  { t_mutex = Mutex.create (); t_cond = Condition.create (); t_state = Pending }
+(* Run one queued job on the calling domain; false when there is none. *)
+let run_queued pool =
+  Mutex.lock pool.q_mutex;
+  let job = Queue.take_opt pool.queue in
+  Mutex.unlock pool.q_mutex;
+  match job with
+  | Some job ->
+      job ();
+      true
+  | None -> false
+
+let fresh_task pool =
+  { t_mutex = Mutex.create (); t_cond = Condition.create (); t_state = Pending; t_pool = pool }
 
 let complete task outcome =
   Mutex.lock task.t_mutex;
@@ -93,7 +93,7 @@ let run_into task f =
   complete task outcome
 
 let submit pool f =
-  let task = fresh_task () in
+  let task = fresh_task pool in
   if inline_mode pool then begin
     if pool.closing then invalid_arg "Pool.submit: pool is shut down";
     run_into task f
@@ -112,6 +112,13 @@ let submit pool f =
 
 let await task =
   let is_pending () = match task.t_state with Pending -> true | _ -> false in
+  (* The caller is one of the pool's domains: it works through the queue
+     rather than block while workers run.  The unlocked read is only a
+     hint; the locked loop below decides. *)
+  let pool = task.t_pool in
+  while is_pending () && pool.caller_helps && run_queued pool do
+    ()
+  done;
   Mutex.lock task.t_mutex;
   while is_pending () do
     Condition.wait task.t_cond task.t_mutex
@@ -150,17 +157,8 @@ let await_timeout task ~timeout_s =
   in
   poll 0.001
 
-let inline_teardown pool =
-  if not pool.inline_torn_down then begin
-    pool.inline_torn_down <- true;
-    pool.worker_teardown 0
-  end
-
 let shutdown pool =
-  if inline_mode pool then begin
-    pool.closing <- true;
-    inline_teardown pool
-  end
+  if inline_mode pool then pool.closing <- true
   else begin
     Mutex.lock pool.q_mutex;
     let already = pool.closing in
@@ -175,46 +173,14 @@ let abandon pool =
   pool.closing <- true;
   Queue.clear pool.queue;
   Condition.broadcast pool.q_cond;
-  Mutex.unlock pool.q_mutex;
-  if inline_mode pool then inline_teardown pool
+  Mutex.unlock pool.q_mutex
 
-let with_pool ?domains ?worker_init ?worker_teardown f =
-  let pool = create ?domains ?worker_init ?worker_teardown () in
+let with_pool ?domains f =
+  let pool = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let map pool f xs =
   let tasks = List.map (fun x -> submit pool (fun () -> f x)) xs in
   List.map await tasks
-
-(* Split [xs] into consecutive slices of [chunk] elements (the last slice
-   may be shorter), preserving order. *)
-let slices chunk xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if k = chunk then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 xs
-
-let map_chunked ?chunk pool f xs =
-  match xs with
-  | [] -> []
-  | _ ->
-      let n = List.length xs in
-      let chunk =
-        match chunk with
-        | Some c ->
-            if c <= 0 then invalid_arg "Pool.map_chunked: chunk must be positive";
-            c
-        | None ->
-            (* Two chunks per worker: O(domains) queue round-trips while
-               still absorbing moderate per-item cost imbalance. *)
-            max 1 ((n + (2 * pool.domains) - 1) / (2 * pool.domains))
-      in
-      let tasks =
-        List.map (fun slice -> submit pool (fun () -> List.map f slice)) (slices chunk xs)
-      in
-      List.concat_map await tasks
 
 let run ?domains f xs = with_pool ?domains (fun pool -> map pool f xs)

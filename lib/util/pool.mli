@@ -1,26 +1,26 @@
 (** A small fixed-size work pool of OCaml 5 [Domain]s.
 
-    Tasks are closures submitted to a shared queue; [domains] worker
-    domains drain it.  Results come back through {!await}, which re-raises
-    (with the original backtrace) any exception the task raised, so error
-    behaviour is identical to calling the closure inline.
+    Tasks are closures submitted to a shared queue, and [domains] domains
+    drain it: [domains - 1] spawned workers and the caller, which runs
+    queued tasks while it waits in {!await} or {!try_await}.  Results come
+    back through {!await}, which re-raises (with the original backtrace)
+    any exception the task raised, so error behaviour is identical to
+    calling the closure inline.
 
     With [~domains:1] no domain is spawned at all: tasks run inline at
     {!submit} time, in submission order, on the calling domain.  This is
     the deterministic fallback used by the test-suite and by callers that
     must not perturb global state concurrently.
 
-    {!map} and {!map_chunked} preserve input ordering regardless of the
-    completion order of the workers, so parallel runs are result-identical
-    to sequential ones whenever the tasks themselves are pure.
+    {!map} preserves input ordering regardless of the completion order of
+    the workers, so parallel runs are result-identical to sequential ones
+    whenever the tasks themselves are pure.
 
-    Scheduling granularity matters: {!map} pays one queue round-trip (and
-    one task cell) per element, which swamps the workers when elements are
-    cheap.  {!map_chunked} submits O(domains) slice tasks instead — the
-    coarse-grained default for batch work.  Per-worker {!create} hooks
-    ([~worker_init]/[~worker_teardown]) let a batch set up domain-local
-    state (e.g. an {!Ee_util.Memo} context) once per worker rather than
-    once per element, and fold it back at batch end. *)
+    Every task pays one queue round-trip and one task cell, so the pool
+    suits batches of few, expensive elements, such as the rows of a
+    benchmark suite: one task per element keeps each element's failure
+    ({!try_await}) and deadline ({!await_timeout}) its own, and lets a
+    free domain take the next element whatever the others cost. *)
 
 type t
 (** A pool handle.  Use one pool per batch of related work and
@@ -29,31 +29,21 @@ type t
 type 'a task
 (** An in-flight (or inline-completed) task. *)
 
-val create :
-  ?force_spawn:bool ->
-  ?domains:int ->
-  ?worker_init:(int -> unit) ->
-  ?worker_teardown:(int -> unit) ->
-  unit ->
-  t
-(** [create ~domains ()] spawns [domains] worker domains, or none at all
-    when [domains = 1] (inline mode).  [domains] defaults to
+val create : ?force_spawn:bool -> ?domains:int -> unit -> t
+(** [create ~domains ()] spawns [domains - 1] worker domains; the caller
+    is the last of the [domains], running queued tasks while it awaits
+    one.  A caller blocked instead would still take part in every
+    stop-the-world collection the workers trigger: on a 2-core machine,
+    two workers beside a blocked caller ran a suite slower than one
+    worker beside a working caller.  With [domains = 1] nothing is
+    spawned (inline mode).  [domains] defaults to
     {!Domain.recommended_domain_count}[ ()] and is clamped to [1 .. 64].
 
-    [~force_spawn:true] spawns a worker even for [domains = 1], so tasks
-    never run on the calling domain.  Required when the caller wants
-    {!await_timeout} to be able to give up on a hung task: in inline mode
-    the task runs (and hangs) inside {!submit} itself.
-
-    [~worker_init] runs on each worker domain before it takes its first
-    task, [~worker_teardown] after its last (at {!shutdown}/{!abandon}),
-    each applied to the worker's index in [0 .. domains-1].  In inline
-    mode both run on the calling domain ([init] inside [create], [teardown]
-    inside {!shutdown} or {!abandon}), so domain-local state installed by
-    [init] is visible to inline tasks too.  The hooks must not raise: an
-    [init]/[teardown] exception kills that worker domain and resurfaces at
-    {!shutdown}'s join (or at [create] in inline mode).  A hook must not
-    submit to or shut down its own pool. *)
+    [~force_spawn:true] spawns [domains] workers, even for [domains = 1],
+    and never runs a task on the calling domain.  Required when the
+    caller wants {!await_timeout} to be able to give up on a hung task
+    (in inline mode the task runs, and hangs, inside {!submit} itself),
+    or when the caller submits and never awaits. *)
 
 val size : t -> int
 (** The [domains] value the pool was created with (after clamping). *)
@@ -63,8 +53,11 @@ val submit : t -> (unit -> 'a) -> 'a task
     On a [~domains:1] pool the closure runs before [submit] returns. *)
 
 val await : 'a task -> 'a
-(** Block until the task completes; return its value or re-raise its
-    exception with the original backtrace. *)
+(** Wait until the task completes; return its value or re-raise its
+    exception with the original backtrace.  Unless the pool was created
+    with [~force_spawn:true], the caller runs queued tasks (any
+    submitter's) while this one is pending, and blocks only once the
+    queue is empty. *)
 
 val try_await : 'a task -> ('a, exn * Printexc.raw_backtrace) result
 (** Like {!await} but captures a task failure as a value instead of
@@ -80,7 +73,8 @@ val await_timeout :
     itself is {e not} cancelled — OCaml domains cannot be killed — so a
     timed-out task may still be burning a worker; see {!abandon}.
     Polls (OCaml's [Condition] has no timed wait), so resolution is
-    ~50 ms.  Raises [Invalid_argument] on a negative timeout. *)
+    ~50 ms; never runs other tasks on the caller, which could overrun the
+    deadline.  Raises [Invalid_argument] on a negative timeout. *)
 
 val shutdown : t -> unit
 (** Wait for queued tasks to finish and join the worker domains.
@@ -95,39 +89,15 @@ val abandon : t -> unit
     would hang — use {!await_timeout}).  Use {!shutdown} whenever every
     task is known to terminate. *)
 
-val with_pool :
-  ?domains:int ->
-  ?worker_init:(int -> unit) ->
-  ?worker_teardown:(int -> unit) ->
-  (t -> 'a) ->
-  'a
+val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] creates a pool, applies [f], and shuts the pool down
     even if [f] raises. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] with deterministic (input-order) results.  One
-    task per element: use {!map_chunked} unless each element is expensive
-    enough to amortize a queue round-trip, or per-element
-    {!await_timeout}/{!try_await} isolation is needed (in which case
-    submit the elements yourself). *)
-
-val map_chunked : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_chunked ~chunk pool f xs] behaves as [List.map f xs] with
-    deterministic (input-order) results, but submits one task per
-    consecutive slice of [chunk] elements instead of one per element —
-    O(domains) queue round-trips for the default [chunk] of
-    [ceil (length xs / (2 * domains))] (two slices per worker, so one
-    slow slice can overlap the others' second round).
-
-    Exception semantics: if [f] raises on some element, that element's
-    slice task fails and the await re-raises the exception of the {e
-    earliest} failing slice (with its original backtrace), like {!map}
-    re-raises the earliest failing element.  Unlike {!map}, the elements
-    {e after} the raising one in the same slice are never evaluated
-    (later slices may still run to completion on other workers).  Wrap
-    [f]'s body in [Result] if per-element isolation is needed.
-
-    Raises [Invalid_argument] if [chunk <= 0]. *)
+(** Parallel [List.map] with deterministic (input-order) results, one
+    task per element; the earliest failing element's exception is
+    re-raised.  Submit the elements yourself when each needs its own
+    {!try_await} or {!await_timeout}. *)
 
 val run : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot convenience: [with_pool (fun p -> map p f xs)]. *)

@@ -38,20 +38,6 @@ let prop_sat_count =
       let m = Bdd.manager () in
       Bdd.sat_count m (Bdd.of_truthtab m f) ~nvars:5 = Tt.count_ones f)
 
-let prop_restrict =
-  qtest "restrict agrees with cofactor" (tt_gen 4) (fun f ->
-      let m = Bdd.manager () in
-      let b = Bdd.of_truthtab m f in
-      List.for_all
-        (fun v ->
-          List.for_all
-            (fun value ->
-              Tt.equal
-                (Bdd.to_truthtab m (Bdd.restrict m b ~var:v ~value) ~arity:4)
-                (Tt.restrict f ~var:v ~value))
-            [ false; true ])
-        [ 0; 1; 2; 3 ])
-
 let prop_support =
   qtest "support agrees" (tt_gen 4) (fun f ->
       let m = Bdd.manager () in
@@ -124,7 +110,6 @@ let suite =
       prop_ops_agree;
       prop_canonical_equality;
       prop_sat_count;
-      prop_restrict;
       prop_support;
       Alcotest.test_case "past 2^21 nodes" `Quick test_past_2_21_nodes;
     ] )

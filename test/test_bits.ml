@@ -36,23 +36,6 @@ let test_iter_fold_indices () =
   Bits.iter_bits w (fun i -> collected := i :: !collected);
   Alcotest.(check (list int)) "iter ascending" [ 0; 2; 3; 5 ] (List.rev !collected)
 
-let binomial n k =
-  let rec fact i = if i <= 1 then 1 else i * fact (i - 1) in
-  fact n / (fact k * fact (n - k))
-
-let test_subsets_of_size () =
-  for n = 1 to 5 do
-    for k = 0 to n do
-      let subs = Bits.subsets_of_size n k in
-      Alcotest.(check int)
-        (Printf.sprintf "count C(%d,%d)" n k)
-        (binomial n k) (List.length subs);
-      List.iter
-        (fun m -> Alcotest.(check int) "popcount" k (Bits.popcount m))
-        subs
-    done
-  done
-
 let test_all_nonempty_proper_subsets () =
   (* The paper's "all 14 possible support sets of 3 or fewer variables"
      for a 4-input LUT. *)
@@ -69,12 +52,7 @@ let test_all_nonempty_proper_subsets () =
   Alcotest.(check (list int)) "empty mask" [] (Bits.all_nonempty_proper_subsets 0)
 
 let test_subset_edge_cases () =
-  (* Degenerate shapes: an empty universe,
-     cube budgets past the universe size, and the full mask. *)
-  Alcotest.(check (list int)) "n=0 k=0" [ 0 ] (Bits.subsets_of_size 0 0);
-  Alcotest.(check (list int)) "n=0 k=1" [] (Bits.subsets_of_size 0 1);
-  Alcotest.(check (list int)) "k>n" [] (Bits.subsets_of_size 2 3);
-  Alcotest.(check (list int)) "k=n full mask" [ 0b1111 ] (Bits.subsets_of_size 4 4);
+  (* Degenerate shapes: a wide mask and a singleton. *)
   Alcotest.(check int) "LUT6 proper subsets" 62
     (List.length (Bits.all_nonempty_proper_subsets (Bits.mask 6)));
   Alcotest.(check (list int)) "singleton mask" []
@@ -93,7 +71,6 @@ let suite =
       Alcotest.test_case "get/set" `Quick test_get_set;
       Alcotest.test_case "mask" `Quick test_mask;
       Alcotest.test_case "iter/fold/indices" `Quick test_iter_fold_indices;
-      Alcotest.test_case "subsets_of_size" `Quick test_subsets_of_size;
       Alcotest.test_case "all_nonempty_proper_subsets" `Quick test_all_nonempty_proper_subsets;
       Alcotest.test_case "subset edge cases" `Quick test_subset_edge_cases;
       Alcotest.test_case "log2_ceil" `Quick test_log2_ceil;

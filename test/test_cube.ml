@@ -34,18 +34,6 @@ let test_of_minterm () =
   Alcotest.(check (list int)) "single minterm" [ 11 ] (Cube.minterms ~nvars:4 c);
   Alcotest.(check int) "literals" 4 (Cube.num_literals c)
 
-let test_subsumes () =
-  let big = Cube.of_string "1--" and small = Cube.of_string "1-0" in
-  Alcotest.(check bool) "big subsumes small" true (Cube.subsumes big small);
-  Alcotest.(check bool) "small does not subsume big" false (Cube.subsumes small big);
-  Alcotest.(check bool) "self" true (Cube.subsumes big big)
-
-let prop_subsumes_semantics =
-  qtest "subsumes = minterm inclusion" (QCheck.pair (cube_gen 4) (cube_gen 4))
-    (fun (a, b) ->
-      let ma = Cube.minterms ~nvars:4 a and mb = Cube.minterms ~nvars:4 b in
-      Cube.subsumes a b = List.for_all (fun m -> List.mem m ma) mb)
-
 let prop_disjoint_semantics =
   qtest "disjoint = empty intersection of minterms" (QCheck.pair (cube_gen 4) (cube_gen 4))
     (fun (a, b) ->
@@ -97,10 +85,8 @@ let suite =
       Alcotest.test_case "universe" `Quick test_universe;
       Alcotest.test_case "minterms" `Quick test_minterms;
       Alcotest.test_case "of_minterm" `Quick test_of_minterm;
-      Alcotest.test_case "subsumes" `Quick test_subsumes;
       Alcotest.test_case "merge" `Quick test_merge;
       Alcotest.test_case "supported_on" `Quick test_supported_on;
-      prop_subsumes_semantics;
       prop_disjoint_semantics;
       prop_intersect_semantics;
       prop_merge_union;

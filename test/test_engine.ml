@@ -44,103 +44,35 @@ let test_pool_exception () =
           | exception Boom 1 -> ()))
     [ 1; 4 ]
 
-let test_pool_map_chunked_order () =
-  let xs = List.init 53 Fun.id in
-  let expect = List.map (fun x -> x * 3) xs in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (* Default chunk plus explicit sizes that do and don't divide the
-             length, including degenerate (1) and oversized (> length). *)
-          List.iter
-            (fun chunk ->
-              let got = Pool.map_chunked ?chunk p (fun x -> x * 3) xs in
-              Alcotest.(check (list int))
-                (Printf.sprintf "chunked map order, %d domains, chunk %s" domains
-                   (match chunk with None -> "default" | Some c -> string_of_int c))
-                expect got)
-            [ None; Some 1; Some 7; Some 53; Some 1000 ]))
-    [ 1; 4 ]
-
-let test_pool_map_chunked_empty_and_bad_chunk () =
+(* A pool of two domains is one worker and the caller.  [first] spins
+   until [second] has run, so whichever task the worker takes, the other
+   can only run on the awaiting caller.  A force-spawned pool never runs a
+   task on the caller. *)
+let test_pool_caller_runs_tasks () =
+  let me = Domain.self () in
   Pool.with_pool ~domains:2 (fun p ->
-      Alcotest.(check (list int)) "empty input" [] (Pool.map_chunked p Fun.id []);
-      List.iter
-        (fun c ->
-          match Pool.map_chunked ~chunk:c p Fun.id [ 1 ] with
-          | _ -> Alcotest.failf "chunk = %d should raise" c
-          | exception Invalid_argument _ -> ())
-        [ 0; -1 ])
-
-let test_pool_map_chunked_exception () =
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          (* The earliest failing slice's exception surfaces; elements after
-             the raising one in the same slice are never evaluated. *)
-          let touched = Array.make 12 false in
-          let f x =
-            touched.(x) <- true;
-            if x = 4 then raise (Boom 4);
-            x
-          in
-          (match Pool.map_chunked ~chunk:6 p f (List.init 12 Fun.id) with
-          | _ -> Alcotest.fail "expected Boom 4"
-          | exception Boom 4 -> ());
-          Alcotest.(check bool) "element before the raise ran" true touched.(3);
-          Alcotest.(check bool) "element after the raise, same slice, skipped" false
-            touched.(5);
-          (* The pool survives: a later chunked map still works. *)
-          Alcotest.(check (list int)) "pool usable after a failing slice" [ 2; 4 ]
-            (Pool.map_chunked p (fun x -> 2 * x) [ 1; 2 ])))
-    [ 1; 4 ]
-
-let test_pool_worker_hooks () =
-  List.iter
-    (fun domains ->
-      let inits = Atomic.make 0 and teardowns = Atomic.make 0 in
-      let indices = Array.make 64 0 in
-      let p =
-        Pool.create ~domains
-          ~worker_init:(fun i ->
-            Atomic.incr inits;
-            indices.(i) <- indices.(i) + 1)
-          ~worker_teardown:(fun _ -> Atomic.incr teardowns)
-          ()
+      let released = Atomic.make false in
+      let first =
+        Pool.submit p (fun () ->
+            while not (Atomic.get released) do
+              Domain.cpu_relax ()
+            done;
+            Domain.self ())
       in
-      let n = Pool.size p in
-      ignore (Pool.map_chunked p (fun x -> x + 1) (List.init 20 Fun.id));
-      Pool.shutdown p;
-      Alcotest.(check int)
-        (Printf.sprintf "init once per worker (%d domains)" domains)
-        n (Atomic.get inits);
-      Alcotest.(check int)
-        (Printf.sprintf "teardown once per worker (%d domains)" domains)
-        n (Atomic.get teardowns);
-      for i = 0 to n - 1 do
-        Alcotest.(check int) "each worker index hooked exactly once" 1 indices.(i)
-      done;
-      Pool.shutdown p;
-      Alcotest.(check int) "idempotent shutdown does not re-run teardown" n
-        (Atomic.get teardowns))
-    [ 1; 3 ]
-
-(* Domain-local state installed by worker_init must be visible to the
-   tasks that worker runs — the contract Engine.run_suite's per-worker
-   memo contexts depend on. *)
-let test_pool_worker_init_domain_state () =
-  let key = Domain.DLS.new_key (fun () -> "unset") in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains
-        ~worker_init:(fun i -> Domain.DLS.set key (Printf.sprintf "worker-%d" i))
-        (fun p ->
-          let seen = Pool.map_chunked p (fun _ -> Domain.DLS.get key) (List.init 8 Fun.id) in
-          Alcotest.(check bool)
-            (Printf.sprintf "every task saw an installed context (%d domains)" domains)
-            true
-            (List.for_all (fun s -> s <> "unset") seen)))
-    [ 1; 4 ]
+      let second =
+        Pool.submit p (fun () ->
+            Atomic.set released true;
+            Domain.self ())
+      in
+      let d2 = Pool.await second in
+      let d1 = Pool.await first in
+      Alcotest.(check bool) "the two tasks ran on different domains" true (d1 <> d2);
+      Alcotest.(check bool) "the awaiting caller ran one of them" true (d1 = me || d2 = me));
+  let p = Pool.create ~force_spawn:true ~domains:1 () in
+  let ran_on = Pool.await (Pool.submit p Domain.self) in
+  Pool.shutdown p;
+  Alcotest.(check bool) "a force-spawned pool never runs a task on the caller" true
+    (ran_on <> me)
 
 let test_pool_submit_after_shutdown () =
   let p = Pool.create ~domains:2 () in
@@ -252,23 +184,36 @@ let small_spec = Engine.default_spec |> Engine.with_vectors 5 |> Engine.with_see
 let fake_bench id build =
   { Ee_bench_circuits.Itc99.id; description = "synthetic failure-path benchmark"; build }
 
+(* The one submission path in both pool modes: inline ([~domains:1]), a
+   spawned worker ([~domains:1] with a deadline), and two domains (a
+   worker beside the caller). *)
 let test_suite_isolates_crash () =
   let crash = fake_bench "crash" (fun () -> failwith "synthetic crash") in
   let benchmarks =
     [ Ee_bench_circuits.Itc99.find "b01"; crash; Ee_bench_circuits.Itc99.find "b06" ]
   in
-  let s = Engine.run_suite ~spec:small_spec ~domains:2 ~benchmarks () in
-  Alcotest.(check int) "one row per benchmark" 3 (List.length s.Engine.results);
-  Alcotest.(check int) "two benchmarks survive" 2 (List.length (Engine.ok_results s));
-  (match s.Engine.results with
-  | [ Ok _; Error f; Ok _ ] ->
-      Alcotest.(check string) "failure names the benchmark" "crash" f.Engine.failed_bench;
-      Alcotest.(check bool) "failure carries the exception text" true
-        (count_substring f.Engine.reason "synthetic crash" = 1);
-      Alcotest.(check bool) "a crash is not a timeout" false f.Engine.timed_out
-  | _ -> Alcotest.fail "rows must stay in benchmark order with the crash isolated");
-  Alcotest.(check int) "table3 averages over surviving rows only" 2
-    (List.length s.Engine.table3.Ee_report.Tables.rows)
+  List.iter
+    (fun (label, domains, deadline_s) ->
+      let s = Engine.run_suite ~spec:small_spec ~domains ?deadline_s ~benchmarks () in
+      let check what = Printf.sprintf "%s (%s)" what label in
+      Alcotest.(check int) (check "one row per benchmark") 3 (List.length s.Engine.results);
+      Alcotest.(check int) (check "two benchmarks survive") 2
+        (List.length (Engine.ok_results s));
+      (match s.Engine.results with
+      | [ Ok b01; Error f; Ok b06 ] ->
+          Alcotest.(check (list string))
+            (check "rows keep benchmark order")
+            [ "b01"; "b06" ]
+            [ b01.Engine.row.Ee_report.Tables.id; b06.Engine.row.Ee_report.Tables.id ];
+          Alcotest.(check string) (check "failure names the benchmark") "crash"
+            f.Engine.failed_bench;
+          Alcotest.(check bool) (check "failure carries the exception text") true
+            (count_substring f.Engine.reason "synthetic crash" = 1);
+          Alcotest.(check bool) (check "a crash is not a timeout") false f.Engine.timed_out
+      | _ -> Alcotest.fail (check "rows must stay in benchmark order with the crash isolated"));
+      Alcotest.(check int) (check "table3 averages over surviving rows only") 2
+        (List.length s.Engine.table3.Ee_report.Tables.rows))
+    [ ("inline", 1, None); ("spawned worker", 1, Some 60.); ("2 domains", 2, None) ]
 
 let test_suite_deadline_on_hung_benchmark () =
   let hang =
@@ -340,43 +285,6 @@ let test_suite_parallel_matches_sequential () =
   (* Byte-identical rendered rows, not just structural equality. *)
   let render s = Ee_util.Table.to_csv (Ee_report.Tables.table3_to_table s.Engine.table3) in
   Alcotest.(check string) "rendered Table 3 identical" (render s1) (render s4)
-
-(* Same identity with per-worker memo contexts warm-started from, and
-   merged back into, a caller-held context — the sharded-memo path the
-   parallel engine takes.  Rows must not depend on memo state, and the
-   shared context must come back populated. *)
-let test_suite_parallel_shared_memo () =
-  let memo = Ee_core.Trigger.Memo.create () in
-  let s1 = Engine.run_suite ~spec:small_spec ~domains:1 () in
-  let s4 = Engine.run_suite ~spec:small_spec ~domains:4 ~memo () in
-  Alcotest.(check bool) "table3 identical with sharded memos" true
-    (s1.Engine.table3 = s4.Engine.table3);
-  let render s = Ee_util.Table.to_csv (Ee_report.Tables.table3_to_table s.Engine.table3) in
-  Alcotest.(check string) "rendered Table 3 identical" (render s1) (render s4);
-  let entries = Ee_core.Trigger.Memo.entries memo in
-  Alcotest.(check bool) "workers merged their tables back" true (entries > 0);
-  (* A second, warm-started suite must agree again and only grow the
-     context (same circuits — same LUT4 functions). *)
-  let s4' = Engine.run_suite ~spec:small_spec ~domains:4 ~memo () in
-  Alcotest.(check bool) "warm-started suite identical" true
-    (s1.Engine.table3 = s4'.Engine.table3);
-  Alcotest.(check int) "no new functions on the second pass" entries
-    (Ee_core.Trigger.Memo.entries memo)
-
-(* An explicitly chunked suite must also be row-identical. *)
-let test_suite_chunk_override () =
-  let benchmarks =
-    List.map Ee_bench_circuits.Itc99.find [ "b01"; "b02"; "b03"; "b06"; "b09" ]
-  in
-  let s1 = Engine.run_suite ~spec:small_spec ~domains:1 ~benchmarks () in
-  List.iter
-    (fun chunk ->
-      let s = Engine.run_suite ~spec:small_spec ~domains:3 ~chunk ~benchmarks () in
-      Alcotest.(check bool)
-        (Printf.sprintf "chunk %d identical to sequential" chunk)
-        true
-        (s1.Engine.table3 = s.Engine.table3))
-    [ 1; 2; 5 ]
 
 let test_run_matches_legacy_pipeline () =
   let b = Ee_bench_circuits.Itc99.find "b04" in
@@ -504,17 +412,9 @@ let suite =
   ( "engine",
     [
       Alcotest.test_case "pool: map preserves order" `Quick test_pool_map_order;
-      Alcotest.test_case "pool: chunked map preserves order" `Quick
-        test_pool_map_chunked_order;
-      Alcotest.test_case "pool: chunked map edge cases" `Quick
-        test_pool_map_chunked_empty_and_bad_chunk;
-      Alcotest.test_case "pool: chunked map exception semantics" `Quick
-        test_pool_map_chunked_exception;
-      Alcotest.test_case "pool: worker hooks run once per worker" `Quick
-        test_pool_worker_hooks;
-      Alcotest.test_case "pool: worker_init state visible to tasks" `Quick
-        test_pool_worker_init_domain_state;
       Alcotest.test_case "pool: exceptions propagate" `Quick test_pool_exception;
+      Alcotest.test_case "pool: the awaiting caller runs queued tasks" `Quick
+        test_pool_caller_runs_tasks;
       Alcotest.test_case "pool: submit after shutdown" `Quick test_pool_submit_after_shutdown;
       Alcotest.test_case "pool: try_await captures failures" `Quick test_pool_try_await;
       Alcotest.test_case "pool: await_timeout gives up on hung tasks" `Quick test_pool_await_timeout;
@@ -528,14 +428,10 @@ let suite =
       Alcotest.test_case "spec fingerprint injective over knobs" `Quick test_spec_fingerprint;
       Alcotest.test_case "suite: deadline bounds a hung benchmark" `Quick
         test_suite_deadline_on_hung_benchmark;
-      Alcotest.test_case "suite: 4 domains == sequential" `Slow test_suite_parallel_matches_sequential;
-      Alcotest.test_case "suite: sharded memo == sequential" `Slow
-        test_suite_parallel_shared_memo;
-      Alcotest.test_case "suite: explicit chunk sizes == sequential" `Quick
-        test_suite_chunk_override;
       Alcotest.test_case "run == legacy Pipeline+Tables chain" `Quick test_run_matches_legacy_pipeline;
       Alcotest.test_case "trace: one span per stage" `Quick test_trace_spans;
       Alcotest.test_case "trace: Chrome JSON well-formed" `Quick test_trace_chrome_json;
       Alcotest.test_case "spec builders" `Quick test_spec_builders;
+      Alcotest.test_case "suite: 4 domains == sequential" `Slow test_suite_parallel_matches_sequential;
       Alcotest.test_case "Mcr selection hook" `Slow test_engine_mcr_selection;
     ] )

@@ -1,6 +1,6 @@
 (* Explicit memoization contexts (Ee_util.Memo) and the Trigger candidate
-   contexts built on them: caching, counters, merge semantics, per-domain
-   defaults, and the mutex-wrapped Shared flavour. *)
+   contexts built on them: caching, counters, per-domain defaults, and the
+   mutex-wrapped Shared flavour. *)
 
 module Memo = Ee_util.Memo
 module Trigger = Ee_core.Trigger
@@ -35,23 +35,6 @@ let test_raise_stores_nothing () =
   Alcotest.(check int) "a later compute can still succeed" 5
     (Memo.find_or_add m 1 (fun () -> 5))
 
-let test_merge_first_wins () =
-  let a = Memo.create () and b = Memo.create () in
-  ignore (Memo.find_or_add a 1 (fun () -> "a1"));
-  ignore (Memo.find_or_add a 2 (fun () -> "a2"));
-  ignore (Memo.find_or_add b 2 (fun () -> "b2"));
-  ignore (Memo.find_or_add b 3 (fun () -> "b3"));
-  let hits_before = Memo.hits a and misses_before = Memo.misses a in
-  Memo.merge ~into:a b;
-  Alcotest.(check (option string)) "existing entry kept (first wins)" (Some "a2")
-    (Memo.find_opt a 2);
-  Alcotest.(check (option string)) "new entry copied" (Some "b3") (Memo.find_opt a 3);
-  Alcotest.(check int) "into has the union" 3 (Memo.entries a);
-  Alcotest.(check int) "src unchanged" 2 (Memo.entries b);
-  Alcotest.(check (option string)) "src entry unchanged" (Some "b2") (Memo.find_opt b 2);
-  Alcotest.(check int) "merge does not touch hit counters" hits_before (Memo.hits a);
-  Alcotest.(check int) "merge does not touch miss counters" misses_before (Memo.misses a)
-
 let test_clear () =
   let m = Memo.create () in
   ignore (Memo.find_or_add m 1 (fun () -> 1));
@@ -76,13 +59,7 @@ let test_dls_per_domain () =
   in
   Alcotest.(check (pair bool int)) "sibling domain starts empty" (false, 0)
     other_domain_saw;
-  Alcotest.(check bool) "entry still present on the owning domain" true (Memo.mem m 1);
-  (* set replaces the calling domain's context only. *)
-  let fresh = Memo.create () in
-  Memo.Dls.set key fresh;
-  Alcotest.(check bool) "set installs the new context" true (fresh == Memo.Dls.get key);
-  Alcotest.(check int) "installed context is the fresh one" 0
-    (Memo.entries (Memo.Dls.get key))
+  Alcotest.(check bool) "entry still present on the owning domain" true (Memo.mem m 1)
 
 let test_shared_across_domains () =
   let s : (int, int) Memo.Shared.t = Memo.Shared.create () in
@@ -139,57 +116,14 @@ let test_trigger_memo_isolation () =
   Alcotest.(check int) "warm pass is all hits" (hits_before + List.length funcs)
     (Trigger.Memo.hits fresh)
 
-let test_trigger_memo_merge_accumulates () =
-  let rng = Ee_util.Prng.create 7 in
-  let funcs = List.init 12 (fun _ -> Lut4.random rng) in
-  let shared = Trigger.Memo.create () in
-  let w1 = Trigger.Memo.create () and w2 = Trigger.Memo.create () in
-  List.iteri
-    (fun i f -> ignore (Trigger.candidates ~memo:(if i mod 2 = 0 then w1 else w2) f))
-    funcs;
-  Trigger.Memo.merge ~into:shared w1;
-  Trigger.Memo.merge ~into:shared w2;
-  let distinct = List.length (List.sort_uniq compare (List.map Lut4.to_int funcs)) in
-  Alcotest.(check int) "batch-end merges cover the whole batch" distinct
-    (Trigger.Memo.entries shared);
-  (* A warm-started worker reuses the merged entries. *)
-  let w3 = Trigger.Memo.create () in
-  Trigger.Memo.merge ~into:w3 shared;
-  ignore (List.map (fun f -> Trigger.candidates ~memo:w3 f) funcs);
-  Alcotest.(check int) "warm-started context recomputes nothing" 0
-    (Trigger.Memo.misses w3)
-
-(* The domain default used by bare [candidates f] is installable — the
-   mechanism Engine.run_suite's worker_init hook relies on. *)
-let test_trigger_install_domain_default () =
-  let f = Trigger.full_adder_carry in
-  let mine = Trigger.Memo.create () in
-  Trigger.Memo.install_domain_default mine;
-  Alcotest.(check bool) "install replaces the default" true
-    (mine == Trigger.Memo.domain_default ());
-  ignore (Trigger.candidates f);
-  Alcotest.(check bool) "bare candidates populated the installed context" true
-    (Trigger.Memo.entries mine > 0);
-  (* A spawned domain gets its own default, not this one. *)
-  let sibling_entries =
-    Domain.join
-      (Domain.spawn (fun () -> Trigger.Memo.entries (Trigger.Memo.domain_default ())))
-  in
-  Alcotest.(check int) "sibling domain default starts empty" 0 sibling_entries
-
 let suite =
   ( "memo",
     [
       Alcotest.test_case "find_or_add caches and counts" `Quick test_find_or_add;
       Alcotest.test_case "raising compute stores nothing" `Quick test_raise_stores_nothing;
-      Alcotest.test_case "merge is first-wins and one-way" `Quick test_merge_first_wins;
       Alcotest.test_case "clear resets entries and counters" `Quick test_clear;
       Alcotest.test_case "Dls contexts are per-domain" `Quick test_dls_per_domain;
       Alcotest.test_case "Shared context is domain-safe" `Quick test_shared_across_domains;
       Alcotest.test_case "trigger contexts isolate and agree" `Quick
         test_trigger_memo_isolation;
-      Alcotest.test_case "trigger merge accumulates across workers" `Quick
-        test_trigger_memo_merge_accumulates;
-      Alcotest.test_case "installable domain default" `Quick
-        test_trigger_install_domain_default;
     ] )
