@@ -55,6 +55,62 @@ let lambda ?warm ?cutoff options pl =
   Throughput.lambda ~gate_delay:options.gate_delay
     ~ee_overhead:options.ee_overhead ?warm ?cutoff pl
 
+(* Cycle certificates.  A cycle of the round's event graph that avoids a
+   master's events keeps its weights and tokens in that master's trial
+   graph ([Pl.with_ee] appends the trigger after every gate, and a trial
+   changes only arcs touching the master's and the trigger's events), so
+   the trial's period is at least the cycle's ratio; it cannot win unless
+   the threshold reaches that ratio, less a margin for rounding.  A cycle
+   also survives into the next round unless the master inserted there is
+   on it.  Each cycle is kept as its distinct gates; [held] counts the
+   cycles whose ratio clears [threshold] and [through], per gate, those of
+   them through it, so a master is skipped exactly when
+   [held > through.(master)]. *)
+type certificates = {
+  mutable cycles : (int array * float) list;
+  mutable held : int;
+  mutable through : int array;
+  mutable threshold : float;
+  mutable seen : int array;  (* per gate: the stamp of the cycle listing it *)
+  mutable stamp : int;
+}
+
+let clears threshold ratio = ratio *. (1. -. 1e-9) > threshold
+
+let hold c (gates, ratio) =
+  if clears c.threshold ratio then begin
+    c.held <- c.held + 1;
+    Array.iter (fun g -> c.through.(g) <- c.through.(g) + 1) gates
+  end
+
+(* A new round over [gates] gates, with no threshold yet. *)
+let restart c ~gates =
+  c.held <- 0;
+  c.through <- Array.make gates 0;
+  c.threshold <- infinity;
+  if Array.length c.seen < gates then c.seen <- Array.make gates 0
+
+(* Whether a kept cycle avoiding [master] rules its trials out at
+   [threshold]; the counts are redone when the threshold moves, once per
+   winning trial. *)
+let skips c master threshold =
+  if threshold <> c.threshold then begin
+    c.threshold <- threshold;
+    c.held <- 0;
+    Array.fill c.through 0 (Array.length c.through) 0;
+    List.iter (hold c) c.cycles
+  end;
+  c.held > c.through.(master)
+
+let keep c gates ratio =
+  c.stamp <- c.stamp + 1;
+  let distinct =
+    List.filter (fun g -> c.seen.(g) <> c.stamp && (c.seen.(g) <- c.stamp; true)) gates
+  in
+  let cycle = (Array.of_list distinct, ratio) in
+  c.cycles <- cycle :: c.cycles;
+  hold c cycle
+
 let plan ?(options = default_options) ?memo pl =
   let gates = Pl.gates pl in
   let budget_left inserted =
@@ -62,11 +118,15 @@ let plan ?(options = default_options) ?memo pl =
     | Some k -> List.length inserted < k
     | None -> true
   in
-  let rec round pl_cur inserted =
+  let certs =
+    { cycles = []; held = 0; through = [||]; threshold = infinity; seen = [||]; stamp = 0 }
+  in
+  let rec round ?warm pl_cur inserted =
     if not (budget_left inserted) then inserted
     else begin
       let a, r =
-        Throughput.round ~gate_delay:options.gate_delay ~ee_overhead:options.ee_overhead pl_cur
+        Throughput.round ~gate_delay:options.gate_delay ~ee_overhead:options.ee_overhead ?warm
+          pl_cur
       in
       let period = a.Throughput.lambda in
       if period <= 0. then inserted
@@ -85,45 +145,48 @@ let plan ?(options = default_options) ?memo pl =
             | _ -> ())
           gates;
         let target = period *. (1. -. (options.min_gain_percent /. 100.)) in
-        (* Certificate: attaching a trigger to a master off the critical
-           cycle leaves that cycle, weights and tokens, in the trial graph,
-           so the trial's period is at least [period]; it cannot win unless
-           the threshold reaches [period], less a margin for rounding. *)
-        let on_cycle = Array.make (Array.length (Pl.gates pl_cur)) false in
-        List.iter (fun g -> on_cycle.(g) <- true) a.Throughput.critical_gates;
+        (* The round's critical cycle is the first certificate. *)
+        restart certs ~gates:(Array.length (Pl.gates pl_cur));
+        keep certs a.Throughput.critical_gates period;
         let best = ref None in
+        (* A trial wins with a period at most [threshold] (below it, once
+           there is an incumbent); the solve of one that cannot win stops
+           early. *)
+        let threshold () = match !best with Some (_, l, _) -> l -. 1e-12 | None -> target in
         List.iter
           (fun (master, func, fanin) ->
-            List.iter
-              (fun choice ->
-                (* A trial wins with a period at most [threshold] (below it,
-                   once there is an incumbent); the solve of one that
-                   cannot win stops early. *)
-                let threshold =
-                  match !best with Some (_, l) -> l -. 1e-12 | None -> target
-                in
-                if on_cycle.(master) || period *. (1. -. 1e-9) <= threshold then begin
+            (* The threshold cannot fall within a master that runs no
+               trial, so one test per master is the per-trial test. *)
+            if not (skips certs master (threshold ())) then
+              List.iter
+                (fun choice ->
+                  let threshold = threshold () in
                   let lambda' =
                     Throughput.trial_lambda ~cutoff:threshold r master
                       (Synth.request choice.Synth.chosen choice.Synth.cost)
                   in
+                  Option.iter
+                    (fun gates -> keep certs gates lambda')
+                    (Throughput.trial_cycle r master);
                   let beats =
                     if Option.is_none !best then lambda' <= threshold else lambda' < threshold
                   in
-                  if beats then best := Some (choice, lambda')
-                end)
-              (viable_choices options ?memo pl_cur master func fanin))
+                  if beats then best := Some (choice, lambda', Throughput.trial_policy r master))
+                (viable_choices options ?memo pl_cur master func fanin))
           (List.rev !eligible)
         (* eligible was built backwards; restore ascending master order so
            ties resolve deterministically toward the lowest gate id. *);
         match !best with
         | None -> inserted
-        | Some (choice, _) ->
+        | Some (choice, _, warm) ->
+            let master = choice.Synth.master in
+            certs.cycles <-
+              List.filter (fun (gates, _) -> not (Array.mem master gates)) certs.cycles;
             let pl_next =
               Pl.with_ee pl_cur
-                [ (choice.Synth.master, Synth.request choice.Synth.chosen choice.Synth.cost) ]
+                [ (master, Synth.request choice.Synth.chosen choice.Synth.cost) ]
             in
-            round pl_next (choice :: inserted)
+            round ~warm pl_next (choice :: inserted)
       end
     end
   in

@@ -59,15 +59,22 @@ val plan :
     the best period so far less 1e-12.  [Pl.with_ee] appends the trigger
     after every existing gate, and {!Ee_perf.Timed_graph.of_pl} then
     changes only arcs that touch the master's or the trigger's events.  So
-    when the master is not among the round analysis's [critical_gates],
-    the critical cycle survives in the trial graph with the same weights
-    and tokens, and the trial's period is at least [lambda].  [plan] skips
-    such a trial, without building it, whenever
-    [lambda * (1 - 1e-9) > threshold] (the margin absorbs rounding).  With
-    [min_gain_percent <= 0] the threshold is at least [lambda] and nothing
-    is skipped.  The trials that remain pass [threshold] as the cutoff of
-    their solve (that of {!lambda}), so a losing one stops early.  Neither step changes the plan:
-    every skipped or stopped trial would have lost.
+    a cycle of the round's event graph that avoids the master survives in
+    the trial graph with the same weights and tokens, and the trial's
+    period is at least the cycle's ratio.  [plan] keeps such cycles as
+    certificates: the round analysis's critical cycle (ratio [lambda]),
+    and every cycle a trial's solve stopped at or converged on that is one
+    of the round's graph ({!Ee_perf.Throughput.trial_cycle}), with the
+    ratio the solve returned.  A cycle stays valid into the next round
+    unless the master inserted there lies on it.  Before building a
+    master's candidates, [plan] skips the master whenever a kept cycle
+    avoids it with [ratio * (1 - 1e-9) > threshold] (the margin absorbs
+    rounding); the threshold cannot fall within a master that runs no
+    trial, so this is the per-trial test.  The trials that remain pass [threshold] as the cutoff of their solve (that of
+    {!lambda}), so a losing one stops early, and a tying one at its first
+    witness cycle when the weights sum exactly (see {!Ee_perf.Mcr.lambda}).
+    Neither step changes the plan: every skipped or stopped trial would
+    have lost.
 
     {b Trials as deltas.}  Each round compiles the current netlist once
     ({!Ee_perf.Throughput.round}: its event graph, the graph's rows and
@@ -75,10 +82,13 @@ val plan :
     ({!Ee_perf.Throughput.trial_lambda}): the arcs owned by the master,
     its consumers and the new trigger, emitted by the same firing rule as
     {!Ee_perf.Timed_graph.of_pl}, with Howard warm-started from the
-    round's converged policy.  A losing trial builds no netlist and no
-    event graph; [Pl.with_ee] runs once per round, for the winner.  The
-    λ of a trial, and so every verdict, is the one {!lambda} gives on the
-    trial netlist, so the plan is unchanged. *)
+    round's converged policy rerouted through the master's new output
+    event.  A losing trial builds no netlist and no event graph;
+    [Pl.with_ee] runs once per round, for the winner, and the next
+    round's solve starts from the winning trial's converged policy
+    ({!Ee_perf.Throughput.trial_policy}).  The λ of a trial, and so every
+    verdict, is the one {!lambda} gives on the trial netlist, so the plan
+    is unchanged. *)
 
 val run :
   ?options:options ->

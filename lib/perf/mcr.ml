@@ -21,6 +21,50 @@ let weight_top (w : float array) =
 
 let weight_scale (g : Timed_graph.t) = Float.max 1. (fst (weight_top g.arc_weight))
 
+(* [bits], raised until [w * 2^bits] is an integer (every finite float is
+   a multiple of 2^-1074). *)
+let[@inline] fraction_bits bits w =
+  let b = ref bits in
+  while
+    let x = Float.ldexp w !b in
+    x <> Float.trunc x
+  do
+    incr b
+  done;
+  !b
+
+(* Whether [w], a multiple of 2^-[bits], needs all of them. *)
+let[@inline] needs_bits bits w =
+  bits = 0
+  ||
+  let x = Float.ldexp w (bits - 1) in
+  x <> Float.trunc x
+
+(* The fewest fraction bits that write every entry of [w] (the least [j]
+   with each [x * 2^j] an integer), and how many entries need all of
+   them. *)
+let weight_bits (w : float array) =
+  let bits = ref 0 and at_bits = ref 0 in
+  Array.iter
+    (fun x ->
+      let b = fraction_bits !bits x in
+      if b > !bits then begin
+        bits := b;
+        at_bits := 1
+      end
+      else if needs_bits b x then incr at_bits)
+    w;
+  (!bits, !at_bits)
+
+(* Every policy cycle of a graph of [n] nodes sums exactly when its
+   weights, at most [scale] in magnitude, are multiples of 2^-[bits] and
+   [n] of them stay below 2^52 such units: then every partial sum is a
+   representable multiple, so a cycle's ratio does not depend on the node
+   its sum starts from, and no ratio rounds above the one of a heavier
+   cycle.  Every graph under the default timing has [bits] at most 6 (its
+   weights are sums and products of 1, 1/4 and coverages k/16). *)
+let exact_sums ~n ~scale ~bits = Float.ldexp (float_of_int n *. scale) bits <= 0x1p52
+
 (* Counting sort of the arcs by [key] (their tail or head): row offsets
    ([n + 1] entries) and, row by row, the arc indices in descending
    order. *)
@@ -207,8 +251,10 @@ let eps_unit = 1e-12
    [cutoff], the iteration stops at the first policy cycle whose ratio
    exceeds [cutoff] by more than twice the tolerance; the node returned is
    that cycle's root and the ratio returned is the cycle's less the
-   tolerance. *)
-let howard ?hint ?(cutoff = infinity) ~scale n c w =
+   tolerance.  When the graph's cycles sum [exact]ly ({!exact_sums}), it
+   stops at the first policy cycle whose ratio exceeds [cutoff] at all,
+   and returns that ratio. *)
+let howard ?hint ?(cutoff = infinity) ~exact ~scale n c w =
   if prune n c w = n then None
   else begin
     let { first; last; dst; weight; tokens; _ } = c in
@@ -219,8 +265,11 @@ let howard ?hint ?(cutoff = infinity) ~scale n c w =
        differ in the last bits, so the bound reported is the ratio less
        [eps], and a solve stops only [2 eps] above the cutoff: one whose
        maximum is at most the cutoff runs to convergence, and the bound
-       returned by one that stops still exceeds the cutoff. *)
-    let stop_above = cutoff +. (2. *. eps) in
+       returned by one that stops still exceeds the cutoff.  Exact sums
+       need no margin: the ratio itself is a bound, and a cycle that ties
+       an incumbent just above the cutoff stops the solve at once. *)
+    let margin = if exact then 0. else eps in
+    let stop_above = cutoff +. (2. *. margin) in
     let stopped = ref (-1) in
     (* Initial policy: the hinted successor when a live arc reaches it,
        otherwise the node's first live arc. *)
@@ -348,7 +397,7 @@ let howard ?hint ?(cutoff = infinity) ~scale n c w =
         failwith "Mcr.solve: policy iteration failed to converge";
       evaluate ()
     done;
-    if !stopped >= 0 then Some (!stopped, lam.(!stopped) -. eps)
+    if !stopped >= 0 then Some (!stopped, lam.(!stopped) -. margin)
     else begin
       (* The first node of maximal ratio. *)
       let best = ref (-1) in
@@ -367,7 +416,10 @@ let howard ?hint ?(cutoff = infinity) ~scale n c w =
    Node arrays hold [cap] entries.  [dst], [weight] and [tokens] hold the
    base rows, then, from the base arc count on, the changed rows of the
    current trial; they are the base's own arrays until [reserve] first
-   grows them into copies. *)
+   grows them into copies.  [nodes] and [root] describe the last trial:
+   its node count, and the node its solve returned ([-1] when it found no
+   cycle or raised), whose policy walk leads to the cycle it stopped at or
+   converged on. *)
 type scratch = {
   cap : int;
   first : int array;
@@ -384,13 +436,18 @@ type scratch = {
   queue : int array;
   w : work;
   mutable stamp : int;
+  mutable nodes : int;
+  mutable root : int;
 }
 
+(* [bits] is [weight_bits] of the graph's weights, which only a cut solve
+   asks for. *)
 type context = {
   graph : Timed_graph.t;
   csr : csr;
   top : float;  (* the largest weight magnitude *)
   at_top : int;  (* arcs of that magnitude *)
+  bits : (int * int) Lazy.t;
   mutable scratch : scratch option;
 }
 
@@ -398,7 +455,7 @@ let context (g : Timed_graph.t) =
   let c = csr_of g in
   check_graph g.nodes c;
   let top, at_top = weight_top g.arc_weight in
-  { graph = g; csr = c; top; at_top; scratch = None }
+  { graph = g; csr = c; top; at_top; bits = lazy (weight_bits g.arc_weight); scratch = None }
 
 (* The context's scratch, with room for [nodes] nodes. *)
 let scratch ctx ~nodes =
@@ -423,6 +480,8 @@ let scratch ctx ~nodes =
           queue = Array.make cap 0;
           w = work cap;
           stamp = 0;
+          nodes = 0;
+          root = -1;
         }
       in
       ctx.scratch <- Some s;
@@ -445,40 +504,46 @@ let reserve ctx s ~arcs =
 
 let lambda ?hint ?cutoff g =
   let ctx = context g in
-  howard ?hint ?cutoff ~scale:(Float.max 1. ctx.top) g.nodes ctx.csr (work g.nodes)
-  |> Option.map snd
+  let scale = Float.max 1. ctx.top in
+  let exact =
+    Option.is_some cutoff && exact_sums ~n:g.nodes ~scale ~bits:(fst (Lazy.force ctx.bits))
+  in
+  howard ?hint ?cutoff ~exact ~scale g.nodes ctx.csr (work g.nodes) |> Option.map snd
+
+(* The policy cycle that the walk from [start] along [sigma] reaches:
+   its nodes in arc order.  [seen v] marks [v] and tells whether it was
+   marked before. *)
+let policy_cycle ~sigma ~seen start =
+  let v = ref start in
+  while not (seen !v) do
+    v := sigma !v
+  done;
+  let root = !v in
+  let cycle = ref [ root ] and u = ref (sigma root) in
+  while !u <> root do
+    cycle := !u :: !cycle;
+    u := sigma !u
+  done;
+  List.rev !cycle
 
 let solve_in ?hint ctx =
   let n = ctx.graph.nodes and c = ctx.csr in
   let w = work n in
-  match howard ?hint ~scale:(Float.max 1. ctx.top) n c w with
+  (* Uncut, so exact sums change nothing. *)
+  match howard ?hint ~exact:false ~scale:(Float.max 1. ctx.top) n c w with
   | None -> None
   | Some (best, lambda) ->
-      (* Extract a critical cycle: walk sigma from the ratio-maximizing
-         node until it closes. *)
-      let sigma v = c.dst.(w.policy.(v)) in
+      (* A critical cycle: the one the ratio-maximizing node's walk
+         reaches. *)
       let mark = Array.make n false in
-      let v = ref best in
-      while not mark.(!v) do
-        mark.(!v) <- true;
-        v := sigma !v
-      done;
-      let root = !v in
-      let cycle = ref [] and cycle_arcs = ref [] in
-      let u = ref root in
-      let continue = ref true in
-      while !continue do
-        cycle := !u :: !cycle;
-        cycle_arcs := c.id.(w.policy.(!u)) :: !cycle_arcs;
-        u := sigma !u;
-        if !u = root then continue := false
-      done;
+      let seen v = mark.(v) || (mark.(v) <- true; false) in
+      let cycle = policy_cycle ~sigma:(fun v -> c.dst.(w.policy.(v))) ~seen best in
       Some
         {
           lambda;
-          cycle = List.rev !cycle;
-          cycle_arcs = List.rev !cycle_arcs;
-          policy = Array.init n (fun v -> if w.alive.(v) then sigma v else -1);
+          cycle;
+          cycle_arcs = List.map (fun v -> c.id.(w.policy.(v))) cycle;
+          policy = Array.init n (fun v -> if w.alive.(v) then c.dst.(w.policy.(v)) else -1);
         }
 
 let solve ?hint g = solve_in ?hint (context g)
@@ -490,6 +555,8 @@ let splice_lambda ?hint ?cutoff ctx (d : Timed_graph.delta) =
     invalid_arg "Mcr.splice_lambda: the delta does not extend the graph";
   let s = scratch ctx ~nodes:n in
   s.stamp <- s.stamp + 1;
+  s.nodes <- n;
+  s.root <- -1;
   let stamp = s.stamp in
   let first = s.first and last = s.last in
   Array.blit b.first 0 first 0 n0;
@@ -600,7 +667,54 @@ let splice_lambda ?hint ?cutoff ctx (d : Timed_graph.delta) =
       !t
     end
   in
-  howard ?hint ?cutoff ~scale:(Float.max 1. top) n c s.w |> Option.map snd
+  let scale = Float.max 1. top in
+  (* Its fraction bits likewise, for a cut solve. *)
+  let exact =
+    Option.is_some cutoff
+    &&
+    let base_bits, at_bits = Lazy.force ctx.bits in
+    let dropped = ref 0 and bits = ref 0 in
+    for i = 0 to Array.length d.drop - 1 do
+      if needs_bits base_bits g.arc_weight.(d.drop.(i)) then incr dropped
+    done;
+    for k = 0 to adds - 1 do
+      bits := fraction_bits !bits a.arc_weight.(k)
+    done;
+    if !dropped < at_bits || base_bits = 0 || !bits >= base_bits then
+      bits := max base_bits !bits
+    else
+      for v = 0 to n - 1 do
+        for k = first.(v) to last.(v) - 1 do
+          bits := fraction_bits !bits weight.(k)
+        done
+      done;
+    exact_sums ~n ~scale ~bits:!bits
+  in
+  match howard ?hint ?cutoff ~exact ~scale n c s.w with
+  | None -> None
+  | Some (root, lambda) ->
+      s.root <- root;
+      Some lambda
+
+(* The last spliced trial's policy, as the successor of each of its
+   nodes. *)
+let last_sigma ctx =
+  match ctx.scratch with
+  | Some s when s.root >= 0 -> Some (s, fun v -> s.dst.(s.w.policy.(v)))
+  | _ -> None
+
+let trial_cycle ctx =
+  match last_sigma ctx with
+  | None -> []
+  | Some (s, sigma) ->
+      s.stamp <- s.stamp + 1;
+      let seen v = s.mark.(v) = s.stamp || (s.mark.(v) <- s.stamp; false) in
+      policy_cycle ~sigma ~seen s.root
+
+let trial_policy ctx =
+  match last_sigma ctx with
+  | None -> [||]
+  | Some (s, sigma) -> Array.init s.nodes (fun v -> if s.w.alive.(v) then sigma v else -1)
 
 (* ------------------------------------------------------------------ *)
 (* Karp's algorithm on the token-level unfolding (independent check)   *)

@@ -65,13 +65,24 @@ val lambda : ?hint:int array -> ?cutoff:float -> Timed_graph.t -> float option
     [cutoff], the iteration stops as soon as such a ratio exceeds [cutoff]
     by more than twice the scaled [eps], and returns the ratio less [eps]
     (the same cycle summed from another root can differ in its last bits,
-    so the bare ratio could lie an ulp above the converged [lambda*]).  The
-    contract: when [lambda* <= cutoff] the result is [lambda*] bit for bit,
-    exactly as without [cutoff]; otherwise it is some value in
-    [(cutoff, lambda*]].  So a caller that only asks "is [lambda*] at most
-    [cutoff]?" gets the same answer, and the same value whenever the answer
-    is yes, while a trial that is sure to lose stops early.  The default,
-    [infinity], never stops. *)
+    so the bare ratio could lie an ulp above the converged [lambda*]).
+
+    {b Exact sums.}  When every weight is a multiple of some [2^-j] and
+    [nodes] times the largest weight magnitude (at least 1) stays within
+    [2^52] such units, every cycle sums without rounding, from whichever
+    node it starts: a cycle's ratio is one float, and no ratio rounds above
+    that of a heavier cycle.  The solver detects this from the weights
+    (every graph under the default timing qualifies) and then stops at the
+    first policy cycle whose ratio exceeds [cutoff] at all, returning that
+    ratio.  A trial that ties a previous one, whose cutoff lies just below
+    the tie, so stops at its first witness instead of converging.
+
+    The contract, either way: when [lambda* <= cutoff] the result is
+    [lambda*] bit for bit, exactly as without [cutoff]; otherwise it is
+    some value in [(cutoff, lambda*]].  So a caller that only asks "is
+    [lambda*] at most [cutoff]?" gets the same answer, and the same value
+    whenever the answer is yes, while a trial that is sure to lose stops
+    early.  The default, [infinity], never stops. *)
 
 (** {2 Solver contexts and spliced trials}
 
@@ -111,6 +122,19 @@ val splice_lambda :
     start on their first live arc.  Raises [Invalid_argument] when the
     delta has fewer nodes than the graph or [add] is over another node
     count. *)
+
+val trial_cycle : context -> int list
+(** The policy cycle the last {!splice_lambda} on the context stopped at,
+    or converged on (then a critical cycle), as the trial's nodes in arc
+    order; [[]] when that solve found no cycle or raised.  Its ratio is at
+    least the value the solve returned.  Read it before the next trial:
+    the context keeps one trial's state. *)
+
+val trial_policy : context -> int array
+(** The policy the last {!splice_lambda} on the context ended with, as
+    {!result}'s [policy] over the trial's nodes ([[||]] as for
+    {!trial_cycle}).  After a solve that converged, fit to warm-start the
+    solve of the trial graph itself. *)
 
 val karp : Timed_graph.t -> float option
 (** Independent cross-check: per strongly-connected component, unfold the

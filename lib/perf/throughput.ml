@@ -49,13 +49,13 @@ let critical_string pl = function
   | first :: _ as gates -> String.concat ">" (List.map (gate_name pl) (gates @ [ first ]))
 
 (* The report of [pl] from its event graph [m], compiled as [ctx]. *)
-let report pl (m : Timed_graph.mapping) ctx =
+let report ?hint pl (m : Timed_graph.mapping) ctx =
   let g = m.Timed_graph.graph in
   let n_gates = Array.length (Pl.gates pl) in
   let policy succ =
     { event_gate = m.Timed_graph.event_gate; event_early = m.Timed_graph.event_early; succ }
   in
-  match Mcr.solve_in ctx with
+  match Mcr.solve_in ?hint ctx with
   | None ->
       {
         lambda = 0.;
@@ -98,22 +98,9 @@ let critical_cycle ?gate_delay ?ee_overhead pl =
   | None -> "-"
   | Some r -> critical_string pl (critical_gates m r.Mcr.cycle)
 
-type round = { base : Timed_graph.base; context : Mcr.context; succ : int array }
-
-let round ?gate_delay ?ee_overhead pl =
-  let base = Timed_graph.compile ?gate_delay ?ee_overhead pl in
-  let m = Timed_graph.mapping base in
-  let context = Mcr.context m.Timed_graph.graph in
-  let a = report pl m context in
-  (a, { base; context; succ = a.policy.succ })
-
-let trial_lambda ?cutoff r master req =
-  Timed_graph.trial r.base master req
-  |> Mcr.splice_lambda ~hint:r.succ ?cutoff r.context
-  |> Option.value ~default:0.
-
-let hint a (m : Timed_graph.mapping) =
-  let p = a.policy in
+(* A policy re-keyed onto the events of [m]: each event takes the
+   successor its gate's matching event had. *)
+let hint_of p (m : Timed_graph.mapping) =
   let n_gates = Array.length m.Timed_graph.output_event in
   let event e =
     let g = p.event_gate.(e) in
@@ -129,6 +116,95 @@ let hint a (m : Timed_graph.mapping) =
         if e' >= 0 then hint.(e') <- event s)
     p.succ;
   hint
+
+let hint a m = hint_of a.policy m
+
+(* [hint] is the round's converged policy over a trial's nodes (the base
+   events, then the two a trial appends), which [trial_lambda] reroutes
+   around each trial's master and then restores. *)
+type round = {
+  base : Timed_graph.base;
+  mapping : Timed_graph.mapping;
+  context : Mcr.context;
+  succ : int array;
+  hint : int array;
+}
+
+let round ?gate_delay ?ee_overhead ?warm pl =
+  let base = Timed_graph.compile ?gate_delay ?ee_overhead pl in
+  let m = Timed_graph.mapping base in
+  let context = Mcr.context m.Timed_graph.graph in
+  let a = report ?hint:(Option.map (fun p -> hint_of p m) warm) pl m context in
+  let succ = a.policy.succ in
+  (a, { base; mapping = m; context; succ; hint = Array.append succ [| -1; -1 |] })
+
+(* The master's data leave its new output event in the trial, so a policy
+   cycle that ran through the master's one base event into a consumer is
+   broken there.  The hint carries it over the output event instead: each
+   node that followed the master and has an arc into the output event now
+   follows that event, and the output event follows the master's old
+   successor, when an arc leads there. *)
+let reroute r master (d : Timed_graph.delta) =
+  let ev = r.mapping.Timed_graph.complete_event.(master) and a = d.Timed_graph.add in
+  let next = r.succ.(ev) and output = d.Timed_graph.output in
+  let arcs = Timed_graph.arc_count a in
+  let reaches = ref false in
+  for k = 0 to arcs - 1 do
+    if a.Timed_graph.arc_src.(k) = output && a.Timed_graph.arc_dst.(k) = next then reaches := true
+  done;
+  if !reaches then begin
+    r.hint.(output) <- next;
+    for k = 0 to arcs - 1 do
+      let u = a.Timed_graph.arc_src.(k) in
+      if a.Timed_graph.arc_dst.(k) = output && u < output && r.succ.(u) = ev then
+        r.hint.(u) <- output
+    done
+  end
+
+(* [reroute]'s inverse, whether or not it rerouted. *)
+let unroute r (d : Timed_graph.delta) =
+  let a = d.Timed_graph.add and output = d.Timed_graph.output in
+  r.hint.(output) <- -1;
+  for k = 0 to Timed_graph.arc_count a - 1 do
+    let u = a.Timed_graph.arc_src.(k) in
+    if a.Timed_graph.arc_dst.(k) = output && u < output then r.hint.(u) <- r.succ.(u)
+  done
+
+let trial_lambda ?cutoff r master req =
+  let d = Timed_graph.trial r.base master req in
+  reroute r master d;
+  match Mcr.splice_lambda ~hint:r.hint ?cutoff r.context d with
+  | l ->
+      unroute r d;
+      Option.value ~default:0. l
+  | exception e ->
+      unroute r d;
+      raise e
+
+let trial_cycle r master =
+  let m = r.mapping in
+  let base_nodes = m.Timed_graph.graph.Timed_graph.nodes in
+  match Mcr.trial_cycle r.context with
+  | [] -> None
+  | cycle ->
+      if
+        List.for_all
+          (fun e -> e < base_nodes && m.Timed_graph.event_gate.(e) <> master)
+          cycle
+      then Some (List.map (Array.get m.Timed_graph.event_gate) cycle)
+      else None
+
+let trial_policy r master =
+  let m = r.mapping in
+  let trigger = Array.length m.Timed_graph.output_event in
+  (* [Timed_graph.trial] appends the master's output event, then the
+     trigger's one event. *)
+  let extend a out trig = Array.append a [| out; trig |] in
+  {
+    event_gate = extend m.Timed_graph.event_gate master trigger;
+    event_early = extend m.Timed_graph.event_early true false;
+    succ = Mcr.trial_policy r.context;
+  }
 
 let lambda ?gate_delay ?ee_overhead ?warm ?cutoff pl =
   let m = Timed_graph.of_pl ?gate_delay ?ee_overhead pl in

@@ -69,20 +69,52 @@ val critical_cycle : ?gate_delay:float -> ?ee_overhead:float -> Ee_phased.Pl.t -
 type round
 
 val round :
-  ?gate_delay:float -> ?ee_overhead:float -> Ee_phased.Pl.t -> analysis * round
+  ?gate_delay:float ->
+  ?ee_overhead:float ->
+  ?warm:policy ->
+  Ee_phased.Pl.t ->
+  analysis * round
 (** [analyze pl], field for field, and the round its trials run in.
-    Raises [Mcr.Not_live] as {!analyze} does. *)
+    [warm] starts the solve from a policy of the netlist [pl] extends by
+    one EE pair, such as {!trial_policy} of the trial that became [pl]; it
+    changes only the iteration count, never [lambda] (where several cycles
+    attain it, [critical_gates] may name another).  Raises [Mcr.Not_live]
+    as {!analyze} does. *)
 
 val trial_lambda :
   ?cutoff:float -> round -> int -> Ee_phased.Pl.ee_info_request -> float
 (** [trial_lambda r master req]: [lambda ?cutoff (Pl.with_ee pl [(master,
-    req)])] under the round's timing model, warm-started from the round's
-    converged policy with no {!hint} remap.  It is exact, bit for bit,
+    req)])] under the round's timing model.  It is exact, bit for bit,
     whenever it is at most [cutoff] (by the dyadic weights, λ does not
     depend on event numbering; the test suite holds this on every ITC99
     trial), and otherwise lies in [(cutoff, lambda]], as {!Mcr.lambda}'s
     cutoff contract says.  Raises [Invalid_argument] as
-    {!Timed_graph.trial} does. *)
+    {!Timed_graph.trial} does.
+
+    Howard starts from the round's converged policy, rerouted around the
+    master: the master's data now leave its new output event, so the
+    policy cycle through the master's one base event into a consumer
+    would break there; when an arc leads from the output event to the
+    master's old successor, the nodes that followed the master follow the
+    output event instead, and it follows that successor.  A trial that
+    loses to, or ties, the round's critical cycle so meets it in its first
+    policy evaluation. *)
+
+val trial_cycle : round -> int -> int list option
+(** After [trial_lambda r master _]: the gates of the cycle that solve
+    stopped at or converged on, in cycle order (a split master appears
+    once per event), when the cycle is one of the round's own graph — it
+    uses neither of the trial's new events nor the master's event.  Such
+    a cycle keeps its weights and tokens in the trial of every master it
+    avoids, and in the next round's graph when it avoids the master that
+    round inserts; its ratio is at least the value [trial_lambda]
+    returned. *)
+
+val trial_policy : round -> int -> policy
+(** After [trial_lambda r master _]: that solve's policy, keyed by event
+    identity on the trial netlist [Pl.with_ee pl [(master, _)]].  After a
+    trial that converged, it is a converged policy of that netlist, fit
+    for the [warm] of its {!round}. *)
 
 val hint : analysis -> Timed_graph.mapping -> int array
 (** The analysis's policy re-keyed onto the events of [m], a netlist that

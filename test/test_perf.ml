@@ -439,6 +439,64 @@ let test_hint_ignores_bad_nodes () =
   Alcotest.(check int) "dead node has no policy" (-1) cold.Mcr.policy.(3);
   Alcotest.(check int) "dead-end node has no policy" (-1) cold.Mcr.policy.(2)
 
+(* A cut solve started on the self-loop at node 0 (ratio [a]) of a graph
+   whose maximum is the 2-cycle through node 1 (ratio 6 or 0.6), with the
+   cutoff just below [a].  When the weights sum exactly the self-loop
+   decides the outcome and the solve returns its ratio; otherwise the
+   solve keeps its margin and stops only on the 2-cycle. *)
+let test_exact_stop () =
+  let run a b =
+    let g = Tg.make ~nodes:2 ~arcs:[ arc 0 0 a 1; arc 0 1 b 1; arc 1 0 b 0 ] in
+    let cutoff = a -. 1e-13 in
+    match Mcr.lambda ~hint:[| 0; 0 |] ~cutoff g with
+    | Some x ->
+        let l = Option.get (Mcr.lambda g) in
+        if not (cutoff < x && x <= l) then
+          Alcotest.failf "a = %h: %h outside (%h, %h]" a x cutoff l;
+        x
+    | None -> Alcotest.fail "no cycle"
+  in
+  Alcotest.(check (float 0.)) "dyadic weights stop at the first deciding cycle" 2. (run 2. 3.);
+  Alcotest.(check bool) "non-dyadic weights keep the margin" true (run 0.2 0.3 > 0.5);
+  (* 2^-50 is dyadic, but two nodes of weight up to 3 span more than 2^52
+     such units; with 2^-49 they do not. *)
+  Alcotest.(check bool) "too many fraction bits keep the margin" true
+    (run (2. +. 0x1p-50) 3. > 5.);
+  Alcotest.(check (float 0.)) "just few enough fraction bits" (2. +. 0x1p-49)
+    (run (2. +. 0x1p-49) 3.)
+
+(* A spliced trial sums exactly when its own weights do, whatever the
+   base's: on a 5-node graph, a weight of 3 + 2^-50 is too fine (5 x 3
+   spans more than 2^52 of its units), and the delta either replaces it
+   by 3 or brings it in.  Started on the self-loop (ratio 2) and cut just
+   below it, an exact solve returns 2 and an inexact one the ring's
+   ratio; the spliced and the rebuilt graph must agree. *)
+let test_splice_exactness () =
+  let fine = 3. +. 0x1p-50 in
+  let ring last =
+    [ arc 0 0 2. 1; arc 0 1 3. 0; arc 1 2 3. 0; arc 2 3 3. 0; arc 3 4 3. 0; arc 4 0 last 1 ]
+  in
+  let swap last =
+    {
+      Tg.nodes = 5;
+      output = 4;
+      trigger = 4;
+      drop = [| 5 |];
+      add = Tg.make ~nodes:5 ~arcs:[ arc 4 0 last 1 ];
+    }
+  in
+  let cutoff = 2. -. 1e-13 and hint = [| 0; 2; 3; 4; 0 |] in
+  List.iter
+    (fun (tag, base, last, exact) ->
+      let g = Tg.make ~nodes:5 ~arcs:(ring base) in
+      let d = swap last in
+      let spliced = Option.get (Mcr.splice_lambda ~hint ~cutoff (Mcr.context g) d)
+      and rebuilt = Option.get (Mcr.lambda ~hint ~cutoff (Tg.splice g d)) in
+      if not (bits_equal spliced rebuilt) then
+        Alcotest.failf "%s: spliced %h, rebuilt %h" tag spliced rebuilt;
+      Alcotest.(check bool) tag exact (spliced = 2.))
+    [ ("fine arc dropped", fine, 3., true); ("fine arc added", 3., fine, false) ]
+
 (* ---------------------------------------------------------------- *)
 (* Spliced trials                                                    *)
 (* ---------------------------------------------------------------- *)
@@ -676,6 +734,8 @@ type reference_pass = {
   off_cycle : int;  (** Trials whose master is off the base critical cycle. *)
   stopped : int;  (** Cut solves that stopped before converging. *)
   spliced : int;  (** Trials checked as deltas on their round's graph. *)
+  decided : int;  (** Cut spliced solves whose win or loss was checked. *)
+  certified : int;  (** Trials checked against a kept cycle avoiding their master. *)
 }
 
 (* The spliced trial [d] of [master] on [b], the compiled [pl_cur], renamed
@@ -713,13 +773,37 @@ let check_spliced_arcs what pl_cur b master (d : Tg.delta) (m : Tg.mapping) =
    certificate by which [Mcr_select.plan] skips such trials.  The spliced
    trial ([Tg.trial] on the round's compiled graph) carries the rebuilt
    trial graph's arcs under the event renaming, and its λ, with and
-   without a cutoff, is the cold λ.  Shared by the next five tests. *)
+   without a cutoff, is the cold λ.  Cut at λ, at the floats either side
+   of it and at λ ± 1e-9, the spliced solve wins or loses (at most, or
+   below, the cutoff) exactly as the cold λ does.  Every cycle such a cut
+   solve reports through [Throughput.trial_cycle] is kept, as long as no
+   master inserted since lies on it, and no later trial whose master
+   avoids a kept cycle has a λ below that cycle's ratio: the certificate
+   by which [Mcr_select.plan] skips trials.  Shared by the next seven
+   tests. *)
 let itc99_reference_plans =
   lazy
     (let module Ms = Ee_core.Mcr_select in
      let o = Ms.default_options in
      let policies = Ee_util.Prng.create 99 in
      let trials = ref 0 and off_cycle = ref 0 and stopped = ref 0 and spliced = ref 0 in
+     let decided = ref 0 and certified = ref 0 in
+     (* Kept cycles, as sorted distinct gates, with the largest ratio each
+        was reported at; and the circuit and netlist they are cycles of. *)
+     let kept = Hashtbl.create 64 and kept_on = ref None in
+     let keep_cycles name pl_cur =
+       (match !kept_on with
+       | Some (name', _) when name' <> name -> Hashtbl.reset kept
+       | Some (_, pl) when pl != pl_cur ->
+           (* A new round: drop the cycles through the master that has
+              gained a trigger. *)
+           let stale gates =
+             Array.exists (fun g -> Pl.ee pl_cur g <> None && Pl.ee pl g = None) gates
+           in
+           Hashtbl.filter_map_inplace (fun gates r -> if stale gates then None else Some r) kept
+       | _ -> ());
+       kept_on := Some (name, pl_cur)
+     in
      let round =
        let last = ref None in
        fun a pl_cur ->
@@ -755,6 +839,30 @@ let itc99_reference_plans =
            else if not (cutoff < x && x <= cold) then
              Alcotest.failf "%s: cutoff %h below cold %h, spliced %h" what cutoff cold x)
          [ a.Throughput.lambda *. (1. -. 1e-3); cold; Float.pred cold ];
+       keep_cycles name pl_cur;
+       Hashtbl.iter
+         (fun gates ratio ->
+           if not (Array.mem master gates) then begin
+             incr certified;
+             if cold < ratio then
+               Alcotest.failf "%s: a kept cycle avoids g%d, yet lambda %h < its ratio %h" what
+                 master cold ratio
+           end)
+         kept;
+       List.iter
+         (fun cutoff ->
+           let x = Throughput.trial_lambda ~cutoff r master req in
+           incr decided;
+           if (x <= cutoff) <> (cold <= cutoff) || (x < cutoff) <> (cold < cutoff) then
+             Alcotest.failf "%s: cutoff %h: spliced %h decides otherwise than cold %h" what
+               cutoff x cold;
+           match Throughput.trial_cycle r master with
+           | Some gates ->
+               let gates = Array.of_list (List.sort_uniq compare gates) in
+               let ratio = Option.value ~default:x (Hashtbl.find_opt kept gates) in
+               Hashtbl.replace kept gates (Float.max ratio x)
+           | None -> ())
+         [ cold; Float.pred cold; Float.succ cold; cold -. 1e-9; cold +. 1e-9 ];
        if not (same (Ok (Some cold)) (Ok (Mcr.splice_lambda ~hint:succ ctx d)))
        then Alcotest.failf "%s: splice_lambda differs from the cold lambda" what;
        incr spliced;
@@ -776,7 +884,15 @@ let itc99_reference_plans =
          (fun (name, pl) -> (name, pl, Reference_plan.plan ~on_trial:(on_trial name) o pl))
          (itc99_netlists ())
      in
-     { plans; trials = !trials; off_cycle = !off_cycle; stopped = !stopped; spliced = !spliced })
+     {
+       plans;
+       trials = !trials;
+       off_cycle = !off_cycle;
+       stopped = !stopped;
+       spliced = !spliced;
+       decided = !decided;
+       certified = !certified;
+     })
 
 let test_warm_start_trials () =
   let { trials; _ } = Lazy.force itc99_reference_plans in
@@ -793,13 +909,25 @@ let test_certificate_sound () =
     true
     (off_cycle > trials / 2)
 
+let test_decided_trials () =
+  let { trials; decided; _ } = Lazy.force itc99_reference_plans in
+  Alcotest.(check int) "five cut solves per trial" (5 * trials) decided
+
+let test_cycle_certificates () =
+  let { trials; certified; _ } = Lazy.force itc99_reference_plans in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d kept-cycle checks over %d trials" certified trials)
+    true (certified > trials)
+
 let test_cutoff_trials () =
   let { stopped; _ } = Lazy.force itc99_reference_plans in
   Alcotest.(check bool) (Printf.sprintf "%d cut solves stopped early" stopped) true (stopped > 0)
 
 (* [Mcr_select.plan] under [o] chooses the reference's pairs, and the warm
-   λ-only oracle reproduces each of the reference's per-round λ. *)
-let check_matches_reference o (name, pl, (reference, rounds)) =
+   λ-only oracle reproduces each of the reference's per-round λ: bit for
+   bit, or with [close] within 1e-9 relative (where weights do not sum
+   exactly, a warm solve may sum the critical cycle from another node). *)
+let check_matches_reference ?(close = false) o (name, pl, (reference, rounds)) =
   let module Ms = Ee_core.Mcr_select in
   let module Synth = Ee_core.Synth in
   let key (c : Synth.gate_choice) =
@@ -815,7 +943,11 @@ let check_matches_reference o (name, pl, (reference, rounds)) =
            Pl.with_ee pl_cur [ (c.Synth.master, Ee_core.Synth.request c.Synth.chosen c.Synth.cost) ]
          in
          let lambda = Ms.lambda ~warm:(Ms.analyze o pl_cur) o trial in
-         if not (bits_equal lambda lambda_ref) then
+         if
+           not
+             (if close then Float.abs (lambda -. lambda_ref) <= 1e-9 *. lambda_ref
+              else bits_equal lambda lambda_ref)
+         then
            Alcotest.failf "%s round %d: lambda %h, reference %h" name k lambda lambda_ref;
          (k + 1, trial))
        (1, pl) rounds)
@@ -848,6 +980,17 @@ let test_plan_threshold_edges () =
       ("min gain 5", { o with Ms.min_gain_percent = 5. });
       ("max pairs 1", { o with Ms.max_pairs = Some 1 });
     ]
+
+(* Under a timing whose weights are not dyadic (tenths and hundredths)
+   no cycle sums exactly, so every cut solve keeps its margin; the plan is
+   still the reference's. *)
+let test_plan_non_dyadic () =
+  let module Ms = Ee_core.Mcr_select in
+  let o = { Ms.default_options with Ms.gate_delay = 0.1; ee_overhead = 0.03 } in
+  List.iter
+    (fun (name, pl) ->
+      check_matches_reference ~close:true o (name ^ " non-dyadic", pl, Reference_plan.plan o pl))
+    (itc99_netlists ())
 
 let search_reference =
   (* Search_select.run with default options, as it reported before trials
@@ -999,4 +1142,13 @@ let suite =
       Alcotest.test_case "spliced arcs and lambda on every b01-b13 trial" `Slow
         test_spliced_trials;
       Alcotest.test_case "one spliced trial's allocation bounded" `Quick test_spliced_allocation;
+      Alcotest.test_case "cut trials decide as the cold lambda on every b01-b13 trial" `Slow
+        test_decided_trials;
+      Alcotest.test_case "kept cycles bound every later b01-b13 trial" `Slow
+        test_cycle_certificates;
+      Alcotest.test_case "MCR plan matches the reference under non-dyadic timing" `Slow
+        test_plan_non_dyadic;
+      Alcotest.test_case "exact sums stop at the deciding cycle" `Quick test_exact_stop;
+      Alcotest.test_case "a spliced trial sums exactly as its own weights do" `Quick
+        test_splice_exactness;
     ] )
